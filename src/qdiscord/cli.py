@@ -28,8 +28,9 @@ from .measurement import (
     MeasurementDirection,
     conditional_entropy,
     conditional_entropy_direct,
+    direction_from_angles,
 )
-from .optimize import quantum_discord, stationary_vector
+from .optimize import DEFAULT_RESOLUTION, quantum_discord, stationary_vector
 from .states import BlochTriple, matrix_from_triple, random_state, triple_from_matrix
 
 EXIT_OK = 0
@@ -43,7 +44,7 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    resolution_deg: float = 1.0
+    resolution_deg: float = math.degrees(DEFAULT_RESOLUTION)
     tolerance: float = 1e-9
     output_format: str = "text"
     seed: int = 0
@@ -263,7 +264,6 @@ def _suite_identity(n: int, rng: np.random.Generator, config: RunConfig) -> tupl
 
 
 def _suite_gradient(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
-    h = 1e-5
     worst = 0.0
     checked = 0
     while checked < n:
@@ -273,18 +273,26 @@ def _suite_gradient(n: int, rng: np.random.Generator, config: RunConfig) -> tupl
         if diag.degenerate or math.hypot(diag.grad_theta, diag.grad_phi) < 1e-3:
             continue
         th, ph = d.theta, d.phi
-        fd_th = (conditional_entropy(t, _dir(th + h, ph)) - conditional_entropy(t, _dir(th - h, ph))) / (2 * h)
-        fd_ph = (conditional_entropy(t, _dir(th, ph + h)) - conditional_entropy(t, _dir(th, ph - h))) / (2 * h)
+        fd_th = _richardson(lambda h: conditional_entropy(t, direction_from_angles(th + h, ph)))
+        fd_ph = _richardson(lambda h: conditional_entropy(t, direction_from_angles(th, ph + h)))
         for an, fd in ((diag.grad_theta, fd_th), (diag.grad_phi, fd_ph)):
             worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-12))
         checked += 1
     return worst < 1e-6, f"{n} probe points, max relative gradient error = {worst:.3e}"
 
 
-def _dir(theta: float, phi: float) -> MeasurementDirection:
-    from .measurement import direction_from_angles
+def _richardson(f) -> float:
+    """f'(0) from central differences at steps h and 2h, extrapolated.
 
-    return direction_from_angles(theta, phi)
+    The combination cancels the h^2 error term, which leaves an O(h^4)
+    truncation error and a rounding error near 1e-13 at h = 5e-4; a lone
+    central difference with a small step has rounding error near 1e-11,
+    too much for a relative check of a gradient component near 1e-6.
+    """
+    h = 5e-4
+    d1 = (f(h) - f(-h)) / (2 * h)
+    d2 = (f(2 * h) - f(-2 * h)) / (4 * h)
+    return (4 * d1 - d2) / 3
 
 
 def _suite_oracle(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
@@ -346,8 +354,9 @@ def cmd_verify(config: RunConfig, suite: str | None, n: int | None) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--resolution", type=float, default=1.0, metavar="DEG",
-                        help="grid step in degrees (default 1.0)")
+    common.add_argument("--resolution", type=float, default=RunConfig.resolution_deg, metavar="DEG",
+                        help="step of the hemisphere grid whose local minima seed the refinement, "
+                             f"in degrees (default {RunConfig.resolution_deg:g})")
     common.add_argument("--tolerance", type=float, default=1e-9, metavar="TOL",
                         help="stationarity residual target for refinement (default 1e-9)")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",

@@ -1,10 +1,10 @@
 """Global minimization of the conditioned entropy over measurement directions.
 
-The pipeline is: a hemisphere grid scan (the n -> -n symmetry halves the
-sphere), analytic-gradient refinement driven by the stationarity vector A,
-and assembly of mutual information, classical correlation and discord.
-States whose canonical form lands in a solvable family skip the search and
-use the closed form instead.
+The pipeline is: a coarse hemisphere grid scan (the n -> -n symmetry halves
+the sphere), analytic-gradient refinement driven by the stationarity vector
+A from every grid-local minimum, and assembly of mutual information,
+classical correlation and discord.  Pure states and states whose canonical
+form lands in a solvable family skip the search and use a closed form.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ from .states import (
     _require_state,
 )
 
-DEFAULT_RESOLUTION = math.pi / 180
+#: step of the start grid of :func:`minimize_conditional_entropy`
+DEFAULT_RESOLUTION = math.pi / 18
+#: step of the exhaustive :func:`grid_minimize` scan, the search's test oracle
+ORACLE_RESOLUTION = math.pi / 180
 DEFAULT_TOLERANCE = 1e-9
 MAX_REFINE_ITERATIONS = 200
 
@@ -43,6 +46,17 @@ _ARMIJO = 1e-4
 _NEWTON_THRESHOLD = 1e-2
 _FD_STEP = 1e-6
 _COMPASS_MIN_STEP = 1e-9
+#: grid values this close count as equal, so a landscape flat to this
+#: spread (a pure state's S(A|n) = 0 up to rounding) is one plateau
+_PLATEAU_TOL = 1e-12
+#: S(rho) at or below this marks a pure state, whose S(A|n) vanishes for every n
+PURE_STATE_TOL = 1e-12
+#: chart curvature below -this marks a refined point as a saddle or maximum
+#: (finite-difference noise in the Hessian is near 1e-10)
+_SADDLE_CURVATURE = 1e-8
+#: step off a saddle along its negative-curvature direction, radians
+_ESCAPE_STEP = 1e-2
+_MAX_ESCAPES = 3
 
 
 @dataclass(frozen=True)
@@ -168,12 +182,15 @@ def _a_scalar(t: BlochTriple, n: np.ndarray) -> float:
 
 @lru_cache(maxsize=8)
 def _grid(resolution: float) -> np.ndarray:
+    """Hemisphere directions as a read-only (theta rows, phi columns, 3) array.
+
+    Row 0 is the pole; the last row lies on or just above the equator.
+    """
     thetas = np.arange(0.0, math.pi / 2 + resolution / 2, resolution)
     phis = np.arange(0.0, 2 * math.pi, resolution)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    st = np.sin(tt)
-    dirs = np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=1)
+    st = np.sin(thetas)[:, None]
+    dirs = np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis),
+                                        np.cos(thetas)[:, None]), axis=-1)
     dirs.setflags(write=False)
     return dirs
 
@@ -185,16 +202,86 @@ def _check_resolution(resolution: float) -> float:
     return resolution
 
 
-def grid_minimize(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION) -> tuple[MeasurementDirection, float]:
+def _scan(batch, t: BlochTriple, resolution: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Evaluate ``batch(t, directions)`` on the hemisphere grid.
+
+    Returns the (rows, cols, 3) directions, the (rows, cols) values and
+    whether the last row lies on the equator.
+    """
+    dirs = _grid(_check_resolution(resolution))
+    values = batch(t, dirs.reshape(-1, 3)).reshape(dirs.shape[:2])
+    return dirs, values, abs(float(dirs[-1, 0, 2])) < 1e-12
+
+
+def _neighbours(values: np.ndarray, equator: bool) -> list[np.ndarray]:
+    """The eight grid neighbours of every entry of a (rows, cols) hemisphere array.
+
+    Phi wraps around; past the last row lie the antipodes of the row before
+    the equator (or of the last row itself when it is not on the equator),
+    half a turn round.  Row 0 is the pole, which callers treat as one point.
+    """
+    rows, cols = values.shape
+    beyond = np.roll(values[-2] if equator else values[-1], cols // 2)
+    padded = np.vstack([values[:1], values, beyond[None]])
+    padded = np.hstack([padded[:, -1:], padded, padded[:, :1]])
+    return [padded[1 + dr:1 + dr + rows, 1 + dc:1 + dc + cols]
+            for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+
+
+def _grid_local_minima(values: np.ndarray, equator: bool, tol: float = 0.0) -> np.ndarray:
+    """Mask of the grid-local minima of a (rows, cols) hemisphere array.
+
+    An entry is a minimum when it exceeds none of its neighbours by more
+    than ``tol``.  The pole row counts as one point, flagged (in every
+    column) when it is a minimum against the whole of row 1.
+    """
+    is_min = np.logical_and.reduce([values <= nb + tol for nb in _neighbours(values, equator)])
+    is_min[0] = values[0, 0] <= values[1].min() + tol
+    return is_min
+
+
+def _basin_starts(values: np.ndarray, equator: bool) -> list[tuple[int, int]]:
+    """One start per connected plateau of grid-local minima, in ascending value.
+
+    Grid-adjacent minima form one plateau, represented by its lowest entry
+    (the first in theta, phi order among equals).
+    """
+    is_min = _grid_local_minima(values, equator, _PLATEAU_TOL)
+    # spread the smallest flat index over each plateau; unflagged entries
+    # carry a label larger than every index, so they link nothing
+    outside = values.size
+    labels = np.where(is_min, np.arange(outside).reshape(values.shape), outside)
+    while True:
+        labels[0] = labels[0].min()  # the pole is one point
+        if equator:  # so is each antipodal pair on the equator
+            labels[-1] = np.minimum(labels[-1], np.roll(labels[-1], values.shape[1] // 2))
+        spread = np.minimum.reduce([labels] + _neighbours(labels, equator))
+        spread[~is_min] = outside
+        # jump to the label's own label: long plateaus merge in few passes
+        spread[is_min] = spread.flat[spread[is_min]]
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    flat_values = values.ravel()
+    seen: set[int] = set()
+    starts = []
+    for i in sorted(np.flatnonzero(is_min), key=lambda i: (flat_values[i], i)):
+        if labels.flat[i] not in seen:
+            seen.add(labels.flat[i])
+            starts.append(divmod(int(i), values.shape[1]))
+    return starts
+
+
+def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tuple[MeasurementDirection, float]:
     """Exhaustive scan of the upper hemisphere at the given angular step.
 
     Directions are ordered by increasing theta then phi, and ``argmin``
     keeps the first minimum, which realizes the smallest-angle tie-break.
+    With its 1-degree default this is the test oracle of
+    :func:`minimize_conditional_entropy`.
     """
-    resolution = _check_resolution(resolution)
-    dirs = _grid(resolution)
-    values = conditional_entropy_batch(t, dirs)
-    best = MeasurementDirection(dirs[int(np.argmin(values))])
+    dirs, values, _ = _scan(conditional_entropy_batch, t, resolution)
+    best = MeasurementDirection(dirs.reshape(-1, 3)[int(np.argmin(values))])
     # re-evaluate through the scalar path so refinement starts bit-consistent
     return best, conditional_entropy(t, best)
 
@@ -220,11 +307,13 @@ def _chart_gradient(t: BlochTriple, n: np.ndarray, u: np.ndarray, v: np.ndarray,
     return np.array([g @ u, g @ v]) / r
 
 
-def _newton_step(t: BlochTriple, n: np.ndarray, f: float, resid: float,
-                 g: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """One damped Newton step on the tangent-chart gradient; None if it fails."""
+def _chart_hessian(t: BlochTriple, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Hessian of the conditioned entropy in the tangent chart at n, and the chart basis.
+
+    Symmetrized central differences of the analytic gradient; None where
+    the gradient is undefined.
+    """
     u, v = _tangent_basis(n)
-    g0 = np.array([g @ u, g @ v])
     cols = []
     for du, dv in ((_FD_STEP, 0.0), (0.0, _FD_STEP)):
         gp = _chart_gradient(t, n, u, v, du, dv)
@@ -233,7 +322,17 @@ def _newton_step(t: BlochTriple, n: np.ndarray, f: float, resid: float,
             return None
         cols.append((gp - gm) / (2 * _FD_STEP))
     hess = np.stack(cols, axis=1)
-    hess = (hess + hess.T) / 2
+    return (hess + hess.T) / 2, u, v
+
+
+def _newton_step(t: BlochTriple, n: np.ndarray, f: float, resid: float,
+                 g: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+    """One damped Newton step on the tangent-chart gradient; None if it fails."""
+    chart = _chart_hessian(t, n)
+    if chart is None:
+        return None
+    hess, u, v = chart
+    g0 = np.array([g @ u, g @ v])
     try:
         delta = np.linalg.solve(hess, -g0)
     except np.linalg.LinAlgError:
@@ -328,12 +427,55 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,
                                  tolerance: float = DEFAULT_TOLERANCE,
                                  ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
-    """Grid scan followed by refinement; the refined value never exceeds the grid value."""
-    start, _ = grid_minimize(t, resolution)
-    return refine_minimum(t, start, tolerance=tolerance)
+    """Multi-start search: refine from every basin of a coarse grid, keep the lowest.
+
+    The hemisphere grid at step ``resolution`` only has to find the basins
+    of the minima, since refinement solves the stationarity condition.
+    Each plateau of grid-local minima gives one start, refined in ascending
+    grid value; the first lowest refined value wins, and no refined value
+    exceeds its start's grid value.  Refinement stops at any stationary
+    point, and a start can sit exactly on a saddle or maximum of a
+    symmetric landscape (the pole of an ab-family state near its crossover
+    a = q, ringed by minima); such a point is left a small step down its
+    negative curvature and refined again.
+    """
+    dirs, values, equator = _scan(conditional_entropy_batch, t, resolution)
+    best = None
+    for row, col in _basin_starts(values, equator):
+        found = refine_minimum(t, dirs[row, col], tolerance=tolerance)
+        for _ in range(_MAX_ESCAPES):
+            start = None if found[2].degenerate else _downhill_start(t, found[0].n)
+            if start is None:
+                break
+            pushed = refine_minimum(t, start, tolerance=tolerance)
+            if pushed[1] >= found[1]:
+                break
+            found = pushed
+        if best is None or found[1] < best[1]:
+            best = found
+    return best
 
 
-def _closed_form_minimum(canon) -> tuple[float, np.ndarray, bool]:
+def _downhill_start(t: BlochTriple, n: np.ndarray) -> np.ndarray | None:
+    """A point a small step down the most negative curvature at n; None at a minimum."""
+    chart = _chart_hessian(t, n)
+    if chart is None:
+        return None
+    hess, u, v = chart
+    curvatures, axes = np.linalg.eigh(hess)
+    if curvatures[0] >= -_SADDLE_CURVATURE:
+        return None
+    return n + _ESCAPE_STEP * (axes[0, 0] * u + axes[1, 0] * v)
+
+
+def _closed_form_minimum(t: BlochTriple, s_ab: float) -> tuple[float, np.ndarray, bool] | None:
+    """(min S(A|n), optimal direction, tie flag) when a closed form applies, else None."""
+    if s_ab <= PURE_STATE_TOL:
+        # pure state: S(A|n) = 0 for every direction, report theta = 0
+        return 0.0, np.array([0.0, 0.0, 1.0]), True
+    canon = canonicalize(t)
+    if not classify(canon).kind.has_closed_form:
+        return None
     d = canon.diagonal
     min_s = kernel_class_min_entropy(canon.triple.x, canon.triple.T)
     mags = np.abs(d)
@@ -345,7 +487,7 @@ def _closed_form_minimum(canon) -> tuple[float, np.ndarray, bool]:
     direction = np.zeros(3)
     direction[axis] = 1.0
     degenerate = int((mags >= t_max - 1e-12).sum()) > 1
-    return min_s, direction, degenerate
+    return min_s, canon.rotation_b.T @ direction, degenerate
 
 
 def quantum_discord(rho: np.ndarray, *, resolution: float = DEFAULT_RESOLUTION,
@@ -358,12 +500,13 @@ def quantum_discord(rho: np.ndarray, *, resolution: float = DEFAULT_RESOLUTION,
     rho :
         4x4 density matrix (measurement side is subsystem B).
     resolution :
-        Angular step of the hemisphere grid, radians.
+        Angular step of the hemisphere grid that seeds the refinement, radians.
     tolerance :
         Stationarity residual at which refinement stops.
     fast_path :
-        Use the closed forms when the canonical form lands in a solvable
-        family; disable to force grid+refine (e.g. to cross-check oracles).
+        Use the closed forms for pure states (``min_s = 0``) and when the
+        canonical form lands in a solvable family; disable to force
+        grid+refine (e.g. to cross-check oracles).
     with_bounds :
         Attach the correlation bounds to the report.
 
@@ -377,13 +520,13 @@ def quantum_discord(rho: np.ndarray, *, resolution: float = DEFAULT_RESOLUTION,
     t = triple_from_matrix(rho)
     rho_a, rho_b = reduced_states(rho)
     s_a = von_neumann_entropy(rho_a)
-    mutual = s_a + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
+    s_ab = von_neumann_entropy(rho)
+    mutual = s_a + von_neumann_entropy(rho_b) - s_ab
 
-    canon = canonicalize(t)
-    tag = classify(canon)
-    if fast_path and tag.kind.has_closed_form:
-        min_s, axis_dir, tie_degenerate = _closed_form_minimum(canon)
-        direction = MeasurementDirection(_canonical_sign(canon.rotation_b.T @ axis_dir))
+    closed_form = _closed_form_minimum(t, s_ab) if fast_path else None
+    if closed_form is not None:
+        min_s, axis_dir, tie_degenerate = closed_form
+        direction = MeasurementDirection(_canonical_sign(axis_dir))
         method = "closed-form"
         diagnostics = stationary_vector(t, direction)
         if tie_degenerate:
@@ -434,8 +577,8 @@ def _residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
         safe_sm = np.where(sm > BRANCH_TOL, sm, 1.0)
         a = a + np.where(sp > BRANCH_TOL, lp, 0.0)[:, None] * ((vp / safe_sp[:, None]) @ t.T)
         a = a + np.where(sm > BRANCH_TOL, lm, 0.0)[:, None] * ((vm / safe_sm[:, None]) @ t.T)
-    tang = a - (np.sum(a * dirs, axis=1))[:, None] * dirs
-    resid = np.linalg.norm(tang, axis=1)
+        tang = a - (np.sum(a * dirs, axis=1))[:, None] * dirs
+        resid = np.linalg.norm(tang, axis=1)
     return np.where(valid, resid, np.inf)
 
 
@@ -450,17 +593,11 @@ def _refine_stationary(t: BlochTriple, n0: np.ndarray, tolerance: float = 1e-9,
         if resid <= tolerance:
             return n, resid
         g = -0.25 * tang
-        u, v = _tangent_basis(n)
+        chart = _chart_hessian(t, n)
+        if chart is None:
+            return None
+        hess, u, v = chart
         g0 = np.array([g @ u, g @ v])
-        cols = []
-        for du, dv in ((_FD_STEP, 0.0), (0.0, _FD_STEP)):
-            gp = _chart_gradient(t, n, u, v, du, dv)
-            gm = _chart_gradient(t, n, u, v, -du, -dv)
-            if gp is None or gm is None:
-                return None
-            cols.append((gp - gm) / (2 * _FD_STEP))
-        hess = np.stack(cols, axis=1)
-        hess = (hess + hess.T) / 2
         delta, *_ = np.linalg.lstsq(hess, -g0, rcond=None)
         if not np.isfinite(delta).all():
             return None
@@ -492,24 +629,8 @@ def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[St
     sorted by entropy value.  Points that fail to reach residual 1e-7 are
     dropped.
     """
-    resolution = _check_resolution(resolution)
-    thetas = np.arange(0.0, math.pi / 2 + resolution / 2, resolution)
-    phis = np.arange(0.0, 2 * math.pi, resolution)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    st = np.sin(tt)
-    dirs = np.stack([(st * np.cos(pp)).ravel(), (st * np.sin(pp)).ravel(),
-                     np.cos(tt).ravel()], axis=1)
-    resid = _residual_batch(t, dirs).reshape(len(thetas), len(phis))
-
-    padded = np.pad(resid, ((1, 1), (0, 0)), constant_values=np.inf)
-    is_min = np.ones_like(resid, dtype=bool)
-    for dth in (-1, 0, 1):
-        rows = padded[1 + dth:1 + dth + len(thetas), :]
-        for dph in (-1, 0, 1):
-            if dth == 0 and dph == 0:
-                continue
-            is_min &= resid <= np.roll(rows, dph, axis=1)
-    candidates = dirs[is_min.ravel() & np.isfinite(resid.ravel())]
+    dirs, resid, equator = _scan(_residual_batch, t, resolution)
+    candidates = dirs[_grid_local_minima(resid, equator) & np.isfinite(resid)]
 
     found: list[StationaryPoint] = []
     for n0 in candidates:

@@ -9,6 +9,7 @@ to diagonal form, and samples random states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ class StateDiagnostics:
     ok: bool
 
     def __str__(self) -> str:
+        if math.isnan(self.min_eigenvalue):
+            return "REJECTED: non-finite entries"
         status = "ok" if self.ok else "REJECTED"
         return (f"{status}: |M-M^dag|={self.hermiticity_deviation:.2e}, "
                 f"|tr-1|={self.trace_deviation:.2e}, min eig={self.min_eigenvalue:.2e}")
@@ -111,16 +114,20 @@ class CanonicalForm:
 def validate(rho: np.ndarray) -> StateDiagnostics:
     """Check a 4x4 matrix against the density-matrix axioms.
 
-    Never raises; returns the measured deviations and an accept flag
-    (Hermiticity and trace deviations at most 1e-8, minimum eigenvalue
-    at least -1e-9).
+    Raises only on a wrong shape; otherwise returns the measured deviations
+    and an accept flag (Hermiticity and trace deviations at most 1e-8,
+    minimum eigenvalue at least -1e-9).  A matrix with an infinite or NaN
+    entry is rejected before any arithmetic, with every deviation NaN.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    dev_h = float(np.max(np.abs(rho - rho.conj().T)))
-    dev_tr = float(abs(np.trace(rho) - 1.0))
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
+    if not np.isfinite(rho).all():
+        return StateDiagnostics(math.nan, math.nan, math.nan, False)
+    herm = rho.conj().T
+    dev_h = float(np.abs(rho - herm).max())
+    dev_tr = float(abs(rho.trace() - 1.0))
+    min_eig = float(np.linalg.eigvalsh((rho + herm) / 2)[0])
     ok = dev_h <= HERMITICITY_TOL and dev_tr <= TRACE_TOL and min_eig >= -PSD_TOL
     return StateDiagnostics(dev_h, dev_tr, min_eig, ok)
 

@@ -105,6 +105,22 @@ def test_compute_not_a_state_exits_3(tmp_path, capsys):
     assert main(["compute", str(path)]) == 3
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_compute_non_finite_matrix_exits_3(tmp_path, capsys, value):
+    rho = np.full((4, 4), value)
+    path = _write_matrix_file(tmp_path / "inf.json", rho)
+    assert main(["compute", path]) == 3
+    assert "non-finite entries" in capsys.readouterr().err
+
+
+def test_resolution_default_is_the_library_default():
+    from qdiscord.cli import RunConfig, _build_parser
+    from qdiscord.optimize import DEFAULT_RESOLUTION
+
+    args = _build_parser().parse_args(["compute", "state.json"])
+    assert RunConfig(resolution_deg=args.resolution).resolution_rad == DEFAULT_RESOLUTION
+
+
 def test_bad_config_exits_2(bell_file):
     assert main(["compute", bell_file, "--resolution", "45"]) == 2
     assert main(["compute", bell_file, "--tolerance", "0.5"]) == 2
@@ -147,6 +163,14 @@ def test_verify_single_suite(capsys):
 
 def test_verify_gradient_suite(capsys):
     assert main(["verify", "--suite", "gradient", "--n", "20"]) == 0
+    assert "gradient: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["979858944", "1030304400"])
+def test_verify_gradient_suite_small_component(capsys, seed):
+    # small gradient components here need a reference far better than a
+    # plain central difference to be checked at relative error 1e-6
+    assert main(["verify", "--suite", "gradient", "--n", "4", "--seed", seed]) == 0
     assert "gradient: PASS" in capsys.readouterr().out
 
 

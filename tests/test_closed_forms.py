@@ -223,6 +223,17 @@ def test_ab_discord_vs_optimizer():
         assert numeric == pytest.approx(expected, abs=1e-6)
 
 
+def test_ab_discord_is_not_exact_near_the_crossover():
+    # q < a here, yet an off-axis measurement (theta ~ 43 degrees) beats both
+    # the z axis (a) and the equator (q), so the discord lies below min{a, q}
+    a, b = 0.19170, 0.70508
+    expected, q = ab_discord(a, b)
+    report = quantum_discord(ab_state(a, b), with_bounds=False)
+    assert report.discord == pytest.approx(0.1915942, abs=1e-7)
+    assert report.discord < expected - 4.5e-5
+    assert math.degrees(report.optimal_direction.theta) == pytest.approx(43.0, abs=0.5)
+
+
 def test_ab_discord_saturated_region():
     # q <= a here, so the discord equals q and the bound is tight
     discord, q = ab_discord(0.9, 0.05)

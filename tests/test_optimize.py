@@ -8,6 +8,7 @@ from qdiscord import (
     BlochTriple,
     MeasurementDirection,
     ab_discord,
+    ab_q,
     ab_state,
     apply_local_rotations,
     bell_diagonal_state,
@@ -18,16 +19,20 @@ from qdiscord import (
     direction_from_angles,
     grid_minimize,
     matrix_from_triple,
+    minimize_conditional_entropy,
     mutual_information,
     quantum_discord,
     random_state,
     random_unitary,
     refine_minimum,
+    sample_bell_diagonal,
+    sample_kernel_class,
     stationary_scan,
     stationary_vector,
     triple_from_matrix,
     von_neumann_entropy,
 )
+from qdiscord import optimize
 from qdiscord.states import reduced_states
 
 Z3 = np.zeros(3)
@@ -157,6 +162,123 @@ def test_refine_reaches_requested_residual(rng):
         start, _ = grid_minimize(t)
         _, _, diag = refine_minimum(t, start)
         assert diag.degenerate or diag.residual <= 1e-9
+
+
+def _worst_oracle_gap(triples) -> float:
+    """Largest |multi-start minimum - refined 1-degree exhaustive minimum|."""
+    worst = 0.0
+    for t in triples:
+        _, coarse, _ = minimize_conditional_entropy(t)
+        _, exhaustive, _ = refine_minimum(t, grid_minimize(t, math.pi / 180)[0])
+        worst = max(worst, abs(coarse - exhaustive))
+    return worst
+
+
+def test_multistart_matches_oracle_on_random_states():
+    rng = np.random.default_rng(3141)
+    triples = (random_triple(rng, rank=1 + k % 4) for k in range(1000))
+    assert _worst_oracle_gap(triples) <= 1e-12
+
+
+def _crossover_a(b: float) -> float:
+    """The a at which the ab family's branches cross, a = q(a, b), by bisection."""
+    lo, hi = 1e-4, 1 - abs(b) - 1e-6  # a < q at lo, a > q at hi
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid < ab_q(mid, b) else (lo, mid)
+    return lo
+
+
+def test_multistart_matches_oracle_along_ab_crossover():
+    offsets = np.concatenate([[0.0], np.logspace(-5, -2, 5), -np.logspace(-5, -2, 5)])
+    triples = [triple_from_matrix(ab_state(a, b))
+               for b in np.linspace(-0.95, 0.95, 25)
+               for a in _crossover_a(b) + offsets if 0 < a < 1 - abs(b)]
+    assert len(triples) >= 250
+    assert _worst_oracle_gap(triples) <= 1e-12
+
+
+def test_multistart_matches_oracle_just_off_closed_form_classes():
+    rng = np.random.default_rng(2718)
+    triples = []
+    for k in range(200):
+        if k % 2:
+            base = bell_diagonal_state(*sample_bell_diagonal(rng))
+        else:
+            base = matrix_from_triple(sample_kernel_class(rng))
+        eps = 10.0 ** rng.uniform(-8, -3)
+        triples.append(triple_from_matrix((1 - eps) * base + eps * random_state(rng=rng)))
+    assert _worst_oracle_gap(triples) <= 1e-12
+
+
+def test_multistart_matches_oracle_on_x_states_near_axis_crossover():
+    # where the z axis and the x/y axes nearly tie, X states can have an
+    # off-axis optimum (Huang, PRA 88, 014302 (2013))
+    rng = np.random.default_rng(12)
+    triples, off_axis = [], 0
+    while len(triples) < 100:
+        p = rng.dirichlet(np.ones(4) * rng.uniform(0.3, 3))
+        rho = np.diag(p).astype(complex)
+        rho[0, 3] = rho[3, 0] = math.sqrt(p[0] * p[3]) * rng.uniform(0, 1)
+        rho[1, 2] = rho[2, 1] = math.sqrt(p[1] * p[2]) * rng.uniform(0, 1)
+        t = triple_from_matrix(rho)
+        s_z = conditional_entropy(t, direction_from_angles(0.0, 0.0))
+        s_xy = min(conditional_entropy(t, direction_from_angles(math.pi / 2, phi))
+                   for phi in (0.0, math.pi / 2))
+        if abs(s_z - s_xy) <= 2e-3:
+            triples.append(t)
+            theta = minimize_conditional_entropy(t)[0].theta
+            off_axis += 0.01 < theta < math.pi / 2 - 0.01
+    assert off_axis >= 5
+    assert _worst_oracle_gap(triples) <= 1e-12
+
+
+def test_basin_starts_one_per_plateau_in_ascending_value():
+    dirs = optimize._grid(math.pi / 18)  # 10 theta rows x 36 phi columns
+
+    def quadratic(*diagonal):  # n.M.n has one minimum on the projective plane
+        return np.einsum("rci,i,rci->rc", dirs, np.array(diagonal), dirs)
+
+    rng = np.random.default_rng(0)
+    flat = 0.5 + 1e-13 * rng.random(dirs.shape[:2])  # noise-level landscape
+    assert len(optimize._basin_starts(flat, equator=True)) == 1
+    assert optimize._basin_starts(quadratic(3, 2, 1), equator=True) == [(0, 0)]  # the pole, once
+    # the x axis lies on the equator twice (phi = 0 and pi): one start
+    values = quadratic(1, 2, 3)
+    assert optimize._basin_starts(values, equator=True) == [(9, 0)]
+    values[3, 5] = values[3, 6] = -1.0  # two adjacent minima: one start
+    values[6, 20] = -2.0
+    assert optimize._basin_starts(values, equator=True) == [(6, 20), (3, 5), (9, 0)]
+
+
+@pytest.mark.parametrize("eps, shortcut", [(0.0, True), (1e-15, True), (1e-13, False), (1e-11, False)])
+def test_pure_state_shortcut_agrees_with_numeric_route(rng, eps, shortcut):
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    rho = (1 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(4) / 4
+    report = quantum_discord(rho, with_bounds=False)
+    numeric = quantum_discord(rho, fast_path=False, with_bounds=False)
+    assert (report.method == "closed-form") == shortcut
+    assert numeric.method == "grid+refine"
+    assert report.discord == pytest.approx(numeric.discord, abs=1e-9)
+    if shortcut:
+        assert report.min_conditional_entropy == 0.0
+        assert report.optimal_direction.theta == 0.0
+        assert report.diagnostics.degenerate
+
+
+def test_rank_one_search_refines_at_most_twice(rng, monkeypatch):
+    calls = []
+
+    def counting_refine(*args, **kwargs):
+        calls.append(1)
+        return refine_minimum(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "refine_minimum", counting_refine)
+    for _ in range(20):
+        calls.clear()
+        quantum_discord(random_state(rank=1, rng=rng), fast_path=False, with_bounds=False)
+        assert 1 <= len(calls) <= 2
 
 
 def test_quantum_discord_product_state(rng):

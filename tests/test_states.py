@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ def test_validate_accepts_and_rejects():
     assert not diag.ok and diag.min_eigenvalue < -1e-9
     assert validate(ab_state(0.3, 0.2)).ok
     assert not validate(np.eye(4) / 4 + 1e-6 * np.triu(np.ones(4), 1)).ok
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_validate_rejects_non_finite_entries(value):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = validate(rho)
+        assert not diag.ok
+        assert str(diag) == "REJECTED: non-finite entries"
+        with pytest.raises(NotAStateError, match="non-finite"):
+            triple_from_matrix(rho)
 
 
 def test_triple_from_matrix_rejects_invalid():
