@@ -15,7 +15,7 @@ import numpy as np
 from qdiscord import random_state, stationary_scan, triple_from_matrix
 from qdiscord.cli import load_state
 from qdiscord.measurement import conditional_entropy_batch
-from qdiscord.optimize import _residual_batch
+from qdiscord.optimize import _grid, stationary_residual_batch
 
 
 def main() -> None:
@@ -33,20 +33,16 @@ def main() -> None:
     t = triple_from_matrix(rho)
 
     step = math.radians(args.step_deg)
-    thetas = np.arange(0.0, math.pi / 2 + step / 2, step)
-    phis = np.arange(0.0, 2 * math.pi, step)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    st = np.sin(tt.ravel())
-    dirs = np.stack([st * np.cos(pp.ravel()), st * np.sin(pp.ravel()),
-                     np.cos(tt.ravel())], axis=1)
+    grid = _grid(step)  # row i, column j: theta = i * step, phi = j * step
+    dirs = grid.reshape(-1, 3)
     values = conditional_entropy_batch(t, dirs)
-    residuals = _residual_batch(t, dirs)
+    residuals = stationary_residual_batch(t, dirs)
 
     out = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
         out.write("theta,phi,entropy,residual\n")
-        for (th, ph), v, r in zip(zip(tt.ravel(), pp.ravel()), values, residuals):
-            out.write(f"{th:.9g},{ph:.9g},{v:.9g},{'' if not np.isfinite(r) else format(r, '.9g')}\n")
+        for (i, j), v, r in zip(np.ndindex(grid.shape[:2]), values, residuals):
+            out.write(f"{i * step:.9g},{j * step:.9g},{v:.9g},{'' if not np.isfinite(r) else format(r, '.9g')}\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -15,9 +15,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import binary_entropy, von_neumann_entropy
+from .entropy import binary_entropy
 from .measurement import MeasurementDirection, _canonical_sign
-from .states import BlochTriple, reduced_states, triple_from_matrix, _require_state
+from .states import BlochTriple, PreparedState, prepare_state
+
+# Unused here; kept bound because the benchmark trace (perfbench/spans.py) wraps them.
+from .entropy import von_neumann_entropy  # noqa: F401
+from .states import reduced_states, triple_from_matrix  # noqa: F401
 
 #: |discord_ub - discord| below this counts as a saturated bound
 SATURATION_TOL = 1e-6
@@ -67,45 +71,44 @@ def t0_squared(t: BlochTriple) -> tuple[float, MeasurementDirection]:
     Projects T^t T onto the subspace and takes its largest eigenvalue; the
     maximizing direction is returned sign-canonicalized.
     """
-    basis = perp_subspace(t)
+    return _max_on_subspace(t, perp_subspace(t))
+
+
+def _max_on_subspace(t: BlochTriple, basis: np.ndarray) -> tuple[float, MeasurementDirection]:
     projected = basis.T @ (t.T.T @ t.T) @ basis
     vals, vecs = np.linalg.eigh(projected)
     e0 = _canonical_sign(basis @ vecs[:, -1])
     return max(float(vals[-1]), 0.0), MeasurementDirection(e0)
 
 
-def theorem1_bounds(rho: np.ndarray, discord: float | None = None,
+def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = None,
                     saturation_tol: float = SATURATION_TOL) -> BoundReport:
     """Correlation bounds of a state.
 
-    If ``discord`` is not supplied it is computed with the default
-    optimizer settings in order to fill the ``saturated`` flag.
+    ``rho`` is a 4x4 density matrix or the
+    :class:`~qdiscord.states.PreparedState` built for one.  If ``discord``
+    is not supplied it is computed with the default optimizer settings in
+    order to fill the ``saturated`` flag.
     """
-    rho = _require_state(rho)
-    rho = rho / np.trace(rho).real
-    t = triple_from_matrix(rho)
-    rho_a, rho_b = reduced_states(rho)
-    s_a = von_neumann_entropy(rho_a)
-    s_b = von_neumann_entropy(rho_b)
-    s_ab = von_neumann_entropy(rho)
-
+    state = prepare_state(rho)
+    t = state.triple
     basis = perp_subspace(t)
-    t0sq, e0 = t0_squared(t)
+    t0sq, e0 = _max_on_subspace(t, basis)
     x2 = float(t.x @ t.x)
     cond_ub = binary_entropy((1 + np.sqrt(x2 + t0sq)) / 2)
-    discord_ub = s_b - s_ab + cond_ub
+    discord_ub = state.s_b - state.s_ab + cond_ub
     if discord is None:
         from .optimize import quantum_discord
 
-        discord = quantum_discord(rho, with_bounds=False).discord
+        discord = quantum_discord(state, with_bounds=False).discord
     return BoundReport(
         t0_squared=t0sq,
         perp_dim=basis.shape[1],
         e0=e0,
         cond_entropy_ub=cond_ub,
         discord_ub=discord_ub,
-        classical_lb=s_a - cond_ub,
-        xi_bound=s_b,
+        classical_lb=state.s_a - cond_ub,
+        xi_bound=state.s_b,
         saturated=bool(abs(discord_ub - discord) <= saturation_tol),
     )
 
@@ -146,7 +149,8 @@ def bound_comparison_scan(states: Iterable[tuple[float, float, np.ndarray]],
     return rows
 
 
-def _fmt(x: float) -> str:
+def fmt9(x: float) -> str:
+    """A float to 9 significant digits, the precision of every CLI number."""
     return format(float(x), ".9g")
 
 
@@ -154,7 +158,7 @@ def rows_to_csv(rows: Sequence[ScanRow]) -> str:
     """Serialize scan rows: 9-significant-digit floats, deterministic order."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join([_fmt(r.param1), _fmt(r.param2), _fmt(r.discord),
-                               _fmt(r.discord_ub), _fmt(r.xi_bound),
+        lines.append(",".join([fmt9(r.param1), fmt9(r.param2), fmt9(r.discord),
+                               fmt9(r.discord_ub), fmt9(r.xi_bound),
                                "true" if r.saturated else "false"]))
     return "\n".join(lines) + "\n"

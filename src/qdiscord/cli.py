@@ -1,7 +1,7 @@
 """Command-line interface: per-state reports, family scans, verification suites.
 
-Exit codes: 0 on success, 2 on parse/configuration problems, 3 when the
-input is not a valid state.
+Exit codes: 0 on success, 1 when a verify suite fails, 2 on
+parse/configuration problems, 3 when the input is not a valid state.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_comparison_scan, rows_to_csv
+from .bounds import bound_comparison_scan, fmt9, rows_to_csv
 from .closed_forms import (
     ab_state,
     bell_diagonal_discord,
@@ -30,10 +30,11 @@ from .measurement import (
     conditional_entropy_direct,
     direction_from_angles,
 )
-from .optimize import DEFAULT_RESOLUTION, quantum_discord, stationary_vector
+from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, quantum_discord, stationary_vector
 from .states import BlochTriple, matrix_from_triple, random_state, triple_from_matrix
 
 EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_A_STATE = 3
 
@@ -45,7 +46,7 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     resolution_deg: float = math.degrees(DEFAULT_RESOLUTION)
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
     output_format: str = "text"
     seed: int = 0
 
@@ -58,14 +59,6 @@ class RunConfig:
     @property
     def resolution_rad(self) -> float:
         return math.radians(self.resolution_deg)
-
-
-def _round9(x: float) -> float:
-    return float(format(float(x), ".9g"))
-
-
-def _fmt9(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def load_state(path: str) -> np.ndarray:
@@ -96,93 +89,76 @@ def load_state(path: str) -> np.ndarray:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
 
 
-def _direction_dict(d: MeasurementDirection) -> dict:
-    return {
-        "n": [_round9(v) for v in d.n],
-        "theta_rad": _round9(d.theta),
-        "phi_rad": _round9(d.phi),
-        "theta_deg": _round9(math.degrees(d.theta)),
-        "phi_deg": _round9(math.degrees(d.phi)),
-    }
+def _rounded(value):
+    """``value`` with every float in it rounded to 9 significant digits."""
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return float(fmt9(value)) if isinstance(value, float) else value
 
 
 def report_to_dict(report) -> dict:
     diag = report.diagnostics
+    d = report.optimal_direction
     out = {
-        "mutual_information": _round9(report.mutual_information),
-        "classical_correlation": _round9(report.classical_correlation),
-        "discord": _round9(report.discord),
-        "min_conditional_entropy": _round9(report.min_conditional_entropy),
-        "optimal_direction": _direction_dict(report.optimal_direction),
+        "mutual_information": report.mutual_information,
+        "classical_correlation": report.classical_correlation,
+        "discord": report.discord,
+        "min_conditional_entropy": report.min_conditional_entropy,
+        "optimal_direction": {"n": list(d.n), "theta_rad": d.theta, "phi_rad": d.phi,
+                              "theta_deg": math.degrees(d.theta), "phi_deg": math.degrees(d.phi)},
         "method": report.method,
-        "diagnostics": {
-            "residual": None if diag.residual is None else _round9(diag.residual),
-            "grad_theta": None if diag.grad_theta is None else _round9(diag.grad_theta),
-            "grad_phi": None if diag.grad_phi is None else _round9(diag.grad_phi),
-            "a_scalar": None if diag.a_scalar is None else _round9(diag.a_scalar),
-            "degenerate": diag.degenerate,
-        },
+        "diagnostics": {k: getattr(diag, k) for k in
+                        ("residual", "grad_theta", "grad_phi", "a_scalar", "degenerate")},
     }
-    if report.bounds is not None:
-        b = report.bounds
-        out["bounds"] = {
-            "t0_squared": _round9(b.t0_squared),
-            "perp_dim": b.perp_dim,
-            "e0": [_round9(v) for v in b.e0.n],
-            "cond_entropy_ub": _round9(b.cond_entropy_ub),
-            "discord_ub": _round9(b.discord_ub),
-            "classical_lb": _round9(b.classical_lb),
-            "xi_bound": _round9(b.xi_bound),
-            "saturated": b.saturated,
-        }
-    return out
+    if report.bounds is not None:  # every BoundReport field, in field order
+        out["bounds"] = dict(vars(report.bounds), e0=list(report.bounds.e0.n))
+    return _rounded(out)
+
+
+_CSV_HEADER = ("mutual_information,classical_correlation,discord,min_conditional_entropy,"
+               "theta_rad,phi_rad,method,residual,"
+               "discord_ub,classical_lb,cond_entropy_ub,xi_bound,t0_squared,perp_dim,saturated")
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return fmt9(value) if isinstance(value, float) else str(value)
 
 
 def _emit_report(report, output_format: str) -> str:
-    if output_format == "json":
-        return json.dumps(report_to_dict(report), indent=2)
-    if output_format == "csv":
-        d = report_to_dict(report)
-        b = d.get("bounds", {})
-        header = ("mutual_information,classical_correlation,discord,min_conditional_entropy,"
-                  "theta_rad,phi_rad,method,residual,"
-                  "discord_ub,classical_lb,cond_entropy_ub,xi_bound,t0_squared,perp_dim,saturated")
-        diag = d["diagnostics"]
-        row = ",".join([
-            _fmt9(d["mutual_information"]), _fmt9(d["classical_correlation"]),
-            _fmt9(d["discord"]), _fmt9(d["min_conditional_entropy"]),
-            _fmt9(d["optimal_direction"]["theta_rad"]), _fmt9(d["optimal_direction"]["phi_rad"]),
-            d["method"],
-            "" if diag["residual"] is None else _fmt9(diag["residual"]),
-            _fmt9(b["discord_ub"]), _fmt9(b["classical_lb"]), _fmt9(b["cond_entropy_ub"]),
-            _fmt9(b["xi_bound"]), _fmt9(b["t0_squared"]), str(b["perp_dim"]),
-            "true" if b["saturated"] else "false",
-        ])
-        return header + "\n" + row
     d = report_to_dict(report)
-    od = d["optimal_direction"]
+    if output_format == "json":
+        return json.dumps(d, indent=2)
+    od, diag = d["optimal_direction"], d["diagnostics"]
+    if output_format == "csv":  # each column is the report field of the same name
+        fields = {**d, **od, **diag, **d.get("bounds", {})}
+        return _CSV_HEADER + "\n" + ",".join(_csv_cell(fields[k]) for k in _CSV_HEADER.split(","))
     lines = [
-        f"mutual information      {_fmt9(d['mutual_information'])} bits",
-        f"classical correlation   {_fmt9(d['classical_correlation'])} bits",
-        f"quantum discord         {_fmt9(d['discord'])} bits",
-        f"min conditional entropy {_fmt9(d['min_conditional_entropy'])} bits",
-        (f"optimal direction       theta = {_fmt9(od['theta_rad'])} rad ({_fmt9(od['theta_deg'])} deg), "
-         f"phi = {_fmt9(od['phi_rad'])} rad ({_fmt9(od['phi_deg'])} deg)"),
+        f"mutual information      {fmt9(d['mutual_information'])} bits",
+        f"classical correlation   {fmt9(d['classical_correlation'])} bits",
+        f"quantum discord         {fmt9(d['discord'])} bits",
+        f"min conditional entropy {fmt9(d['min_conditional_entropy'])} bits",
+        (f"optimal direction       theta = {fmt9(od['theta_rad'])} rad ({fmt9(od['theta_deg'])} deg), "
+         f"phi = {fmt9(od['phi_rad'])} rad ({fmt9(od['phi_deg'])} deg)"),
         f"method                  {d['method']}",
     ]
-    diag = d["diagnostics"]
     if diag["degenerate"]:
         lines.append("stationarity            degenerate point (branch probability vanishes)")
     else:
-        lines.append(f"stationarity residual   {_fmt9(diag['residual'])}")
+        lines.append(f"stationarity residual   {fmt9(diag['residual'])}")
     if "bounds" in d:
         b = d["bounds"]
         lines += [
-            f"discord upper bound     {_fmt9(b['discord_ub'])} bits"
+            f"discord upper bound     {fmt9(b['discord_ub'])} bits"
             + ("  [saturated]" if b["saturated"] else ""),
-            f"classical lower bound   {_fmt9(b['classical_lb'])} bits",
-            f"comparison bound S(B)   {_fmt9(b['xi_bound'])} bits",
-            f"t0^2 = {_fmt9(b['t0_squared'])}, dim of restricted subspace = {b['perp_dim']}",
+            f"classical lower bound   {fmt9(b['classical_lb'])} bits",
+            f"comparison bound S(B)   {fmt9(b['xi_bound'])} bits",
+            f"t0^2 = {fmt9(b['t0_squared'])}, dim of restricted subspace = {b['perp_dim']}",
         ]
     return "\n".join(lines)
 
@@ -251,7 +227,8 @@ def cmd_scan(family: str, args, config: RunConfig) -> int:
 # verification suites
 
 
-def _suite_identity(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+def suite_identity(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+    """h4(w) - h2(p0) against the direct average sum_k p_k S(rho_A_k), n states x 50 directions."""
     worst = 0.0
     for _ in range(n):
         rho = random_state(rng=rng)
@@ -263,7 +240,8 @@ def _suite_identity(n: int, rng: np.random.Generator, config: RunConfig) -> tupl
     return worst < 1e-10, f"{n} states x 50 directions, max |h4-h2 vs sum p_k S| = {worst:.3e}"
 
 
-def _suite_gradient(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+def suite_gradient(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+    """Analytic entropy gradients against a Richardson difference at n random points."""
     worst = 0.0
     checked = 0
     while checked < n:
@@ -295,15 +273,22 @@ def _richardson(f) -> float:
     return (4 * d1 - d2) / 3
 
 
-def _suite_oracle(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+def bell_diagonal_oracle_error(n: int, rng: np.random.Generator, config: RunConfig) -> float:
+    """Worst |closed form - grid+refine| discord over n sampled Bell-diagonal states."""
     worst = 0.0
-    for _ in range(n // 2):
+    for _ in range(n):
         t1, t2, t3 = sample_bell_diagonal(rng)
         exact = bell_diagonal_discord(t1, t2, t3).discord
         numeric = quantum_discord(bell_diagonal_state(t1, t2, t3), fast_path=False,
                                   resolution=config.resolution_rad,
                                   tolerance=config.tolerance, with_bounds=False).discord
         worst = max(worst, abs(exact - numeric))
+    return worst
+
+
+def suite_oracle(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+    """The optimizer against the closed forms: n/2 Bell-diagonal, the rest kernel-class states."""
+    worst = bell_diagonal_oracle_error(n // 2, rng, config)
     for _ in range(n - n // 2):
         t = sample_kernel_class(rng)
         exact = kernel_class_min_entropy(t.x, t.T)
@@ -314,7 +299,8 @@ def _suite_oracle(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[
     return worst < 1e-6, f"{n} in-class states, max |closed form - optimizer| = {worst:.3e}"
 
 
-def _suite_bounds(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+def suite_bounds(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+    """Discord and classical correlation inside their bounds on n random states."""
     violations = 0
     worst = 0.0
     for _ in range(n):
@@ -330,10 +316,10 @@ def _suite_bounds(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[
 
 
 _SUITES = {
-    "identity": (_suite_identity, 1000),
-    "gradient": (_suite_gradient, 100),
-    "oracle": (_suite_oracle, 200),
-    "bounds": (_suite_bounds, 500),
+    "identity": (suite_identity, 1000),
+    "gradient": (suite_gradient, 100),
+    "oracle": (suite_oracle, 200),
+    "bounds": (suite_bounds, 500),
 }
 
 
@@ -346,7 +332,7 @@ def cmd_verify(config: RunConfig, suite: str | None, n: int | None) -> int:
         ok, detail = fn(n or default_n, rng, config)
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         failed = failed or not ok
-    return 1 if failed else EXIT_OK
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--resolution", type=float, default=RunConfig.resolution_deg, metavar="DEG",
                         help="step of the hemisphere grid whose local minima seed the refinement, "
                              f"in degrees (default {RunConfig.resolution_deg:g})")
-    common.add_argument("--tolerance", type=float, default=1e-9, metavar="TOL",
-                        help="stationarity residual target for refinement (default 1e-9)")
+    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="TOL",
+                        help=f"stationarity residual target for refinement (default {DEFAULT_TOLERANCE:g})")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format for compute (default text)")
     common.add_argument("--seed", type=int, default=0,

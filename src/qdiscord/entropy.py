@@ -26,6 +26,8 @@ def _as_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] not in (2, 4):
         raise ValidationError(f"only 2x2 and 4x4 matrices are supported, got {m.shape[0]}")
+    if not np.isfinite(m).all():
+        raise NotAStateError("matrix has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
@@ -36,7 +38,8 @@ def hermitian_eigenvalues(m: np.ndarray, *, tol: float = HERMITIAN_TOL) -> np.nd
     """Real eigenvalues of a 2x2 or 4x4 Hermitian matrix, sorted descending.
 
     Raises :class:`ValidationError` if the input deviates from Hermiticity
-    by more than ``tol``.
+    by more than ``tol``, and :class:`NotAStateError` if an entry is
+    infinite or NaN.
     """
     h = _as_hermitian(m, tol)
     return np.linalg.eigvalsh(h)[::-1].copy()

@@ -15,6 +15,7 @@ independent cross-check of the identity.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,30 +96,47 @@ def projector_bloch(k: int, direction) -> np.ndarray:
     return (_I2 + np.tensordot(nk, _PAULI_STACK, axes=1)) / 2
 
 
-def _probability_parts(t: BlochTriple, n: np.ndarray) -> tuple[float, float, float, float, float, float]:
-    """(p0, p1, w1, w2, w3, w4) for measurement direction n.
+#: Raw branch quantities at a direction n, before any clamp or degeneracy policy:
+#: p0, p1; w1, w2 = (2 p0 +- s_plus)/4; w3, w4 = (2 p1 +- s_minus)/4; v_plus,
+#: v_minus = x +- T n with norms s_plus, s_minus.  Scalars and 3-vectors from
+#: :func:`branches`, (N,) and (N, 3) arrays from :func:`branches_batch`.
+Branches = namedtuple("Branches", "p0 p1 w1 w2 w3 w4 v_plus v_minus s_plus s_minus")
 
-    Clamps w that undershoot zero by at most 1e-9 (renormalizing the pair
-    so w1+w2 = p0 and w3+w4 = p1 stay exact); larger violations mean the
-    triple is not a state.
-    """
-    tn = t.T @ n
-    s_plus = float(np.linalg.norm(t.x + tn))
-    s_minus = float(np.linalg.norm(t.x - tn))
-    d = float(t.y @ n)
+
+def _assemble(d, vp, vm, sp, sm) -> Branches:
     p0 = (1 + d) / 2
     p1 = (1 - d) / 2
-    pairs = []
-    for pk, s in ((p0, s_plus), (p1, s_minus)):
-        hi = (2 * pk + s) / 4
-        lo = (2 * pk - s) / 4
-        if lo < 0:
-            if lo < -_W_DEFICIT_TOL / 4:
-                raise NotAStateError(
-                    f"|x +- T n| exceeds 2 p_k by {-4 * lo:.3e}; triple is not a state")
-            lo, hi = 0.0, pk
-        pairs.append((hi, lo))
-    (w1, w2), (w3, w4) = pairs
+    return Branches(p0, p1, (2 * p0 + sp) / 4, (2 * p0 - sp) / 4,
+                    (2 * p1 + sm) / 4, (2 * p1 - sm) / 4, vp, vm, sp, sm)
+
+
+def branches(t: BlochTriple, n: np.ndarray) -> Branches:
+    """Branch quantities at one unit direction n of shape (3,)."""
+    tn = t.T @ n
+    vp, vm = t.x + tn, t.x - tn
+    # sqrt(v . v) is what np.linalg.norm computes for a real vector, minus its overhead
+    return _assemble(float(t.y @ n), vp, vm, math.sqrt(vp @ vp), math.sqrt(vm @ vm))
+
+
+def branches_batch(t: BlochTriple, dirs: np.ndarray) -> Branches:
+    """Branch quantities at every row of an (N, 3) array of unit directions."""
+    tn = dirs @ t.T.T
+    vp, vm = t.x + tn, t.x - tn
+    return _assemble(dirs @ t.y, vp, vm, np.linalg.norm(vp, axis=1), np.linalg.norm(vm, axis=1))
+
+
+def _probabilities(t: BlochTriple, n: np.ndarray) -> tuple[float, float, float, float, float, float]:
+    """(p0, p1, w1, w2, w3, w4) at n; a w below zero by at most 1e-9/4 snaps to 0.
+
+    Its partner snaps to p_k, so w1 + w2 = p0 and w3 + w4 = p1 stay exact.
+    """
+    p0, p1, w1, w2, w3, w4 = branches(t, n)[:6]
+    if min(w2, w4) < -_W_DEFICIT_TOL / 4:
+        raise NotAStateError(f"|x +- T n| exceeds 2 p_k by {-4 * min(w2, w4):.3e}; triple is not a state")
+    if w2 < 0:
+        w1, w2 = p0, 0.0
+    if w4 < 0:
+        w3, w4 = p1, 0.0
     return p0, p1, w1, w2, w3, w4
 
 
@@ -149,26 +167,24 @@ class PostMeasurementState:
 
 def outcome_probabilities(t: BlochTriple, direction) -> tuple[float, float]:
     """Outcome probabilities p_k = (1 + y . n_k) / 2."""
-    d = float(t.y @ _unit(direction))
-    return (1 + d) / 2, (1 - d) / 2
+    b = branches(t, _unit(direction))
+    return b.p0, b.p1
 
 
 def joint_probabilities(t: BlochTriple, direction) -> MeasurementProbabilities:
     """The six probabilities w_{1,2} = (2 p0 +- |x + T n|)/4, w_{3,4} = (2 p1 +- |x - T n|)/4."""
-    return MeasurementProbabilities(*_probability_parts(t, _unit(direction)))
+    return MeasurementProbabilities(*_probabilities(t, _unit(direction)))
 
 
 def post_measurement_state(t: BlochTriple, direction, k: int) -> PostMeasurementState:
     """State of A after outcome ``k``: x_tilde_k = (x + T n_k) / (1 + y . n_k)."""
     if k not in (0, 1):
         raise ValidationError(f"outcome index must be 0 or 1, got {k}")
-    n = _unit(direction)
-    nk = n if k == 0 else -n
-    pk = (1 + float(t.y @ nk)) / 2
+    b = branches(t, _unit(direction))
+    pk, v = (b.p0, b.v_plus) if k == 0 else (b.p1, b.v_minus)
     if pk <= BRANCH_TOL:
         raise ZeroProbabilityError(f"outcome {k} has probability {pk:.3e}")
-    x_tilde = (t.x + t.T @ nk) / (2 * pk)
-    return PostMeasurementState(k, x_tilde, pk)
+    return PostMeasurementState(k, v / (2 * pk), pk)
 
 
 def _h_terms(*values: float) -> float:
@@ -180,31 +196,29 @@ def _h_terms(*values: float) -> float:
     return acc
 
 
+def _branch_entropy(p0: float, p1: float, w1: float, w2: float, w3: float, w4: float) -> float:
+    # h4(w) - h2(p0) in bits
+    return _h_terms(w1, w2, w3, w4) - _h_terms(p0, p1)
+
+
 def conditional_entropy(t: BlochTriple, direction) -> float:
     """Measurement-conditioned entropy of A: h4(w) - h2(p0), in bits.
 
     Evaluated at the sign-canonical representative of {n, -n}, so the
     result is bitwise identical for antipodal directions.
     """
-    n = _canonical_sign(_unit(direction))
-    p0, p1, w1, w2, w3, w4 = _probability_parts(t, n)
-    return _h_terms(w1, w2, w3, w4) - _h_terms(p0, p1)
+    return _branch_entropy(*_probabilities(t, _canonical_sign(_unit(direction))))
 
 
 def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndarray:
     """Vectorized :func:`conditional_entropy` over an (N, 3) array of unit vectors."""
-    dirs = np.asarray(directions, dtype=float)
-    tn = dirs @ t.T.T
-    s_plus = np.linalg.norm(tn + t.x, axis=1)
-    s_minus = np.linalg.norm(tn - t.x, axis=1)
-    d = dirs @ t.y
-    p0 = (1 + d) / 2
-    p1 = (1 - d) / 2
-    w = np.stack([2 * p0 + s_plus, 2 * p0 - s_plus, 2 * p1 + s_minus, 2 * p1 - s_minus]) / 4
+    b = branches_batch(t, np.asarray(directions, dtype=float))
+    w = np.stack([b.w1, b.w2, b.w3, b.w4])
     np.clip(w, 0.0, 1.0, out=w)
     with np.errstate(divide="ignore", invalid="ignore"):
         h4 = -np.where(w > 0, w * np.log2(w), 0.0).sum(axis=0)
-        h2 = -(np.where(p0 > 0, p0 * np.log2(p0), 0.0) + np.where(p1 > 0, p1 * np.log2(p1), 0.0))
+        h2 = -(np.where(b.p0 > 0, b.p0 * np.log2(b.p0), 0.0)
+               + np.where(b.p1 > 0, b.p1 * np.log2(b.p1), 0.0))
     return h4 - h2
 
 

@@ -17,23 +17,24 @@ import numpy as np
 
 from .bounds import BoundReport, theorem1_bounds
 from .closed_forms import CLASS_TOL, classify, kernel_class_min_entropy
-from .entropy import von_neumann_entropy
 from .errors import ValidationError
 from .measurement import (
     BRANCH_TOL,
+    Branches,
     MeasurementDirection,
+    _branch_entropy,
     _canonical_sign,
     _unit,
+    branches,
+    branches_batch,
     conditional_entropy,
     conditional_entropy_batch,
 )
-from .states import (
-    BlochTriple,
-    canonicalize,
-    reduced_states,
-    triple_from_matrix,
-    _require_state,
-)
+from .states import BlochTriple, PreparedState, canonicalize, prepare_state
+
+# Unused here; kept bound because the benchmark trace (perfbench/spans.py) wraps them.
+from .entropy import von_neumann_entropy  # noqa: F401
+from .states import reduced_states, triple_from_matrix  # noqa: F401
 
 #: step of the start grid of :func:`minimize_conditional_entropy`
 DEFAULT_RESOLUTION = math.pi / 18
@@ -99,31 +100,26 @@ class DiscordReport:
     bounds: BoundReport | None
 
 
-def _a_vector(t: BlochTriple, n: np.ndarray) -> np.ndarray | None:
-    """The stationarity vector A at direction n, or None at degenerate points.
+def _a_from(t: BlochTriple, b: Branches) -> np.ndarray | None:
+    """The stationarity vector A from the branches at n, or None at degenerate points.
 
-    Terms whose unit vector (T n +- x)/|T n +- x| is undefined carry a log
+    Terms whose unit vector (x +- T n)/|x +- T n| is undefined carry a log
     coefficient that vanishes with the norm, so they are dropped (the limit
     is zero); vanishing w or p have no finite limit and flag degeneracy.
     """
-    tn = t.T @ n
-    vp = tn + t.x
-    vm = tn - t.x
-    sp = float(np.linalg.norm(vp))
-    sm = float(np.linalg.norm(vm))
-    d = float(t.y @ n)
-    p0 = (1 + d) / 2
-    p1 = (1 - d) / 2
-    w1, w2 = (2 * p0 + sp) / 4, (2 * p0 - sp) / 4
-    w3, w4 = (2 * p1 + sm) / 4, (2 * p1 - sm) / 4
-    if min(w1, w2, w3, w4, p0, p1) <= BRANCH_TOL:
+    if min(b.w1, b.w2, b.w3, b.w4, b.p0, b.p1) <= BRANCH_TOL:
         return None
-    a = math.log2((w1 * w2 * p1 * p1) / (w3 * w4 * p0 * p0)) * t.y
-    if sp > BRANCH_TOL:
-        a = a + math.log2(w1 / w2) * (t.T.T @ (vp / sp))
-    if sm > BRANCH_TOL:
-        a = a + math.log2(w3 / w4) * (t.T.T @ (vm / sm))
+    a = math.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0)) * t.y
+    if b.s_plus > BRANCH_TOL:
+        a = a + math.log2(b.w1 / b.w2) * (t.T.T @ (b.v_plus / b.s_plus))
+    if b.s_minus > BRANCH_TOL:
+        a = a - math.log2(b.w3 / b.w4) * (t.T.T @ (b.v_minus / b.s_minus))
     return a
+
+
+def _a_vector(t: BlochTriple, n: np.ndarray) -> np.ndarray | None:
+    """The stationarity vector A at direction n, or None at degenerate points."""
+    return _a_from(t, branches(t, n))
 
 
 def _tangential(t: BlochTriple, n: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -143,41 +139,28 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
     """
     direction = direction if isinstance(direction, MeasurementDirection) else MeasurementDirection(direction)
     n = direction.n
-    a = _a_vector(t, n)
+    b = branches(t, n)
+    a = _a_from(t, b)
     if a is None:
         return StationaryDiagnostics(None, None, None, None, None, degenerate=True)
     th, ph = direction.theta, direction.phi
     n_theta = np.array([math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), -math.sin(th)])
     n_phi = np.array([-math.sin(th) * math.sin(ph), math.sin(th) * math.cos(ph), 0.0])
+    # the Lagrange scalar of A = A_scalar n from its own formula, a check on n.A
+    a_scalar = -4 * _branch_entropy(*b[:6]) \
+        - math.log2((b.w1 * b.w2 * b.w3 * b.w4) / (b.p0 * b.p0 * b.p1 * b.p1))
+    if b.s_plus > BRANCH_TOL:
+        a_scalar -= math.log2(b.w1 / b.w2) * float(t.x @ (b.v_plus / b.s_plus))
+    if b.s_minus > BRANCH_TOL:
+        a_scalar -= math.log2(b.w3 / b.w4) * float(t.x @ (b.v_minus / b.s_minus))
     tang = a - (n @ a) * n
     return StationaryDiagnostics(
         a_vector=a,
-        a_scalar=_a_scalar(t, n),
+        a_scalar=a_scalar,
         residual=float(np.linalg.norm(tang)),
         grad_theta=-0.25 * float(n_theta @ a),
         grad_phi=-0.25 * float(n_phi @ a),
     )
-
-
-def _a_scalar(t: BlochTriple, n: np.ndarray) -> float:
-    """Lagrange multiplier of the stationarity condition A = A_scalar * n."""
-    tn = t.T @ n
-    vp = tn + t.x
-    vm = tn - t.x
-    sp = float(np.linalg.norm(vp))
-    sm = float(np.linalg.norm(vm))
-    d = float(t.y @ n)
-    p0 = (1 + d) / 2
-    p1 = (1 - d) / 2
-    w1, w2 = (2 * p0 + sp) / 4, (2 * p0 - sp) / 4
-    w3, w4 = (2 * p1 + sm) / 4, (2 * p1 - sm) / 4
-    value = -4 * conditional_entropy(t, MeasurementDirection(n)) \
-        - math.log2((w1 * w2 * w3 * w4) / (p0 * p0 * p1 * p1))
-    if sp > BRANCH_TOL:
-        value -= math.log2(w1 / w2) * float(t.x @ (vp / sp))
-    if sm > BRANCH_TOL:
-        value += math.log2(w3 / w4) * float(t.x @ (vm / sm))
-    return value
 
 
 @lru_cache(maxsize=8)
@@ -407,17 +390,15 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
             step = 1.0
         n_prev, g_prev = n, g
         gg = float(g @ g)
-        moved = False
         for _ in range(60):
             cand = n - step * g
             cand = cand / np.linalg.norm(cand)
             fc = conditional_entropy(t, MeasurementDirection(cand))
             if fc <= f - _ARMIJO * step * gg:
                 n, f = cand, fc
-                moved = True
                 break
             step /= 2
-        if not moved:
+        else:
             break  # improvements below machine precision
         step *= 2
     direction = MeasurementDirection(_canonical_sign(n))
@@ -490,7 +471,7 @@ def _closed_form_minimum(t: BlochTriple, s_ab: float) -> tuple[float, np.ndarray
     return min_s, canon.rotation_b.T @ direction, degenerate
 
 
-def quantum_discord(rho: np.ndarray, *, resolution: float = DEFAULT_RESOLUTION,
+def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFAULT_RESOLUTION,
                     tolerance: float = DEFAULT_TOLERANCE, fast_path: bool = True,
                     with_bounds: bool = True) -> DiscordReport:
     """Mutual information, classical correlation and discord of a two-qubit state.
@@ -498,7 +479,8 @@ def quantum_discord(rho: np.ndarray, *, resolution: float = DEFAULT_RESOLUTION,
     Parameters
     ----------
     rho :
-        4x4 density matrix (measurement side is subsystem B).
+        4x4 density matrix (measurement side is subsystem B), or the
+        :class:`~qdiscord.states.PreparedState` built for one.
     resolution :
         Angular step of the hemisphere grid that seeds the refinement, radians.
     tolerance :
@@ -515,15 +497,9 @@ def quantum_discord(rho: np.ndarray, *, resolution: float = DEFAULT_RESOLUTION,
     DiscordReport
         With ``discord = mutual_information - classical_correlation`` exact.
     """
-    rho = _require_state(rho)
-    rho = rho / np.trace(rho).real
-    t = triple_from_matrix(rho)
-    rho_a, rho_b = reduced_states(rho)
-    s_a = von_neumann_entropy(rho_a)
-    s_ab = von_neumann_entropy(rho)
-    mutual = s_a + von_neumann_entropy(rho_b) - s_ab
-
-    closed_form = _closed_form_minimum(t, s_ab) if fast_path else None
+    state = prepare_state(rho)
+    t = state.triple
+    closed_form = _closed_form_minimum(t, state.s_ab) if fast_path else None
     if closed_form is not None:
         min_s, axis_dir, tie_degenerate = closed_form
         direction = MeasurementDirection(_canonical_sign(axis_dir))
@@ -535,11 +511,11 @@ def quantum_discord(rho: np.ndarray, *, resolution: float = DEFAULT_RESOLUTION,
         direction, min_s, diagnostics = minimize_conditional_entropy(t, resolution, tolerance)
         method = "grid+refine"
 
-    classical = max(0.0, s_a - min_s)
-    discord = mutual - classical
-    bounds = theorem1_bounds(rho, discord=discord) if with_bounds else None
+    classical = max(0.0, state.s_a - min_s)
+    discord = state.mutual_information - classical
+    bounds = theorem1_bounds(state, discord=discord) if with_bounds else None
     return DiscordReport(
-        mutual_information=mutual,
+        mutual_information=state.mutual_information,
         classical_correlation=classical,
         discord=discord,
         optimal_direction=direction,
@@ -555,28 +531,17 @@ def classical_correlation(rho: np.ndarray, **kwargs) -> float:
     return quantum_discord(rho, with_bounds=False, **kwargs).classical_correlation
 
 
-def _residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
-    """Vectorized stationarity residual; inf at degenerate directions."""
-    tn = dirs @ t.T.T
-    vp = tn + t.x
-    vm = tn - t.x
-    sp = np.linalg.norm(vp, axis=1)
-    sm = np.linalg.norm(vm, axis=1)
-    d = dirs @ t.y
-    p0 = (1 + d) / 2
-    p1 = (1 - d) / 2
-    w1, w2 = (2 * p0 + sp) / 4, (2 * p0 - sp) / 4
-    w3, w4 = (2 * p1 + sm) / 4, (2 * p1 - sm) / 4
-    valid = np.minimum.reduce([w1, w2, w3, w4, p0, p1]) > BRANCH_TOL
+def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
+    """Vectorized stationarity residual |A - (n.A) n|; inf at degenerate directions."""
+    b = branches_batch(t, dirs)
+    valid = np.minimum.reduce([b.w1, b.w2, b.w3, b.w4, b.p0, b.p1]) > BRANCH_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        ly = np.log2((w1 * w2 * p1 * p1) / (w3 * w4 * p0 * p0))
-        lp = np.log2(w1 / w2)
-        lm = np.log2(w3 / w4)
-        a = ly[:, None] * t.y
-        safe_sp = np.where(sp > BRANCH_TOL, sp, 1.0)
-        safe_sm = np.where(sm > BRANCH_TOL, sm, 1.0)
-        a = a + np.where(sp > BRANCH_TOL, lp, 0.0)[:, None] * ((vp / safe_sp[:, None]) @ t.T)
-        a = a + np.where(sm > BRANCH_TOL, lm, 0.0)[:, None] * ((vm / safe_sm[:, None]) @ t.T)
+        ly = np.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0))
+        lp = np.where(b.s_plus > BRANCH_TOL, np.log2(b.w1 / b.w2), 0.0)
+        lm = np.where(b.s_minus > BRANCH_TOL, np.log2(b.w3 / b.w4), 0.0)
+        up = b.v_plus / np.where(b.s_plus > BRANCH_TOL, b.s_plus, 1.0)[:, None]
+        um = b.v_minus / np.where(b.s_minus > BRANCH_TOL, b.s_minus, 1.0)[:, None]
+        a = ly[:, None] * t.y + lp[:, None] * (up @ t.T) - lm[:, None] * (um @ t.T)
         tang = a - (np.sum(a * dirs, axis=1))[:, None] * dirs
         resid = np.linalg.norm(tang, axis=1)
     return np.where(valid, resid, np.inf)
@@ -605,18 +570,16 @@ def _refine_stationary(t: BlochTriple, n0: np.ndarray, tolerance: float = 1e-9,
         if norm > 0.5:
             delta *= 0.5 / norm
         scale = 1.0
-        improved = False
         for _ in range(10):
             cand = n + scale * (delta[0] * u + delta[1] * v)
             cand = cand / np.linalg.norm(cand)
             tang_c, resid_c = _tangential(t, cand)
             if tang_c is not None and resid_c < resid:
                 n, tang, resid = cand, tang_c, resid_c
-                improved = True
                 break
             scale /= 2
-        if not improved:
-            return (n, resid) if resid <= tolerance else None
+        else:
+            break
     return (n, resid) if resid <= tolerance else None
 
 
@@ -629,7 +592,7 @@ def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[St
     sorted by entropy value.  Points that fail to reach residual 1e-7 are
     dropped.
     """
-    dirs, resid, equator = _scan(_residual_batch, t, resolution)
+    dirs, resid, equator = _scan(stationary_residual_batch, t, resolution)
     candidates = dirs[_grid_local_minima(resid, equator) & np.isfinite(resid)]
 
     found: list[StationaryPoint] = []

@@ -66,11 +66,11 @@ class BlochTriple:
         T = np.asarray(self.T, dtype=float)
         if T.shape != (3, 3):
             raise ValidationError(f"T must be a real 3x3 matrix, got shape {T.shape}")
-        for name, v in (("x", x), ("y", y)):
-            norm = float(np.linalg.norm(v))
-            if norm > 1 + 1e-9:
-                raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
         for name, arr in (("x", x), ("y", y), ("T", T)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} has non-finite entries")
+            if arr.ndim == 1 and (norm := float(np.linalg.norm(arr))) > 1 + 1e-9:
+                raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -139,13 +139,17 @@ def _require_state(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def triple_from_matrix(rho: np.ndarray) -> BlochTriple:
-    """Extract {x, y, T} from a valid density matrix via Pauli traces."""
-    rho = _require_state(rho)
+def _triple(rho: np.ndarray) -> BlochTriple:
+    # Pauli traces of a matrix that is already validated
     x = np.einsum("ij,kji->k", rho, _KRON_A).real
     y = np.einsum("ij,kji->k", rho, _KRON_B).real
     T = np.einsum("ij,klji->kl", rho, _KRON_AB).real
     return BlochTriple(x, y, T)
+
+
+def triple_from_matrix(rho: np.ndarray) -> BlochTriple:
+    """Extract {x, y, T} from a valid density matrix via Pauli traces."""
+    return _triple(_require_state(rho))
 
 
 def matrix_from_triple(t: BlochTriple) -> np.ndarray:
@@ -170,13 +174,35 @@ def marginals(t: BlochTriple) -> tuple[np.ndarray, np.ndarray]:
     return rho_a, rho_b
 
 
-def mutual_information(rho: np.ndarray) -> float:
-    """Mutual information S(rho_A) + S(rho_B) - S(rho_AB), in bits."""
+@dataclass(frozen=True)
+class PreparedState:
+    """A validated unit-trace state, its triple and its entropies S(A), S(B), S(AB) in bits."""
+
+    rho: np.ndarray
+    triple: BlochTriple
+    s_a: float
+    s_b: float
+    s_ab: float
+
+    @property
+    def mutual_information(self) -> float:
+        return self.s_a + self.s_b - self.s_ab
+
+
+def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
+    """Validate a 4x4 density matrix once and derive its triple and entropies (a record passes through)."""
+    if isinstance(rho, PreparedState):
+        return rho
     rho = _require_state(rho)
     rho = rho / np.trace(rho).real
     rho_a, rho_b = reduced_states(rho)
-    return (von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
-            - von_neumann_entropy(rho))
+    return PreparedState(rho, _triple(rho), von_neumann_entropy(rho_a),
+                         von_neumann_entropy(rho_b), von_neumann_entropy(rho))
+
+
+def mutual_information(rho: np.ndarray | PreparedState) -> float:
+    """Mutual information S(rho_A) + S(rho_B) - S(rho_AB), in bits."""
+    return prepare_state(rho).mutual_information
 
 
 def _require_rotation(o: np.ndarray, name: str) -> np.ndarray:

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
-import math
 import time
 
 import numpy as np
@@ -14,22 +13,24 @@ from qdiscord import (
     MeasurementDirection,
     ab_discord,
     ab_state,
-    bell_diagonal_discord,
     bell_diagonal_state,
     bloch_rotation,
     conditional_entropy,
-    conditional_entropy_direct,
-    direction_from_angles,
     kernel_class_min_entropy,
     matrix_from_triple,
     quantum_discord,
     random_state,
     random_unitary,
-    sample_bell_diagonal,
     sample_kernel_class,
-    stationary_vector,
     triple_from_matrix,
     von_neumann_entropy,
+)
+from qdiscord.cli import (
+    RunConfig,
+    bell_diagonal_oracle_error,
+    suite_bounds,
+    suite_gradient,
+    suite_identity,
 )
 
 
@@ -42,29 +43,15 @@ def test_criterion_1_central_identity():
     # h4(w) - h2(p0) equals sum_k p_k S(rho_A_k) on 1000 states x 50 directions
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        rho = random_state(rng=rng)
-        t = triple_from_matrix(rho)
-        for _ in range(50):
-            d = MeasurementDirection(rng.standard_normal(3))
-            dev = abs(conditional_entropy(t, d)
-                      - conditional_entropy_direct(t, d, rho=rho))
-            worst = max(worst, dev)
+    ok, detail = suite_identity(1000, rng, RunConfig())
     elapsed = time.perf_counter() - start
-    _report("criterion 1 (conditional-entropy identity)", worst < 1e-10,
-            f"max deviation {worst:.3e} over 50000 checks in {elapsed:.1f}s (target <10s)")
+    _report("criterion 1 (conditional-entropy identity)", ok,
+            f"{detail} in {elapsed:.1f}s (target <10s)")
 
 
 def test_criterion_2_bell_diagonal_oracle():
     rng = np.random.default_rng(1002)
-    worst = 0.0
-    for _ in range(200):
-        t1, t2, t3 = sample_bell_diagonal(rng)
-        exact = bell_diagonal_discord(t1, t2, t3).discord
-        numeric = quantum_discord(bell_diagonal_state(t1, t2, t3), fast_path=False,
-                                  with_bounds=False).discord
-        worst = max(worst, abs(exact - numeric))
+    worst = bell_diagonal_oracle_error(200, rng, RunConfig())
     bell = quantum_discord(bell_diagonal_state(1, -1, 1), with_bounds=False).discord
     mixed = quantum_discord(np.eye(4) / 4, with_bounds=False).discord
     ok = worst < 1e-6 and abs(bell - 1) <= 1e-9 and abs(mixed) <= 1e-9
@@ -143,27 +130,10 @@ def test_criterion_6_stationarity():
         assert not report.diagnostics.degenerate
         worst_residual = max(worst_residual, report.diagnostics.residual)
 
-    h = 1e-5
-    worst_rel = 0.0
-    checked = 0
-    while checked < 100:
-        t = triple_from_matrix(random_state(rng=rng))
-        d = MeasurementDirection(rng.standard_normal(3))
-        diag = stationary_vector(t, d)
-        if diag.degenerate or math.hypot(diag.grad_theta, diag.grad_phi) < 1e-3:
-            continue
-        th, ph = d.theta, d.phi
-        fd_th = (conditional_entropy(t, direction_from_angles(th + h, ph))
-                 - conditional_entropy(t, direction_from_angles(th - h, ph))) / (2 * h)
-        fd_ph = (conditional_entropy(t, direction_from_angles(th, ph + h))
-                 - conditional_entropy(t, direction_from_angles(th, ph - h))) / (2 * h)
-        for an, fd in ((diag.grad_theta, fd_th), (diag.grad_phi, fd_ph)):
-            worst_rel = max(worst_rel, abs(an - fd) / max(abs(an), abs(fd), 1e-12))
-        checked += 1
-    ok = worst_residual <= 1e-7 and worst_rel < 1e-6
+    gradients_ok, gradients = suite_gradient(100, rng, RunConfig())
+    ok = worst_residual <= 1e-7 and gradients_ok
     _report("criterion 6 (stationarity and gradients)", ok,
-            f"max residual at minima = {worst_residual:.3e}, "
-            f"max relative gradient error = {worst_rel:.3e}")
+            f"max residual at minima = {worst_residual:.3e}; {gradients}")
 
 
 def test_criterion_7_symmetries():
@@ -198,20 +168,13 @@ def test_criterion_7_symmetries():
 
 def test_criterion_8_theorem_validity():
     rng = np.random.default_rng(1008)
-    violations = 0
-    for _ in range(500):
-        report = quantum_discord(random_state(rng=rng))
-        b = report.bounds
-        if (report.discord > b.discord_ub + 1e-6
-                or report.classical_correlation < b.classical_lb - 1e-6):
-            violations += 1
+    valid, validity = suite_bounds(500, rng, RunConfig())
     worst_gap = 0.0
     for _ in range(50):
         rho = matrix_from_triple(sample_kernel_class(rng))
         report = quantum_discord(rho, fast_path=False)
         assert report.bounds.perp_dim == 3
         worst_gap = max(worst_gap, abs(report.bounds.discord_ub - report.discord))
-    ok = violations == 0 and worst_gap <= 1e-6
+    ok = valid and worst_gap <= 1e-6
     _report("criterion 8 (bound validity)", ok,
-            f"0 violations required, got {violations} over 500 states; "
-            f"full-subspace bound gap = {worst_gap:.3e}")
+            f"0 violations required: {validity}; full-subspace bound gap = {worst_gap:.3e}")

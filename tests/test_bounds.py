@@ -205,3 +205,16 @@ def test_stronger_than_marginal_bound_where_applicable():
         s_ab = von_neumann_entropy(ab_state(a, b))
         if s_ab - bnd.cond_entropy_ub > 0:
             assert bnd.discord_ub < bnd.xi_bound
+
+
+def test_bounds_of_a_matrix_match_the_pipeline(rng):
+    worst = 0.0
+    for _ in range(200):
+        rho = random_state(rng=rng)
+        report = quantum_discord(rho)
+        alone = theorem1_bounds(rho, discord=report.discord)
+        for field in ("t0_squared", "cond_entropy_ub", "discord_ub", "classical_lb", "xi_bound"):
+            worst = max(worst, abs(getattr(alone, field) - getattr(report.bounds, field)))
+        worst = max(worst, float(np.max(np.abs(alone.e0.n - report.bounds.e0.n))))
+        assert (alone.perp_dim, alone.saturated) == (report.bounds.perp_dim, report.bounds.saturated)
+    assert worst <= 1e-12

@@ -182,3 +182,10 @@ def test_verify_oracle_suite(capsys):
 def test_verify_bounds_suite(capsys):
     assert main(["verify", "--suite", "bounds", "--n", "25"]) == 0
     assert "bounds: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_compute_triple_file_with_non_finite_x_exits_2(tmp_path, capsys, bad):
+    path = _write_triple_file(tmp_path / "bad.json", [bad, 0, 0], [0, 0, 0], np.zeros((3, 3)))
+    assert main(["compute", path]) == 2
+    assert "non-finite" in capsys.readouterr().err

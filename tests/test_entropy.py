@@ -140,3 +140,13 @@ def test_von_neumann_rejects_negative_eigenvalue():
 def test_von_neumann_rejects_wrong_trace():
     with pytest.raises(NotAStateError):
         von_neumann_entropy(np.diag([0.5, 0.3, 0.25, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("fn", [hermitian_eigenvalues, hermitian_eigensystem, von_neumann_entropy])
+def test_non_finite_entries_are_rejected(fn, entry, bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[entry] = bad
+    with pytest.raises(NotAStateError, match="non-finite"):
+        fn(m)

@@ -23,6 +23,7 @@ from qdiscord import (
     projector_bloch,
     triple_from_matrix,
 )
+from qdiscord.measurement import branches, branches_batch
 
 Z3 = np.zeros(3)
 Z33 = np.zeros((3, 3))
@@ -259,3 +260,15 @@ def test_conditional_entropy_batch_matches_scalar(rng):
     for k in range(64):
         assert batch[k] == pytest.approx(
             conditional_entropy(t, MeasurementDirection(dirs[k])), abs=1e-12)
+
+
+def test_scalar_and_batch_branch_kernels_agree(rng):
+    t = random_triple(rng)
+    dirs = rng.standard_normal((1000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    batch = branches_batch(t, dirs)
+    worst = 0.0
+    for i, n in enumerate(dirs):
+        for scalar, rows in zip(branches(t, n), batch):
+            worst = max(worst, float(np.max(np.abs(np.asarray(scalar) - rows[i]))))
+    assert worst <= 1e-15

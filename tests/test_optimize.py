@@ -401,3 +401,25 @@ def test_discord_invariance_through_triple_rotations(rng):
     d1 = quantum_discord(matrix_from_triple(t), with_bounds=False).discord
     d2 = quantum_discord(matrix_from_triple(rotated), with_bounds=False).discord
     assert d1 == pytest.approx(d2, abs=1e-6)
+
+
+def test_one_call_validates_once_and_builds_the_subspace_once(monkeypatch, rng):
+    from qdiscord import bounds, states
+
+    calls = {"validate": 0, "perp_subspace": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(states, "validate")
+    counted(bounds, "perp_subspace")
+    for rho in (random_state(rng=rng), bell_diagonal_state(0.3, -0.2, 0.1)):
+        calls.update(validate=0, perp_subspace=0)
+        assert quantum_discord(rho).bounds is not None
+        assert calls == {"validate": 1, "perp_subspace": 1}

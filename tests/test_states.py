@@ -22,6 +22,7 @@ from qdiscord import (
     validate,
     von_neumann_entropy,
 )
+from qdiscord.states import prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -288,3 +289,21 @@ def test_bloch_rotation_conjugation_action(rng):
     oa = o @ a
     rhs = sum(oa[i] * PAULIS[i] for i in range(3))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("field", ["x", "y", "T"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bloch_triple_rejects_non_finite_entries(field, bad):
+    parts = {"x": np.zeros(3), "y": np.zeros(3), "T": np.zeros((3, 3))}
+    parts[field].flat[0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        BlochTriple(**parts)
+
+
+def test_mutual_information_takes_the_prepared_state(rng):
+    rho = random_state(rng=rng)
+    state = prepare_state(rho)
+    assert prepare_state(state) is state
+    assert mutual_information(state) == mutual_information(rho)
+    t = triple_from_matrix(rho)
+    assert all(np.array_equal(getattr(state.triple, k), getattr(t, k)) for k in ("x", "y", "T"))
