@@ -93,7 +93,11 @@ def von_neumann_entropy(m: np.ndarray, *, tol: float = HERMITIAN_TOL) -> float:
     The matrix must be Hermitian, PSD within ``-1e-9`` and unit trace within
     1e-9; violations raise :class:`NotAStateError`.
     """
-    vals = hermitian_eigenvalues(m, tol=tol)
+    return _spectrum_entropy(hermitian_eigenvalues(m, tol=tol))
+
+
+def _spectrum_entropy(vals: np.ndarray) -> float:
+    """:func:`von_neumann_entropy` from the eigenvalues of the density matrix."""
     trace = float(vals.sum())
     if abs(trace - 1.0) > CLAMP_TOL:
         raise NotAStateError(f"trace is {trace!r}, not 1")

@@ -45,7 +45,6 @@ MAX_REFINE_ITERATIONS = 200
 
 _ARMIJO = 1e-4
 _NEWTON_THRESHOLD = 1e-2
-_FD_STEP = 1e-6
 _COMPASS_MIN_STEP = 1e-9
 #: grid values this close count as equal, so a landscape flat to this
 #: spread (a pure state's S(A|n) = 0 up to rounding) is one plateau
@@ -53,7 +52,6 @@ _PLATEAU_TOL = 1e-12
 #: S(rho) at or below this marks a pure state, whose S(A|n) vanishes for every n
 PURE_STATE_TOL = 1e-12
 #: chart curvature below -this marks a refined point as a saddle or maximum
-#: (finite-difference noise in the Hessian is near 1e-10)
 _SADDLE_CURVATURE = 1e-8
 #: step off a saddle along its negative-curvature direction, radians
 _ESCAPE_STEP = 1e-2
@@ -269,52 +267,61 @@ def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tupl
     return best, conditional_entropy(t, best)
 
 
-def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    u = np.cross(n, e)
-    u /= np.linalg.norm(u)
-    return u, np.cross(n, u)
-
-
-def _chart_gradient(t: BlochTriple, n: np.ndarray, u: np.ndarray, v: np.ndarray,
-                    du: float, dv: float) -> np.ndarray | None:
-    m = n + du * u + dv * v
-    r = float(np.linalg.norm(m))
-    m = m / r
-    tang, _ = _tangential(t, m)
-    if tang is None:
-        return None
-    g = -0.25 * tang
-    return np.array([g @ u, g @ v]) / r
+def _tangent_basis(n: np.ndarray) -> np.ndarray:
+    """Rows u, v with (u, v, n) orthonormal; Duff et al., "Building an Orthonormal Basis, Revisited" (2017)."""
+    x, y, z = n.tolist()
+    sign = math.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return np.array(((1.0 + sign * x * x * a, sign * b, -sign * x),
+                     (b, sign + y * y * a, -y)))
 
 
 def _chart_hessian(t: BlochTriple, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Hessian of the conditioned entropy in the tangent chart at n, and the chart basis.
 
-    Symmetrized central differences of the analytic gradient; None where
-    the gradient is undefined.
+    Closed form, from the branches at n.  With u+- = (x +- T n)/s+- and the
+    gradients g1,2 = (y +- T^T u+)/4, g3,4 = -(y +- T^T u-)/4 of w1..w4, the
+    ambient Hessian of h4(w) - h2(p0) is
+
+        -[sum_i g_i g_i^T/w_i - (1/p0 + 1/p1) y y^T/4]/ln 2
+        - [log2(w1/w2) T^T (I - u+ u+^T) T/s+ + log2(w3/w4) T^T (I - u- u-^T) T/s-]/4
+
+    and the chart Hessian is B^T (that) B + (n.A)/4 I with B = [u v].  Where
+    s+- = 0 the pair's terms take their limit -(y y^T + T^T T)/(4 p ln 2).
+    None exactly where A is undefined.
     """
-    u, v = _tangent_basis(n)
-    cols = []
-    for du, dv in ((_FD_STEP, 0.0), (0.0, _FD_STEP)):
-        gp = _chart_gradient(t, n, u, v, du, dv)
-        gm = _chart_gradient(t, n, u, v, -du, -dv)
-        if gp is None or gm is None:
-            return None
-        cols.append((gp - gm) / (2 * _FD_STEP))
-    hess = np.stack(cols, axis=1)
-    return (hess + hess.T) / 2, u, v
-
-
-def _newton_step(t: BlochTriple, n: np.ndarray, f: float, resid: float,
-                 g: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """One damped Newton step on the tangent-chart gradient; None if it fails."""
-    chart = _chart_hessian(t, n)
-    if chart is None:
+    b = branches(t, n)
+    a = _a_from(t, b)
+    if a is None:
         return None
-    hess, u, v = chart
+    basis = _tangent_basis(n)
+    tb = t.T @ basis.T  # T B
+    units, curvature = [], []  # per pair: u and the kappa of its term -kappa T^T (I - u u^T) T
+    for p, wa, wb, vec, s in ((b.p0, b.w1, b.w2, b.v_plus, b.s_plus),
+                              (b.p1, b.w3, b.w4, b.v_minus, b.s_minus)):
+        if s > BRANCH_TOL:
+            units.append(vec / s)
+            curvature.append(math.log2(wa / wb) / (4 * s))
+        else:  # the limit, in which u drops out
+            units.append(np.zeros(3))
+            curvature.append(1 / (4 * math.log(2) * p))
+    c = np.array(units) @ tb  # rows B^T T^T u+, B^T T^T u-
+    yb = basis @ t.y
+    # one row per outer-product term: 4 g1, 4 g3, 4 g2, 4 g4 (up to sign), y, B^T T^T u+-
+    rows = np.concatenate((yb + c, yb - c, yb[None], c))
+    k = -1 / (16 * math.log(2))
+    weights = np.array((k / b.w1, k / b.w3, k / b.w2, k / b.w4,
+                        -4 * k * (1 / b.p0 + 1 / b.p1), *curvature))
+    hess = (rows.T * weights) @ rows - (curvature[0] + curvature[1]) * (tb.T @ tb)
+    hess += 0.25 * float(n @ a) * np.eye(2)  # the sphere's own curvature, -(n . grad S) I
+    return hess, basis[0], basis[1]
+
+
+def _newton_step(t: BlochTriple, n: np.ndarray, f: float, resid: float, g: np.ndarray,
+                 ) -> tuple[np.ndarray, float, np.ndarray, float] | None:
+    """One damped Newton step from n, where A is defined: (point, entropy, tangential A, residual) or None."""
+    hess, u, v = _chart_hessian(t, n)
     g0 = np.array([g @ u, g @ v])
     try:
         delta = np.linalg.solve(hess, -g0)
@@ -329,7 +336,7 @@ def _newton_step(t: BlochTriple, n: np.ndarray, f: float, resid: float,
         fc = conditional_entropy(t, MeasurementDirection(cand))
         tang, rc = _tangential(t, cand)
         if tang is not None and rc < resid and fc <= f + 1e-14:
-            return cand, fc, rc
+            return cand, fc, tang, rc
         scale *= 0.5
     return None
 
@@ -358,17 +365,17 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     """Descend the conditioned entropy from ``start`` until A is parallel to n.
 
     Projected gradient descent on the sphere with a Barzilai-Borwein step
-    and Armijo backtracking; once the tangential residual is small a damped
-    Newton step in the local tangent chart finishes the convergence.  The
-    returned value never exceeds the starting value, and points where the
-    gradient is undefined fall back to compass search.
+    and Armijo backtracking; once the tangential residual is small, damped
+    Newton steps on the closed-form tangent-chart Hessian finish the
+    convergence.  The returned value never exceeds the starting value, and
+    points where the gradient is undefined fall back to compass search.
     """
     n = _unit(start)
     f = conditional_entropy(t, MeasurementDirection(n))
     step: float | None = None
     n_prev = g_prev = None
+    tang, resid = _tangential(t, n)
     for _ in range(max_iterations):
-        tang, resid = _tangential(t, n)
         if tang is None:
             n, f = _compass(t, n, f, step or 0.01)
             break
@@ -378,7 +385,7 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
         if resid < _NEWTON_THRESHOLD:
             polished = _newton_step(t, n, f, resid, g)
             if polished is not None:
-                n, f, _ = polished
+                n, f, tang, resid = polished
                 continue
         if n_prev is not None:
             s_diff = n - n_prev
@@ -401,8 +408,10 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
         else:
             break  # improvements below machine precision
         step *= 2
+        tang, resid = _tangential(t, n)
+    # f is already the value at the sign-canonical representative of n
     direction = MeasurementDirection(_canonical_sign(n))
-    return direction, conditional_entropy(t, direction), stationary_vector(t, direction)
+    return direction, f, stationary_vector(t, direction)
 
 
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,
@@ -438,11 +447,8 @@ def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RES
 
 
 def _downhill_start(t: BlochTriple, n: np.ndarray) -> np.ndarray | None:
-    """A point a small step down the most negative curvature at n; None at a minimum."""
-    chart = _chart_hessian(t, n)
-    if chart is None:
-        return None
-    hess, u, v = chart
+    """A point a small step down the most negative curvature at n, where A is defined; None at a minimum."""
+    hess, u, v = _chart_hessian(t, n)
     curvatures, axes = np.linalg.eigh(hess)
     if curvatures[0] >= -_SADDLE_CURVATURE:
         return None
@@ -558,10 +564,7 @@ def _refine_stationary(t: BlochTriple, n0: np.ndarray, tolerance: float = 1e-9,
         if resid <= tolerance:
             return n, resid
         g = -0.25 * tang
-        chart = _chart_hessian(t, n)
-        if chart is None:
-            return None
-        hess, u, v = chart
+        hess, u, v = _chart_hessian(t, n)  # A is defined at every accepted point
         g0 = np.array([g @ u, g @ v])
         delta, *_ = np.linalg.lstsq(hess, -g0, rcond=None)
         if not np.isfinite(delta).all():

@@ -10,11 +10,11 @@ to diagonal form, and samples random states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import von_neumann_entropy
+from .entropy import _spectrum_entropy, von_neumann_entropy
 from .errors import NotAStateError, ValidationError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,6 +84,8 @@ class StateDiagnostics:
     trace_deviation: float
     min_eigenvalue: float
     ok: bool
+    #: ascending eigenvalues of the Hermitian part; None if rejected before any arithmetic
+    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         if math.isnan(self.min_eigenvalue):
@@ -127,16 +129,18 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     herm = rho.conj().T
     dev_h = float(np.abs(rho - herm).max())
     dev_tr = float(abs(rho.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh((rho + herm) / 2)[0])
+    eigenvalues = np.linalg.eigvalsh((rho + herm) / 2)
+    eigenvalues.setflags(write=False)
+    min_eig = float(eigenvalues[0])
     ok = dev_h <= HERMITICITY_TOL and dev_tr <= TRACE_TOL and min_eig >= -PSD_TOL
-    return StateDiagnostics(dev_h, dev_tr, min_eig, ok)
+    return StateDiagnostics(dev_h, dev_tr, min_eig, ok, eigenvalues)
 
 
-def _require_state(rho: np.ndarray) -> np.ndarray:
+def _require_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = validate(rho)
     if not diag.ok:
         raise NotAStateError(f"not a valid two-qubit state ({diag})")
-    return np.asarray(rho, dtype=complex)
+    return np.asarray(rho, dtype=complex), diag.eigenvalues
 
 
 def _triple(rho: np.ndarray) -> BlochTriple:
@@ -149,7 +153,7 @@ def _triple(rho: np.ndarray) -> BlochTriple:
 
 def triple_from_matrix(rho: np.ndarray) -> BlochTriple:
     """Extract {x, y, T} from a valid density matrix via Pauli traces."""
-    return _triple(_require_state(rho))
+    return _triple(_require_state(rho)[0])
 
 
 def matrix_from_triple(t: BlochTriple) -> np.ndarray:
@@ -193,11 +197,12 @@ def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     """Validate a 4x4 density matrix once and derive its triple and entropies (a record passes through)."""
     if isinstance(rho, PreparedState):
         return rho
-    rho = _require_state(rho)
-    rho = rho / np.trace(rho).real
+    rho, eigenvalues = _require_state(rho)
+    trace = np.trace(rho).real
+    rho = rho / trace
     rho_a, rho_b = reduced_states(rho)
     return PreparedState(rho, _triple(rho), von_neumann_entropy(rho_a),
-                         von_neumann_entropy(rho_b), von_neumann_entropy(rho))
+                         von_neumann_entropy(rho_b), _spectrum_entropy(eigenvalues / trace))
 
 
 def mutual_information(rho: np.ndarray | PreparedState) -> float:

@@ -32,7 +32,7 @@ from qdiscord import (
     triple_from_matrix,
     von_neumann_entropy,
 )
-from qdiscord import optimize
+from qdiscord import measurement, optimize
 from qdiscord.states import reduced_states
 
 Z3 = np.zeros(3)
@@ -267,6 +267,89 @@ def test_pure_state_shortcut_agrees_with_numeric_route(rng, eps, shortcut):
         assert report.diagnostics.degenerate
 
 
+def _fd_chart_hessian(t, n, h=1e-6):
+    """Reference chart Hessian: symmetrized central differences of the analytic chart gradient."""
+    u, v = optimize._tangent_basis(n)
+
+    def chart_gradient(du, dv):
+        m = n + du * u + dv * v
+        r = float(np.linalg.norm(m))
+        tang, _ = optimize._tangential(t, m / r)
+        if tang is None:
+            return None
+        g = -0.25 * tang
+        return np.array([g @ u, g @ v]) / r
+
+    cols = []
+    for du, dv in ((h, 0.0), (0.0, h)):
+        gp, gm = chart_gradient(du, dv), chart_gradient(-du, -dv)
+        if gp is None or gm is None:
+            return None
+        cols.append((gp - gm) / (2 * h))
+    hess = np.stack(cols, axis=1)
+    return (hess + hess.T) / 2
+
+
+def test_chart_hessian_matches_finite_differences():
+    rng = np.random.default_rng(404)
+    compared = 0
+    for k in range(200):
+        t = random_triple(rng, rank=1 + k % 4)
+        d = random_direction(rng)
+        chart = optimize._chart_hessian(t, d.n)
+        assert (chart is None) == stationary_vector(t, d).degenerate
+        if chart is None:
+            continue
+        hess, u, v = chart
+        assert np.array_equal(np.array([u, v]), optimize._tangent_basis(d.n))
+        reference = _fd_chart_hessian(t, d.n)
+        assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
+        compared += 1
+    assert compared == 150  # rank 1 is degenerate everywhere, ranks 2-4 here nowhere
+
+
+def test_chart_hessian_at_the_vanishing_norm_limit():
+    # x -+ T n = 0 at n = z: both pairs take their finite limit
+    t = BlochTriple(Z3, np.array([0.0, 0.0, 0.3]), np.diag([0.6, 0.3, 0.0]))
+    n = np.array([0.0, 0.0, 1.0])
+    b = optimize.branches(t, n)
+    assert b.s_plus == b.s_minus == 0.0
+    hess, _, _ = optimize._chart_hessian(t, n)
+    assert np.linalg.eigvalsh(hess) == pytest.approx([-0.5707365, -0.1426841], abs=1e-7)
+    reference = _fd_chart_hessian(t, n)
+    assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+def test_tangent_basis_is_orthonormal():
+    rng = np.random.default_rng(17)
+    normals = [random_direction(rng).n for _ in range(1000)]
+    normals += [np.array(v) for v in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, -0.0],
+                                      [0.6, -0.8, -0.0], [0.6, 0.8, 0.0])]
+    for n in normals:
+        frame = np.vstack([optimize._tangent_basis(n), n])
+        assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-15
+
+
+def test_search_branch_evaluations_do_not_grow(monkeypatch):
+    # exact work counts, free of timing noise: the closed-form chart Hessian
+    # costs one branch evaluation where the finite-difference one took four
+    # gradients; on these states the search made 2,721 evaluations with the
+    # finite-difference Hessian and makes 1,497 with the closed form
+    calls = []
+    branches = optimize.branches
+
+    def counting_branches(*args):
+        calls.append(1)
+        return branches(*args)
+
+    monkeypatch.setattr(optimize, "branches", counting_branches)
+    monkeypatch.setattr(measurement, "branches", counting_branches)
+    rng = np.random.default_rng(1234)
+    for k in range(100):
+        minimize_conditional_entropy(random_triple(rng, rank=2 + k % 3))
+    assert len(calls) <= 1497
+
+
 def test_rank_one_search_refines_at_most_twice(rng, monkeypatch):
     calls = []
 
@@ -419,7 +502,14 @@ def test_one_call_validates_once_and_builds_the_subspace_once(monkeypatch, rng):
 
     counted(states, "validate")
     counted(bounds, "perp_subspace")
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(m, *args, **kwargs):
+        calls["eigvalsh 4x4"] += np.shape(m) == (4, 4)
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     for rho in (random_state(rng=rng), bell_diagonal_state(0.3, -0.2, 0.1)):
-        calls.update(validate=0, perp_subspace=0)
+        calls.update({"validate": 0, "perp_subspace": 0, "eigvalsh 4x4": 0})
         assert quantum_discord(rho).bounds is not None
-        assert calls == {"validate": 1, "perp_subspace": 1}
+        assert calls == {"validate": 1, "perp_subspace": 1, "eigvalsh 4x4": 1}
