@@ -94,8 +94,10 @@ def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = Non
     t = state.triple
     basis = perp_subspace(t)
     t0sq, e0 = _max_on_subspace(t, basis)
-    x2 = float(t.x @ t.x)
-    cond_ub = binary_entropy((1 + np.sqrt(x2 + t0sq)) / 2)
+    # |x|^2 + t0^2 <= 1 on states; one that validate accepts with an eigenvalue
+    # down to -PSD_TOL can exceed 1 by a few 1e-9, past binary_entropy's clamp
+    r2 = min(float(t.x @ t.x) + t0sq, 1.0)
+    cond_ub = binary_entropy((1 + np.sqrt(r2)) / 2)
     discord_ub = state.s_b - state.s_ab + cond_ub
     if discord is None:
         from .optimize import quantum_discord

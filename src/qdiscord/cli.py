@@ -55,6 +55,8 @@ class RunConfig:
             raise UsageError(f"--resolution must be in (0, 22.5] degrees, got {self.resolution_deg}")
         if not 1e-12 <= self.tolerance <= 1e-3:
             raise UsageError(f"--tolerance must be in [1e-12, 1e-3], got {self.tolerance}")
+        if self.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {self.seed}")
 
     @property
     def resolution_rad(self) -> float:
@@ -85,7 +87,7 @@ def load_state(path: str) -> np.ndarray:
         return matrix_from_triple(t)
     except UsageError:
         raise
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
 
 
@@ -171,13 +173,16 @@ def cmd_compute(path: str, config: RunConfig) -> int:
 
 
 def _parse_range(text: str, name: str) -> list[float]:
-    """A float or an inclusive 'start:stop:step' range."""
+    """A finite float or an inclusive 'start:stop:step' range."""
     parts = text.split(":")
     try:
+        numbers = [float(p) for p in parts]
+        if not all(map(math.isfinite, numbers)):
+            raise UsageError(f"--{name}: values must be finite, got {text!r}")
         if len(parts) == 1:
-            return [float(parts[0])]
+            return numbers
         if len(parts) == 3:
-            lo, hi, step = (float(p) for p in parts)
+            lo, hi, step = numbers
             if step <= 0 or hi < lo:
                 raise UsageError(f"--{name}: need start <= stop and step > 0, got {text!r}")
             count = int(round((hi - lo) / step))
@@ -205,8 +210,8 @@ def cmd_scan(family: str, args, config: RunConfig) -> int:
             ray = np.array([float(p) for p in args.ray.split(",")])
         except ValueError as exc:
             raise UsageError(f"--ray: cannot parse {args.ray!r}") from exc
-        if ray.shape != (3,):
-            raise UsageError("--ray must have three components")
+        if ray.shape != (3,) or not np.isfinite(ray).all():
+            raise UsageError(f"--ray must have three finite components, got {args.ray!r}")
         states = []
         for s in _parse_range(args.s, "s"):
             t1, t2, t3 = (s * ray).tolist()
@@ -324,12 +329,14 @@ _SUITES = {
 
 
 def cmd_verify(config: RunConfig, suite: str | None, n: int | None) -> int:
+    if n is not None and n < 1:
+        raise UsageError(f"--n must be a positive sample count, got {n}")
     names = [suite] if suite else list(_SUITES)
     failed = False
     for name in names:
         fn, default_n = _SUITES[name]
         rng = np.random.default_rng(config.seed)
-        ok, detail = fn(n or default_n, rng, config)
+        ok, detail = fn(default_n if n is None else n, rng, config)
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         failed = failed or not ok
     return EXIT_VERIFY_FAILED if failed else EXIT_OK

@@ -125,12 +125,12 @@ def branches_batch(t: BlochTriple, dirs: np.ndarray) -> Branches:
     return _assemble(dirs @ t.y, vp, vm, np.linalg.norm(vp, axis=1), np.linalg.norm(vm, axis=1))
 
 
-def _probabilities(t: BlochTriple, n: np.ndarray) -> tuple[float, float, float, float, float, float]:
-    """(p0, p1, w1, w2, w3, w4) at n; a w below zero by at most 1e-9/4 snaps to 0.
+def _probabilities(b: Branches) -> tuple[float, float, float, float, float, float]:
+    """(p0, p1, w1, w2, w3, w4) of the branches; a w below zero by at most 1e-9/4 snaps to 0.
 
     Its partner snaps to p_k, so w1 + w2 = p0 and w3 + w4 = p1 stay exact.
     """
-    p0, p1, w1, w2, w3, w4 = branches(t, n)[:6]
+    p0, p1, w1, w2, w3, w4 = b[:6]
     if min(w2, w4) < -_W_DEFICIT_TOL / 4:
         raise NotAStateError(f"|x +- T n| exceeds 2 p_k by {-4 * min(w2, w4):.3e}; triple is not a state")
     if w2 < 0:
@@ -173,7 +173,7 @@ def outcome_probabilities(t: BlochTriple, direction) -> tuple[float, float]:
 
 def joint_probabilities(t: BlochTriple, direction) -> MeasurementProbabilities:
     """The six probabilities w_{1,2} = (2 p0 +- |x + T n|)/4, w_{3,4} = (2 p1 +- |x - T n|)/4."""
-    return MeasurementProbabilities(*_probabilities(t, _unit(direction)))
+    return MeasurementProbabilities(*_probabilities(branches(t, _unit(direction))))
 
 
 def post_measurement_state(t: BlochTriple, direction, k: int) -> PostMeasurementState:
@@ -207,7 +207,7 @@ def conditional_entropy(t: BlochTriple, direction) -> float:
     Evaluated at the sign-canonical representative of {n, -n}, so the
     result is bitwise identical for antipodal directions.
     """
-    return _branch_entropy(*_probabilities(t, _canonical_sign(_unit(direction))))
+    return _branch_entropy(*_probabilities(branches(t, _canonical_sign(_unit(direction)))))
 
 
 def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndarray:

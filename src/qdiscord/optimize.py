@@ -10,6 +10,7 @@ form lands in a solvable family skip the search and use a closed form.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from .measurement import (
     MeasurementDirection,
     _branch_entropy,
     _canonical_sign,
+    _probabilities,
     _unit,
     branches,
     branches_batch,
@@ -99,33 +101,38 @@ class DiscordReport:
 
 
 def _a_from(t: BlochTriple, b: Branches) -> np.ndarray | None:
-    """The stationarity vector A from the branches at n, or None at degenerate points.
+    """A = log2(w1 w2 p1^2/(w3 w4 p0^2)) y + T^T (c+ v+ - c- v-) from the branches at n; None if degenerate.
 
-    Terms whose unit vector (x +- T n)/|x +- T n| is undefined carry a log
-    coefficient that vanishes with the norm, so they are dropped (the limit
-    is zero); vanishing w or p have no finite limit and flag degeneracy.
+    c+ = log2(w1/w2)/s+ and c- = log2(w3/w4)/s-, each 0 (its limit) where
+    v+-/s+- is undefined; vanishing w or p have no finite limit.
     """
     if min(b.w1, b.w2, b.w3, b.w4, b.p0, b.p1) <= BRANCH_TOL:
         return None
-    a = math.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0)) * t.y
-    if b.s_plus > BRANCH_TOL:
-        a = a + math.log2(b.w1 / b.w2) * (t.T.T @ (b.v_plus / b.s_plus))
-    if b.s_minus > BRANCH_TOL:
-        a = a - math.log2(b.w3 / b.w4) * (t.T.T @ (b.v_minus / b.s_minus))
-    return a
+    cp = math.log2(b.w1 / b.w2) / b.s_plus if b.s_plus > BRANCH_TOL else 0.0
+    cm = math.log2(b.w3 / b.w4) / b.s_minus if b.s_minus > BRANCH_TOL else 0.0
+    return (math.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0)) * t.y
+            + t.T.T @ (cp * b.v_plus - cm * b.v_minus))
 
 
-def _a_vector(t: BlochTriple, n: np.ndarray) -> np.ndarray | None:
-    """The stationarity vector A at direction n, or None at degenerate points."""
-    return _a_from(t, branches(t, n))
+_Point = namedtuple("_Point", "f b a tang resid")
 
 
-def _tangential(t: BlochTriple, n: np.ndarray) -> tuple[np.ndarray | None, float]:
-    a = _a_vector(t, n)
+def _point(t: BlochTriple, n: np.ndarray) -> _Point:
+    """What refinement reads at the unit vector n, from one branch evaluation.
+
+    The entropy f (bitwise :func:`conditional_entropy`) and branches b at the
+    sign-canonical representative of {n, -n}; A at n by A(-n) = -A(n), its
+    tangential part and that part's norm (None, None, nan where A is undefined).
+    """
+    c = _canonical_sign(n)
+    b = branches(t, c)
+    f = _branch_entropy(*_probabilities(b))
+    a = _a_from(t, b)
     if a is None:
-        return None, math.nan
+        return _Point(f, b, None, None, math.nan)
+    a = a if c is n else -a
     tang = a - (n @ a) * n
-    return tang, float(np.linalg.norm(tang))
+    return _Point(f, b, a, tang, math.sqrt(tang @ tang))
 
 
 def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
@@ -136,8 +143,12 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
     to n.  The Lagrange scalar of the constrained formulation equals n.A.
     """
     direction = direction if isinstance(direction, MeasurementDirection) else MeasurementDirection(direction)
+    return _diagnostics(t, direction, branches(t, direction.n))
+
+
+def _diagnostics(t: BlochTriple, direction: MeasurementDirection, b: Branches) -> StationaryDiagnostics:
+    """:func:`stationary_vector` from the branches ``b`` at ``direction.n``."""
     n = direction.n
-    b = branches(t, n)
     a = _a_from(t, b)
     if a is None:
         return StationaryDiagnostics(None, None, None, None, None, degenerate=True)
@@ -151,11 +162,10 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
         a_scalar -= math.log2(b.w1 / b.w2) * float(t.x @ (b.v_plus / b.s_plus))
     if b.s_minus > BRANCH_TOL:
         a_scalar -= math.log2(b.w3 / b.w4) * float(t.x @ (b.v_minus / b.s_minus))
-    tang = a - (n @ a) * n
     return StationaryDiagnostics(
         a_vector=a,
         a_scalar=a_scalar,
-        residual=float(np.linalg.norm(tang)),
+        residual=float(np.linalg.norm(a - (n @ a) * n)),
         grad_theta=-0.25 * float(n_theta @ a),
         grad_phi=-0.25 * float(n_phi @ a),
     )
@@ -214,10 +224,14 @@ def _grid_local_minima(values: np.ndarray, equator: bool, tol: float = 0.0) -> n
 
     An entry is a minimum when it exceeds none of its neighbours by more
     than ``tol``.  The pole row counts as one point, flagged (in every
-    column) when it is a minimum against the whole of row 1.
+    column) when it is a minimum against the whole of row 1; so does each
+    antipodal pair on the equator, flagged in both columns when either copy
+    is a minimum (their values may differ by rounding).
     """
     is_min = np.logical_and.reduce([values <= nb + tol for nb in _neighbours(values, equator)])
     is_min[0] = values[0, 0] <= values[1].min() + tol
+    if equator:
+        is_min[-1] |= np.roll(is_min[-1], values.shape[1] // 2)
     return is_min
 
 
@@ -277,24 +291,21 @@ def _tangent_basis(n: np.ndarray) -> np.ndarray:
                      (b, sign + y * y * a, -y)))
 
 
-def _chart_hessian(t: BlochTriple, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _chart_hessian(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hessian of the conditioned entropy in the tangent chart at n, and the chart basis.
 
-    Closed form, from the branches at n.  With u+- = (x +- T n)/s+- and the
-    gradients g1,2 = (y +- T^T u+)/4, g3,4 = -(y +- T^T u-)/4 of w1..w4, the
-    ambient Hessian of h4(w) - h2(p0) is
+    Closed form, from the record ``point`` of n, where A is defined.  With
+    u+- = (x +- T n)/s+- and the gradients g1,2 = (y +- T^T u+)/4,
+    g3,4 = -(y +- T^T u-)/4 of w1..w4, the ambient Hessian of h4(w) - h2(p0) is
 
         -[sum_i g_i g_i^T/w_i - (1/p0 + 1/p1) y y^T/4]/ln 2
         - [log2(w1/w2) T^T (I - u+ u+^T) T/s+ + log2(w3/w4) T^T (I - u- u-^T) T/s-]/4
 
     and the chart Hessian is B^T (that) B + (n.A)/4 I with B = [u v].  Where
     s+- = 0 the pair's terms take their limit -(y y^T + T^T T)/(4 p ln 2).
-    None exactly where A is undefined.
+    The ambient Hessian is even in n, so the branches at -n serve as well.
     """
-    b = branches(t, n)
-    a = _a_from(t, b)
-    if a is None:
-        return None
+    b = point.b
     basis = _tangent_basis(n)
     tb = t.T @ basis.T  # T B
     units, curvature = [], []  # per pair: u and the kappa of its term -kappa T^T (I - u u^T) T
@@ -314,15 +325,14 @@ def _chart_hessian(t: BlochTriple, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     weights = np.array((k / b.w1, k / b.w3, k / b.w2, k / b.w4,
                         -4 * k * (1 / b.p0 + 1 / b.p1), *curvature))
     hess = (rows.T * weights) @ rows - (curvature[0] + curvature[1]) * (tb.T @ tb)
-    hess += 0.25 * float(n @ a) * np.eye(2)  # the sphere's own curvature, -(n . grad S) I
+    hess += 0.25 * float(n @ point.a) * np.eye(2)  # the sphere's own curvature, -(n . grad S) I
     return hess, basis[0], basis[1]
 
 
-def _newton_step(t: BlochTriple, n: np.ndarray, f: float, resid: float, g: np.ndarray,
-                 ) -> tuple[np.ndarray, float, np.ndarray, float] | None:
-    """One damped Newton step from n, where A is defined: (point, entropy, tangential A, residual) or None."""
-    hess, u, v = _chart_hessian(t, n)
-    g0 = np.array([g @ u, g @ v])
+def _newton_step(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.ndarray, _Point] | None:
+    """One damped Newton step from n, where A is defined: (new point, its record) or None."""
+    hess, u, v = _chart_hessian(t, n, point)
+    g0 = -0.25 * np.array([point.tang @ u, point.tang @ v])
     try:
         delta = np.linalg.solve(hess, -g0)
     except np.linalg.LinAlgError:
@@ -333,10 +343,9 @@ def _newton_step(t: BlochTriple, n: np.ndarray, f: float, resid: float, g: np.nd
     for _ in range(8):
         cand = n + scale * (delta[0] * u + delta[1] * v)
         cand = cand / np.linalg.norm(cand)
-        fc = conditional_entropy(t, MeasurementDirection(cand))
-        tang, rc = _tangential(t, cand)
-        if tang is not None and rc < resid and fc <= f + 1e-14:
-            return cand, fc, tang, rc
+        pc = _point(t, cand)
+        if pc.resid < point.resid and pc.f <= point.f + 1e-14:  # False at a nan residual
+            return cand, pc
         scale *= 0.5
     return None
 
@@ -369,24 +378,24 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     Newton steps on the closed-form tangent-chart Hessian finish the
     convergence.  The returned value never exceeds the starting value, and
     points where the gradient is undefined fall back to compass search.
+    One branch evaluation serves each point visited: it yields the value,
+    the gradient, the Hessian and the returned diagnostics there.
     """
     n = _unit(start)
-    f = conditional_entropy(t, MeasurementDirection(n))
+    p = _point(t, n)
     step: float | None = None
     n_prev = g_prev = None
-    tang, resid = _tangential(t, n)
     for _ in range(max_iterations):
-        if tang is None:
-            n, f = _compass(t, n, f, step or 0.01)
+        if p.tang is None:
+            n, f = _compass(t, n, p.f, step or 0.01)
+            direction = MeasurementDirection(_canonical_sign(n))
+            return direction, f, stationary_vector(t, direction)
+        if p.resid <= tolerance:
             break
-        if resid <= tolerance:
-            break
-        g = -0.25 * tang
-        if resid < _NEWTON_THRESHOLD:
-            polished = _newton_step(t, n, f, resid, g)
-            if polished is not None:
-                n, f, tang, resid = polished
-                continue
+        g = -0.25 * p.tang
+        if p.resid < _NEWTON_THRESHOLD and (polished := _newton_step(t, n, p)) is not None:
+            n, p = polished
+            continue
         if n_prev is not None:
             s_diff = n - n_prev
             y_diff = g - g_prev
@@ -400,18 +409,17 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
         for _ in range(60):
             cand = n - step * g
             cand = cand / np.linalg.norm(cand)
-            fc = conditional_entropy(t, MeasurementDirection(cand))
-            if fc <= f - _ARMIJO * step * gg:
-                n, f = cand, fc
+            pc = _point(t, cand)
+            if pc.f <= p.f - _ARMIJO * step * gg:
+                n, p = cand, pc
                 break
             step /= 2
         else:
             break  # improvements below machine precision
         step *= 2
-        tang, resid = _tangential(t, n)
-    # f is already the value at the sign-canonical representative of n
+    # p holds the branches at the sign-canonical representative of n
     direction = MeasurementDirection(_canonical_sign(n))
-    return direction, f, stationary_vector(t, direction)
+    return direction, p.f, _diagnostics(t, direction, p.b)
 
 
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,
@@ -448,7 +456,7 @@ def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RES
 
 def _downhill_start(t: BlochTriple, n: np.ndarray) -> np.ndarray | None:
     """A point a small step down the most negative curvature at n, where A is defined; None at a minimum."""
-    hess, u, v = _chart_hessian(t, n)
+    hess, u, v = _chart_hessian(t, n, _point(t, n))
     curvatures, axes = np.linalg.eigh(hess)
     if curvatures[0] >= -_SADDLE_CURVATURE:
         return None
@@ -543,11 +551,9 @@ def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
     valid = np.minimum.reduce([b.w1, b.w2, b.w3, b.w4, b.p0, b.p1]) > BRANCH_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         ly = np.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0))
-        lp = np.where(b.s_plus > BRANCH_TOL, np.log2(b.w1 / b.w2), 0.0)
-        lm = np.where(b.s_minus > BRANCH_TOL, np.log2(b.w3 / b.w4), 0.0)
-        up = b.v_plus / np.where(b.s_plus > BRANCH_TOL, b.s_plus, 1.0)[:, None]
-        um = b.v_minus / np.where(b.s_minus > BRANCH_TOL, b.s_minus, 1.0)[:, None]
-        a = ly[:, None] * t.y + lp[:, None] * (up @ t.T) - lm[:, None] * (um @ t.T)
+        cp = np.where(b.s_plus > BRANCH_TOL, np.log2(b.w1 / b.w2) / b.s_plus, 0.0)
+        cm = np.where(b.s_minus > BRANCH_TOL, np.log2(b.w3 / b.w4) / b.s_minus, 0.0)
+        a = ly[:, None] * t.y + (cp[:, None] * b.v_plus - cm[:, None] * b.v_minus) @ t.T
         tang = a - (np.sum(a * dirs, axis=1))[:, None] * dirs
         resid = np.linalg.norm(tang, axis=1)
     return np.where(valid, resid, np.inf)
@@ -556,16 +562,14 @@ def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
 def _refine_stationary(t: BlochTriple, n0: np.ndarray, tolerance: float = 1e-9,
                        max_iterations: int = 60) -> tuple[np.ndarray, float] | None:
     """Damped Newton iteration toward the nearest stationary point (any type)."""
-    n = n0.copy()
-    tang, resid = _tangential(t, n)
-    if tang is None:
+    n, p = n0, _point(t, n0)
+    if p.tang is None:
         return None
     for _ in range(max_iterations):
-        if resid <= tolerance:
-            return n, resid
-        g = -0.25 * tang
-        hess, u, v = _chart_hessian(t, n)  # A is defined at every accepted point
-        g0 = np.array([g @ u, g @ v])
+        if p.resid <= tolerance:
+            return n, p.resid
+        hess, u, v = _chart_hessian(t, n, p)  # A is defined at every accepted point
+        g0 = -0.25 * np.array([p.tang @ u, p.tang @ v])
         delta, *_ = np.linalg.lstsq(hess, -g0, rcond=None)
         if not np.isfinite(delta).all():
             return None
@@ -576,14 +580,14 @@ def _refine_stationary(t: BlochTriple, n0: np.ndarray, tolerance: float = 1e-9,
         for _ in range(10):
             cand = n + scale * (delta[0] * u + delta[1] * v)
             cand = cand / np.linalg.norm(cand)
-            tang_c, resid_c = _tangential(t, cand)
-            if tang_c is not None and resid_c < resid:
-                n, tang, resid = cand, tang_c, resid_c
+            pc = _point(t, cand)
+            if pc.resid < p.resid:
+                n, p = cand, pc
                 break
             scale /= 2
         else:
             break
-    return (n, resid) if resid <= tolerance else None
+    return (n, p.resid) if p.resid <= tolerance else None
 
 
 def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[StationaryPoint]:

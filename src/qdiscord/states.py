@@ -137,10 +137,12 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
 
 
 def _require_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian part of an accepted matrix, which :func:`validate` diagonalized, and its eigenvalues."""
     diag = validate(rho)
     if not diag.ok:
         raise NotAStateError(f"not a valid two-qubit state ({diag})")
-    return np.asarray(rho, dtype=complex), diag.eigenvalues
+    rho = np.asarray(rho, dtype=complex)
+    return (rho + rho.conj().T) / 2, diag.eigenvalues
 
 
 def _triple(rho: np.ndarray) -> BlochTriple:

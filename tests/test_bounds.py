@@ -18,11 +18,11 @@ from qdiscord import (
     rows_to_csv,
     sample_bell_diagonal,
     sample_kernel_class,
+    stationary_vector,
     t0_squared,
     theorem1_bounds,
     triple_from_matrix,
 )
-from qdiscord.optimize import _a_vector
 
 Z3 = np.zeros(3)
 
@@ -120,7 +120,7 @@ def test_bound_point_restricted_stationarity(rng):
         t = random_triple(rng)
         basis = perp_subspace(t)
         _, e0 = t0_squared(t)
-        a = _a_vector(t, e0.n)
+        a = stationary_vector(t, e0).a_vector
         if a is None:
             continue
         projected = basis @ (basis.T @ a)
@@ -134,14 +134,14 @@ def test_bound_point_full_stationarity_on_solvable_families(rng):
     for a, b in [(0.5, 0.3), (0.7, 0.2), (0.3, -0.4)]:
         t = triple_from_matrix(ab_state(a, b))
         _, e0 = t0_squared(t)
-        av = _a_vector(t, e0.n)
+        av = stationary_vector(t, e0).a_vector
         assert abs(t.y @ av) <= 1e-8
         assert abs((t.T.T @ t.x) @ av) <= 1e-8
     for _ in range(5):
         t1, t2, t3 = sample_bell_diagonal(rng)
         t = triple_from_matrix(bell_diagonal_state(t1, t2, t3))
         _, e0 = t0_squared(t)
-        av = _a_vector(t, e0.n)
+        av = stationary_vector(t, e0).a_vector
         if av is None:
             continue
         assert abs(t.y @ av) <= 1e-8

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdiscord import ab_discord, conditional_entropy, triple_from_matrix
+from qdiscord import ab_discord, conditional_entropy, quantum_discord, random_state, triple_from_matrix, validate
 from qdiscord.cli import main
 
 
@@ -82,6 +82,30 @@ def test_compute_report_round_trip(tmp_path, capsys):
     assert abs(s - report["min_conditional_entropy"]) <= 1e-9
 
 
+def _slightly_non_hermitian():
+    rho = random_state(rng=3)
+    rho[0, 1] += 5e-9  # within validate's 1e-8, above the 1e-10 of the entropy routines
+    return rho
+
+
+def _slightly_negative():
+    # smallest eigenvalue -9e-10, within validate's 1e-9; |x|^2 + t0^2 exceeds 1
+    rho = random_state(rank=1, rng=0) - 9e-10 * np.eye(4)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("make", [_slightly_non_hermitian, _slightly_negative])
+def test_states_that_validate_accepts_give_a_report(tmp_path, capsys, make):
+    rho = make()
+    assert validate(rho).ok
+    report = quantum_discord(rho)
+    assert -1e-8 <= report.discord <= report.bounds.xi_bound + 1e-8
+    assert report.discord <= report.bounds.discord_ub + 1e-8
+    path = _write_matrix_file(tmp_path / "edge.json", rho)
+    assert main(["compute", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["discord"] == float(f"{report.discord:.9g}")
+
+
 def test_compute_missing_file_exits_2(capsys):
     assert main(["compute", "/no/such/file.json"]) == 2
 
@@ -121,9 +145,13 @@ def test_resolution_default_is_the_library_default():
     assert RunConfig(resolution_deg=args.resolution).resolution_rad == DEFAULT_RESOLUTION
 
 
-def test_bad_config_exits_2(bell_file):
+def test_bad_config_exits_2(bell_file, capsys):
     assert main(["compute", bell_file, "--resolution", "45"]) == 2
     assert main(["compute", bell_file, "--tolerance", "0.5"]) == 2
+    assert main(["verify", "--suite", "identity", "--seed", "-1", "--n", "1"]) == 2
+    for n in ("-3", "0"):  # no vacuous PASS, no silent default count
+        assert main(["verify", "--suite", "identity", "--n", n]) == 2
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_scan_ab_panel(capsys):
@@ -153,6 +181,9 @@ def test_scan_bell_diagonal_ray(capsys):
 
 def test_scan_bell_diagonal_invalid_ray_exits_2(capsys):
     assert main(["scan", "bell-diagonal", "--ray", "1,1,1", "--s", "1"]) == 2
+    assert main(["scan", "bell-diagonal", "--ray", "1,nan,0", "--s", "0.5"]) == 2
+    assert main(["scan", "bell-diagonal", "--ray", "1,0,0", "--s", "nan"]) == 2
+    assert main(["scan", "bell-diagonal", "--ray", "1,0,0", "--s", "0:inf:0.1"]) == 2
 
 
 def test_verify_single_suite(capsys):

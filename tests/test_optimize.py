@@ -249,6 +249,42 @@ def test_basin_starts_one_per_plateau_in_ascending_value():
     values[3, 5] = values[3, 6] = -1.0  # two adjacent minima: one start
     values[6, 20] = -2.0
     assert optimize._basin_starts(values, equator=True) == [(6, 20), (3, 5), (9, 0)]
+    # the copies of one equatorial direction disagree: only one is a grid-local
+    # minimum on its own, and the pair still gives one start
+    values = quadratic(1, 2, 3)
+    values[9, 18] += 0.1
+    assert _guarded(optimize._basin_starts, values, equator=True) == [(9, 0)]
+
+
+def _guarded(fn, *args, max_passes=1000, **kwargs):
+    """``fn(*args, **kwargs)``, failing instead of hanging if it takes over ``max_passes`` neighbour passes."""
+    passes = []
+    neighbours = optimize._neighbours
+
+    def counted(*a):
+        passes.append(1)
+        if len(passes) > max_passes:
+            raise AssertionError(f"more than {max_passes} neighbour passes: the plateau merge does not settle")
+        return neighbours(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_neighbours", counted)
+        return fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [696, 1146, 1351])
+def test_near_pure_state_on_a_noise_level_landscape_returns(seed):
+    # S(rho) lies above PURE_STATE_TOL, so the grid route runs on a landscape
+    # flat to rounding, whose equatorial copies differ by rounding
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    eps = 10 ** rng.uniform(-16, -9)
+    rho = (1 - eps) * np.outer(psi, psi.conj()) + eps * random_state(rng=rng)
+    report = _guarded(quantum_discord, rho)
+    assert report.method == "grid+refine"
+    rho_a, _ = reduced_states(rho)
+    assert report.discord == pytest.approx(von_neumann_entropy(rho_a), abs=1e-6)  # pure: D = S(rho_A)
 
 
 @pytest.mark.parametrize("eps, shortcut", [(0.0, True), (1e-15, True), (1e-13, False), (1e-11, False)])
@@ -274,7 +310,7 @@ def _fd_chart_hessian(t, n, h=1e-6):
     def chart_gradient(du, dv):
         m = n + du * u + dv * v
         r = float(np.linalg.norm(m))
-        tang, _ = optimize._tangential(t, m / r)
+        tang = optimize._point(t, m / r).tang
         if tang is None:
             return None
         g = -0.25 * tang
@@ -296,11 +332,11 @@ def test_chart_hessian_matches_finite_differences():
     for k in range(200):
         t = random_triple(rng, rank=1 + k % 4)
         d = random_direction(rng)
-        chart = optimize._chart_hessian(t, d.n)
-        assert (chart is None) == stationary_vector(t, d).degenerate
-        if chart is None:
+        point = optimize._point(t, d.n)
+        assert (point.a is None) == stationary_vector(t, d).degenerate
+        if point.a is None:
             continue
-        hess, u, v = chart
+        hess, u, v = optimize._chart_hessian(t, d.n, point)
         assert np.array_equal(np.array([u, v]), optimize._tangent_basis(d.n))
         reference = _fd_chart_hessian(t, d.n)
         assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
@@ -314,7 +350,7 @@ def test_chart_hessian_at_the_vanishing_norm_limit():
     n = np.array([0.0, 0.0, 1.0])
     b = optimize.branches(t, n)
     assert b.s_plus == b.s_minus == 0.0
-    hess, _, _ = optimize._chart_hessian(t, n)
+    hess, _, _ = optimize._chart_hessian(t, n, optimize._point(t, n))
     assert np.linalg.eigvalsh(hess) == pytest.approx([-0.5707365, -0.1426841], abs=1e-7)
     reference = _fd_chart_hessian(t, n)
     assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
@@ -334,7 +370,9 @@ def test_search_branch_evaluations_do_not_grow(monkeypatch):
     # exact work counts, free of timing noise: the closed-form chart Hessian
     # costs one branch evaluation where the finite-difference one took four
     # gradients; on these states the search made 2,721 evaluations with the
-    # finite-difference Hessian and makes 1,497 with the closed form
+    # finite-difference Hessian, 1,497 with the closed form while the entropy,
+    # A, the Hessian and the final diagnostics each evaluated the branches, and
+    # makes 648 with one evaluation per point
     calls = []
     branches = optimize.branches
 
@@ -347,7 +385,21 @@ def test_search_branch_evaluations_do_not_grow(monkeypatch):
     rng = np.random.default_rng(1234)
     for k in range(100):
         minimize_conditional_entropy(random_triple(rng, rank=2 + k % 3))
-    assert len(calls) <= 1497
+    assert len(calls) <= 648
+
+
+def test_refinement_reports_what_the_scalar_evaluators_give():
+    # one branch evaluation serves each point, and the value and diagnostics
+    # refinement returns are bitwise those of the scalar evaluators there
+    rng = np.random.default_rng(5150)
+    for k in range(210):
+        t = random_triple(rng, rank=2 + k % 3)
+        direction, value, diag = refine_minimum(t, random_direction(rng))
+        assert value == conditional_entropy(t, direction)
+        expected = stationary_vector(t, direction)
+        for name in ("residual", "grad_theta", "grad_phi", "a_scalar", "degenerate"):
+            assert getattr(diag, name) == getattr(expected, name), name
+        assert np.array_equal(diag.a_vector, expected.a_vector)
 
 
 def test_rank_one_search_refines_at_most_twice(rng, monkeypatch):
