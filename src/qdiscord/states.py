@@ -33,6 +33,10 @@ _KRON_AB = np.stack([np.stack([np.kron(pi, pj) for pj in PAULIS]) for pi in PAUL
 HERMITICITY_TOL = 1e-8
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-9
+# no state has an entry beyond 1 in modulus; validate rejects a real or
+# imaginary part beyond this before any arithmetic, which near the float
+# range would overflow
+_MAX_ENTRY = 1e100
 
 _ROTATION_TOL = 1e-10
 
@@ -89,7 +93,9 @@ class StateDiagnostics:
 
     def __str__(self) -> str:
         if math.isnan(self.min_eigenvalue):
-            return "REJECTED: non-finite entries"
+            if math.isnan(self.trace_deviation):
+                return "REJECTED: non-finite entries"
+            return f"REJECTED: an entry exceeds {_MAX_ENTRY:g} in real or imaginary part"
         status = "ok" if self.ok else "REJECTED"
         return (f"{status}: |M-M^dag|={self.hermiticity_deviation:.2e}, "
                 f"|tr-1|={self.trace_deviation:.2e}, min eig={self.min_eigenvalue:.2e}")
@@ -119,13 +125,17 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     Raises only on a wrong shape; otherwise returns the measured deviations
     and an accept flag (Hermiticity and trace deviations at most 1e-8,
     minimum eigenvalue at least -1e-9).  A matrix with an infinite or NaN
-    entry is rejected before any arithmetic, with every deviation NaN.
+    entry is rejected before any arithmetic, with every deviation NaN; so is
+    one with a real or imaginary part beyond 1e100, with infinite
+    deviations and a NaN eigenvalue.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         return StateDiagnostics(math.nan, math.nan, math.nan, False)
+    if max(float(np.abs(rho.real).max()), float(np.abs(rho.imag).max())) > _MAX_ENTRY:
+        return StateDiagnostics(math.inf, math.inf, math.nan, False)
     herm = rho.conj().T
     dev_h = float(np.abs(rho - herm).max())
     dev_tr = float(abs(rho.trace() - 1.0))

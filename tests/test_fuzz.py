@@ -22,7 +22,7 @@ from qdiscord.cli import main
 SLACK = 1e-8
 
 _NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 1.0))
-_KINDS = ("state", "non-finite", "non-hermitian", "trace", "near-psd", "near-pure", "raw")
+_KINDS = ("state", "non-finite", "huge", "non-hermitian", "trace", "near-psd", "near-pure", "raw")
 
 
 @st.composite
@@ -37,6 +37,10 @@ def matrices(draw):
     i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     if kind == "non-finite":
         rho[i, j] = draw(st.sampled_from(_NON_FINITE))
+    elif kind == "huge":  # arithmetic on entries near the float range overflows
+        rho *= draw(st.sampled_from((1e99, 1e101, 1e300)))
+        k = (i + 1 + j % 3) % 4
+        rho[i, k], rho[k, i] = 1.7e308, draw(st.sampled_from((1.7e308, -1.7e308)))
     elif kind == "non-hermitian":  # around HERMITICITY_TOL = 1e-8
         rho[i, (i + 1 + j % 3) % 4] += draw(st.floats(0.5e-8, 1.5e-8)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     elif kind == "trace":  # around TRACE_TOL = 1e-8

@@ -110,6 +110,22 @@ def test_validate_rejects_non_finite_entries(value):
             triple_from_matrix(rho)
 
 
+@pytest.mark.parametrize("entries", [{(0, 1): 1e308, (1, 0): -1e308},  # M - M^dag overflows
+                                     {(0, 0): 1e308, (1, 1): 1e308},  # the trace overflows
+                                     {(0, 1): 1e308, (1, 0): 1e308}])  # M + M^dag overflows
+def test_validate_rejects_entries_near_the_float_range(entries):
+    rho = np.eye(4, dtype=complex) / 4
+    for index, value in entries.items():
+        rho[index] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = validate(rho)
+        assert not diag.ok
+        assert str(diag) == "REJECTED: an entry exceeds 1e+100 in real or imaginary part"
+        with pytest.raises(NotAStateError, match="exceeds"):
+            triple_from_matrix(rho)
+
+
 def test_triple_from_matrix_rejects_invalid():
     with pytest.raises(NotAStateError):
         triple_from_matrix(np.diag([0.5, 0.6, -0.1, 0.0]))
