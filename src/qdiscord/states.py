@@ -90,6 +90,8 @@ class StateDiagnostics:
     ok: bool
     #: ascending eigenvalues of the Hermitian part; None if rejected before any arithmetic
     eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: the read-only Hermitian part (M + M^dag)/2 they belong to; None likewise
+    hermitian_part: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         if math.isnan(self.min_eigenvalue):
@@ -132,18 +134,21 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        return StateDiagnostics(math.nan, math.nan, math.nan, False)
-    if max(float(np.abs(rho.real).max()), float(np.abs(rho.imag).max())) > _MAX_ENTRY:
-        return StateDiagnostics(math.inf, math.inf, math.nan, False)
+    # the largest real or imaginary part; NaN if any is NaN
+    peak = float(np.abs(np.ascontiguousarray(rho).view(float)).max())
+    if not peak <= _MAX_ENTRY:
+        dev = math.inf if math.isfinite(peak) else math.nan
+        return StateDiagnostics(dev, dev, math.nan, False)
     herm = rho.conj().T
     dev_h = float(np.abs(rho - herm).max())
     dev_tr = float(abs(rho.trace() - 1.0))
-    eigenvalues = np.linalg.eigvalsh((rho + herm) / 2)
+    hermitian = (rho + herm) / 2
+    hermitian.setflags(write=False)
+    eigenvalues = np.linalg.eigvalsh(hermitian)
     eigenvalues.setflags(write=False)
     min_eig = float(eigenvalues[0])
     ok = dev_h <= HERMITICITY_TOL and dev_tr <= TRACE_TOL and min_eig >= -PSD_TOL
-    return StateDiagnostics(dev_h, dev_tr, min_eig, ok, eigenvalues)
+    return StateDiagnostics(dev_h, dev_tr, min_eig, ok, eigenvalues, hermitian)
 
 
 def _require_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +156,7 @@ def _require_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = validate(rho)
     if not diag.ok:
         raise NotAStateError(f"not a valid two-qubit state ({diag})")
-    rho = np.asarray(rho, dtype=complex)
-    return (rho + rho.conj().T) / 2, diag.eigenvalues
+    return diag.hermitian_part, diag.eigenvalues
 
 
 def _triple(rho: np.ndarray) -> BlochTriple:
