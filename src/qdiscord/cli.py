@@ -30,13 +30,16 @@ from .measurement import (
     conditional_entropy_direct,
     direction_from_angles,
 )
-from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, quantum_discord, stationary_vector
+from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, MIN_RESOLUTION, quantum_discord, stationary_vector
 from .states import BlochTriple, matrix_from_triple, random_state, triple_from_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_A_STATE = 3
+
+#: most values a scan range, and most states a scan, may hold
+MAX_SCAN_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -51,8 +54,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.resolution_deg <= 22.5:
-            raise UsageError(f"--resolution must be in (0, 22.5] degrees, got {self.resolution_deg}")
+        if not MIN_RESOLUTION <= self.resolution_rad <= math.pi / 8:
+            raise UsageError(f"--resolution must be in [0.5, 22.5] degrees, got {self.resolution_deg}")
         if not 1e-12 <= self.tolerance <= 1e-3:
             raise UsageError(f"--tolerance must be in [1e-12, 1e-3], got {self.tolerance}")
         if self.seed < 0:
@@ -185,8 +188,10 @@ def _parse_range(text: str, name: str) -> list[float]:
             lo, hi, step = numbers
             if step <= 0 or hi < lo:
                 raise UsageError(f"--{name}: need start <= stop and step > 0, got {text!r}")
-            count = int(round((hi - lo) / step))
-            values = [lo + k * step for k in range(count + 1)]
+            count = (hi - lo) / step + 1  # a float, checked before any value is built
+            if not count <= MAX_SCAN_POINTS:
+                raise UsageError(f"--{name}: {text!r} holds {count:.3g} values, more than {MAX_SCAN_POINTS}")
+            values = [lo + k * step for k in range(round(count))]
             return [v for v in values if v <= hi + step * 1e-9]
     except ValueError as exc:
         raise UsageError(f"--{name}: cannot parse {text!r}") from exc
@@ -199,6 +204,8 @@ def cmd_scan(family: str, args, config: RunConfig) -> int:
             raise UsageError("scan ab requires --a and --b (value or start:stop:step)")
         a_values = _parse_range(args.a, "a")
         b_values = _parse_range(args.b, "b")
+        if len(a_values) * len(b_values) > MAX_SCAN_POINTS:
+            raise UsageError(f"scan ab: --a and --b span more than {MAX_SCAN_POINTS} states")
         try:
             states = [(a, b, ab_state(a, b)) for a in a_values for b in b_values]
         except ValidationError as exc:
@@ -348,7 +355,7 @@ def cmd_verify(config: RunConfig, suite: str | None, n: int | None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--resolution", type=float, default=RunConfig.resolution_deg, metavar="DEG",
-                        help="step of the hemisphere grid whose local minima seed the refinement, "
+                        help="spacing of the start lattice whose local minima seed the refinement, "
                              f"in degrees (default {RunConfig.resolution_deg:g})")
     common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="TOL",
                         help=f"stationarity residual target for refinement (default {DEFAULT_TOLERANCE:g})")

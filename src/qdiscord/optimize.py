@@ -1,10 +1,11 @@
 """Global minimization of the conditioned entropy over measurement directions.
 
-The pipeline is: a coarse hemisphere grid scan (the n -> -n symmetry halves
-the sphere), analytic-gradient refinement driven by the stationarity vector
-A from every grid-local minimum, and assembly of mutual information,
-classical correlation and discord.  Pure states and states whose canonical
-form lands in a solvable family skip the search and use a closed form.
+The pipeline is: a coarse hemisphere lattice scan seeded with the state's
+own axes (the n -> -n symmetry halves the sphere), analytic-gradient
+refinement driven by the stationarity vector A from every plateau of
+lattice-local minima, and assembly of mutual information, classical
+correlation and discord.  Pure states and states whose canonical form
+lands in a solvable family skip the search and use a closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import BoundReport, theorem1_bounds
-from .closed_forms import CLASS_TOL, classify, kernel_class_min_entropy
+from .closed_forms import CLASS_TOL, classify
+from .entropy import binary_entropy
 from .errors import ValidationError
 from .measurement import (
     BRANCH_TOL,
@@ -32,14 +34,17 @@ from .measurement import (
     conditional_entropy,
     conditional_entropy_batch,
 )
-from .states import BlochTriple, PreparedState, canonicalize, prepare_state
+from .states import BlochTriple, CanonicalForm, PreparedState, canonicalize, prepare_state
 
 # Unused here; kept bound because the benchmark trace (perfbench/spans.py) wraps them.
+from .closed_forms import kernel_class_min_entropy  # noqa: F401
 from .entropy import von_neumann_entropy  # noqa: F401
 from .states import reduced_states, triple_from_matrix  # noqa: F401
 
-#: step of the start grid of :func:`minimize_conditional_entropy`
+#: spacing of the start lattice of :func:`minimize_conditional_entropy`
 DEFAULT_RESOLUTION = math.pi / 18
+#: the finest spacing accepted; finer lattices and grids grow as 1/resolution^2
+MIN_RESOLUTION = math.radians(0.5)
 #: step of the exhaustive :func:`grid_minimize` scan, the search's test oracle
 ORACLE_RESOLUTION = math.pi / 180
 DEFAULT_TOLERANCE = 1e-9
@@ -48,7 +53,7 @@ MAX_REFINE_ITERATIONS = 200
 _ARMIJO = 1e-4
 _NEWTON_THRESHOLD = 1e-2
 _COMPASS_MIN_STEP = 1e-9
-#: grid values this close count as equal, so a landscape flat to this
+#: lattice values this close count as equal, so a landscape flat to this
 #: spread (a pure state's S(A|n) = 0 up to rounding) is one plateau
 _PLATEAU_TOL = 1e-12
 #: S(rho) at or below this marks a pure state, whose S(A|n) vanishes for every n
@@ -171,6 +176,13 @@ def _diagnostics(t: BlochTriple, direction: MeasurementDirection, b: Branches) -
     )
 
 
+def _check_resolution(resolution: float) -> float:
+    resolution = float(resolution)
+    if not MIN_RESOLUTION <= resolution <= math.pi / 8:
+        raise ValidationError(f"resolution must be in [{MIN_RESOLUTION!r}, pi/8], got {resolution!r}")
+    return resolution
+
+
 @lru_cache(maxsize=8)
 def _grid(resolution: float) -> np.ndarray:
     """Hemisphere directions as a read-only (theta rows, phi columns, 3) array.
@@ -186,85 +198,59 @@ def _grid(resolution: float) -> np.ndarray:
     return dirs
 
 
-def _check_resolution(resolution: float) -> float:
-    resolution = float(resolution)
-    if not 0 < resolution <= math.pi / 8:
-        raise ValidationError(f"resolution must be in (0, pi/8], got {resolution!r}")
-    return resolution
+@lru_cache(maxsize=8)
+def _lattice(resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """A Fibonacci lattice on the upper hemisphere and its neighbour graph.
 
-
-def _scan(batch, t: BlochTriple, resolution: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Evaluate ``batch(t, directions)`` on the hemisphere grid.
-
-    Returns the (rows, cols, 3) directions, the (rows, cols) values and
-    whether the last row lies on the equator.
+    One point per ``resolution**2`` of area, at heights z = 1 - (i + 1/2)/N,
+    none on the pole or the equator.  Two points are neighbours when
+    |n.m| >= cos(1.5 resolution), which identifies antipodes.  Returns the
+    read-only (N, 3) directions and (N, k) neighbour indices, padded with
+    each point's own index.
     """
-    dirs = _grid(_check_resolution(resolution))
-    values = batch(t, dirs.reshape(-1, 3)).reshape(dirs.shape[:2])
-    return dirs, values, abs(float(dirs[-1, 0, 2])) < 1e-12
+    count = math.ceil(2 * math.pi / resolution**2)
+    index = np.arange(count)
+    z = 1 - (index + 0.5) / count
+    phi = index * (math.pi * (3 - math.sqrt(5)))
+    r = np.sqrt(1 - z * z)
+    dirs = np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    # the antipodes in reverse order go on below the equator with z still
+    # falling by 1/N per index, and the angle between two points bounds
+    # their difference in z: neighbours lie within reach * N indices
+    reach = 1.5 * resolution
+    sphere = np.vstack((dirs, -dirs[::-1]))
+    pairs = [np.stack((index, index + k))[:, np.einsum("ij,ij->i", dirs, sphere[k:count + k]) >= math.cos(reach)]
+             for k in range(1, int(reach * count) + 1)]
+    i, j = np.concatenate(pairs, axis=1)
+    j = np.minimum(j, 2 * count - 1 - j)  # fold the antipodes back
+    i, j = i[j > i], j[j > i]  # each antipodal pair turns up from both ends
+    rows, cols = np.divmod(np.sort(np.concatenate((i * count + j, j * count + i))), count)
+    nbrs = np.repeat(index[:, None], np.bincount(rows).max(), axis=1)
+    nbrs[rows, np.arange(len(rows)) - np.searchsorted(rows, rows)] = cols
+    dirs.setflags(write=False)
+    nbrs.setflags(write=False)
+    return dirs, nbrs
 
 
-def _neighbours(values: np.ndarray, equator: bool) -> list[np.ndarray]:
-    """The eight grid neighbours of every entry of a (rows, cols) hemisphere array.
+def _basin_starts(values: np.ndarray, nbrs: np.ndarray) -> list[int]:
+    """Lattice indices of one start per plateau of local minima, in ascending value.
 
-    Phi wraps around; past the last row lie the antipodes of the row before
-    the equator (or of the last row itself when it is not on the equator),
-    half a turn round.  Row 0 is the pole, which callers treat as one point.
+    Neighbouring minima form one plateau, represented by its lowest point
+    (the lowest index among equals).  Plateaus are found by spreading the
+    smallest index over the graph of minima, which settles within N passes.
     """
-    rows, cols = values.shape
-    beyond = np.roll(values[-2] if equator else values[-1], cols // 2)
-    padded = np.vstack([values[:1], values, beyond[None]])
-    padded = np.hstack([padded[:, -1:], padded, padded[:, :1]])
-    return [padded[1 + dr:1 + dr + rows, 1 + dc:1 + dc + cols]
-            for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
-
-
-def _grid_local_minima(values: np.ndarray, equator: bool, tol: float = 0.0) -> np.ndarray:
-    """Mask of the grid-local minima of a (rows, cols) hemisphere array.
-
-    An entry is a minimum when it exceeds none of its neighbours by more
-    than ``tol``.  The pole row counts as one point, flagged (in every
-    column) when it is a minimum against the whole of row 1; so does each
-    antipodal pair on the equator, flagged in both columns when either copy
-    is a minimum (their values may differ by rounding).
-    """
-    is_min = np.logical_and.reduce([values <= nb + tol for nb in _neighbours(values, equator)])
-    is_min[0] = values[0, 0] <= values[1].min() + tol
-    if equator:
-        is_min[-1] |= np.roll(is_min[-1], values.shape[1] // 2)
-    return is_min
-
-
-def _basin_starts(values: np.ndarray, equator: bool) -> list[tuple[int, int]]:
-    """One start per connected plateau of grid-local minima, in ascending value.
-
-    Grid-adjacent minima form one plateau, represented by its lowest entry
-    (the first in theta, phi order among equals).
-    """
-    is_min = _grid_local_minima(values, equator, _PLATEAU_TOL)
-    # spread the smallest flat index over each plateau; unflagged entries
-    # carry a label larger than every index, so they link nothing
-    outside = values.size
-    labels = np.where(is_min, np.arange(outside).reshape(values.shape), outside)
-    while True:
-        labels[0] = labels[0].min()  # the pole is one point
-        if equator:  # so is each antipodal pair on the equator
-            labels[-1] = np.minimum(labels[-1], np.roll(labels[-1], values.shape[1] // 2))
-        spread = np.minimum.reduce([labels] + _neighbours(labels, equator))
-        spread[~is_min] = outside
-        # jump to the label's own label: long plateaus merge in few passes
-        spread[is_min] = spread.flat[spread[is_min]]
+    is_min = values <= values[nbrs].min(axis=1) + _PLATEAU_TOL
+    outside = len(values)  # the label of the other points, which link nothing
+    labels = np.where(is_min, np.arange(outside), outside)
+    for _ in range(outside):
+        spread = np.where(is_min, np.minimum(labels, labels[nbrs].min(axis=1)), outside)
         if np.array_equal(spread, labels):
             break
         labels = spread
-    flat_values = values.ravel()
-    seen: set[int] = set()
-    starts = []
-    for i in sorted(np.flatnonzero(is_min), key=lambda i: (flat_values[i], i)):
-        if labels.flat[i] not in seen:
-            seen.add(labels.flat[i])
-            starts.append(divmod(int(i), values.shape[1]))
-    return starts
+    starts: dict[int, int] = {}  # plateau label -> its first point in ascending (value, index)
+    for i in sorted(np.flatnonzero(is_min), key=lambda i: (values[i], i)):
+        starts.setdefault(labels[i], i)
+    return list(starts.values())
 
 
 def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tuple[MeasurementDirection, float]:
@@ -275,8 +261,8 @@ def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tupl
     With its 1-degree default this is the test oracle of
     :func:`minimize_conditional_entropy`.
     """
-    dirs, values, _ = _scan(conditional_entropy_batch, t, resolution)
-    best = MeasurementDirection(dirs.reshape(-1, 3)[int(np.argmin(values))])
+    dirs = _grid(_check_resolution(resolution)).reshape(-1, 3)
+    best = MeasurementDirection(dirs[int(np.argmin(conditional_entropy_batch(t, dirs)))])
     # re-evaluate through the scalar path so refinement starts bit-consistent
     return best, conditional_entropy(t, best)
 
@@ -350,46 +336,31 @@ def _newton_step(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.ndarr
     return None
 
 
-def _compass(t: BlochTriple, n: np.ndarray, f: float, step: float) -> tuple[np.ndarray, float]:
+def _compass(t: BlochTriple, n: np.ndarray, f: float, step: float) -> np.ndarray:
     """Derivative-free descent for points where the gradient is undefined."""
     while step > _COMPASS_MIN_STEP:
         u, v = _tangent_basis(n)
-        moved = False
         for probe in (u, -u, v, -v):
             cand = n + step * probe
             cand = cand / np.linalg.norm(cand)
             fc = conditional_entropy(t, MeasurementDirection(cand))
             if fc < f:
                 n, f = cand, fc
-                moved = True
                 break
-        if not moved:
+        else:
             step /= 2
-    return n, f
+    return n
 
 
-def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANCE,
-                   max_iterations: int = MAX_REFINE_ITERATIONS,
-                   ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
-    """Descend the conditioned entropy from ``start`` until A is parallel to n.
-
-    Projected gradient descent on the sphere with a Barzilai-Borwein step
-    and Armijo backtracking; once the tangential residual is small, damped
-    Newton steps on the closed-form tangent-chart Hessian finish the
-    convergence.  The returned value never exceeds the starting value, and
-    points where the gradient is undefined fall back to compass search.
-    One branch evaluation serves each point visited: it yields the value,
-    the gradient, the Hessian and the returned diagnostics there.
-    """
-    n = _unit(start)
+def _descend(t: BlochTriple, n: np.ndarray, tolerance: float, max_iterations: int) -> tuple[np.ndarray, _Point]:
+    """Descent from the unit vector n to a stationary point: that point and its record."""
     p = _point(t, n)
     step: float | None = None
     n_prev = g_prev = None
     for _ in range(max_iterations):
         if p.tang is None:
-            n, f = _compass(t, n, p.f, step or 0.01)
-            direction = MeasurementDirection(_canonical_sign(n))
-            return direction, f, stationary_vector(t, direction)
+            n = _compass(t, n, p.f, step or 0.01)
+            return n, _point(t, n)
         if p.resid <= tolerance:
             break
         g = -0.25 * p.tang
@@ -417,6 +388,36 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
         else:
             break  # improvements below machine precision
         step *= 2
+    return n, p
+
+
+def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANCE,
+                   max_iterations: int = MAX_REFINE_ITERATIONS,
+                   ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
+    """Descend the conditioned entropy from ``start`` until A is parallel to n.
+
+    Projected gradient descent on the sphere with a Barzilai-Borwein step
+    and Armijo backtracking; once the tangential residual is small, damped
+    Newton steps on the closed-form tangent-chart Hessian finish the
+    convergence.  Points where the gradient is undefined fall back to
+    compass search, and a saddle or maximum (the pole of an ab-family state
+    near its crossover a = q) is left a small step down its negative
+    curvature.  The returned value never exceeds the starting value.  One
+    branch evaluation serves each point visited and all that is read there.
+    """
+    n, p = _descend(t, _unit(start), tolerance, max_iterations)
+    for _ in range(_MAX_ESCAPES):
+        if p.a is None:
+            break
+        hess, u, v = _chart_hessian(t, n, p)
+        curvatures, axes = np.linalg.eigh(hess)
+        if curvatures[0] >= -_SADDLE_CURVATURE:
+            break
+        pushed = n + _ESCAPE_STEP * (axes[0, 0] * u + axes[1, 0] * v)
+        pushed = _descend(t, pushed / np.linalg.norm(pushed), tolerance, max_iterations)
+        if pushed[1].f >= p.f:
+            break
+        n, p = pushed
     # p holds the branches at the sign-canonical representative of n
     direction = MeasurementDirection(_canonical_sign(n))
     return direction, p.f, _diagnostics(t, direction, p.b)
@@ -425,64 +426,45 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,
                                  tolerance: float = DEFAULT_TOLERANCE,
                                  ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
-    """Multi-start search: refine from every basin of a coarse grid, keep the lowest.
+    """Multi-start search: refine from every basin of a start lattice, keep the lowest.
 
-    The hemisphere grid at step ``resolution`` only has to find the basins
-    of the minima, since refinement solves the stationarity condition.
-    Each plateau of grid-local minima gives one start, refined in ascending
-    grid value; the first lowest refined value wins, and no refined value
-    exceeds its start's grid value.  Refinement stops at any stationary
-    point, and a start can sit exactly on a saddle or maximum of a
-    symmetric landscape (the pole of an ab-family state near its crossover
-    a = q, ringed by minima); such a point is left a small step down its
-    negative curvature and refined again.
+    The lattice is a Fibonacci lattice on the hemisphere at spacing
+    ``resolution``, with the state's own axes (the eigenvectors of T^T T, y
+    and T^T x, where A || n holds in the solvable families) moved onto their
+    nearest points.  It only has to find the basins of the minima, since
+    refinement solves the stationarity condition.  Each plateau of
+    lattice-local minima gives one start, refined in ascending lattice
+    value; the first lowest refined value wins.
     """
-    dirs, values, equator = _scan(conditional_entropy_batch, t, resolution)
-    best = None
-    for row, col in _basin_starts(values, equator):
-        found = refine_minimum(t, dirs[row, col], tolerance=tolerance)
-        for _ in range(_MAX_ESCAPES):
-            start = None if found[2].degenerate else _downhill_start(t, found[0].n)
-            if start is None:
-                break
-            pushed = refine_minimum(t, start, tolerance=tolerance)
-            if pushed[1] >= found[1]:
-                break
-            found = pushed
-        if best is None or found[1] < best[1]:
-            best = found
-    return best
+    return _multistart(t, canonicalize(t), resolution, tolerance)
 
 
-def _downhill_start(t: BlochTriple, n: np.ndarray) -> np.ndarray | None:
-    """A point a small step down the most negative curvature at n, where A is defined; None at a minimum."""
-    hess, u, v = _chart_hessian(t, n, _point(t, n))
-    curvatures, axes = np.linalg.eigh(hess)
-    if curvatures[0] >= -_SADDLE_CURVATURE:
-        return None
-    return n + _ESCAPE_STEP * (axes[0, 0] * u + axes[1, 0] * v)
+def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, tolerance: float,
+                ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
+    """:func:`minimize_conditional_entropy` with the canonical form of ``t`` already taken."""
+    lattice, nbrs = _lattice(_check_resolution(resolution))
+    dirs = lattice.copy()
+    for axis in (*canon.rotation_b, t.y, t.T.T @ t.x):
+        norm = float(np.linalg.norm(axis))
+        if norm > 1e-12:
+            dirs[int(np.argmax(np.abs(lattice @ axis)))] = axis / norm
+    starts = _basin_starts(conditional_entropy_batch(t, dirs), nbrs)
+    return min((refine_minimum(t, dirs[i], tolerance=tolerance) for i in starts), key=lambda found: found[1])
 
 
-def _closed_form_minimum(t: BlochTriple, s_ab: float) -> tuple[float, np.ndarray, bool] | None:
+def _closed_form_minimum(canon: CanonicalForm) -> tuple[float, np.ndarray, bool] | None:
     """(min S(A|n), optimal direction, tie flag) when a closed form applies, else None."""
-    if s_ab <= PURE_STATE_TOL:
-        # pure state: S(A|n) = 0 for every direction, report theta = 0
-        return 0.0, np.array([0.0, 0.0, 1.0]), True
-    canon = canonicalize(t)
     if not classify(canon).kind.has_closed_form:
         return None
-    d = canon.diagonal
-    min_s = kernel_class_min_entropy(canon.triple.x, canon.triple.T)
-    mags = np.abs(d)
+    x = canon.triple.x
+    mags = np.abs(canon.diagonal)
     t_max = float(mags.max())
+    min_s = binary_entropy((1 + math.sqrt(float(x @ x) + t_max * t_max)) / 2)  # y = 0, T^T x = 0 in each family
     if t_max <= CLASS_TOL:
         # flat landscape: every direction is optimal, report theta = 0
         return min_s, np.array([0.0, 0.0, 1.0]), True
-    axis = int(mags.argmax())
-    direction = np.zeros(3)
-    direction[axis] = 1.0
     degenerate = int((mags >= t_max - 1e-12).sum()) > 1
-    return min_s, canon.rotation_b.T @ direction, degenerate
+    return min_s, canon.rotation_b[int(mags.argmax())], degenerate  # O2^T applied to that axis
 
 
 def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFAULT_RESOLUTION,
@@ -496,13 +478,15 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         4x4 density matrix (measurement side is subsystem B), or the
         :class:`~qdiscord.states.PreparedState` built for one.
     resolution :
-        Angular step of the hemisphere grid that seeds the refinement, radians.
+        Spacing of the start lattice that seeds the refinement, radians, in
+        [0.5 degrees, pi/8].
     tolerance :
         Stationarity residual at which refinement stops.
     fast_path :
         Use the closed forms for pure states (``min_s = 0``) and when the
-        canonical form lands in a solvable family; disable to force
-        grid+refine (e.g. to cross-check oracles).
+        canonical form lands in a solvable family; disable to force the
+        multi-start search, reported as grid+refine (e.g. to cross-check
+        oracles).
     with_bounds :
         Attach the correlation bounds to the report.
 
@@ -513,7 +497,12 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
     """
     state = prepare_state(rho)
     t = state.triple
-    closed_form = _closed_form_minimum(t, state.s_ab) if fast_path else None
+    if fast_path and state.s_ab <= PURE_STATE_TOL:
+        # pure state: S(A|n) = 0 for every direction, report theta = 0
+        closed_form = 0.0, np.array([0.0, 0.0, 1.0]), True
+    else:
+        canon = canonicalize(t)  # one SVD serves the class check and the search's start axes
+        closed_form = _closed_form_minimum(canon) if fast_path else None
     if closed_form is not None:
         min_s, axis_dir, tie_degenerate = closed_form
         direction = MeasurementDirection(_canonical_sign(axis_dir))
@@ -522,7 +511,7 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         if tie_degenerate:
             diagnostics = replace(diagnostics, degenerate=True)
     else:
-        direction, min_s, diagnostics = minimize_conditional_entropy(t, resolution, tolerance)
+        direction, min_s, diagnostics = _multistart(t, canon, resolution, tolerance)
         method = "grid+refine"
 
     classical = max(0.0, state.s_a - min_s)
@@ -591,16 +580,18 @@ def _refine_stationary(t: BlochTriple, n0: np.ndarray, tolerance: float = 1e-9,
 
 
 def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[StationaryPoint]:
-    """All stationary measurement directions found from a hemisphere grid.
+    """All stationary measurement directions found from a start lattice.
 
-    Grid-local minima of the stationarity residual are refined with a damped
-    Newton iteration (this captures saddles and maxima of the entropy, not
-    just its minima), deduplicated with antipodes identified, and returned
-    sorted by entropy value.  Points that fail to reach residual 1e-7 are
-    dropped.
+    The local minima of the stationarity residual on the start lattice of
+    :func:`minimize_conditional_entropy`, at spacing ``resolution``, are
+    refined with a damped Newton iteration (this captures saddles and maxima
+    of the entropy, not just its minima), deduplicated with antipodes
+    identified, and returned sorted by entropy value.  Points whose
+    refinement does not reach residual 1e-9 are dropped.
     """
-    dirs, resid, equator = _scan(stationary_residual_batch, t, resolution)
-    candidates = dirs[_grid_local_minima(resid, equator) & np.isfinite(resid)]
+    dirs, nbrs = _lattice(_check_resolution(resolution))
+    resid = stationary_residual_batch(t, dirs)
+    candidates = dirs[(resid <= resid[nbrs].min(axis=1)) & np.isfinite(resid)]
 
     found: list[StationaryPoint] = []
     for n0 in candidates:
@@ -608,8 +599,6 @@ def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[St
         if refined is None:
             continue
         n, r = refined
-        if r > 1e-7:
-            continue
         n = _canonical_sign(n)
         if any(math.acos(min(1.0, abs(float(n @ p.direction.n)))) < 1e-4 for p in found):
             continue

@@ -1,9 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qdiscord import ab_discord, conditional_entropy, quantum_discord, random_state, triple_from_matrix, validate
+from qdiscord import (
+    ab_discord,
+    conditional_entropy,
+    matrix_from_triple,
+    quantum_discord,
+    random_state,
+    triple_from_matrix,
+    validate,
+)
 from qdiscord.cli import main
 
 
@@ -152,6 +161,51 @@ def test_bad_config_exits_2(bell_file, capsys):
     for n in ("-3", "0"):  # no vacuous PASS, no silent default count
         assert main(["verify", "--suite", "identity", "--n", n]) == 2
     assert "PASS" not in capsys.readouterr().out
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a check let an oversized input through")
+
+
+def test_resolution_below_the_floor_exits_2_before_any_direction_is_built(bell_file, capsys, monkeypatch):
+    from qdiscord import optimize
+    from qdiscord.errors import ValidationError
+
+    monkeypatch.setattr(optimize, "_grid", _refuse)
+    monkeypatch.setattr(optimize, "_lattice", _refuse)
+    # 0.001 degrees would ask for about 2e10 lattice points (and 3e10 grid directions)
+    assert 2 * math.pi / math.radians(0.001) ** 2 > 2e10
+    assert main(["compute", bell_file, "--resolution", "0.001"]) == 2
+    assert main(["compute", bell_file, "--resolution", "0.4"]) == 2
+    assert "--resolution must be in [0.5, 22.5] degrees" in capsys.readouterr().err
+    t = triple_from_matrix(random_state(rng=np.random.default_rng(0)))
+    for search in (lambda: quantum_discord(matrix_from_triple(t), resolution=math.radians(0.001)),
+                   lambda: optimize.grid_minimize(t, resolution=math.radians(0.001)),
+                   lambda: optimize.stationary_scan(t, resolution=math.radians(0.4))):
+        with pytest.raises(ValidationError):
+            search()
+
+
+def test_scan_range_over_the_point_cap_exits_2_before_it_is_built(capsys, monkeypatch):
+    from qdiscord import cli
+
+    # --a 0:1e9:1e-9 would ask for about 1e18 values and is never run; the
+    # cap is checked on the value count, a float, and is tested at its edge
+    assert (1e9 - 0) / 1e-9 > 1e17
+    assert cli.MAX_SCAN_POINTS == 100_000
+    monkeypatch.setattr(cli, "ab_state", _refuse)
+    monkeypatch.setattr(cli, "bell_diagonal_state", _refuse)
+    assert main(["scan", "ab", "--b", "0", "--a", "0:1:1e-5"]) == 2  # 100,001 values
+    assert main(["scan", "bell-diagonal", "--ray", "1,-1,1", "--s", "0:1:1e-6"]) == 2
+    assert main(["scan", "bell-diagonal", "--ray", "1,-1,1", "--s", "0:1e300:1e-300"]) == 2
+    assert main(["scan", "ab", "--b", "0", "--a=-1e308:1e308:1"]) == 2  # the span overflows to inf
+    assert main(["scan", "ab", "--b", "0:0.4:0.001", "--a", "0:0.4:0.001"]) == 2  # 401 x 401 states
+    assert capsys.readouterr().err.count("more than 100000") == 5
+    scanned = []
+    monkeypatch.setattr(cli, "ab_state", lambda a, b: None)
+    monkeypatch.setattr(cli, "bound_comparison_scan", lambda states, **kw: scanned.append(len(states)) or [])
+    assert main(["scan", "ab", "--b", "0", "--a", "0:0.99999:1e-5"]) == 0
+    assert scanned == [100_000]
 
 
 def test_scan_ab_panel(capsys):

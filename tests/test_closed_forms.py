@@ -19,6 +19,7 @@ from qdiscord import (
     canonicalize,
     classify,
     kernel_class_min_entropy,
+    matrix_from_triple,
     quantum_discord,
     sample_bell_diagonal,
     sample_kernel_class,
@@ -26,6 +27,7 @@ from qdiscord import (
     validate,
     x_subclass_discord,
 )
+from qdiscord.closed_forms import CLASS_TOL
 
 Z3 = np.zeros(3)
 
@@ -276,6 +278,38 @@ def test_fast_path_agrees_with_grid(rng):
         slow = quantum_discord(rho, fast_path=False, with_bounds=False)
         assert fast.method == "closed-form"
         assert fast.discord == pytest.approx(slow.discord, abs=1e-6)
+
+
+#: an interior member of each solvable family, in the canonical frame
+_CLASS_MEMBERS = {
+    StateKind.BELL_DIAGONAL: (Z3, [0.6, -0.3, 0.2]),
+    StateKind.X_SUBCLASS: ([0.0, 0.0, 0.3], [0.5, 0.3, 0.0]),
+    StateKind.ZERO_DISCORD_AXIAL: ([0.0, 0.3, 0.2], [0.4, 0.0, 0.0]),
+    StateKind.ZERO_DISCORD_UNCORRELATED: ([0.2, -0.1, 0.3], Z3),
+    StateKind.KERNEL_CLASS: ([0.0, 0.0, 0.3], [0.5, 0.3, 2e-10]),  # t3 just past X_SUBCLASS
+}
+
+
+@pytest.mark.parametrize("kind", list(_CLASS_MEMBERS), ids=lambda k: k.value)
+def test_fast_path_is_continuous_across_the_class_tolerance(kind):
+    x, d = (np.asarray(v, float) for v in _CLASS_MEMBERS[kind])
+    assert classify(_canon(x, Z3, np.diag(d))).kind is kind
+    k = int(np.argmax(np.abs(d)))
+    distances = np.logspace(-12, -6, 7)
+    sides = 0
+    for size in np.concatenate((CLASS_TOL - distances[distances < CLASS_TOL], CLASS_TOL + distances)):
+        # |y| = size breaks y = 0; an x step along the largest t_k breaks T^t x = 0 by size
+        perturbed = [(x, np.full(3, size / math.sqrt(3)))]
+        if d[k]:
+            perturbed.append((x + size / abs(d[k]) * np.eye(3)[k], Z3))
+        for px, py in perturbed:
+            rho = matrix_from_triple(BlochTriple(px, py, np.diag(d)))
+            fast = quantum_discord(rho, with_bounds=False)
+            slow = quantum_discord(rho, fast_path=False, with_bounds=False)
+            assert slow.method == "grid+refine"
+            assert fast.discord == pytest.approx(slow.discord, abs=1e-6), (size, px, py)
+            sides |= 1 << (fast.method == "closed-form")
+    assert sides == 3  # both routes were compared
 
 
 def test_samplers_produce_valid_states(rng):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -234,54 +235,59 @@ def test_multistart_matches_oracle_on_x_states_near_axis_crossover():
 
 
 def test_basin_starts_one_per_plateau_in_ascending_value():
-    dirs = optimize._grid(math.pi / 18)  # 10 theta rows x 36 phi columns
+    dirs, nbrs = optimize._lattice(math.pi / 18)
 
     def quadratic(*diagonal):  # n.M.n has one minimum on the projective plane
-        return np.einsum("rci,i,rci->rc", dirs, np.array(diagonal), dirs)
+        return dirs**2 @ np.array(diagonal)
+
+    def nearest(axis):
+        return int(np.argmax(np.abs(dirs @ axis)))
 
     rng = np.random.default_rng(0)
-    flat = 0.5 + 1e-13 * rng.random(dirs.shape[:2])  # noise-level landscape
-    assert len(optimize._basin_starts(flat, equator=True)) == 1
-    assert optimize._basin_starts(quadratic(3, 2, 1), equator=True) == [(0, 0)]  # the pole, once
-    # the x axis lies on the equator twice (phi = 0 and pi): one start
+    flat = 0.5 + 1e-13 * rng.random(len(dirs))  # noise-level landscape
+    assert len(optimize._basin_starts(flat, nbrs)) == 1
+    assert optimize._basin_starts(quadratic(3, 2, 1), nbrs) == [0]  # the point nearest the pole
+    # the x axis lies on the equator, where the lattice points near x and
+    # near -x are neighbours: one start
     values = quadratic(1, 2, 3)
-    assert optimize._basin_starts(values, equator=True) == [(9, 0)]
-    values[3, 5] = values[3, 6] = -1.0  # two adjacent minima: one start
-    values[6, 20] = -2.0
-    assert optimize._basin_starts(values, equator=True) == [(6, 20), (3, 5), (9, 0)]
-    # the copies of one equatorial direction disagree: only one is a grid-local
-    # minimum on its own, and the pair still gives one start
-    values = quadratic(1, 2, 3)
-    values[9, 18] += 0.1
-    assert _guarded(optimize._basin_starts, values, equator=True) == [(9, 0)]
+    equatorial = nearest(np.array([1.0, 0.0, 0.0]))
+    assert optimize._basin_starts(values, nbrs) == [equatorial]
+    # two adjacent minima near the pole give one start, the lower index of the
+    # tie; a deeper minimum comes first
+    values[0] = values[nbrs[0, 0]] = -1.0
+    deepest = nearest(np.array([0.0, 1.0, 1.0]))
+    values[deepest] = -2.0
+    assert optimize._basin_starts(values, nbrs) == [deepest, 0, equatorial]
 
 
-def _guarded(fn, *args, max_passes=1000, **kwargs):
-    """``fn(*args, **kwargs)``, failing instead of hanging if it takes over ``max_passes`` neighbour passes."""
-    passes = []
-    neighbours = optimize._neighbours
-
-    def counted(*a):
-        passes.append(1)
-        if len(passes) > max_passes:
-            raise AssertionError(f"more than {max_passes} neighbour passes: the plateau merge does not settle")
-        return neighbours(*a)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "_neighbours", counted)
-        return fn(*args, **kwargs)
+def test_lattice_neighbours_match_brute_force_adjacency():
+    for degrees in (22.5, 10, 3):
+        resolution = math.radians(degrees)
+        dirs, nbrs = optimize._lattice(resolution)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0) and (dirs[:, 2] > 0).all()
+        adjacent = np.abs(dirs @ dirs.T) >= math.cos(1.5 * resolution)
+        np.fill_diagonal(adjacent, False)
+        for i, row in enumerate(nbrs):
+            assert set(row) - {i} == set(np.flatnonzero(adjacent[i]))
+        degree = adjacent.sum(axis=1)
+        assert degree.min() >= 5 and degree.max() <= 8
+    assert len(optimize._lattice(math.pi / 18)[0]) == 207
+    start = time.perf_counter()
+    dirs, _ = optimize._lattice.__wrapped__(math.radians(1))  # bypass the cache
+    assert time.perf_counter() - start < 1.0
+    assert len(dirs) == 20627
 
 
 @pytest.mark.parametrize("seed", [696, 1146, 1351])
 def test_near_pure_state_on_a_noise_level_landscape_returns(seed):
-    # S(rho) lies above PURE_STATE_TOL, so the grid route runs on a landscape
-    # flat to rounding, whose equatorial copies differ by rounding
+    # S(rho) lies above PURE_STATE_TOL, so the search runs on a landscape
+    # flat to rounding
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
     eps = 10 ** rng.uniform(-16, -9)
     rho = (1 - eps) * np.outer(psi, psi.conj()) + eps * random_state(rng=rng)
-    report = _guarded(quantum_discord, rho)
+    report = quantum_discord(rho)
     assert report.method == "grid+refine"
     rho_a, _ = reduced_states(rho)
     assert report.discord == pytest.approx(von_neumann_entropy(rho_a), abs=1e-6)  # pure: D = S(rho_A)
@@ -371,8 +377,9 @@ def test_search_branch_evaluations_do_not_grow(monkeypatch):
     # costs one branch evaluation where the finite-difference one took four
     # gradients; on these states the search made 2,721 evaluations with the
     # finite-difference Hessian, 1,497 with the closed form while the entropy,
-    # A, the Hessian and the final diagnostics each evaluated the branches, and
-    # makes 648 with one evaluation per point
+    # A, the Hessian and the final diagnostics each evaluated the branches,
+    # 648 with one evaluation per point, and makes 545 from the seeded
+    # lattice, with the saddle check reading the last point's record
     calls = []
     branches = optimize.branches
 
@@ -385,7 +392,7 @@ def test_search_branch_evaluations_do_not_grow(monkeypatch):
     rng = np.random.default_rng(1234)
     for k in range(100):
         minimize_conditional_entropy(random_triple(rng, rank=2 + k % 3))
-    assert len(calls) <= 648
+    assert len(calls) <= 545
 
 
 def test_refinement_reports_what_the_scalar_evaluators_give():
@@ -565,3 +572,22 @@ def test_one_call_validates_once_and_builds_the_subspace_once(monkeypatch, rng):
         calls.update({"validate": 0, "perp_subspace": 0, "eigvalsh 4x4": 0})
         assert quantum_discord(rho).bounds is not None
         assert calls == {"validate": 1, "perp_subspace": 1, "eigvalsh 4x4": 1}
+
+
+def test_one_call_takes_two_svds(monkeypatch, rng):
+    # canonicalize and perp_subspace; the closed forms read the canonical
+    # diagonal and the search's start axes reuse the canonical rotation
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    rotated_bell = u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T
+    for rho, method in ((rotated_bell, "closed-form"), (random_state(rng=rng), "grid+refine")):
+        calls.clear()
+        assert quantum_discord(rho).method == method
+        assert len(calls) == 2
