@@ -12,19 +12,23 @@ import sys
 
 import numpy as np
 
-from qdiscord import random_state, stationary_scan, triple_from_matrix
+from qdiscord import ValidationError, random_state, stationary_scan, triple_from_matrix
 from qdiscord.cli import load_state
 from qdiscord.measurement import conditional_entropy_batch
-from qdiscord.optimize import _grid, stationary_residual_batch
+from qdiscord.optimize import _check_resolution, _grid, stationary_residual_batch
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("state", nargs="?", help="JSON state file; omit for a random state")
     parser.add_argument("--seed", type=int, default=0, help="seed for the random state")
-    parser.add_argument("--step-deg", type=float, default=2.0, help="grid step in degrees")
+    parser.add_argument("--step-deg", type=float, default=2.0, help="grid step in degrees, 0.5 to 22.5")
     parser.add_argument("--out", default="-", help="landscape CSV destination ('-' = stdout)")
     args = parser.parse_args()
+    try:  # checked before _grid, whose size grows as 1/step^2
+        step = _check_resolution(math.radians(args.step_deg))
+    except ValidationError as exc:
+        parser.error(f"--step-deg: {exc}")
 
     if args.state:
         rho = load_state(args.state)
@@ -32,7 +36,6 @@ def main() -> None:
         rho = random_state(rng=np.random.default_rng(args.seed))
     t = triple_from_matrix(rho)
 
-    step = math.radians(args.step_deg)
     grid = _grid(step)  # row i, column j: theta = i * step, phi = j * step
     dirs = grid.reshape(-1, 3)
     values = conditional_entropy_batch(t, dirs)

@@ -222,26 +222,38 @@ def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndar
     return h4 - h2
 
 
-def conditional_entropy_direct(t: BlochTriple, direction, *, rho: np.ndarray | None = None) -> float:
+def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | None = None):
     """Conditioned entropy via the defining average sum_k p_k S(rho_A_k).
 
-    Works entirely at the matrix level (projector sandwich, partial trace,
-    eigendecomposition), independent of the Shannon-difference identity,
-    so the two routes cross-check each other.  Zero-probability branches
-    contribute nothing.  ``rho`` may be passed to reuse a precomputed
-    matrix for the same triple.
+    ``directions`` is one direction (a 3-vector, normalized here, or a
+    :class:`MeasurementDirection`), which gives a float, or an (N, 3) array
+    of unit vectors, as for :func:`conditional_entropy_batch`, which gives
+    an (N,) array; a single direction is a batch of one, so both shapes
+    give the same bits.
+
+    Works entirely at the matrix level: for each outcome the sandwich
+    (I (x) P_k) rho (I (x) P_k), its trace p_k, the partial trace over B
+    and a 2x2 eigendecomposition, all batched over the directions.  It
+    never uses the Bloch-triple branch formula (:func:`branches`), so it
+    stays an independent cross-check of the Shannon-difference identity.
+    Branches with p_k <= BRANCH_TOL contribute nothing.  ``rho`` may be
+    passed to reuse a precomputed matrix for the same triple.
     """
-    n = _unit(direction)
+    single = isinstance(directions, MeasurementDirection) or np.ndim(directions) != 2
+    dirs = _unit(directions)[None] if single else np.asarray(directions, dtype=float)
     if rho is None:
         rho = matrix_from_triple(t)
-    total = 0.0
-    for k in (0, 1):
-        proj = np.kron(_I2, projector_bloch(k, n))
-        sandwich = proj @ rho @ proj
-        pk = float(np.trace(sandwich).real)
-        if pk <= BRANCH_TOL:
-            continue
-        rho_a = sandwich.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3) / pk
-        eig = np.linalg.eigvalsh(rho_a)
-        total += pk * _h_terms(*np.clip(eig, 0.0, 1.0))
-    return total
+    count = len(dirs)
+    # rows 0..N-1 are outcome 0 (Bloch vector n), rows N..2N-1 outcome 1 (-n)
+    proj = (_I2 + np.tensordot(np.concatenate((dirs, -dirs)), _PAULI_STACK, axes=1)) / 2
+    lift = np.einsum("ac,nbd->nabcd", _I2, proj).reshape(-1, 4, 4)  # I (x) P_k
+    sandwich = lift @ rho @ lift
+    pk = np.trace(sandwich, axis1=1, axis2=2).real
+    live = pk > BRANCH_TOL
+    rho_a = np.einsum("nabcb->nac", sandwich[live].reshape(-1, 2, 2, 2, 2)) / pk[live, None, None]
+    eig = np.clip(np.linalg.eigvalsh(rho_a), 0.0, 1.0)
+    log_eig = np.log2(eig, out=np.zeros_like(eig), where=eig > 0.0)  # 0 log 0 = 0
+    terms = np.zeros(2 * count)
+    terms[live] = pk[live] * -(eig * log_eig).sum(axis=1)
+    total = terms[:count] + terms[count:]
+    return float(total[0]) if single else total

@@ -73,7 +73,8 @@ class BlochTriple:
         for name, arr in (("x", x), ("y", y), ("T", T)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} has non-finite entries")
-            if arr.ndim == 1 and (norm := float(np.linalg.norm(arr))) > 1 + 1e-9:
+            # hypot, unlike sqrt(v . v), does not overflow on entries beyond 1e154
+            if arr.ndim == 1 and (norm := math.hypot(*arr)) > 1 + 1e-9:
                 raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
             arr = arr.copy()
             arr.setflags(write=False)

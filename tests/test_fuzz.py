@@ -2,7 +2,8 @@
 
 A 4x4 array either raises :class:`NotAStateError` (the CLI's exit 3) or
 yields a report whose invariants hold; a state file makes ``qdiscord
-compute`` exit 0, 2 or 3, never 1 with a traceback.
+compute`` exit 0, 2 or 3, and a range string makes ``qdiscord scan`` exit
+0, 2 or 3, never 1 with a traceback.
 """
 
 import io
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdiscord import NotAStateError, quantum_discord, random_state
-from qdiscord.cli import main
+from qdiscord import NotAStateError, cli, quantum_discord, random_state, triple_from_matrix
+from qdiscord.cli import MAX_SCAN_POINTS, main
 
 #: covers PSD_TOL: an accepted matrix may have an eigenvalue down to -1e-9
 SLACK = 1e-8
@@ -105,3 +106,110 @@ def test_any_state_file_exits_0_2_or_3(state_path, text):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["compute", str(state_path)])
     assert code in (0, 2, 3)
+
+
+@st.composite
+def triple_files(draw):
+    """A triple-form state file: a sampled state's triple with x, y or T made non-finite, huge, misshapen or near a norm limit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = triple_from_matrix(random_state(rank=draw(st.integers(1, 4)), rng=rng))
+    fields = {"x": t.x, "y": t.y, "T": t.T}
+    key = draw(st.sampled_from(sorted(fields)))
+    value = fields[key].copy()
+    kind = draw(st.sampled_from(("state", "non-finite", "huge", "shape", "norm")))
+    if kind in ("non-finite", "huge"):
+        index = np.unravel_index(draw(st.integers(0, value.size - 1)), value.shape)
+        value = value.tolist()
+        row = value if value and not isinstance(value[0], list) else value[index[0]]
+        row[index[-1]] = draw(st.sampled_from((math.nan, math.inf, -math.inf) if kind == "non-finite"
+                                              else (1e100, -1e300, 1.7e308, 10**400)))
+    elif kind == "shape":
+        value = draw(st.sampled_from((value[:2], np.append(value, 0.0), value.reshape(-1)[:9],
+                                      value.reshape(-1, 1), np.array(0.5), np.zeros((3, 2)))))
+    elif kind == "norm":  # |x| or |y| around 1, or the top singular value of T around 1
+        scale = np.linalg.norm(value, 2) if value.ndim == 2 else np.linalg.norm(value)
+        if scale > 0:
+            value *= (1 + draw(st.floats(-1e-8, 1e-8))) / scale
+    fields[key] = value
+    return json.dumps({"triple": {k: np.asarray(v).tolist() if isinstance(v, np.ndarray) else v
+                                  for k, v in fields.items()}})
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(triple_files())
+def test_any_triple_file_exits_0_2_or_3(state_path, text):
+    state_path.write_text(text)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["compute", str(state_path)])
+    assert code in (0, 2, 3)
+
+
+_FINITE = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def over_cap_ranges(draw):
+    """start:stop:step holding more than MAX_SCAN_POINTS values (counted, never built)."""
+    lo, span = draw(_FINITE), draw(st.floats(1e-6, 1e6))
+    step = span / draw(st.integers(MAX_SCAN_POINTS + 1, 10**30))
+    return draw(st.sampled_from((f"{lo!r}:{lo + span!r}:{step!r}", "-1e308:1e308:1")))
+
+
+@st.composite
+def range_strings(draw, most):
+    """A scan range: accepted with at most ``most`` values, or malformed, non-finite, mis-stepped or over the cap."""
+    kind = draw(st.sampled_from(("accepted",) * 3 + ("malformed", "non-finite", "bad-step", "over-cap")))
+    if kind == "accepted":  # starts near 0, where both families hold states
+        lo = draw(st.floats(0.0, 0.3))
+        if draw(st.booleans()):
+            return repr(lo)
+        step = draw(st.floats(1e-3, 0.1))
+        return f"{lo!r}:{lo + (draw(st.integers(1, most)) - 1) * step!r}:{step!r}"
+    lo = draw(_FINITE)
+    if kind == "malformed":
+        return draw(st.sampled_from(("", ":", "0:1", "0::0.1", "0:1:0.1:2", "a", "0.1,0.2", "0:1:x"))
+                    | st.text(max_size=8))
+    if kind == "non-finite":
+        return draw(st.sampled_from(("nan", "inf", "-inf", "1e999", "0:inf:0.1", "nan:1:0.1",
+                                     "0:1:nan", "0:1:inf", "-inf:0:0.1")))
+    if kind == "bad-step":
+        step = draw(st.sampled_from((0.0, -0.0)) | st.floats(-1.0, -1e-300))
+        return draw(st.sampled_from((f"{lo!r}:{lo + 0.5!r}:{step!r}", f"{lo!r}:{lo - 0.5!r}:0.1")))
+    return draw(over_cap_ranges())
+
+
+def _scan(*argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(["scan", *argv])
+
+
+_RAYS = st.sampled_from(("1,-1,1", "0.5,0.2,-0.1", "1,1,1", "0.9,0,0"))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(range_strings(most=5), range_strings(most=5))
+def test_any_ab_scan_range_exits_0_2_or_3(a, b):
+    assert _scan("ab", f"--a={a}", f"--b={b}") in (0, 2, 3)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_RAYS, range_strings(most=25))
+def test_any_bell_diagonal_scan_range_exits_0_2_or_3(ray, s):
+    assert _scan("bell-diagonal", f"--ray={ray}", f"--s={s}") in (0, 2, 3)
+
+
+def _refuse(*args):
+    raise AssertionError("a state was built for a range over the point cap")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(over_cap_ranges(), st.integers(1, 400), _RAYS)
+def test_an_over_cap_range_exits_2_before_a_state_is_built(text, other_count, ray):
+    other = f"0:{(other_count - 1) * 1e-3!r}:0.001"  # 1 to 400 values, under the cap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ab_state", _refuse)
+        mp.setattr(cli, "bell_diagonal_state", _refuse)
+        assert _scan("ab", f"--a={text}", f"--b={other}") == 2
+        assert _scan("ab", f"--a={other}", f"--b={text}") == 2
+        assert _scan("bell-diagonal", f"--ray={ray}", f"--s={text}") == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_direction, random_rotation, random_triple
+from qdiscord import measurement
 from qdiscord import (
     BlochTriple,
     MeasurementDirection,
@@ -20,10 +21,12 @@ from qdiscord import (
     joint_probabilities,
     outcome_probabilities,
     post_measurement_state,
+    matrix_from_triple,
     projector_bloch,
+    random_state,
     triple_from_matrix,
 )
-from qdiscord.measurement import branches, branches_batch
+from qdiscord.measurement import BRANCH_TOL, branches, branches_batch
 
 Z3 = np.zeros(3)
 Z33 = np.zeros((3, 3))
@@ -212,6 +215,89 @@ def test_conditional_entropy_single_outcome():
     assert conditional_entropy(t, d) == pytest.approx(
         conditional_entropy_direct(t, d), abs=1e-12)
     assert conditional_entropy(t, d) == pytest.approx(1.0, abs=1e-12)
+
+
+def _direct_reference(rho, n):
+    """sum_k p_k S(rho_A_k) at one unit direction, one outcome at a time: the oracle of the batched route."""
+    total = 0.0
+    for k in (0, 1):
+        proj = np.kron(np.eye(2), projector_bloch(k, n))
+        sandwich = proj @ rho @ proj
+        pk = float(np.trace(sandwich).real)
+        if pk <= BRANCH_TOL:
+            continue
+        rho_a = sandwich.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3) / pk
+        for v in np.clip(np.linalg.eigvalsh(rho_a), 0.0, 1.0):
+            if v > 0.0:
+                total -= pk * v * math.log2(v)
+    return total
+
+
+def _unit_rows(rng, count):
+    dirs = rng.standard_normal((count, 3))
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def _dead_branch_case(rng):
+    """rho_A (x) |m><m| with directions at or within 1e-6 rad of +-m: one branch of each is <= BRANCH_TOL."""
+    m = _unit_rows(rng, 1)[0]
+    x = 0.8 * _unit_rows(rng, 1)[0]
+    t = BlochTriple(x, m, np.outer(x, m))
+    u = np.cross(m, _unit_rows(rng, 1)[0])
+    u /= np.linalg.norm(u)
+    dirs = np.array([m, -m] + [s * math.cos(a) * m + math.sin(a) * u
+                               for a in (1e-7, 6e-7, 1e-6) for s in (1.0, -1.0)])
+    return t, dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def test_direct_route_matches_the_reference_loop():
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for i in range(100):  # 500 (state, direction) pairs, ranks 1-4
+        rho = random_state(rank=1 + i % 4, rng=rng)
+        t = triple_from_matrix(rho)
+        dirs = _unit_rows(rng, 5)
+        got = conditional_entropy_direct(t, dirs, rho=rho)
+        worst = max(worst, max(abs(g - _direct_reference(rho, n)) for g, n in zip(got, dirs)))
+    assert worst <= 1e-14
+
+    # y = n: the p1 branch is exactly zero and S(A|n) = S(rho_A)
+    x, z = np.array([0.0, 0.6, 0.0]), np.array([[0.0, 0.0, 1.0]])
+    t = BlochTriple(x, z[0], np.outer(x, z[0]))
+    assert conditional_entropy_direct(t, z)[0] == pytest.approx(binary_entropy(0.8), abs=1e-14)
+    assert abs(conditional_entropy_direct(t, z)[0] - _direct_reference(matrix_from_triple(t), z[0])) <= 1e-14
+
+    t, dirs = _dead_branch_case(rng)
+    rho = matrix_from_triple(t)
+    assert all(min(branches(t, n)[:2]) <= BRANCH_TOL for n in dirs)
+    got = conditional_entropy_direct(t, dirs)
+    assert max(abs(g - _direct_reference(rho, n)) for g, n in zip(got, dirs)) <= 1e-14
+
+
+def test_direct_route_batch_equals_single_calls_bitwise():
+    rng = np.random.default_rng(8)
+    cases = [(triple_from_matrix(random_state(rank=r, rng=rng)), _unit_rows(rng, 40)) for r in (1, 2, 3, 4)]
+    for t, dirs in cases + [_dead_branch_case(rng)]:
+        batch = conditional_entropy_direct(t, dirs)
+        assert batch.shape == (len(dirs),)
+        for value, n in zip(batch, dirs):
+            assert conditional_entropy_direct(t, n) == value
+            assert conditional_entropy_direct(t, MeasurementDirection(n)) == value
+        assert conditional_entropy_direct(t, dirs[0] * 3.0) == pytest.approx(batch[0], abs=1e-15)
+
+
+def test_direct_route_never_uses_the_branch_formula(monkeypatch):
+    t = random_triple(np.random.default_rng(9))
+    dirs = _unit_rows(np.random.default_rng(10), 8)
+    expected = conditional_entropy_direct(t, dirs)
+
+    def forbidden(*args):
+        raise AssertionError("the direct route must not use the Bloch-triple branch formula")
+
+    monkeypatch.setattr(measurement, "branches", forbidden)
+    monkeypatch.setattr(measurement, "branches_batch", forbidden)
+    assert np.array_equal(conditional_entropy_direct(t, dirs), expected)
+    assert conditional_entropy_direct(t, MeasurementDirection(dirs[0])) == expected[0]
 
 
 def test_conditional_entropy_antipode_bitwise(rng):

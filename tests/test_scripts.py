@@ -5,13 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script, *args):
+def _run(script, *args, check=True):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          capture_output=True, text=True, env=env, timeout=300, check=True)
+                          capture_output=True, text=True, env=env, timeout=300, check=check)
 
 
 def test_figure_data_writes_every_panel(tmp_path):
@@ -35,3 +37,12 @@ def test_stationary_landscape_writes_the_grid_and_the_points(tmp_path):
     assert rows[1].startswith("0,0,")
     points = [line for line in out.stderr.splitlines() if "theta=" in line]
     assert points and all("residual=" in line for line in points)
+
+
+@pytest.mark.parametrize("step", ["0.4", "30"])
+def test_stationary_landscape_rejects_a_step_out_of_range(step, tmp_path):
+    # 0.4 degrees is just below the floor: an unchecked grid would still be small (about 200k rows)
+    out = _run("stationary_landscape.py", "--step-deg", step, "--out", str(tmp_path / "x.csv"), check=False)
+    assert out.returncode == 2
+    assert "resolution" in out.stderr
+    assert not (tmp_path / "x.csv").exists()

@@ -134,6 +134,8 @@ def test_triple_from_matrix_rejects_invalid():
 def test_bloch_triple_rejects_long_vectors():
     with pytest.raises(ValidationError):
         BlochTriple(np.array([1.1, 0, 0]), _zeros3(), np.zeros((3, 3)))
+    with pytest.raises(ValidationError, match="exceeds 1"):  # its squared norm overflows
+        BlochTriple(_zeros3(), np.array([-1e300, 0.2, 0.7]), np.zeros((3, 3)))
 
 
 def test_marginals():
