@@ -246,7 +246,9 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     count = len(dirs)
     # rows 0..N-1 are outcome 0 (Bloch vector n), rows N..2N-1 outcome 1 (-n)
     proj = (_I2 + np.tensordot(np.concatenate((dirs, -dirs)), _PAULI_STACK, axes=1)) / 2
-    lift = np.einsum("ac,nbd->nabcd", _I2, proj).reshape(-1, 4, 4)  # I (x) P_k
+    lift = np.zeros((2 * count, 2, 2, 2, 2), dtype=complex)  # I (x) P_k: P_k on both diagonal blocks
+    lift[:, 0, :, 0] = lift[:, 1, :, 1] = proj
+    lift = lift.reshape(-1, 4, 4)
     sandwich = lift @ rho @ lift
     pk = np.trace(sandwich, axis1=1, axis2=2).real
     live = pk > BRANCH_TOL
