@@ -118,11 +118,8 @@ def triple_files(draw):
     value = fields[key].copy()
     kind = draw(st.sampled_from(("state", "non-finite", "huge", "shape", "norm")))
     if kind in ("non-finite", "huge"):
-        index = np.unravel_index(draw(st.integers(0, value.size - 1)), value.shape)
-        value = value.tolist()
-        row = value if value and not isinstance(value[0], list) else value[index[0]]
-        row[index[-1]] = draw(st.sampled_from((math.nan, math.inf, -math.inf) if kind == "non-finite"
-                                              else (1e100, -1e300, 1.7e308, 10**400)))
+        value.flat[draw(st.integers(0, value.size - 1))] = draw(st.sampled_from(
+            (math.nan, math.inf, -math.inf) if kind == "non-finite" else (1e100, -1e300, 1.7e308)))
     elif kind == "shape":
         value = draw(st.sampled_from((value[:2], np.append(value, 0.0), value.reshape(-1)[:9],
                                       value.reshape(-1, 1), np.array(0.5), np.zeros((3, 2)))))
@@ -131,8 +128,7 @@ def triple_files(draw):
         if scale > 0:
             value *= (1 + draw(st.floats(-1e-8, 1e-8))) / scale
     fields[key] = value
-    return json.dumps({"triple": {k: np.asarray(v).tolist() if isinstance(v, np.ndarray) else v
-                                  for k, v in fields.items()}})
+    return json.dumps({"triple": {k: v.tolist() for k, v in fields.items()}})
 
 
 @settings(max_examples=100, derandomize=True, deadline=None,
