@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from qdiscord import ValidationError, random_state, stationary_scan, triple_from_matrix
-from qdiscord.cli import load_state
+from qdiscord import NotAStateError, ValidationError, random_state, stationary_scan, triple_from_matrix
+from qdiscord.cli import EXIT_NOT_A_STATE, EXIT_USAGE, UsageError, load_state
 from qdiscord.measurement import conditional_entropy_batch
 from qdiscord.optimize import _check_resolution, _grid, stationary_residual_batch
 
@@ -30,11 +30,16 @@ def main() -> None:
     except ValidationError as exc:
         parser.error(f"--step-deg: {exc}")
 
-    if args.state:
-        rho = load_state(args.state)
-    else:
-        rho = random_state(rng=np.random.default_rng(args.seed))
-    t = triple_from_matrix(rho)
+    # a missing or malformed file exits 2 and a matrix that is not a state exits 3, as in qdiscord compute
+    try:
+        rho = load_state(args.state) if args.state else random_state(rng=np.random.default_rng(args.seed))
+        t = triple_from_matrix(rho)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+    except NotAStateError as exc:
+        print(f"not a state: {exc}", file=sys.stderr)
+        sys.exit(EXIT_NOT_A_STATE)
 
     grid = _grid(step)  # row i, column j: theta = i * step, phi = j * step
     dirs = grid.reshape(-1, 3)

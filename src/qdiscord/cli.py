@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -392,9 +393,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: scan flags whose value may start with a minus sign
+_SIGNED_FLAGS = ("--a", "--b", "--s", "--ray")
+_SIGNED_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Spell ``--a -0.1:0.1:0.1`` as ``--a=-0.1:0.1:0.1``.
+
+    argparse takes a token that starts with '-' for an option unless it is
+    a plain negative number, so a range or ray with a leading minus sign
+    would otherwise need the '=' form.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_FLAGS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         config = RunConfig(resolution_deg=args.resolution, tolerance=args.tolerance,
                            output_format=args.format, seed=args.seed)

@@ -9,6 +9,8 @@ domain checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotAStateError, ValidationError
@@ -59,6 +61,15 @@ def _clamp_unit(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _h_terms(*values: float) -> float:
+    # -sum v log2 v with 0 log 0 = 0, fixed summation order
+    acc = 0.0
+    for v in values:
+        if v > 0.0:
+            acc -= v * math.log2(v)
+    return acc
+
+
 def shannon_entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits.
 
@@ -79,12 +90,17 @@ def shannon_entropy(p) -> float:
 
 
 def binary_entropy(x: float) -> float:
-    """Binary Shannon entropy h2(x) = -x log2 x - (1-x) log2(1-x), in bits."""
+    """Binary Shannon entropy h2(x) = -x log2 x - (1-x) log2(1-x), in bits.
+
+    ``x`` must lie in ``[-1e-9, 1+1e-9]``, else :class:`ValidationError`;
+    it is clamped to [0, 1] and evaluated in scalar arithmetic, which
+    agrees with :func:`shannon_entropy` of the pair ``(x, 1-x)`` to rounding.
+    """
     x = float(x)
     if x < -CLAMP_TOL or x > 1 + CLAMP_TOL:
         raise ValidationError(f"binary entropy argument {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
-    return shannon_entropy(np.array([x, 1.0 - x]))
+    return _h_terms(x, 1.0 - x)
 
 
 def von_neumann_entropy(m: np.ndarray, *, tol: float = HERMITIAN_TOL) -> float:
@@ -97,10 +113,15 @@ def von_neumann_entropy(m: np.ndarray, *, tol: float = HERMITIAN_TOL) -> float:
 
 
 def _spectrum_entropy(vals: np.ndarray) -> float:
-    """:func:`von_neumann_entropy` from the eigenvalues of the density matrix."""
+    """:func:`von_neumann_entropy` from the eigenvalues of the density matrix.
+
+    Raises :class:`NotAStateError` if they sum to 1 only beyond 1e-9 or one
+    lies below -1e-9; the rest are clamped as :func:`shannon_entropy`
+    clamps and summed in scalar arithmetic.
+    """
     trace = float(vals.sum())
     if abs(trace - 1.0) > CLAMP_TOL:
         raise NotAStateError(f"trace is {trace!r}, not 1")
     if float(vals.min()) < -CLAMP_TOL:
         raise NotAStateError(f"negative eigenvalue {vals.min():.3e}")
-    return shannon_entropy(_clamp_unit(vals))
+    return _h_terms(*_clamp_unit(vals).tolist())

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import _h_terms
 from .errors import NotAStateError, ValidationError, ZeroProbabilityError
 from .states import _I2, PAULIS, BlochTriple, matrix_from_triple
 
@@ -185,15 +186,6 @@ def post_measurement_state(t: BlochTriple, direction, k: int) -> PostMeasurement
     if pk <= BRANCH_TOL:
         raise ZeroProbabilityError(f"outcome {k} has probability {pk:.3e}")
     return PostMeasurementState(k, v / (2 * pk), pk)
-
-
-def _h_terms(*values: float) -> float:
-    # -sum v log2 v with 0 log 0 = 0, fixed summation order
-    acc = 0.0
-    for v in values:
-        if v > 0.0:
-            acc -= v * math.log2(v)
-    return acc
 
 
 def _branch_entropy(p0: float, p1: float, w1: float, w2: float, w3: float, w4: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _spectrum_entropy, von_neumann_entropy
+from .entropy import _spectrum_entropy, binary_entropy
 from .errors import NotAStateError, ValidationError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -28,11 +28,18 @@ _I4 = np.eye(4, dtype=complex)
 _KRON_A = np.stack([np.kron(p, _I2) for p in PAULIS])
 _KRON_B = np.stack([np.kron(_I2, p) for p in PAULIS])
 _KRON_AB = np.stack([np.stack([np.kron(pi, pj) for pj in PAULIS]) for pi in PAULIS])
+# column k holds P_k^t flattened, so rho flattened times column k is tr(rho P_k); P_k
+# runs over the 3 of _KRON_A, the 3 of _KRON_B and the 9 of _KRON_AB in row-major order
+_PAULI_TRACES = (np.concatenate([_KRON_A, _KRON_B, _KRON_AB.reshape(9, 4, 4)])
+                 .transpose(2, 1, 0).reshape(16, 15))
 
 #: acceptance thresholds used by :func:`validate`
 HERMITICITY_TOL = 1e-8
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-9
+# an accepted matrix's marginals have eigenvalues (tr - |x|)/2 >= -2 PSD_TOL, so
+# |x| and |y| may pass 1 by up to TRACE_TOL + 4 PSD_TOL; twice that covers rounding
+_NORM_SLACK = 2 * (TRACE_TOL + 4 * PSD_TOL)
 # no state has an entry beyond 1 in modulus; validate rejects a real or
 # imaginary part beyond this before any arithmetic, which near the float
 # range would overflow
@@ -74,7 +81,7 @@ class BlochTriple:
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} has non-finite entries")
             # hypot, unlike sqrt(v . v), does not overflow on entries beyond 1e154
-            if arr.ndim == 1 and (norm := math.hypot(*arr)) > 1 + 1e-9:
+            if arr.ndim == 1 and (norm := math.hypot(*arr.tolist())) > 1 + 1e-9:
                 raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
             arr = arr.copy()
             arr.setflags(write=False)
@@ -160,12 +167,16 @@ def _require_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag.hermitian_part, diag.eigenvalues
 
 
+def _unit_ball(v: np.ndarray) -> np.ndarray:
+    # a coherence vector that passes 1 within the acceptance slack is scaled back to the sphere
+    norm = math.hypot(*v.tolist())
+    return v / norm if 1 < norm <= 1 + _NORM_SLACK else v
+
+
 def _triple(rho: np.ndarray) -> BlochTriple:
     # Pauli traces of a matrix that is already validated
-    x = np.einsum("ij,kji->k", rho, _KRON_A).real
-    y = np.einsum("ij,kji->k", rho, _KRON_B).real
-    T = np.einsum("ij,klji->kl", rho, _KRON_AB).real
-    return BlochTriple(x, y, T)
+    v = (rho.reshape(16) @ _PAULI_TRACES).real
+    return BlochTriple(_unit_ball(v[:3]), _unit_ball(v[3:6]), v[6:].reshape(3, 3))
 
 
 def triple_from_matrix(rho: np.ndarray) -> BlochTriple:
@@ -211,15 +222,25 @@ class PreparedState:
 
 
 def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
-    """Validate a 4x4 density matrix once and derive its triple and entropies (a record passes through)."""
+    """Validate a 4x4 density matrix once and derive its triple and entropies (a record passes through).
+
+    The matrix is divided by its trace.  S(rho_AB) comes from the
+    eigenvalues :func:`validate` took; S(rho_A) and S(rho_B) come from the
+    triple, as h2((1 + |x|)/2) and h2((1 + |y|)/2), the entropies of the
+    marginals (I + x.sigma)/2 and (I + y.sigma)/2.  Their smaller
+    eigenvalue (1 - |x|)/2 follows :func:`~qdiscord.entropy.von_neumann_entropy`'s
+    rule: a value in [-1e-9, 0) snaps to 0, and :class:`BlochTriple`
+    guarantees none lies lower.  A matrix :func:`validate` rejects raises
+    :class:`NotAStateError`.
+    """
     if isinstance(rho, PreparedState):
         return rho
     rho, eigenvalues = _require_state(rho)
     trace = np.trace(rho).real
     rho = rho / trace
-    rho_a, rho_b = reduced_states(rho)
-    return PreparedState(rho, _triple(rho), von_neumann_entropy(rho_a),
-                         von_neumann_entropy(rho_b), _spectrum_entropy(eigenvalues / trace))
+    t = _triple(rho)
+    s_a, s_b = (binary_entropy((1 + math.hypot(*v.tolist())) / 2) for v in (t.x, t.y))
+    return PreparedState(rho, t, s_a, s_b, _spectrum_entropy(eigenvalues / trace))
 
 
 def mutual_information(rho: np.ndarray | PreparedState) -> float:

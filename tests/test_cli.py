@@ -103,7 +103,14 @@ def _slightly_negative():
     return rho / np.trace(rho).real
 
 
-@pytest.mark.parametrize("make", [_slightly_non_hermitian, _slightly_negative])
+def _overlong_marginals(delta):
+    # eigenvalues down to -delta, within validate's 1e-9; pure marginals with
+    # |x| = 1 + 4 delta and |y| = 1 + 2 delta, past BlochTriple's 1 + 1e-9
+    return lambda: np.diag([1 + 2 * delta, 0.0, -delta, -delta])
+
+
+@pytest.mark.parametrize("make", [_slightly_non_hermitian, _slightly_negative,
+                                  _overlong_marginals(9e-10), _overlong_marginals(4.5e-10)])
 def test_states_that_validate_accepts_give_a_report(tmp_path, capsys, make):
     rho = make()
     assert validate(rho).ok
@@ -238,6 +245,21 @@ def test_scan_bell_diagonal_invalid_ray_exits_2(capsys):
     assert main(["scan", "bell-diagonal", "--ray", "1,nan,0", "--s", "0.5"]) == 2
     assert main(["scan", "bell-diagonal", "--ray", "1,0,0", "--s", "nan"]) == 2
     assert main(["scan", "bell-diagonal", "--ray", "1,0,0", "--s", "0:inf:0.1"]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "ab", "--a", "0.2", "--b", "-0.1:0.1:0.1"], 0),
+    (["scan", "bell-diagonal", "--ray", "-1,0,0", "--s", "0.5"], 0),
+    (["scan", "bell-diagonal", "--ray", "-1,0,0", "--s", "-0.5:0.5:0.25"], 0),
+    (["scan", "ab", "--a", "-0.2:0.2:0.2", "--b", "0"], 2),  # a < 0 leaves the (a, b) region
+])
+def test_scan_takes_a_leading_minus_in_the_spaced_form(capsys, argv, code):
+    equals = [f"{flag}={value}" for flag, value in zip(argv[2::2], argv[3::2])]
+    assert main(argv[:2] + equals) == code
+    expected = capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr() == expected
+    assert expected.out.count("\n") > 1 if code == 0 else "outside the valid region" in expected.err
 
 
 def test_verify_single_suite(capsys):

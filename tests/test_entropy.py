@@ -12,6 +12,7 @@ from qdiscord import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from qdiscord.entropy import CLAMP_TOL, _spectrum_entropy
 from qdiscord.states import random_unitary
 
 
@@ -89,15 +90,24 @@ def test_binary_entropy_values():
 
 
 def test_binary_entropy_domain():
-    with pytest.raises(ValidationError):
-        binary_entropy(-0.01)
-    with pytest.raises(ValidationError):
-        binary_entropy(1.01)
+    for x in (-0.01, -1.1e-9, 1 + 1.1e-9, 1.01):
+        with pytest.raises(ValidationError):
+            binary_entropy(x)
+
+
+def test_binary_entropy_matches_shannon_on_a_grid_with_the_clamp_edges():
+    edges = [0.0, 1.0, -CLAMP_TOL, -CLAMP_TOL / 2, CLAMP_TOL, 1 - CLAMP_TOL, 1 + CLAMP_TOL / 2,
+             5e-324, 1e-300, 1e-16, 0.5]
+    for x in edges + np.linspace(0, 1, 1001).tolist():
+        assert abs(binary_entropy(x) - shannon_entropy(np.array([x, 1.0 - x]))) <= 1e-15
+    # 1 - (1 + 1e-9) rounds below -1e-9, outside shannon_entropy's domain
+    assert binary_entropy(1 + CLAMP_TOL) == binary_entropy(-CLAMP_TOL) == 0.0
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_binary_entropy_equals_shannon_pair(x):
-    assert binary_entropy(x) == shannon_entropy(np.array([x, 1.0 - x]))
+    # math.log2 against numpy's log2, which may differ in the last bit
+    assert abs(binary_entropy(x) - shannon_entropy(np.array([x, 1.0 - x]))) <= 1e-15
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
@@ -135,6 +145,17 @@ def test_von_neumann_unitary_invariance(rng):
 def test_von_neumann_rejects_negative_eigenvalue():
     with pytest.raises(NotAStateError):
         von_neumann_entropy(np.diag([0.5, 0.6, -0.1, 0.0]))
+
+
+def test_spectrum_entropy_checks_and_clamps_the_spectrum(rng):
+    with pytest.raises(NotAStateError, match="trace is"):
+        _spectrum_entropy(np.array([0.5, 0.5 + 2 * CLAMP_TOL]))
+    with pytest.raises(NotAStateError, match="negative eigenvalue"):
+        _spectrum_entropy(np.array([0.3, 0.7 + 2 * CLAMP_TOL, -2 * CLAMP_TOL]))
+    assert _spectrum_entropy(np.array([1 + CLAMP_TOL, -CLAMP_TOL, 0.0, 0.0])) == 0.0
+    for _ in range(100):
+        vals = rng.dirichlet(np.ones(4))
+        assert abs(_spectrum_entropy(vals) - shannon_entropy(vals)) <= 1e-15
 
 
 def test_von_neumann_rejects_wrong_trace():

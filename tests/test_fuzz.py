@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdiscord import NotAStateError, cli, quantum_discord, random_state, triple_from_matrix
+from qdiscord import NotAStateError, cli, quantum_discord, random_state, reduced_states, triple_from_matrix
 from qdiscord.cli import MAX_SCAN_POINTS, main
 
 #: covers PSD_TOL: an accepted matrix may have an eigenvalue down to -1e-9
@@ -47,6 +47,11 @@ def matrices(draw):
     elif kind == "trace":  # around TRACE_TOL = 1e-8
         rho *= 1 + draw(st.floats(-2e-8, 2e-8))
     elif kind == "near-psd":  # smallest eigenvalue around -PSD_TOL = -1e-9
+        if draw(st.booleans()):  # a pure marginal, whose |x| or |y| the shift below pushes past 1
+            psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            pure = np.outer(psi, psi.conj()) / (psi.conj() @ psi).real
+            mixed = reduced_states(rho)[0]
+            rho = np.kron(pure, mixed) if i % 2 else np.kron(mixed, pure)
         rho -= draw(st.floats(0.0, 2e-9)) * np.eye(4)
         rho /= np.trace(rho).real
     elif kind == "near-pure":  # S(rho) near PURE_STATE_TOL, a landscape flat to rounding

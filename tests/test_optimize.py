@@ -546,9 +546,11 @@ def test_discord_invariance_through_triple_rotations(rng):
 
 
 def test_one_call_validates_once_and_builds_the_subspace_once(monkeypatch, rng):
-    from qdiscord import bounds, states
+    # S(rho_A) and S(rho_B) come from |x| and |y|: no von Neumann entropy and no
+    # 2x2 spectrum; the one 4x4 spectrum is validate's
+    from qdiscord import bounds, entropy, optimize, states
 
-    calls = {"validate": 0, "perp_subspace": 0}
+    calls = {}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -561,17 +563,23 @@ def test_one_call_validates_once_and_builds_the_subspace_once(monkeypatch, rng):
 
     counted(states, "validate")
     counted(bounds, "perp_subspace")
+    for module in (entropy, states, optimize, bounds):
+        if hasattr(module, "von_neumann_entropy"):
+            counted(module, "von_neumann_entropy")
     eigvalsh = np.linalg.eigvalsh
 
     def counted_eigvalsh(m, *args, **kwargs):
-        calls["eigvalsh 4x4"] += np.shape(m) == (4, 4)
+        key = f"eigvalsh {np.shape(m)[-1]}x{np.shape(m)[-1]}"
+        calls[key] = calls.get(key, 0) + 1
         return eigvalsh(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     for rho in (random_state(rng=rng), bell_diagonal_state(0.3, -0.2, 0.1)):
-        calls.update({"validate": 0, "perp_subspace": 0, "eigvalsh 4x4": 0})
+        calls.update({"validate": 0, "perp_subspace": 0, "von_neumann_entropy": 0,
+                      "eigvalsh 2x2": 0, "eigvalsh 4x4": 0})
         assert quantum_discord(rho).bounds is not None
-        assert calls == {"validate": 1, "perp_subspace": 1, "eigvalsh 4x4": 1}
+        assert calls == {"validate": 1, "perp_subspace": 1, "von_neumann_entropy": 0,
+                         "eigvalsh 2x2": 0, "eigvalsh 4x4": 1}
 
 
 def test_one_call_takes_two_svds(monkeypatch, rng):

@@ -1,5 +1,6 @@
 """End-to-end runs of the scripts under scripts/ on small fixed inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -45,4 +46,19 @@ def test_stationary_landscape_rejects_a_step_out_of_range(step, tmp_path):
     out = _run("stationary_landscape.py", "--step-deg", step, "--out", str(tmp_path / "x.csv"), check=False)
     assert out.returncode == 2
     assert "resolution" in out.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("content, code, message", [
+    (None, 2, "cannot read"),  # no file
+    ('{"matrix": 5}', 2, "must be 4x4"),
+    (json.dumps({"matrix": [[[3.0 * (i == j == 0), 0.0] for j in range(4)] for i in range(4)]}), 3, "not a state"),
+])
+def test_stationary_landscape_exits_2_or_3_on_a_bad_state_file(tmp_path, content, code, message):
+    path = tmp_path / "state.json"
+    if content is not None:
+        path.write_text(content)
+    out = _run("stationary_landscape.py", str(path), "--out", str(tmp_path / "x.csv"), check=False)
+    assert out.returncode == code
+    assert message in out.stderr and "Traceback" not in out.stderr
     assert not (tmp_path / "x.csv").exists()

@@ -18,11 +18,12 @@ from qdiscord import (
     mutual_information,
     random_state,
     random_unitary,
+    reduced_states,
     triple_from_matrix,
     validate,
     von_neumann_entropy,
 )
-from qdiscord.states import prepare_state
+from qdiscord.states import _triple, prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -325,3 +326,49 @@ def test_mutual_information_takes_the_prepared_state(rng):
     assert mutual_information(state) == mutual_information(rho)
     t = triple_from_matrix(rho)
     assert all(np.array_equal(getattr(state.triple, k), getattr(t, k)) for k in ("x", "y", "T"))
+
+
+def _near_pure_marginal_states(rng):
+    # (1 - eps) |psi><psi| + eps I/2 on one side, a random qubit state on the other
+    for eps in (0.0, 1e-16, 1e-13, 1e-10, 1e-6, 1e-3):
+        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        near_pure = (1 - eps) * np.outer(psi, psi.conj()) / (psi.conj() @ psi).real + eps * np.eye(2) / 2
+        other = reduced_states(random_state(rng=rng))[0]
+        yield np.kron(near_pure, other)
+        yield np.kron(other, near_pure)
+
+
+def test_prepared_marginal_entropies_match_the_partial_traces(rng):
+    rhos = [random_state(rank=rank, rng=rng) for rank in (1, 2, 3, 4) for _ in range(50)]
+    for rho in rhos + list(_near_pure_marginal_states(rng)):
+        state = prepare_state(rho)
+        rho_a, rho_b = reduced_states(state.rho)
+        assert abs(state.s_a - von_neumann_entropy(rho_a)) <= 1e-13
+        assert abs(state.s_b - von_neumann_entropy(rho_b)) <= 1e-13
+
+
+def test_triple_matches_the_einsum_pauli_traces(rng):
+    eye = np.eye(2)
+    kron_a = np.stack([np.kron(p, eye) for p in PAULIS])
+    kron_b = np.stack([np.kron(eye, p) for p in PAULIS])
+    kron_ab = np.stack([np.stack([np.kron(p, q) for q in PAULIS]) for p in PAULIS])
+    for rank in (1, 2, 3, 4):
+        for _ in range(50):
+            rho = random_state(rank=rank, rng=rng)
+            t = _triple(rho)
+            assert np.max(np.abs(t.x - np.einsum("ij,kji->k", rho, kron_a).real)) <= 1e-15
+            assert np.max(np.abs(t.y - np.einsum("ij,kji->k", rho, kron_b).real)) <= 1e-15
+            assert np.max(np.abs(t.T - np.einsum("ij,klji->kl", rho, kron_ab).real)) <= 1e-15
+
+
+@pytest.mark.parametrize("delta", [4.5e-10, 9e-10])
+def test_triple_of_an_accepted_matrix_with_overlong_marginals(delta):
+    # |x| = 1 + 4 delta and |y| = 1 + 2 delta before they are scaled back
+    rho = np.diag([1 + 2 * delta, 0.0, -delta, -delta])
+    assert validate(rho).ok
+    t = triple_from_matrix(rho)
+    assert t.x == pytest.approx([0, 0, 1], abs=1e-15) and t.y == pytest.approx([0, 0, 1], abs=1e-15)
+    state = prepare_state(rho)
+    assert state.s_a == state.s_b == 0.0
+    with pytest.raises(ValidationError, match="exceeds 1"):  # a triple given as such is not scaled
+        BlochTriple(np.array([0, 0, 1 + 4 * delta]), _zeros3(), np.zeros((3, 3)))
