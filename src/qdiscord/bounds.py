@@ -10,6 +10,7 @@ entropy S(rho_B) is also reported as a comparison bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +28,8 @@ from .states import reduced_states, triple_from_matrix  # noqa: F401
 SATURATION_TOL = 1e-6
 
 _RANK_TOL = 1e-10
+#: top eigenvalues of the projected form this close count as tied
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,12 @@ class BoundReport:
 
     ``t0_squared`` is the largest value of the quadratic form e^t T^t T e
     over unit vectors of the restricted subspace (of dimension
-    ``perp_dim``), attained at ``e0``.  ``cond_entropy_ub`` bounds the
-    minimal conditioned entropy from above, ``discord_ub`` the discord from
+    ``perp_dim``), attained at ``e0``, sign-canonicalized.  Where the top
+    eigenvalue is tied within 1e-12 (as on every pure state), ``e0`` is the
+    normalized projection onto the tied eigenspace of the first of the z, y
+    and x axes whose squared projection is at least 1/2, not a vector that
+    follows the last bits of T.  ``cond_entropy_ub`` bounds the minimal
+    conditioned entropy from above, ``discord_ub`` the discord from
     above, ``classical_lb`` the classical correlation from below;
     ``xi_bound`` is the comparison bound S(rho_B).
     """
@@ -77,8 +84,14 @@ def t0_squared(t: BlochTriple) -> tuple[float, MeasurementDirection]:
 def _max_on_subspace(t: BlochTriple, basis: np.ndarray) -> tuple[float, MeasurementDirection]:
     projected = basis.T @ (t.T.T @ t.T) @ basis
     vals, vecs = np.linalg.eigh(projected)
-    e0 = _canonical_sign(basis @ vecs[:, -1])
-    return max(float(vals[-1]), 0.0), MeasurementDirection(e0)
+    e0 = basis @ vecs[:, -1]
+    if len(vals) > 1 and vals[-2] >= vals[-1] - _TIE_TOL:
+        # eigh's vector in a tied eigenspace follows the last bits of T; the squared projections
+        # of the axes onto the space sum to its dimension >= 2, so one of them is >= 2/3
+        tied = basis @ vecs[:, vals >= vals[-1] - _TIE_TOL]
+        row = next(r for r in tied[::-1] if r @ r >= 0.5)  # rows z, y, x
+        e0 = tied @ row / math.sqrt(row @ row)
+    return max(float(vals[-1]), 0.0), MeasurementDirection(_canonical_sign(e0))
 
 
 def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = None,

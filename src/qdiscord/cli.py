@@ -31,7 +31,7 @@ from .measurement import (
     conditional_entropy_direct,
     direction_from_angles,
 )
-from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, MIN_RESOLUTION, quantum_discord, stationary_vector
+from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, _check_resolution, quantum_discord, stationary_vector
 from .states import BlochTriple, matrix_from_triple, random_state, triple_from_matrix
 
 EXIT_OK = 0
@@ -55,8 +55,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not MIN_RESOLUTION <= self.resolution_rad <= math.pi / 8:
-            raise UsageError(f"--resolution must be in [0.5, 22.5] degrees, got {self.resolution_deg}")
+        try:
+            _check_resolution(self.resolution_rad)
+        except ValidationError:
+            raise UsageError(f"--resolution must be in [0.5, 22.5] degrees, got {self.resolution_deg}") from None
         if not 1e-12 <= self.tolerance <= 1e-3:
             raise UsageError(f"--tolerance must be in [1e-12, 1e-3], got {self.tolerance}")
         if self.seed < 0:

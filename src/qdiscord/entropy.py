@@ -1,10 +1,10 @@
 """Entropy primitives and small-matrix Hermitian eigensolvers.
 
 All entropies are in bits (base-2 logarithms) with the convention
-``0 * log2(0) = 0``.  Probability-like inputs are clamped before use:
-values in ``[-1e-9, 0)`` snap to 0 and values in ``(1, 1+1e-9]`` snap to 1,
-so rank-deficient states coming out of an eigensolver do not trip the
-domain checks.
+``0 * log2(0) = 0``.  Probability-like inputs that pass a function's
+domain check (entries down to -1e-9, eigenvalues of a trace within 1e-9 of
+1) are clipped to [0, 1] before use, so rank-deficient states coming out of
+an eigensolver give entropies that are never negative.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotAStateError, ValidationError
 
-#: tolerance for clamping near-boundary probabilities and eigenvalues
+#: how far a probability may lie outside [0, 1], an eigenvalue below 0 or a trace from 1
 CLAMP_TOL = 1e-9
 
 #: default tolerance on Hermiticity checks
@@ -54,13 +54,6 @@ def hermitian_eigensystem(m: np.ndarray, *, tol: float = HERMITIAN_TOL) -> tuple
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def _clamp_unit(values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    out[(out < 0) & (out >= -CLAMP_TOL)] = 0.0
-    out[(out > 1) & (out <= 1 + CLAMP_TOL)] = 1.0
-    return out
-
-
 def _h_terms(*values: float) -> float:
     # -sum v log2 v with 0 log 0 = 0, fixed summation order
     acc = 0.0
@@ -73,8 +66,8 @@ def _h_terms(*values: float) -> float:
 def shannon_entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits.
 
-    The entries must lie in ``[-1e-9, 1+1e-9]`` and sum to 1 within 1e-6;
-    anything further off raises :class:`ValidationError`.
+    The entries must be at least -1e-9 and sum to 1 within 1e-6; anything
+    further off raises :class:`ValidationError`.  They are clipped to [0, 1].
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.ndim != 1:
@@ -84,7 +77,7 @@ def shannon_entropy(p) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > 1e-6:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
-    p = _clamp_unit(p)
+    p = np.clip(p, 0.0, 1.0)
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
 
@@ -116,12 +109,12 @@ def _spectrum_entropy(vals: np.ndarray) -> float:
     """:func:`von_neumann_entropy` from the eigenvalues of the density matrix.
 
     Raises :class:`NotAStateError` if they sum to 1 only beyond 1e-9 or one
-    lies below -1e-9; the rest are clamped as :func:`shannon_entropy`
-    clamps and summed in scalar arithmetic.
+    lies below -1e-9; the rest are clipped to [0, 1] as in
+    :func:`shannon_entropy` and summed in scalar arithmetic.
     """
     trace = float(vals.sum())
     if abs(trace - 1.0) > CLAMP_TOL:
         raise NotAStateError(f"trace is {trace!r}, not 1")
     if float(vals.min()) < -CLAMP_TOL:
         raise NotAStateError(f"negative eigenvalue {vals.min():.3e}")
-    return _h_terms(*_clamp_unit(vals).tolist())
+    return _h_terms(*np.clip(vals, 0.0, 1.0).tolist())

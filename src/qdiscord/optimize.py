@@ -214,16 +214,13 @@ def _lattice(resolution: float) -> tuple[np.ndarray, np.ndarray]:
     phi = index * (math.pi * (3 - math.sqrt(5)))
     r = np.sqrt(1 - z * z)
     dirs = np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
-    # the antipodes in reverse order go on below the equator with z still
-    # falling by 1/N per index, and the angle between two points bounds
-    # their difference in z: neighbours lie within reach * N indices
+    # z falls by 1/N per index, and whether m lies near n or near -n (both
+    # with z >= 0), |z_n - z_m| <= 2 sin(reach/2) < reach: neighbours lie
+    # within reach * N indices
     reach = 1.5 * resolution
-    sphere = np.vstack((dirs, -dirs[::-1]))
-    pairs = [np.stack((index, index + k))[:, np.einsum("ij,ij->i", dirs, sphere[k:count + k]) >= math.cos(reach)]
+    pairs = [np.stack((index[:-k], index[k:]))[:, np.abs(np.einsum("ij,ij->i", dirs[:-k], dirs[k:])) >= math.cos(reach)]
              for k in range(1, int(reach * count) + 1)]
     i, j = np.concatenate(pairs, axis=1)
-    j = np.minimum(j, 2 * count - 1 - j)  # fold the antipodes back
-    i, j = i[j > i], j[j > i]  # each antipodal pair turns up from both ends
     rows, cols = np.divmod(np.sort(np.concatenate((i * count + j, j * count + i))), count)
     nbrs = np.repeat(index[:, None], np.bincount(rows).max(), axis=1)
     nbrs[rows, np.arange(len(rows)) - np.searchsorted(rows, rows)] = cols
@@ -316,7 +313,11 @@ def _chart_hessian(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.nda
 
 
 def _newton_step(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.ndarray, _Point] | None:
-    """One damped Newton step from n, where A is defined: (new point, its record) or None."""
+    """One damped Newton step on A || n from n, where A is defined: (new point, its record) or None.
+
+    None for a singular chart Hessian or a step not finite or over 0.5 rad, else the first of
+    up to 8 halvings that lowers the residual, at any type of stationary point.
+    """
     hess, u, v = _chart_hessian(t, n, point)
     g0 = -0.25 * np.array([point.tang @ u, point.tang @ v])
     try:
@@ -330,7 +331,7 @@ def _newton_step(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.ndarr
         cand = n + scale * (delta[0] * u + delta[1] * v)
         cand = cand / np.linalg.norm(cand)
         pc = _point(t, cand)
-        if pc.resid < point.resid and pc.f <= point.f + 1e-14:  # False at a nan residual
+        if pc.resid < point.resid:  # False at a nan residual
             return cand, pc
         scale *= 0.5
     return None
@@ -364,7 +365,8 @@ def _descend(t: BlochTriple, n: np.ndarray, tolerance: float, max_iterations: in
         if p.resid <= tolerance:
             break
         g = -0.25 * p.tang
-        if p.resid < _NEWTON_THRESHOLD and (polished := _newton_step(t, n, p)) is not None:
+        polished = _newton_step(t, n, p) if p.resid < _NEWTON_THRESHOLD else None
+        if polished is not None and polished[1].f <= p.f + 1e-14:  # a minimum takes downhill steps only
             n, p = polished
             continue
         if n_prev is not None:
@@ -548,35 +550,18 @@ def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
     return np.where(valid, resid, np.inf)
 
 
-def _refine_stationary(t: BlochTriple, n0: np.ndarray, tolerance: float = 1e-9,
-                       max_iterations: int = 60) -> tuple[np.ndarray, float] | None:
-    """Damped Newton iteration toward the nearest stationary point (any type)."""
-    n, p = n0, _point(t, n0)
-    if p.tang is None:
-        return None
-    for _ in range(max_iterations):
-        if p.resid <= tolerance:
-            return n, p.resid
-        hess, u, v = _chart_hessian(t, n, p)  # A is defined at every accepted point
-        g0 = -0.25 * np.array([p.tang @ u, p.tang @ v])
-        delta, *_ = np.linalg.lstsq(hess, -g0, rcond=None)
-        if not np.isfinite(delta).all():
-            return None
-        norm = float(np.linalg.norm(delta))
-        if norm > 0.5:
-            delta *= 0.5 / norm
-        scale = 1.0
-        for _ in range(10):
-            cand = n + scale * (delta[0] * u + delta[1] * v)
-            cand = cand / np.linalg.norm(cand)
-            pc = _point(t, cand)
-            if pc.resid < p.resid:
-                n, p = cand, pc
-                break
-            scale /= 2
-        else:
+def _refine_stationary(t: BlochTriple, n: np.ndarray) -> tuple[np.ndarray, _Point] | None:
+    """Up to 60 :func:`_newton_step` calls from n toward a stationary point of any type.
+
+    The first point with residual <= 1e-9 and its record; None where A is
+    undefined, a step fails or 60 steps do not get there.
+    """
+    p = _point(t, n)
+    for _ in range(60):
+        if p.tang is None or p.resid <= 1e-9 or (stepped := _newton_step(t, n, p)) is None:
             break
-    return (n, p.resid) if p.resid <= tolerance else None
+        n, p = stepped
+    return (n, p) if p.resid <= 1e-9 else None
 
 
 def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[StationaryPoint]:
@@ -584,10 +569,11 @@ def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[St
 
     The local minima of the stationarity residual on the start lattice of
     :func:`minimize_conditional_entropy`, at spacing ``resolution``, are
-    refined with a damped Newton iteration (this captures saddles and maxima
+    refined with the search's Newton step (this captures saddles and maxima
     of the entropy, not just its minima), deduplicated with antipodes
-    identified, and returned sorted by entropy value.  Points whose
-    refinement does not reach residual 1e-9 are dropped.
+    identified, and returned sorted by entropy value, each with the value
+    and residual of its refined record.  Points whose refinement does not
+    reach residual 1e-9 are dropped.
     """
     dirs, nbrs = _lattice(_check_resolution(resolution))
     resid = stationary_residual_batch(t, dirs)
@@ -598,11 +584,11 @@ def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[St
         refined = _refine_stationary(t, n0)
         if refined is None:
             continue
-        n, r = refined
+        n, point = refined
         n = _canonical_sign(n)
         if any(math.acos(min(1.0, abs(float(n @ p.direction.n)))) < 1e-4 for p in found):
             continue
         direction = MeasurementDirection(n)
-        found.append(StationaryPoint(direction, conditional_entropy(t, direction), r))
+        found.append(StationaryPoint(direction, point.f, point.resid))
     found.sort(key=lambda p: (p.value, p.direction.theta, p.direction.phi))
     return found

@@ -69,6 +69,20 @@ def test_t0_squared_zero_correlation():
     assert t0sq == 0.0
 
 
+def test_e0_on_a_tied_top_eigenvalue_ignores_the_last_bit_of_t():
+    # every pure state ties the top eigenvalue of the projected form
+    rng = np.random.default_rng(2718)
+    for _ in range(20):
+        t = random_triple(rng, rank=1)
+        e0 = t0_squared(t)[1].n
+        for i in range(3):
+            for j in range(3):
+                for toward in (-np.inf, np.inf):
+                    T = t.T.copy()
+                    T[i, j] = np.nextafter(T[i, j], toward)
+                    assert np.abs(t0_squared(BlochTriple(t.x, t.y, T))[1].n - e0).max() <= 1e-12
+
+
 def test_theorem_bounds_bell_diagonal_saturated(rng):
     for _ in range(10):
         t1, t2, t3 = sample_bell_diagonal(rng)

@@ -9,11 +9,12 @@ from qdiscord import (
     binary_entropy,
     hermitian_eigensystem,
     hermitian_eigenvalues,
+    quantum_discord,
     shannon_entropy,
     von_neumann_entropy,
 )
 from qdiscord.entropy import CLAMP_TOL, _spectrum_entropy
-from qdiscord.states import random_unitary
+from qdiscord.states import prepare_state, random_unitary
 
 
 def test_eigenvalues_identity():
@@ -72,6 +73,16 @@ def test_shannon_entropy_rejects_bad_input():
 
 def test_shannon_entropy_clamps_tiny_negatives():
     assert shannon_entropy([1.0 + 5e-10, -5e-10]) == 0.0
+    assert shannon_entropy([1 + 5e-7]) == 0  # within the sum check, clipped to 1
+
+
+def test_an_eigenvalue_just_over_one_gives_no_negative_entropy():
+    # trace 1 and eigenvalues within the checks, with the top one past 1 + 1e-9
+    rho = np.diag([1 + 1.8e-9, 0.0, -0.9e-9, -0.9e-9])
+    assert von_neumann_entropy(rho) >= 0.0
+    assert prepare_state(rho).s_ab >= 0.0
+    report = quantum_discord(rho)
+    assert report.discord <= report.bounds.xi_bound
 
 
 def test_shannon_permutation_invariance(rng):

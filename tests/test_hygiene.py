@@ -1,0 +1,64 @@
+"""Static hygiene of the package, read with ``ast``: no unused imports, no dead private names."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qdiscord"
+#: the marker of an import kept bound for the benchmark trace, which wraps it
+KEEP_BOUND = "# noqa: F401"
+
+
+def _modules(*dirs):
+    return {path: path.read_text() for d in dirs for path in sorted(d.glob("*.py"))}
+
+
+def _read_names(tree):
+    """Bare names the code reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, source in _modules(PACKAGE).items():
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(source, str(path))
+        lines = source.splitlines()
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if KEEP_BOUND in lines[alias.lineno - 1]:
+                    continue
+                if bound not in read:
+                    unused.append(f"{path.name}:{alias.lineno} {bound}")
+    assert not unused, unused
+
+
+def test_every_private_module_name_is_referenced():
+    sources = _modules(PACKAGE, ROOT / "scripts")
+    referenced = set()
+    for path, source in sources.items():
+        tree = ast.parse(source, str(path))
+        referenced |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    dead = []
+    for path, source in _modules(PACKAGE).items():
+        for node in ast.parse(source, str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in referenced]
+    assert not dead, dead

@@ -261,7 +261,7 @@ def test_basin_starts_one_per_plateau_in_ascending_value():
 
 
 def test_lattice_neighbours_match_brute_force_adjacency():
-    for degrees in (22.5, 10, 3):
+    for degrees in (22.5, 15, 10, 5, 3):
         resolution = math.radians(degrees)
         dirs, nbrs = optimize._lattice(resolution)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0) and (dirs[:, 2] > 0).all()
@@ -532,6 +532,17 @@ def test_stationary_scan_random_state_residuals(rng):
     # the best scan point is the global minimum found by the main pipeline
     _, min_s, _ = refine_minimum(t, grid_minimize(t)[0])
     assert points[0].value == pytest.approx(min_s, abs=1e-8)
+
+
+def test_stationary_scan_reports_its_refined_records():
+    rng = np.random.default_rng(4242)
+    for k in range(9):
+        t = random_triple(rng, rank=2 + k % 3)
+        points = stationary_scan(t)
+        for p in points:
+            assert p.value == conditional_entropy(t, p.direction)
+            assert p.residual <= 1e-9
+        assert abs(points[0].value - minimize_conditional_entropy(t)[1]) <= 1e-12
 
 
 def test_discord_invariance_through_triple_rotations(rng):
