@@ -94,8 +94,7 @@ def _max_on_subspace(t: BlochTriple, basis: np.ndarray) -> tuple[float, Measurem
     return max(float(vals[-1]), 0.0), MeasurementDirection(_canonical_sign(e0))
 
 
-def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = None,
-                    saturation_tol: float = SATURATION_TOL) -> BoundReport:
+def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = None) -> BoundReport:
     """Correlation bounds of a state.
 
     ``rho`` is a 4x4 density matrix or the
@@ -124,7 +123,7 @@ def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = Non
         discord_ub=discord_ub,
         classical_lb=state.s_a - cond_ub,
         xi_bound=state.s_b,
-        saturated=bool(abs(discord_ub - discord) <= saturation_tol),
+        saturated=bool(abs(discord_ub - discord) <= SATURATION_TOL),
     )
 
 
@@ -169,11 +168,16 @@ def fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: empty for None, true/false for a flag, :func:`fmt9` for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return fmt9(value) if isinstance(value, float) else str(value)
+
+
 def rows_to_csv(rows: Sequence[ScanRow]) -> str:
-    """Serialize scan rows: 9-significant-digit floats, deterministic order."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([fmt9(r.param1), fmt9(r.param2), fmt9(r.discord),
-                               fmt9(r.discord_ub), fmt9(r.xi_bound),
-                               "true" if r.saturated else "false"]))
+    """Serialize scan rows, one cell per field in field order (the header's columns), row order kept."""
+    lines = [CSV_HEADER] + [",".join(_csv_cell(v) for v in vars(r).values()) for r in rows]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_comparison_scan, fmt9, rows_to_csv
+from .bounds import _csv_cell, bound_comparison_scan, fmt9, rows_to_csv
 from .closed_forms import (
     ab_state,
     bell_diagonal_discord,
@@ -128,14 +128,6 @@ def report_to_dict(report) -> dict:
 _CSV_HEADER = ("mutual_information,classical_correlation,discord,min_conditional_entropy,"
                "theta_rad,phi_rad,method,residual,"
                "discord_ub,classical_lb,cond_entropy_ub,xi_bound,t0_squared,perp_dim,saturated")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return fmt9(value) if isinstance(value, float) else str(value)
 
 
 def _emit_report(report, output_format: str) -> str:

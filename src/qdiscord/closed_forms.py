@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .entropy import binary_entropy, shannon_entropy
+from .entropy import _h_terms, binary_entropy, shannon_entropy
 from .errors import NotAStateError, ValidationError, WrongClassError
 from .states import BlochTriple, CanonicalForm, matrix_from_triple
 
@@ -44,7 +44,7 @@ class ClassTag:
     parameters: tuple[float, ...]
 
 
-def classify(c: CanonicalForm, tol: float = CLASS_TOL) -> ClassTag:
+def classify(c: CanonicalForm) -> ClassTag:
     """Assign a canonical form to its most specific solvable family.
 
     The AB benchmark family is never auto-detected (it is tied to a fixed
@@ -53,15 +53,15 @@ def classify(c: CanonicalForm, tol: float = CLASS_TOL) -> ClassTag:
     x = c.triple.x
     y = c.triple.y
     d = c.diagonal
-    if float(np.linalg.norm(y)) <= tol:
-        if float(np.linalg.norm(x)) <= tol:
+    if float(np.linalg.norm(y)) <= CLASS_TOL:
+        if float(np.linalg.norm(x)) <= CLASS_TOL:
             return ClassTag(StateKind.BELL_DIAGONAL, tuple(d))
-        if float(np.linalg.norm(d * x)) <= tol:  # T^t x with diagonal T
-            if max(abs(x[0]), abs(x[1]), abs(d[2])) <= tol:
+        if float(np.linalg.norm(d * x)) <= CLASS_TOL:  # T^t x with diagonal T
+            if max(abs(x[0]), abs(x[1]), abs(d[2])) <= CLASS_TOL:
                 return ClassTag(StateKind.X_SUBCLASS, (d[0], d[1], x[2]))
-            if max(abs(x[0]), abs(d[1]), abs(d[2])) <= tol:
+            if max(abs(x[0]), abs(d[1]), abs(d[2])) <= CLASS_TOL:
                 return ClassTag(StateKind.ZERO_DISCORD_AXIAL, (d[0], x[1], x[2]))
-            if float(np.linalg.norm(d)) <= tol:
+            if float(np.linalg.norm(d)) <= CLASS_TOL:
                 return ClassTag(StateKind.ZERO_DISCORD_UNCORRELATED, tuple(x))
             return ClassTag(StateKind.KERNEL_CLASS, tuple(d) + tuple(x))
     return ClassTag(StateKind.GENERIC, ())
@@ -108,7 +108,7 @@ def bell_diagonal_discord(t1: float, t2: float, t3: float) -> BellDiagonalDiscor
     return BellDiagonalDiscord(discord, min_s, axis, degenerate)
 
 
-def kernel_class_min_entropy(x: np.ndarray, T: np.ndarray, tol: float = CLASS_TOL) -> float:
+def kernel_class_min_entropy(x: np.ndarray, T: np.ndarray) -> float:
     """Minimal conditioned entropy h2((1 + sqrt(|x|^2 + t_max^2))/2) for y = 0, T^t x = 0.
 
     ``t_max`` is the largest singular value of T.  Raises
@@ -116,7 +116,7 @@ def kernel_class_min_entropy(x: np.ndarray, T: np.ndarray, tol: float = CLASS_TO
     """
     x = np.asarray(x, dtype=float)
     T = np.asarray(T, dtype=float)
-    if float(np.linalg.norm(T.T @ x)) > tol:
+    if float(np.linalg.norm(T.T @ x)) > CLASS_TOL:
         raise WrongClassError("x is not in the kernel of T^t")
     t_max = float(np.linalg.svd(T, compute_uv=False)[0]) if np.any(T) else 0.0
     x2 = float(x @ x)
@@ -170,12 +170,6 @@ def ab_state(a: float, b: float) -> np.ndarray:
     ], dtype=complex)
 
 
-def _eta(u: float) -> float:
-    # u log2 u with the 0 log 0 = 0 convention; tiny negatives from
-    # parameter arithmetic at the region boundary count as 0
-    return u * math.log2(u) if u > 0.0 else 0.0
-
-
 def ab_q(a: float, b: float) -> float:
     """The q value of the benchmark family's discord formula.
 
@@ -186,10 +180,10 @@ def ab_q(a: float, b: float) -> float:
     """
     ABState(a, b)
     s = math.hypot(a, b)
-    return (1 + a + _eta(a)
-            + 0.5 * (_eta(1 - a - b) + _eta(1 - a + b)
-                     - _eta(1 + b) - _eta(1 - b)
-                     - _eta(1 + s) - _eta(1 - s)))
+    return (1 + a - _h_terms(a)
+            + 0.5 * (-_h_terms(1 - a - b) - _h_terms(1 - a + b)
+                     + _h_terms(1 + b) + _h_terms(1 - b)
+                     + _h_terms(1 + s) + _h_terms(1 - s)))
 
 
 def ab_discord(a: float, b: float) -> tuple[float, float]:

@@ -18,11 +18,11 @@ from .errors import NotAStateError, ValidationError
 #: how far a probability may lie outside [0, 1], an eigenvalue below 0 or a trace from 1
 CLAMP_TOL = 1e-9
 
-#: default tolerance on Hermiticity checks
+#: tolerance of the Hermiticity checks
 HERMITIAN_TOL = 1e-10
 
 
-def _as_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+def _as_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
@@ -31,25 +31,25 @@ def _as_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NotAStateError("matrix has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
-        raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > HERMITIAN_TOL:
+        raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITIAN_TOL:.1e}")
     return (m + m.conj().T) / 2
 
 
-def hermitian_eigenvalues(m: np.ndarray, *, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a 2x2 or 4x4 Hermitian matrix, sorted descending.
 
     Raises :class:`ValidationError` if the input deviates from Hermiticity
-    by more than ``tol``, and :class:`NotAStateError` if an entry is
+    by more than 1e-10, and :class:`NotAStateError` if an entry is
     infinite or NaN.
     """
-    h = _as_hermitian(m, tol)
+    h = _as_hermitian(m)
     return np.linalg.eigvalsh(h)[::-1].copy()
 
 
-def hermitian_eigensystem(m: np.ndarray, *, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    h = _as_hermitian(m, tol)
+    h = _as_hermitian(m)
     vals, vecs = np.linalg.eigh(h)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
@@ -61,6 +61,12 @@ def _h_terms(*values: float) -> float:
         if v > 0.0:
             acc -= v * math.log2(v)
     return acc
+
+
+def _h_sum(v: np.ndarray) -> np.ndarray:
+    """-sum v log2 v over the leading axis of an array, with 0 log 0 = 0; never -0.0."""
+    # entries <= 0 take log2(1) = 0, so they add (-)0 and no warning is raised
+    return 0.0 - (v * np.log2(np.where(v > 0.0, v, 1.0))).sum(axis=0)
 
 
 def shannon_entropy(p) -> float:
@@ -77,9 +83,7 @@ def shannon_entropy(p) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > 1e-6:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
-    p = np.clip(p, 0.0, 1.0)
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(_h_sum(np.clip(p, 0.0, 1.0)))
 
 
 def binary_entropy(x: float) -> float:
@@ -96,13 +100,13 @@ def binary_entropy(x: float) -> float:
     return _h_terms(x, 1.0 - x)
 
 
-def von_neumann_entropy(m: np.ndarray, *, tol: float = HERMITIAN_TOL) -> float:
+def von_neumann_entropy(m: np.ndarray) -> float:
     """Von Neumann entropy of a density matrix, in bits.
 
     The matrix must be Hermitian, PSD within ``-1e-9`` and unit trace within
     1e-9; violations raise :class:`NotAStateError`.
     """
-    return _spectrum_entropy(hermitian_eigenvalues(m, tol=tol))
+    return _spectrum_entropy(hermitian_eigenvalues(m))
 
 
 def _spectrum_entropy(vals: np.ndarray) -> float:

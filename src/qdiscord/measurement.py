@@ -20,17 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _h_terms
+from .entropy import _h_sum, _h_terms
 from .errors import NotAStateError, ValidationError, ZeroProbabilityError
-from .states import _I2, PAULIS, BlochTriple, matrix_from_triple
-
-_PAULI_STACK = np.stack(PAULIS)
+from .states import PSD_TOL, BlochTriple, _qubit_matrix, matrix_from_triple
 
 #: probabilities below this are treated as exactly zero branches
 BRANCH_TOL = 1e-12
 
-#: how far |x +- T n| may exceed 2 p_k before the state is rejected
-_W_DEFICIT_TOL = 1e-9
+#: how far |x +- T n| may exceed 2 p_k before the state is rejected: twice the 4 PSD_TOL an accepted matrix reaches
+_W_DEFICIT_TOL = 8 * PSD_TOL
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,10 @@ class MeasurementDirection:
         n = np.asarray(self.n, dtype=float)
         if n.shape != (3,):
             raise ValidationError(f"direction must be a real 3-vector, got shape {n.shape}")
-        norm = float(np.linalg.norm(n))
+        if not all(map(math.isfinite, n.tolist())):
+            raise ValidationError("direction has non-finite entries")
+        # hypot, unlike sqrt(n . n), does not overflow on entries beyond 1e154
+        norm = math.hypot(*n.tolist())
         if norm < 1e-12:
             raise ValidationError("direction vector must be nonzero")
         if abs(norm - 1.0) > 1e-12:
@@ -93,8 +94,7 @@ def projector_bloch(k: int, direction) -> np.ndarray:
     if k not in (0, 1):
         raise ValidationError(f"outcome index must be 0 or 1, got {k}")
     n = _unit(direction)
-    nk = n if k == 0 else -n
-    return (_I2 + np.tensordot(nk, _PAULI_STACK, axes=1)) / 2
+    return _qubit_matrix(n if k == 0 else -n)
 
 
 #: Raw branch quantities at a direction n, before any clamp or degeneracy policy:
@@ -138,6 +138,18 @@ def _probabilities(b: Branches) -> tuple[float, float, float, float, float, floa
         w1, w2 = p0, 0.0
     if w4 < 0:
         w3, w4 = p1, 0.0
+    return p0, p1, w1, w2, w3, w4
+
+
+def _probabilities_batch(b: Branches) -> tuple[np.ndarray, ...]:
+    """:func:`_probabilities` at every direction of a batch: the same check, error and snap."""
+    p0, p1, w1, w2, w3, w4 = b[:6]
+    low = np.minimum(w2, w4).min(initial=0.0)
+    if low < -_W_DEFICIT_TOL / 4:
+        raise NotAStateError(f"|x +- T n| exceeds 2 p_k by {-4 * low:.3e}; triple is not a state")
+    if low < 0:
+        w1, w2 = np.where(w2 < 0, p0, w1), np.where(w2 < 0, 0.0, w2)
+        w3, w4 = np.where(w4 < 0, p1, w3), np.where(w4 < 0, 0.0, w4)
     return p0, p1, w1, w2, w3, w4
 
 
@@ -204,14 +216,10 @@ def conditional_entropy(t: BlochTriple, direction) -> float:
 
 def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndarray:
     """Vectorized :func:`conditional_entropy` over an (N, 3) array of unit vectors."""
-    b = branches_batch(t, np.asarray(directions, dtype=float))
-    w = np.stack([b.w1, b.w2, b.w3, b.w4])
-    np.clip(w, 0.0, 1.0, out=w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h4 = -np.where(w > 0, w * np.log2(w), 0.0).sum(axis=0)
-        h2 = -(np.where(b.p0 > 0, b.p0 * np.log2(b.p0), 0.0)
-               + np.where(b.p1 > 0, b.p1 * np.log2(b.p1), 0.0))
-    return h4 - h2
+    p0, p1, w1, w2, w3, w4 = _probabilities_batch(branches_batch(t, np.asarray(directions, dtype=float)))
+    v = np.stack([w1, w2, w3, w4, p0, p1])
+    np.clip(v[:4], 0.0, 1.0, out=v[:4])
+    return _h_sum(v[:4]) - _h_sum(v[4:])
 
 
 def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | None = None):
@@ -237,7 +245,7 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
         rho = matrix_from_triple(t)
     count = len(dirs)
     # rows 0..N-1 are outcome 0 (Bloch vector n), rows N..2N-1 outcome 1 (-n)
-    proj = (_I2 + np.tensordot(np.concatenate((dirs, -dirs)), _PAULI_STACK, axes=1)) / 2
+    proj = _qubit_matrix(np.concatenate((dirs, -dirs)))
     lift = np.zeros((2 * count, 2, 2, 2, 2), dtype=complex)  # I (x) P_k: P_k on both diagonal blocks
     lift[:, 0, :, 0] = lift[:, 1, :, 1] = proj
     lift = lift.reshape(-1, 4, 4)
@@ -246,8 +254,7 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     live = pk > BRANCH_TOL
     rho_a = np.einsum("nabcb->nac", sandwich[live].reshape(-1, 2, 2, 2, 2)) / pk[live, None, None]
     eig = np.clip(np.linalg.eigvalsh(rho_a), 0.0, 1.0)
-    log_eig = np.log2(eig, out=np.zeros_like(eig), where=eig > 0.0)  # 0 log 0 = 0
     terms = np.zeros(2 * count)
-    terms[live] = pk[live] * -(eig * log_eig).sum(axis=1)
+    terms[live] = pk[live] * _h_sum(eig.T)
     total = terms[:count] + terms[count:]
     return float(total[0]) if single else total

@@ -28,6 +28,7 @@ from .measurement import (
     _branch_entropy,
     _canonical_sign,
     _probabilities,
+    _probabilities_batch,
     _unit,
     branches,
     branches_batch,
@@ -353,12 +354,12 @@ def _compass(t: BlochTriple, n: np.ndarray, f: float, step: float) -> np.ndarray
     return n
 
 
-def _descend(t: BlochTriple, n: np.ndarray, tolerance: float, max_iterations: int) -> tuple[np.ndarray, _Point]:
+def _descend(t: BlochTriple, n: np.ndarray, tolerance: float) -> tuple[np.ndarray, _Point]:
     """Descent from the unit vector n to a stationary point: that point and its record."""
     p = _point(t, n)
     step: float | None = None
     n_prev = g_prev = None
-    for _ in range(max_iterations):
+    for _ in range(MAX_REFINE_ITERATIONS):
         if p.tang is None:
             n = _compass(t, n, p.f, step or 0.01)
             return n, _point(t, n)
@@ -394,7 +395,6 @@ def _descend(t: BlochTriple, n: np.ndarray, tolerance: float, max_iterations: in
 
 
 def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANCE,
-                   max_iterations: int = MAX_REFINE_ITERATIONS,
                    ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
     """Descend the conditioned entropy from ``start`` until A is parallel to n.
 
@@ -407,7 +407,7 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     curvature.  The returned value never exceeds the starting value.  One
     branch evaluation serves each point visited and all that is read there.
     """
-    n, p = _descend(t, _unit(start), tolerance, max_iterations)
+    n, p = _descend(t, _unit(start), tolerance)
     for _ in range(_MAX_ESCAPES):
         if p.a is None:
             break
@@ -416,7 +416,7 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
         if curvatures[0] >= -_SADDLE_CURVATURE:
             break
         pushed = n + _ESCAPE_STEP * (axes[0, 0] * u + axes[1, 0] * v)
-        pushed = _descend(t, pushed / np.linalg.norm(pushed), tolerance, max_iterations)
+        pushed = _descend(t, pushed / np.linalg.norm(pushed), tolerance)
         if pushed[1].f >= p.f:
             break
         n, p = pushed
@@ -539,11 +539,12 @@ def classical_correlation(rho: np.ndarray, **kwargs) -> float:
 def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
     """Vectorized stationarity residual |A - (n.A) n|; inf at degenerate directions."""
     b = branches_batch(t, dirs)
-    valid = np.minimum.reduce([b.w1, b.w2, b.w3, b.w4, b.p0, b.p1]) > BRANCH_TOL
+    p0, p1, w1, w2, w3, w4 = _probabilities_batch(b)
+    valid = np.minimum.reduce([w1, w2, w3, w4, p0, p1]) > BRANCH_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        ly = np.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0))
-        cp = np.where(b.s_plus > BRANCH_TOL, np.log2(b.w1 / b.w2) / b.s_plus, 0.0)
-        cm = np.where(b.s_minus > BRANCH_TOL, np.log2(b.w3 / b.w4) / b.s_minus, 0.0)
+        ly = np.log2((w1 * w2 * p1 * p1) / (w3 * w4 * p0 * p0))
+        cp = np.where(b.s_plus > BRANCH_TOL, np.log2(w1 / w2) / b.s_plus, 0.0)
+        cm = np.where(b.s_minus > BRANCH_TOL, np.log2(w3 / w4) / b.s_minus, 0.0)
         a = ly[:, None] * t.y + (cp[:, None] * b.v_plus - cm[:, None] * b.v_minus) @ t.T
         tang = a - (np.sum(a * dirs, axis=1))[:, None] * dirs
         resid = np.linalg.norm(tang, axis=1)

@@ -20,18 +20,16 @@ from .errors import NotAStateError, ValidationError
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
-# sigma_i (x) I, I (x) sigma_j, sigma_i (x) sigma_j, precomputed once
-_KRON_A = np.stack([np.kron(p, _I2) for p in PAULIS])
-_KRON_B = np.stack([np.kron(_I2, p) for p in PAULIS])
-_KRON_AB = np.stack([np.stack([np.kron(pi, pj) for pj in PAULIS]) for pi in PAULIS])
-# column k holds P_k^t flattened, so rho flattened times column k is tr(rho P_k); P_k
-# runs over the 3 of _KRON_A, the 3 of _KRON_B and the 9 of _KRON_AB in row-major order
-_PAULI_TRACES = (np.concatenate([_KRON_A, _KRON_B, _KRON_AB.reshape(9, 4, 4)])
-                 .transpose(2, 1, 0).reshape(16, 15))
+# the 15 products P_k: sigma_i (x) I, I (x) sigma_j, then sigma_i (x) sigma_j in
+# row-major order, matching the entries of x, y and T
+_PAULI_PRODUCTS = np.array([np.kron(p, _I2) for p in PAULIS] + [np.kron(_I2, p) for p in PAULIS]
+                           + [np.kron(p, q) for p in PAULIS for q in PAULIS])
+# column k holds P_k^t flattened, so rho flattened times column k is tr(rho P_k)
+_PAULI_TRACES = _PAULI_PRODUCTS.transpose(2, 1, 0).reshape(16, 15)
 
 #: acceptance thresholds used by :func:`validate`
 HERMITICITY_TOL = 1e-8
@@ -187,9 +185,9 @@ def triple_from_matrix(rho: np.ndarray) -> BlochTriple:
 def matrix_from_triple(t: BlochTriple) -> np.ndarray:
     """Assemble the 4x4 density matrix of a triple (Hermitian, unit trace)."""
     rho = (_I4
-           + np.tensordot(t.x, _KRON_A, axes=1)
-           + np.tensordot(t.y, _KRON_B, axes=1)
-           + np.tensordot(t.T, _KRON_AB, axes=2))
+           + np.tensordot(t.x, _PAULI_PRODUCTS[:3], axes=1)
+           + np.tensordot(t.y, _PAULI_PRODUCTS[3:6], axes=1)
+           + np.tensordot(t.T, _PAULI_PRODUCTS[6:].reshape(3, 3, 4, 4), axes=2))
     return rho / 4
 
 
@@ -199,11 +197,14 @@ def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)
 
 
+def _qubit_matrix(v: np.ndarray) -> np.ndarray:
+    """(I + v.sigma)/2 for a (3,) Bloch vector, or stacked for each row of an (N, 3) array."""
+    return (_I2 + np.tensordot(v, PAULIS, axes=1)) / 2
+
+
 def marginals(t: BlochTriple) -> tuple[np.ndarray, np.ndarray]:
     """Subsystem states rho_A = (I + x.sigma)/2 and rho_B = (I + y.sigma)/2."""
-    rho_a = (_I2 + np.tensordot(t.x, np.stack(PAULIS), axes=1)) / 2
-    rho_b = (_I2 + np.tensordot(t.y, np.stack(PAULIS), axes=1)) / 2
-    return rho_a, rho_b
+    return _qubit_matrix(t.x), _qubit_matrix(t.y)
 
 
 @dataclass(frozen=True)
@@ -325,9 +326,5 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - _I2)) > 1e-10:
         raise ValidationError("expected a 2x2 unitary")
-    o = np.empty((3, 3))
-    for j, pj in enumerate(PAULIS):
-        upu = u @ pj @ u.conj().T
-        for i, pi in enumerate(PAULIS):
-            o[i, j] = np.trace(pi @ upu).real / 2
-    return o
+    upu = u @ PAULIS @ u.conj().T
+    return np.einsum("iab,jba->ij", PAULIS, upu).real / 2

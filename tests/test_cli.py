@@ -109,8 +109,16 @@ def _overlong_marginals(delta):
     return lambda: np.diag([1 + 2 * delta, 0.0, -delta, -delta])
 
 
+def _negative_product_eigenvalue(diagonal):
+    # an eigenvalue down to -9e-10 on a product vector |ab>, within validate's 1e-9: measuring
+    # B along z gives a joint probability w = -9e-10, a deficit |x +- T n| - 2 p_k of 3.6e-9
+    return lambda: np.diag(diagonal).astype(complex)
+
+
 @pytest.mark.parametrize("make", [_slightly_non_hermitian, _slightly_negative,
-                                  _overlong_marginals(9e-10), _overlong_marginals(4.5e-10)])
+                                  _overlong_marginals(9e-10), _overlong_marginals(4.5e-10),
+                                  _negative_product_eigenvalue([0.5, -9e-10, 0.0, 0.5 + 9e-10]),
+                                  _negative_product_eigenvalue([0.6, 0.1 + 9e-10, -9e-10, 0.3])])
 def test_states_that_validate_accepts_give_a_report(tmp_path, capsys, make):
     rho = make()
     assert validate(rho).ok

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,7 @@ from qdiscord import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from qdiscord.entropy import CLAMP_TOL, _spectrum_entropy
+from qdiscord.entropy import CLAMP_TOL, _h_sum, _h_terms, _spectrum_entropy
 from qdiscord.states import prepare_state, random_unitary
 
 
@@ -74,6 +76,21 @@ def test_shannon_entropy_rejects_bad_input():
 def test_shannon_entropy_clamps_tiny_negatives():
     assert shannon_entropy([1.0 + 5e-10, -5e-10]) == 0.0
     assert shannon_entropy([1 + 5e-7]) == 0  # within the sum check, clipped to 1
+
+
+@pytest.mark.parametrize("p", [[1.0], [1 + 5e-7], [1.0, 0.0, 0.0], [0.0, 1.0 + 5e-10, -5e-10]])
+def test_a_certain_outcome_has_entropy_plus_zero(p):
+    assert math.copysign(1.0, shannon_entropy(p)) == 1.0
+
+
+def test_the_array_helper_equals_the_scalar_helper_column_by_column(rng):
+    v = rng.dirichlet(np.ones(4), size=200).T
+    v[:, :50] = rng.choice([0.0, 1.0, -1e-17, -5e-10, 1e-300, 0.5], size=(4, 50))
+    got = _h_sum(v)
+    assert got.shape == (200,)
+    for k in range(200):
+        assert abs(got[k] - _h_terms(*v[:, k].tolist())) <= 1e-15
+    assert not np.signbit(got).any()  # columns of zeros, ones and negatives give +0.0
 
 
 def test_an_eigenvalue_just_over_one_gives_no_negative_entropy():

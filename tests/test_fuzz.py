@@ -1,14 +1,17 @@
 """Property fuzzing of the input contract: any array or state file gives a report or a typed error.
 
-A 4x4 array either raises :class:`NotAStateError` (the CLI's exit 3) or
-yields a report whose invariants hold; a state file makes ``qdiscord
-compute`` exit 0, 2 or 3, and a range string makes ``qdiscord scan`` exit
-0, 2 or 3, never 1 with a traceback.
+A 4x4 array that :func:`validate` rejects raises :class:`NotAStateError`
+(the CLI's exit 3), and any other yields a report whose invariants hold; a
+state file makes ``qdiscord compute`` exit 0, 2 or 3, and a range string
+makes ``qdiscord scan`` exit 0, 2 or 3, never 1 with a traceback.  A
+3-vector becomes a unit measurement direction or raises
+:class:`ValidationError`, without a warning.
 """
 
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -16,7 +19,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdiscord import NotAStateError, cli, quantum_discord, random_state, reduced_states, triple_from_matrix
+from qdiscord import (
+    MeasurementDirection,
+    NotAStateError,
+    ValidationError,
+    cli,
+    quantum_discord,
+    random_state,
+    reduced_states,
+    triple_from_matrix,
+    validate,
+)
 from qdiscord.cli import MAX_SCAN_POINTS, main
 
 #: covers PSD_TOL: an accepted matrix may have an eigenvalue down to -1e-9
@@ -68,12 +81,26 @@ def test_any_array_gives_a_report_or_a_typed_error(rho):
     try:
         report = quantum_discord(rho)
     except NotAStateError:
+        assert not validate(rho).ok  # a matrix validate accepts always gives a report
         return
     b = report.bounds
     assert report.discord == report.mutual_information - report.classical_correlation
     assert -SLACK <= report.discord <= b.xi_bound + SLACK
     assert report.discord <= b.discord_ub + SLACK
     assert report.classical_correlation >= b.classical_lb - SLACK
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from((1e-12, 1e154, 1e300)),
+                min_size=3, max_size=3))
+def test_any_3_vector_gives_a_unit_direction_or_a_validation_error(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            n = MeasurementDirection(v).n
+        except ValidationError:
+            return
+    assert np.isfinite(n).all() and abs(math.hypot(*n) - 1) <= 1e-12
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers(-10**400, 10**400)

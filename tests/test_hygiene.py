@@ -62,3 +62,15 @@ def test_every_private_module_name_is_referenced():
             dead += [f"{path.name}:{node.lineno} {name}" for name in names
                      if name.startswith("_") and not name.startswith("__") and name not in referenced]
     assert not dead, dead
+
+
+#: primitives with one home each: the -v log2 v sums live in entropy.py (the
+#: stationarity vector's log-ratios in optimize.py), the Pauli matrices and
+#: their Kronecker products in states.py
+PRIMITIVE_HOMES = {"log2": {"entropy.py", "optimize.py"}, "np.kron": {"states.py"}, "PAULIS": {"states.py"}}
+
+
+def test_each_primitive_is_defined_in_its_home_module_only():
+    strays = [f"{path.name}: {word}" for path, source in _modules(PACKAGE).items()
+              for word, homes in PRIMITIVE_HOMES.items() if word in source and path.name not in homes]
+    assert not strays, strays

@@ -10,6 +10,7 @@ from qdiscord import (
     BlochTriple,
     MeasurementDirection,
     NotAStateError,
+    ValidationError,
     ZeroProbabilityError,
     ab_state,
     apply_local_rotations,
@@ -24,9 +25,12 @@ from qdiscord import (
     matrix_from_triple,
     projector_bloch,
     random_state,
+    refine_minimum,
+    stationary_scan,
     triple_from_matrix,
 )
 from qdiscord.measurement import BRANCH_TOL, branches, branches_batch
+from qdiscord.optimize import stationary_residual_batch
 
 Z3 = np.zeros(3)
 Z33 = np.zeros((3, 3))
@@ -49,6 +53,20 @@ def test_direction_normalizes():
     d = MeasurementDirection(np.array([0.0, 0.0, 5.0]))
     assert np.allclose(d.n, [0, 0, 1])
     assert abs(np.linalg.norm(d.n) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [[np.nan, 0, 0], [0, np.nan, 1], [np.inf, 0, 0], [0, 0, -np.inf]])
+def test_direction_rejects_non_finite_entries(n):
+    with pytest.raises(ValidationError, match="non-finite"):
+        MeasurementDirection(n)
+    with pytest.raises(ValidationError, match="non-finite"):
+        refine_minimum(BlochTriple(Z3, Z3, np.diag([0.5, 0.2, 0.1])), n)
+
+
+@pytest.mark.parametrize("n", [[1e300, 1e300, 0], [-1e308, 0, 1e308], [3e-12, 0, 4e-12]])
+def test_direction_far_from_unit_length_normalizes_without_overflow(n):
+    d = MeasurementDirection(n)  # a RuntimeWarning would fail the test
+    assert abs(math.hypot(*d.n) - 1) < 1e-15
 
 
 def test_projectors_standard_basis():
@@ -143,6 +161,21 @@ def test_joint_probabilities_reject_invalid_triple():
     t = BlochTriple(np.array([0.9, 0, 0]), Z3, np.diag([0.9, 0.0, 0.0]))
     with pytest.raises(NotAStateError):
         joint_probabilities(t, MeasurementDirection(np.array([1.0, 0, 0])))
+
+
+def test_batch_kernels_reject_a_triple_that_is_not_a_state():
+    # |T n| = 1.5 > 2 p_k = 1 in every direction
+    t = BlochTriple(Z3, Z3, 1.5 * np.eye(3))
+    dirs = np.eye(3)
+    message = "triple is not a state"
+    with pytest.raises(NotAStateError, match=message):
+        conditional_entropy(t, dirs[0])
+    with pytest.raises(NotAStateError, match=message):
+        conditional_entropy_batch(t, dirs)
+    with pytest.raises(NotAStateError, match=message):
+        stationary_residual_batch(t, dirs)
+    with pytest.raises(NotAStateError, match=message):
+        stationary_scan(t)
 
 
 def test_post_measurement_state_simple():

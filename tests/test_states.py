@@ -310,6 +310,22 @@ def test_bloch_rotation_conjugation_action(rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def _bloch_rotation_reference(u):
+    # O_ij = Re tr(sigma_i U sigma_j U^dag) / 2, one trace per entry
+    o = np.empty((3, 3))
+    for j, pj in enumerate(PAULIS):
+        upu = u @ pj @ u.conj().T
+        for i, pi in enumerate(PAULIS):
+            o[i, j] = np.trace(pi @ upu).real / 2
+    return o
+
+
+def test_bloch_rotation_matches_the_trace_loop(rng):
+    for _ in range(200):
+        u = random_unitary(2, rng)
+        assert np.max(np.abs(bloch_rotation(u) - _bloch_rotation_reference(u))) <= 1e-15
+
+
 @pytest.mark.parametrize("field", ["x", "y", "T"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_bloch_triple_rejects_non_finite_entries(field, bad):
