@@ -79,14 +79,19 @@ def _unit(direction) -> np.ndarray:
     return MeasurementDirection(np.asarray(direction, dtype=float)).n
 
 
-def _canonical_sign(n: np.ndarray) -> np.ndarray:
-    """Representative of the pair {n, -n}: first nonzero of (z, y, x) positive."""
+def _canonical_sign(n):
+    """Representative of the pair {n, -n}: first nonzero of (z, y, x) positive; n itself or a 3-tuple."""
     for k in (2, 1, 0):
         if n[k] > 0:
             return n
         if n[k] < 0:
-            return -n
+            return (-n[0], -n[1], -n[2])
     return n
+
+
+def _dot(a, b) -> float:
+    """a . b for two 3-vectors of floats."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def projector_bloch(k: int, direction) -> np.ndarray:
@@ -99,7 +104,7 @@ def projector_bloch(k: int, direction) -> np.ndarray:
 
 #: Raw branch quantities at a direction n, before any clamp or degeneracy policy:
 #: p0, p1; w1, w2 = (2 p0 +- s_plus)/4; w3, w4 = (2 p1 +- s_minus)/4; v_plus,
-#: v_minus = x +- T n with norms s_plus, s_minus.  Scalars and 3-vectors from
+#: v_minus = x +- T n with norms s_plus, s_minus.  Floats and float 3-tuples from
 #: :func:`branches`, (N,) and (N, 3) arrays from :func:`branches_batch`.
 Branches = namedtuple("Branches", "p0 p1 w1 w2 w3 w4 v_plus v_minus s_plus s_minus")
 
@@ -111,12 +116,14 @@ def _assemble(d, vp, vm, sp, sm) -> Branches:
                     (2 * p1 + sm) / 4, (2 * p1 - sm) / 4, vp, vm, sp, sm)
 
 
-def branches(t: BlochTriple, n: np.ndarray) -> Branches:
-    """Branch quantities at one unit direction n of shape (3,)."""
-    tn = t.T @ n
-    vp, vm = t.x + tn, t.x - tn
-    # sqrt(v . v) is what np.linalg.norm computes for a real vector, minus its overhead
-    return _assemble(float(t.y @ n), vp, vm, math.sqrt(vp @ vp), math.sqrt(vm @ vm))
+def branches(t: BlochTriple, n) -> Branches:
+    """Branch quantities at one unit direction n, a (3,) array or three floats, in float arithmetic."""
+    if isinstance(n, np.ndarray):
+        n = n.tolist()
+    x, y, rows, _ = t._floats
+    tn = [_dot(row, n) for row in rows]
+    vp, vm = (x[0] + tn[0], x[1] + tn[1], x[2] + tn[2]), (x[0] - tn[0], x[1] - tn[1], x[2] - tn[2])
+    return _assemble(_dot(y, n), vp, vm, math.sqrt(_dot(vp, vp)), math.sqrt(_dot(vm, vm)))
 
 
 def branches_batch(t: BlochTriple, dirs: np.ndarray) -> Branches:
@@ -197,7 +204,7 @@ def post_measurement_state(t: BlochTriple, direction, k: int) -> PostMeasurement
     pk, v = (b.p0, b.v_plus) if k == 0 else (b.p1, b.v_minus)
     if pk <= BRANCH_TOL:
         raise ZeroProbabilityError(f"outcome {k} has probability {pk:.3e}")
-    return PostMeasurementState(k, v / (2 * pk), pk)
+    return PostMeasurementState(k, np.array(v) / (2 * pk), pk)
 
 
 def _branch_entropy(p0: float, p1: float, w1: float, w2: float, w3: float, w4: float) -> float:
@@ -211,7 +218,7 @@ def conditional_entropy(t: BlochTriple, direction) -> float:
     Evaluated at the sign-canonical representative of {n, -n}, so the
     result is bitwise identical for antipodal directions.
     """
-    return _branch_entropy(*_probabilities(branches(t, _canonical_sign(_unit(direction)))))
+    return _branch_entropy(*_probabilities(branches(t, _canonical_sign(_unit(direction).tolist()))))
 
 
 def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .measurement import (
     MeasurementDirection,
     _branch_entropy,
     _canonical_sign,
+    _dot,
     _probabilities,
     _probabilities_batch,
     _unit,
@@ -106,7 +107,7 @@ class DiscordReport:
     bounds: BoundReport | None
 
 
-def _a_from(t: BlochTriple, b: Branches) -> np.ndarray | None:
+def _a_from(t: BlochTriple, b: Branches) -> tuple[float, float, float] | None:
     """A = log2(w1 w2 p1^2/(w3 w4 p0^2)) y + T^T (c+ v+ - c- v-) from the branches at n; None if degenerate.
 
     c+ = log2(w1/w2)/s+ and c- = log2(w3/w4)/s-, each 0 (its limit) where
@@ -116,15 +117,30 @@ def _a_from(t: BlochTriple, b: Branches) -> np.ndarray | None:
         return None
     cp = math.log2(b.w1 / b.w2) / b.s_plus if b.s_plus > BRANCH_TOL else 0.0
     cm = math.log2(b.w3 / b.w4) / b.s_minus if b.s_minus > BRANCH_TOL else 0.0
-    return (math.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0)) * t.y
-            + t.T.T @ (cp * b.v_plus - cm * b.v_minus))
+    ly = math.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0))
+    _, y, _, cols = t._floats
+    cv = [cp * p - cm * m for p, m in zip(b.v_plus, b.v_minus)]
+    return ly * y[0] + _dot(cols[0], cv), ly * y[1] + _dot(cols[1], cv), ly * y[2] + _dot(cols[2], cv)
+
+
+def _tangential(n, a) -> tuple[float, float, float]:
+    """a - (n . a) n, the part of a orthogonal to the unit vector n."""
+    na = _dot(n, a)
+    return a[0] - na * n[0], a[1] - na * n[1], a[2] - na * n[2]
+
+
+def _moved(n, step: float, w) -> tuple[float, float, float]:
+    """The unit vector along n + step w."""
+    m = (n[0] + step * w[0], n[1] + step * w[1], n[2] + step * w[2])
+    r = math.sqrt(_dot(m, m))
+    return m[0] / r, m[1] / r, m[2] / r
 
 
 _Point = namedtuple("_Point", "f b a tang resid")
 
 
-def _point(t: BlochTriple, n: np.ndarray) -> _Point:
-    """What refinement reads at the unit vector n, from one branch evaluation.
+def _point(t: BlochTriple, n) -> _Point:
+    """What refinement reads at the unit vector n (three floats), from one branch evaluation.
 
     The entropy f (bitwise :func:`conditional_entropy`) and branches b at the
     sign-canonical representative of {n, -n}; A at n by A(-n) = -A(n), its
@@ -136,9 +152,9 @@ def _point(t: BlochTriple, n: np.ndarray) -> _Point:
     a = _a_from(t, b)
     if a is None:
         return _Point(f, b, None, None, math.nan)
-    a = a if c is n else -a
-    tang = a - (n @ a) * n
-    return _Point(f, b, a, tang, math.sqrt(tang @ tang))
+    a = a if c is n else (-a[0], -a[1], -a[2])
+    tang = _tangential(n, a)
+    return _Point(f, b, a, tang, math.sqrt(_dot(tang, tang)))
 
 
 def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
@@ -154,26 +170,26 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
 
 def _diagnostics(t: BlochTriple, direction: MeasurementDirection, b: Branches) -> StationaryDiagnostics:
     """:func:`stationary_vector` from the branches ``b`` at ``direction.n``."""
-    n = direction.n
     a = _a_from(t, b)
     if a is None:
         return StationaryDiagnostics(None, None, None, None, None, degenerate=True)
     th, ph = direction.theta, direction.phi
-    n_theta = np.array([math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), -math.sin(th)])
-    n_phi = np.array([-math.sin(th) * math.sin(ph), math.sin(th) * math.cos(ph), 0.0])
+    n_theta = (math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), -math.sin(th))
+    n_phi = (-math.sin(th) * math.sin(ph), math.sin(th) * math.cos(ph), 0.0)
     # the Lagrange scalar of A = A_scalar n from its own formula, a check on n.A
     a_scalar = -4 * _branch_entropy(*b[:6]) \
         - math.log2((b.w1 * b.w2 * b.w3 * b.w4) / (b.p0 * b.p0 * b.p1 * b.p1))
     if b.s_plus > BRANCH_TOL:
-        a_scalar -= math.log2(b.w1 / b.w2) * float(t.x @ (b.v_plus / b.s_plus))
+        a_scalar -= math.log2(b.w1 / b.w2) * _dot(t._floats[0], [v / b.s_plus for v in b.v_plus])
     if b.s_minus > BRANCH_TOL:
-        a_scalar -= math.log2(b.w3 / b.w4) * float(t.x @ (b.v_minus / b.s_minus))
+        a_scalar -= math.log2(b.w3 / b.w4) * _dot(t._floats[0], [v / b.s_minus for v in b.v_minus])
+    tang = _tangential(direction.n.tolist(), a)
     return StationaryDiagnostics(
-        a_vector=a,
+        a_vector=np.array(a),
         a_scalar=a_scalar,
-        residual=float(np.linalg.norm(a - (n @ a) * n)),
-        grad_theta=-0.25 * float(n_theta @ a),
-        grad_phi=-0.25 * float(n_phi @ a),
+        residual=math.sqrt(_dot(tang, tang)),
+        grad_theta=-0.25 * _dot(n_theta, a),
+        grad_phi=-0.25 * _dot(n_phi, a),
     )
 
 
@@ -265,17 +281,16 @@ def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tupl
     return best, conditional_entropy(t, best)
 
 
-def _tangent_basis(n: np.ndarray) -> np.ndarray:
+def _tangent_basis(n) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """Rows u, v with (u, v, n) orthonormal; Duff et al., "Building an Orthonormal Basis, Revisited" (2017)."""
-    x, y, z = n.tolist()
+    x, y, z = n
     sign = math.copysign(1.0, z)
     a = -1.0 / (sign + z)
     b = x * y * a
-    return np.array(((1.0 + sign * x * x * a, sign * b, -sign * x),
-                     (b, sign + y * y * a, -y)))
+    return (1.0 + sign * x * x * a, sign * b, -sign * x), (b, sign + y * y * a, -y)
 
 
-def _chart_hessian(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chart_hessian(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, float], tuple, tuple]:
     """Hessian of the conditioned entropy in the tangent chart at n, and the chart basis.
 
     Closed form, from the record ``point`` of n, where A is defined.  With
@@ -288,49 +303,64 @@ def _chart_hessian(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.nda
     and the chart Hessian is B^T (that) B + (n.A)/4 I with B = [u v].  Where
     s+- = 0 the pair's terms take their limit -(y y^T + T^T T)/(4 p ln 2).
     The ambient Hessian is even in n, so the branches at -n serve as well.
+    Returns the entries (H_uu, H_uv, H_vv) of the symmetric 2x2, then u and v.
     """
     b = point.b
-    basis = _tangent_basis(n)
-    tb = t.T @ basis.T  # T B
-    units, curvature = [], []  # per pair: u and the kappa of its term -kappa T^T (I - u u^T) T
+    u, v = _tangent_basis(n)
+    _, y, rows, _ = t._floats
+    tu, tv = [_dot(row, u) for row in rows], [_dot(row, v) for row in rows]  # the columns of T B
+    yu, yv = _dot(y, u), _dot(y, v)
+    k = -1 / (16 * math.log(2))
+    # (weight, row) per outer-product term: y, then per pair 4 g_i (up to sign) for its two w and B^T T^T u
+    terms = [(-4 * k * (1 / b.p0 + 1 / b.p1), yu, yv)]
+    kappa = 0.0  # the sum over pairs of the kappa of the term -kappa T^T (I - u u^T) T
     for p, wa, wb, vec, s in ((b.p0, b.w1, b.w2, b.v_plus, b.s_plus),
                               (b.p1, b.w3, b.w4, b.v_minus, b.s_minus)):
         if s > BRANCH_TOL:
-            units.append(vec / s)
-            curvature.append(math.log2(wa / wb) / (4 * s))
+            unit = [c / s for c in vec]
+            cu, cv, curvature = _dot(unit, tu), _dot(unit, tv), math.log2(wa / wb) / (4 * s)
         else:  # the limit, in which u drops out
-            units.append(np.zeros(3))
-            curvature.append(1 / (4 * math.log(2) * p))
-    c = np.array(units) @ tb  # rows B^T T^T u+, B^T T^T u-
-    yb = basis @ t.y
-    # one row per outer-product term: 4 g1, 4 g3, 4 g2, 4 g4 (up to sign), y, B^T T^T u+-
-    rows = np.concatenate((yb + c, yb - c, yb[None], c))
-    k = -1 / (16 * math.log(2))
-    weights = np.array((k / b.w1, k / b.w3, k / b.w2, k / b.w4,
-                        -4 * k * (1 / b.p0 + 1 / b.p1), *curvature))
-    hess = (rows.T * weights) @ rows - (curvature[0] + curvature[1]) * (tb.T @ tb)
-    hess += 0.25 * float(n @ point.a) * np.eye(2)  # the sphere's own curvature, -(n . grad S) I
-    return hess, basis[0], basis[1]
+            cu, cv, curvature = 0.0, 0.0, 1 / (4 * math.log(2) * p)
+        terms += ((k / wa, yu + cu, yv + cv), (k / wb, yu - cu, yv - cv), (curvature, cu, cv))
+        kappa += curvature
+    huu = huv = hvv = 0.0
+    for w, ru, rv in terms:
+        huu, huv, hvv = huu + ru * w * ru, huv + ru * w * rv, hvv + rv * w * rv
+    sphere = 0.25 * _dot(n, point.a)  # the sphere's own curvature, -(n . grad S) I
+    return (huu - kappa * _dot(tu, tu) + sphere, huv - kappa * _dot(tu, tv),
+            hvv - kappa * _dot(tv, tv) + sphere), u, v
 
 
-def _newton_step(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.ndarray, _Point] | None:
+def _solve_2x2(huu: float, huv: float, hvv: float, bu: float, bv: float) -> tuple[float, float] | None:
+    """The solution of [[huu, huv], [huv, hvv]] d = (bu, bv) by Cramer's rule; None when singular."""
+    det = huu * hvv - huv * huv
+    return None if det == 0 else ((hvv * bu - huv * bv) / det, (huu * bv - huv * bu) / det)
+
+
+def _lowest_eigenpair(huu: float, huv: float, hvv: float) -> tuple[float, tuple[float, float]]:
+    """The smaller eigenvalue of [[huu, huv], [huv, hvv]] and a unit eigenvector; (1, 0) for a multiple of I."""
+    half_gap = (huu - hvv) / 2
+    r = math.hypot(half_gap, huv)
+    vec = (huv, -(half_gap + r)) if half_gap >= 0 else (-(r - half_gap), huv)  # a row of H - lambda I, no cancellation
+    norm = math.hypot(*vec)
+    return (huu + hvv) / 2 - r, (vec[0] / norm, vec[1] / norm) if norm > 0 else (1.0, 0.0)
+
+
+def _newton_step(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, float], _Point] | None:
     """One damped Newton step on A || n from n, where A is defined: (new point, its record) or None.
 
     None for a singular chart Hessian or a step not finite or over 0.5 rad, else the first of
     up to 8 halvings that lowers the residual, at any type of stationary point.
     """
-    hess, u, v = _chart_hessian(t, n, point)
-    g0 = -0.25 * np.array([point.tang @ u, point.tang @ v])
-    try:
-        delta = np.linalg.solve(hess, -g0)
-    except np.linalg.LinAlgError:
+    (huu, huv, hvv), u, v = _chart_hessian(t, n, point)
+    # the chart gradient is -(tang . u, tang . v)/4; the step solves H delta = -gradient
+    delta = _solve_2x2(huu, huv, hvv, 0.25 * _dot(point.tang, u), 0.25 * _dot(point.tang, v))
+    if delta is None or not math.hypot(*delta) <= 0.5:  # False for a step that is not finite
         return None
-    if not np.isfinite(delta).all() or float(np.linalg.norm(delta)) > 0.5:
-        return None
+    w = [delta[0] * a + delta[1] * b for a, b in zip(u, v)]
     scale = 1.0
     for _ in range(8):
-        cand = n + scale * (delta[0] * u + delta[1] * v)
-        cand = cand / np.linalg.norm(cand)
+        cand = _moved(n, scale, w)
         pc = _point(t, cand)
         if pc.resid < point.resid:  # False at a nan residual
             return cand, pc
@@ -338,14 +368,13 @@ def _newton_step(t: BlochTriple, n: np.ndarray, point: _Point) -> tuple[np.ndarr
     return None
 
 
-def _compass(t: BlochTriple, n: np.ndarray, f: float, step: float) -> np.ndarray:
+def _compass(t: BlochTriple, n, f: float, step: float) -> tuple[float, float, float]:
     """Derivative-free descent for points where the gradient is undefined."""
     while step > _COMPASS_MIN_STEP:
         u, v = _tangent_basis(n)
-        for probe in (u, -u, v, -v):
-            cand = n + step * probe
-            cand = cand / np.linalg.norm(cand)
-            fc = conditional_entropy(t, MeasurementDirection(cand))
+        for signed, probe in ((step, u), (-step, u), (step, v), (-step, v)):
+            cand = _moved(n, signed, probe)
+            fc = _point(t, cand).f
             if fc < f:
                 n, f = cand, fc
                 break
@@ -354,7 +383,7 @@ def _compass(t: BlochTriple, n: np.ndarray, f: float, step: float) -> np.ndarray
     return n
 
 
-def _descend(t: BlochTriple, n: np.ndarray, tolerance: float) -> tuple[np.ndarray, _Point]:
+def _descend(t: BlochTriple, n, tolerance: float) -> tuple[tuple[float, float, float], _Point]:
     """Descent from the unit vector n to a stationary point: that point and its record."""
     p = _point(t, n)
     step: float | None = None
@@ -365,24 +394,23 @@ def _descend(t: BlochTriple, n: np.ndarray, tolerance: float) -> tuple[np.ndarra
             return n, _point(t, n)
         if p.resid <= tolerance:
             break
-        g = -0.25 * p.tang
+        g = [-0.25 * c for c in p.tang]
         polished = _newton_step(t, n, p) if p.resid < _NEWTON_THRESHOLD else None
         if polished is not None and polished[1].f <= p.f + 1e-14:  # a minimum takes downhill steps only
             n, p = polished
             continue
         if n_prev is not None:
-            s_diff = n - n_prev
-            y_diff = g - g_prev
-            denom = float(y_diff @ y_diff)
+            s_diff = [a - b for a, b in zip(n, n_prev)]
+            y_diff = [a - b for a, b in zip(g, g_prev)]
+            denom = _dot(y_diff, y_diff)
             if denom > 1e-30:
-                step = min(max(abs(float(s_diff @ y_diff) / denom), 1e-12), 1e3)
+                step = min(max(abs(_dot(s_diff, y_diff) / denom), 1e-12), 1e3)
         if step is None:
             step = 1.0
         n_prev, g_prev = n, g
-        gg = float(g @ g)
+        gg = _dot(g, g)
         for _ in range(60):
-            cand = n - step * g
-            cand = cand / np.linalg.norm(cand)
+            cand = _moved(n, -step, g)
             pc = _point(t, cand)
             if pc.f <= p.f - _ARMIJO * step * gg:
                 n, p = cand, pc
@@ -407,16 +435,15 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     curvature.  The returned value never exceeds the starting value.  One
     branch evaluation serves each point visited and all that is read there.
     """
-    n, p = _descend(t, _unit(start), tolerance)
+    n, p = _descend(t, _unit(start).tolist(), tolerance)
     for _ in range(_MAX_ESCAPES):
         if p.a is None:
             break
         hess, u, v = _chart_hessian(t, n, p)
-        curvatures, axes = np.linalg.eigh(hess)
-        if curvatures[0] >= -_SADDLE_CURVATURE:
+        curvature, (au, av) = _lowest_eigenpair(*hess)
+        if curvature >= -_SADDLE_CURVATURE:
             break
-        pushed = n + _ESCAPE_STEP * (axes[0, 0] * u + axes[1, 0] * v)
-        pushed = _descend(t, pushed / np.linalg.norm(pushed), tolerance)
+        pushed = _descend(t, _moved(n, _ESCAPE_STEP, [au * a + av * b for a, b in zip(u, v)]), tolerance)
         if pushed[1].f >= p.f:
             break
         n, p = pushed
@@ -445,11 +472,12 @@ def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, toleran
                 ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
     """:func:`minimize_conditional_entropy` with the canonical form of ``t`` already taken."""
     lattice, nbrs = _lattice(_check_resolution(resolution))
+    axes = np.vstack((canon.rotation_b, t.y, t.T.T @ t.x))
+    norms = np.linalg.norm(axes, axis=1)
+    axes = axes[norms > 1e-12] / norms[norms > 1e-12, None]
     dirs = lattice.copy()
-    for axis in (*canon.rotation_b, t.y, t.T.T @ t.x):
-        norm = float(np.linalg.norm(axis))
-        if norm > 1e-12:
-            dirs[int(np.argmax(np.abs(lattice @ axis)))] = axis / norm
+    for i, axis in zip(np.abs(lattice @ axes.T).argmax(axis=0).tolist(), axes):  # in order: the later axis wins a point
+        dirs[i] = axis
     starts = _basin_starts(conditional_entropy_batch(t, dirs), nbrs)
     return min((refine_minimum(t, dirs[i], tolerance=tolerance) for i in starts), key=lambda found: found[1])
 
@@ -516,11 +544,13 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         direction, min_s, diagnostics = _multistart(t, canon, resolution, tolerance)
         method = "grid+refine"
 
-    classical = max(0.0, state.s_a - min_s)
-    discord = state.mutual_information - classical
+    # 0 <= J <= I, which the PSD slack of an accepted matrix can break by rounding
+    mutual = state.mutual_information
+    classical = min(max(0.0, state.s_a - min_s), mutual)
+    discord = mutual - classical
     bounds = theorem1_bounds(state, discord=discord) if with_bounds else None
     return DiscordReport(
-        mutual_information=state.mutual_information,
+        mutual_information=mutual,
         classical_correlation=classical,
         discord=discord,
         optimal_direction=direction,
@@ -551,7 +581,7 @@ def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
     return np.where(valid, resid, np.inf)
 
 
-def _refine_stationary(t: BlochTriple, n: np.ndarray) -> tuple[np.ndarray, _Point] | None:
+def _refine_stationary(t: BlochTriple, n) -> tuple[tuple[float, float, float], _Point] | None:
     """Up to 60 :func:`_newton_step` calls from n toward a stationary point of any type.
 
     The first point with residual <= 1e-9 and its record; None where A is
@@ -581,13 +611,13 @@ def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[St
     candidates = dirs[(resid <= resid[nbrs].min(axis=1)) & np.isfinite(resid)]
 
     found: list[StationaryPoint] = []
-    for n0 in candidates:
+    for n0 in candidates.tolist():
         refined = _refine_stationary(t, n0)
         if refined is None:
             continue
         n, point = refined
         n = _canonical_sign(n)
-        if any(math.acos(min(1.0, abs(float(n @ p.direction.n)))) < 1e-4 for p in found):
+        if any(math.acos(min(1.0, abs(_dot(n, p.direction.n)))) < 1e-4 for p in found):
             continue
         direction = MeasurementDirection(n)
         found.append(StationaryPoint(direction, point.f, point.resid))

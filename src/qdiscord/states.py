@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,12 @@ class BlochTriple:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def _floats(self):
+        # (x, y, rows of T, rows of T^T) as floats for the scalar kernels, on first use; not a field
+        rows = tuple(map(tuple, self.T.tolist()))
+        return tuple(self.x.tolist()), tuple(self.y.tolist()), rows, tuple(zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,8 @@ class PreparedState:
 
     @property
     def mutual_information(self) -> float:
-        return self.s_a + self.s_b - self.s_ab
+        # I >= 0 by subadditivity; an accepted matrix's PSD slack can leave it just below
+        return max(0.0, self.s_a + self.s_b - self.s_ab)
 
 
 def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:

@@ -118,12 +118,15 @@ def _negative_product_eigenvalue(diagonal):
 @pytest.mark.parametrize("make", [_slightly_non_hermitian, _slightly_negative,
                                   _overlong_marginals(9e-10), _overlong_marginals(4.5e-10),
                                   _negative_product_eigenvalue([0.5, -9e-10, 0.0, 0.5 + 9e-10]),
-                                  _negative_product_eigenvalue([0.6, 0.1 + 9e-10, -9e-10, 0.3])])
+                                  _negative_product_eigenvalue([0.6, 0.1 + 9e-10, -9e-10, 0.3]),
+                                  # J exceeded I here by rounding the slack allows, and D was -1.6e-9 and -7.9e-10
+                                  _negative_product_eigenvalue([0.4 + 9e-10, 0.3, 0.3, -9e-10]),
+                                  _negative_product_eigenvalue([0.7, -9e-10, 0.1 + 9e-10, 0.2])])
 def test_states_that_validate_accepts_give_a_report(tmp_path, capsys, make):
     rho = make()
     assert validate(rho).ok
     report = quantum_discord(rho)
-    assert -1e-8 <= report.discord <= report.bounds.xi_bound + 1e-8
+    assert 0.0 <= report.discord <= report.bounds.xi_bound + 1e-8
     assert report.discord <= report.bounds.discord_ub + 1e-8
     path = _write_matrix_file(tmp_path / "edge.json", rho)
     assert main(["compute", path, "--format", "json"]) == 0

@@ -26,17 +26,19 @@ from qdiscord import (
     cli,
     quantum_discord,
     random_state,
+    random_unitary,
     reduced_states,
     triple_from_matrix,
     validate,
 )
 from qdiscord.cli import MAX_SCAN_POINTS, main
+from qdiscord.states import PSD_TOL
 
 #: covers PSD_TOL: an accepted matrix may have an eigenvalue down to -1e-9
 SLACK = 1e-8
 
 _NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 1.0))
-_KINDS = ("state", "non-finite", "huge", "non-hermitian", "trace", "near-psd", "near-pure", "raw")
+_KINDS = ("state", "non-finite", "huge", "non-hermitian", "trace", "near-psd", "product-deficit", "near-pure", "raw")
 
 
 @st.composite
@@ -67,6 +69,17 @@ def matrices(draw):
             rho = np.kron(pure, mixed) if i % 2 else np.kron(mixed, pure)
         rho -= draw(st.floats(0.0, 2e-9)) * np.eye(4)
         rho /= np.trace(rho).real
+    elif kind == "product-deficit":  # a diagonal entry of a product-basis state lowered by up to PSD_TOL
+        below_zero = draw(st.booleans())
+        p, q = rng.uniform(0, 1, 2)
+        if below_zero:  # B pure, so entries 1 and 3 vanish and the lowered one goes negative
+            q, i = 1.0, 2 * (i % 2) + 1
+        rho = np.kron(np.diag([p, 1 - p]), np.diag([q, 1 - q])).astype(complex)
+        rho[i, i] -= draw(st.floats(0.0, PSD_TOL))
+        rho /= np.trace(rho).real
+        if draw(st.booleans()):  # the same state in a random local basis
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            rho = u @ rho @ u.conj().T
     elif kind == "near-pure":  # S(rho) near PURE_STATE_TOL, a landscape flat to rounding
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi /= np.linalg.norm(psi)
@@ -85,7 +98,7 @@ def test_any_array_gives_a_report_or_a_typed_error(rho):
         return
     b = report.bounds
     assert report.discord == report.mutual_information - report.classical_correlation
-    assert -SLACK <= report.discord <= b.xi_bound + SLACK
+    assert 0.0 <= report.discord <= b.xi_bound + SLACK
     assert report.discord <= b.discord_ub + SLACK
     assert report.classical_correlation >= b.classical_lb - SLACK
 

@@ -385,9 +385,14 @@ def test_scalar_and_batch_branch_kernels_agree(rng):
     t = random_triple(rng)
     dirs = rng.standard_normal((1000, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    # the six poles, then unit vectors with signed zero components
+    special = [np.roll(np.array([0.0, 0.0, s]), k) for s in (1.0, -1.0) for k in range(3)]
+    special += [np.array(v) for v in ([0.6, -0.0, 0.8], [-0.0, 0.0, -1.0], [-0.0, -0.6, -0.8], [0.8, 0.6, -0.0])]
+    dirs = np.vstack([dirs, special])
     batch = branches_batch(t, dirs)
     worst = 0.0
     for i, n in enumerate(dirs):
-        for scalar, rows in zip(branches(t, n), batch):
-            worst = max(worst, float(np.max(np.abs(np.asarray(scalar) - rows[i]))))
+        for given in (n, tuple(n.tolist())):  # a (3,) array or a 3-tuple of floats
+            for scalar, rows in zip(branches(t, given), batch):
+                worst = max(worst, float(np.max(np.abs(np.asarray(scalar) - rows[i]))))
     assert worst <= 1e-15

@@ -311,15 +311,15 @@ def test_pure_state_shortcut_agrees_with_numeric_route(rng, eps, shortcut):
 
 def _fd_chart_hessian(t, n, h=1e-6):
     """Reference chart Hessian: symmetrized central differences of the analytic chart gradient."""
-    u, v = optimize._tangent_basis(n)
+    u, v = map(np.array, optimize._tangent_basis(n))
 
     def chart_gradient(du, dv):
         m = n + du * u + dv * v
         r = float(np.linalg.norm(m))
-        tang = optimize._point(t, m / r).tang
+        tang = optimize._point(t, (m / r).tolist()).tang
         if tang is None:
             return None
-        g = -0.25 * tang
+        g = -0.25 * np.array(tang)
         return np.array([g @ u, g @ v]) / r
 
     cols = []
@@ -338,11 +338,12 @@ def test_chart_hessian_matches_finite_differences():
     for k in range(200):
         t = random_triple(rng, rank=1 + k % 4)
         d = random_direction(rng)
-        point = optimize._point(t, d.n)
+        point = optimize._point(t, d.n.tolist())
         assert (point.a is None) == stationary_vector(t, d).degenerate
         if point.a is None:
             continue
-        hess, u, v = optimize._chart_hessian(t, d.n, point)
+        (huu, huv, hvv), u, v = optimize._chart_hessian(t, d.n.tolist(), point)
+        hess = np.array([[huu, huv], [huv, hvv]])
         assert np.array_equal(np.array([u, v]), optimize._tangent_basis(d.n))
         reference = _fd_chart_hessian(t, d.n)
         assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
@@ -356,7 +357,8 @@ def test_chart_hessian_at_the_vanishing_norm_limit():
     n = np.array([0.0, 0.0, 1.0])
     b = optimize.branches(t, n)
     assert b.s_plus == b.s_minus == 0.0
-    hess, _, _ = optimize._chart_hessian(t, n, optimize._point(t, n))
+    (huu, huv, hvv), _, _ = optimize._chart_hessian(t, n.tolist(), optimize._point(t, n.tolist()))
+    hess = np.array([[huu, huv], [huv, hvv]])
     assert np.linalg.eigvalsh(hess) == pytest.approx([-0.5707365, -0.1426841], abs=1e-7)
     reference = _fd_chart_hessian(t, n)
     assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
@@ -370,6 +372,67 @@ def test_tangent_basis_is_orthonormal():
     for n in normals:
         frame = np.vstack([optimize._tangent_basis(n), n])
         assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-15
+
+
+def _symmetric_2x2(rng, cond):
+    """A random symmetric 2x2 with eigenvalues of either sign and condition number ``cond``."""
+    c, s = np.cos(angle := rng.uniform(0, np.pi)), np.sin(angle)
+    rotation = np.array([[c, -s], [s, c]])
+    scale = 10.0 ** rng.uniform(-3, 3)
+    eigenvalues = scale * np.array([rng.choice((-1.0, 1.0)), rng.choice((-1.0, 1.0)) / cond])
+    h = rotation @ np.diag(eigenvalues) @ rotation.T
+    return float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
+
+
+def test_closed_form_2x2_solve_matches_lapack():
+    rng = np.random.default_rng(22)
+    for k in range(1000):
+        cond = 10.0 ** (12 * k / 999)  # 1 to 1e12: the last few hundred are near-singular
+        huu, huv, hvv = _symmetric_2x2(rng, cond)
+        rhs = rng.standard_normal(2)
+        reference = np.linalg.solve(np.array([[huu, huv], [huv, hvv]]), rhs)
+        got = np.array(optimize._solve_2x2(huu, huv, hvv, *rhs.tolist()))
+        # the forward error of either solver grows as cond * eps; up to cond 1e3 they agree to 1e-12
+        assert np.linalg.norm(got - reference) <= 1e-12 * max(1.0, cond / 1e3) * np.linalg.norm(reference)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
+    assert optimize._solve_2x2(1.0, 2.0, 4.0, 1.0, 1.0) is None  # exactly singular, where solve raises
+
+
+def test_closed_form_lowest_eigenpair_matches_lapack():
+    rng = np.random.default_rng(23)
+    cases = [_symmetric_2x2(rng, 10.0 ** rng.uniform(0, 8)) for _ in range(1000)]
+    cases += [(2.0, 0.0, 3.0), (3.0, 0.0, 2.0), (-1.0, 0.0, -1.0), (1.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+              (1.0, 1e-300, 1.0), (1.0, 0.5, 1.0)]
+    for huu, huv, hvv in cases:
+        values, vectors = np.linalg.eigh(np.array([[huu, huv], [huv, hvv]]))
+        value, vector = optimize._lowest_eigenpair(huu, huv, hvv)
+        scale = max(float(np.abs(values).max()), 1e-300)  # the spectral radius
+        assert abs(value - values[0]) <= 1e-15 * scale
+        assert math.hypot(*vector) == pytest.approx(1.0, abs=4e-16)
+        if values[1] - values[0] > 1e-6 * scale:  # a separated eigenvalue fixes its vector up to sign
+            assert min(np.abs(np.array(vector) - s * vectors[:, 0]).max() for s in (1, -1)) <= 1e-9
+        else:  # H - lambda I vanishes within rounding: any unit vector is an eigenvector
+            h = np.array([[huu, huv], [huv, hvv]])
+            assert np.abs(h @ vector - value * np.array(vector)).max() <= 1e-15 * scale
+
+
+def test_refinement_calls_no_numpy_linear_algebra(monkeypatch):
+    rng = np.random.default_rng(77)
+    triples = [random_triple(rng, rank=2 + k % 3) for k in range(50)]
+    starts = [random_direction(rng) for _ in triples]
+    calls = []
+    for name in ("norm", "solve", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    for t, start in zip(triples, starts):
+        refine_minimum(t, start)
+    assert calls == []
 
 
 def test_search_branch_evaluations_do_not_grow(monkeypatch):
@@ -421,6 +484,23 @@ def test_rank_one_search_refines_at_most_twice(rng, monkeypatch):
         calls.clear()
         quantum_discord(random_state(rank=1, rng=rng), fast_path=False, with_bounds=False)
         assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("diagonal", [(0.4 + 9e-10, 0.3, 0.3, -9e-10), (0.7, -9e-10, 0.1 + 9e-10, 0.2)])
+def test_discord_is_not_negative_within_the_psd_slack(diagonal):
+    # validate accepts both; S(rho_AB) is clamped, and J came out above I by rounding (D = -1.6e-9, -7.9e-10)
+    rho = np.diag(diagonal)
+    report = quantum_discord(rho)
+    assert 0.0 <= report.classical_correlation <= report.mutual_information
+    assert report.discord >= 0.0
+    assert report.discord == report.mutual_information - report.classical_correlation
+
+
+def test_mutual_information_of_product_states_is_not_negative(rng):
+    # subadditivity; the three entropies of a product state cancel only up to rounding (to -2.2e-16)
+    for _ in range(50):
+        a, b = (reduced_states(random_state(rng=rng))[0] for _ in range(2))
+        assert mutual_information(np.kron(a, b)) >= 0.0
 
 
 def test_quantum_discord_product_state(rng):
