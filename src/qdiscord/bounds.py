@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .entropy import binary_entropy
-from .measurement import MeasurementDirection, _canonical_sign
+from .measurement import MeasurementDirection, _canonical_sign, _cross, _dot, _lowest_eigenpair, _tangent_basis
 from .states import BlochTriple, PreparedState, prepare_state
 
 # Unused here; kept bound because the benchmark trace (perfbench/spans.py) wraps them.
@@ -94,6 +94,66 @@ def _max_on_subspace(t: BlochTriple, basis: np.ndarray) -> tuple[float, Measurem
     return max(float(vals[-1]), 0.0), MeasurementDirection(_canonical_sign(e0))
 
 
+def _tied_axis(span) -> tuple[float, float, float]:
+    """The normalized projection onto a tied eigenspace of the first of the z, y and x axes whose squared projection is >= 1/2.
+
+    ``span`` is an orthonormal basis of the space, of dimension >= 2; the
+    squared projections of the three axes sum to that dimension, so one of
+    them is at least 2/3.
+    """
+    for k in (2, 1, 0):
+        coords = [e[k] for e in span]  # the projection of axis k in the basis span
+        sq = sum(c * c for c in coords)
+        if sq >= 0.5:
+            r = math.sqrt(sq)
+            return tuple(sum(c * e[i] for c, e in zip(coords, span)) / r for i in range(3))
+
+
+def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, float, float]]:
+    """:func:`t0_squared` and the dimension of :func:`perp_subspace`, on floats: (t0^2, dimension, e0 up to sign).
+
+    The singular values of [a, y] with a = T^t x come from s1 s2 = |a x y| and
+    s1^2 + s2^2 = |a|^2 + |y|^2 and are counted with perp_subspace's rank rule.
+    Rank 2: the complement is the line of a x y.  Rank 1: it is the tangent
+    plane of the top left singular vector, where the projected form is a 2x2.
+    Rank 0: it is the whole space, and t0^2 = d_0^2 = |T e|^2 with e the first
+    row of the canonical ``rotation_b``, which is e0.  Ties follow
+    :func:`t0_squared`'s rule.
+    """
+    x, y, rows, cols = state.triple._floats
+    a = (_dot(cols[0], x), _dot(cols[1], x), _dot(cols[2], x))
+    normal = _cross(a, y)
+    aa, ay, yy, cross = _dot(a, a), _dot(a, y), _dot(y, y), math.sqrt(_dot(normal, normal))
+    total = aa + yy
+    s1 = math.sqrt((total + math.sqrt(max((total - 2 * cross) * (total + 2 * cross), 0.0))) / 2)
+    s2 = cross / s1 if s1 > 0 else 0.0
+    tol = _RANK_TOL * max(1.0, math.hypot(*rows[0], *rows[1], *rows[2]), math.hypot(*x), math.sqrt(yy))
+    if s2 > tol:
+        e = (normal[0] / cross, normal[1] / cross, normal[2] / cross)
+        te = [_dot(row, e) for row in rows]
+        return _dot(te, te), 1, e
+    if s1 > tol:
+        # the top left singular vector of [a, y] is [a, y] c for the top eigenvector c of its Gram matrix
+        _, (ca, cy) = _lowest_eigenpair(-aa, -ay, -yy)
+        m = [ca * p + cy * q for p, q in zip(a, y)]
+        r = math.sqrt(_dot(m, m))
+        u, v = _tangent_basis((m[0] / r, m[1] / r, m[2] / r))
+        tu, tv = [_dot(row, u) for row in rows], [_dot(row, v) for row in rows]
+        huu, huv, hvv = _dot(tu, tu), _dot(tu, tv), _dot(tv, tv)
+        low, (cu, cv) = _lowest_eigenpair(-huu, -huv, -hvv)
+        top = max(-low, 0.0)
+        if huu + hvv - top >= top - _TIE_TOL:
+            return top, 2, _tied_axis((u, v))
+        return top, 2, tuple(cu * p + cv * q for p, q in zip(u, v))
+    canon = state.canonical
+    _, _, diagonal, _ = canon.triple._floats
+    squares = [diagonal[j][j] * diagonal[j][j] for j in range(3)]
+    axes = canon.rotation_b.tolist()
+    tied = [axes[j] for j in range(3) if squares[j] >= squares[0] - _TIE_TOL]
+    te = [_dot(row, axes[0]) for row in rows]  # d_0^2 as |T e|^2, rounded from T's entries rather than from d_0
+    return _dot(te, te), 3, _tied_axis(tied) if len(tied) > 1 else tuple(axes[0])
+
+
 def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = None) -> BoundReport:
     """Correlation bounds of a state.
 
@@ -103,13 +163,12 @@ def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = Non
     order to fill the ``saturated`` flag.
     """
     state = prepare_state(rho)
-    t = state.triple
-    basis = perp_subspace(t)
-    t0sq, e0 = _max_on_subspace(t, basis)
+    t0sq, perp_dim, e0 = _restricted_maximum(state)
+    x = state.triple._floats[0]
     # |x|^2 + t0^2 <= 1 on states; one that validate accepts with an eigenvalue
     # down to -PSD_TOL can exceed 1 by a few 1e-9, past binary_entropy's clamp
-    r2 = min(float(t.x @ t.x) + t0sq, 1.0)
-    cond_ub = binary_entropy((1 + np.sqrt(r2)) / 2)
+    r2 = min(_dot(x, x) + t0sq, 1.0)
+    cond_ub = binary_entropy((1 + math.sqrt(r2)) / 2)
     discord_ub = state.s_b - state.s_ab + cond_ub
     if discord is None:
         from .optimize import quantum_discord
@@ -117,8 +176,8 @@ def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = Non
         discord = quantum_discord(state, with_bounds=False).discord
     return BoundReport(
         t0_squared=t0sq,
-        perp_dim=basis.shape[1],
-        e0=e0,
+        perp_dim=perp_dim,
+        e0=MeasurementDirection(_canonical_sign(e0)),
         cond_entropy_ub=cond_ub,
         discord_ub=discord_ub,
         classical_lb=state.s_a - cond_ub,

@@ -50,20 +50,19 @@ def classify(c: CanonicalForm) -> ClassTag:
     The AB benchmark family is never auto-detected (it is tied to a fixed
     basis); it only enters through its explicit constructor.
     """
-    x = c.triple.x
-    y = c.triple.y
-    d = c.diagonal
-    if float(np.linalg.norm(y)) <= CLASS_TOL:
-        if float(np.linalg.norm(x)) <= CLASS_TOL:
-            return ClassTag(StateKind.BELL_DIAGONAL, tuple(d))
-        if float(np.linalg.norm(d * x)) <= CLASS_TOL:  # T^t x with diagonal T
+    x, y, rows, _ = c.triple._floats
+    d = (rows[0][0], rows[1][1], rows[2][2])
+    if math.hypot(*y) <= CLASS_TOL:
+        if math.hypot(*x) <= CLASS_TOL:
+            return ClassTag(StateKind.BELL_DIAGONAL, d)
+        if math.hypot(d[0] * x[0], d[1] * x[1], d[2] * x[2]) <= CLASS_TOL:  # T^t x with diagonal T
             if max(abs(x[0]), abs(x[1]), abs(d[2])) <= CLASS_TOL:
                 return ClassTag(StateKind.X_SUBCLASS, (d[0], d[1], x[2]))
             if max(abs(x[0]), abs(d[1]), abs(d[2])) <= CLASS_TOL:
                 return ClassTag(StateKind.ZERO_DISCORD_AXIAL, (d[0], x[1], x[2]))
-            if float(np.linalg.norm(d)) <= CLASS_TOL:
-                return ClassTag(StateKind.ZERO_DISCORD_UNCORRELATED, tuple(x))
-            return ClassTag(StateKind.KERNEL_CLASS, tuple(d) + tuple(x))
+            if math.hypot(*d) <= CLASS_TOL:
+                return ClassTag(StateKind.ZERO_DISCORD_UNCORRELATED, x)
+            return ClassTag(StateKind.KERNEL_CLASS, d + x)
     return ClassTag(StateKind.GENERIC, ())
 
 

@@ -94,6 +94,34 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    """a x b for two 3-vectors of floats."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The norm of every row of an (N, 3) array: np.linalg.norm(v, axis=1), bit for bit, without its dispatch."""
+    return np.sqrt((v * v).sum(axis=1))
+
+
+def _tangent_basis(n) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Rows u, v with (u, v, n) orthonormal; Duff et al., "Building an Orthonormal Basis, Revisited" (2017)."""
+    x, y, z = n
+    sign = math.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return (1.0 + sign * x * x * a, sign * b, -sign * x), (b, sign + y * y * a, -y)
+
+
+def _lowest_eigenpair(huu: float, huv: float, hvv: float) -> tuple[float, tuple[float, float]]:
+    """The smaller eigenvalue of [[huu, huv], [huv, hvv]] and a unit eigenvector; (1, 0) for a multiple of I."""
+    half_gap = (huu - hvv) / 2
+    r = math.hypot(half_gap, huv)
+    vec = (huv, -(half_gap + r)) if half_gap >= 0 else (-(r - half_gap), huv)  # a row of H - lambda I, no cancellation
+    norm = math.hypot(*vec)
+    return (huu + hvv) / 2 - r, (vec[0] / norm, vec[1] / norm) if norm > 0 else (1.0, 0.0)
+
+
 def projector_bloch(k: int, direction) -> np.ndarray:
     """Rank-1 projector (I + n_k . sigma)/2 with n_0 = n and n_1 = -n."""
     if k not in (0, 1):
@@ -130,7 +158,7 @@ def branches_batch(t: BlochTriple, dirs: np.ndarray) -> Branches:
     """Branch quantities at every row of an (N, 3) array of unit directions."""
     tn = dirs @ t.T.T
     vp, vm = t.x + tn, t.x - tn
-    return _assemble(dirs @ t.y, vp, vm, np.linalg.norm(vp, axis=1), np.linalg.norm(vm, axis=1))
+    return _assemble(dirs @ t.y, vp, vm, _row_norms(vp), _row_norms(vm))
 
 
 def _probabilities(b: Branches) -> tuple[float, float, float, float, float, float]:

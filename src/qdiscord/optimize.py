@@ -28,8 +28,11 @@ from .measurement import (
     _branch_entropy,
     _canonical_sign,
     _dot,
+    _lowest_eigenpair,
     _probabilities,
     _probabilities_batch,
+    _row_norms,
+    _tangent_basis,
     _unit,
     branches,
     branches_batch,
@@ -281,15 +284,6 @@ def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tupl
     return best, conditional_entropy(t, best)
 
 
-def _tangent_basis(n) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Rows u, v with (u, v, n) orthonormal; Duff et al., "Building an Orthonormal Basis, Revisited" (2017)."""
-    x, y, z = n
-    sign = math.copysign(1.0, z)
-    a = -1.0 / (sign + z)
-    b = x * y * a
-    return (1.0 + sign * x * x * a, sign * b, -sign * x), (b, sign + y * y * a, -y)
-
-
 def _chart_hessian(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, float], tuple, tuple]:
     """Hessian of the conditioned entropy in the tangent chart at n, and the chart basis.
 
@@ -335,15 +329,6 @@ def _solve_2x2(huu: float, huv: float, hvv: float, bu: float, bv: float) -> tupl
     """The solution of [[huu, huv], [huv, hvv]] d = (bu, bv) by Cramer's rule; None when singular."""
     det = huu * hvv - huv * huv
     return None if det == 0 else ((hvv * bu - huv * bv) / det, (huu * bv - huv * bu) / det)
-
-
-def _lowest_eigenpair(huu: float, huv: float, hvv: float) -> tuple[float, tuple[float, float]]:
-    """The smaller eigenvalue of [[huu, huv], [huv, hvv]] and a unit eigenvector; (1, 0) for a multiple of I."""
-    half_gap = (huu - hvv) / 2
-    r = math.hypot(half_gap, huv)
-    vec = (huv, -(half_gap + r)) if half_gap >= 0 else (-(r - half_gap), huv)  # a row of H - lambda I, no cancellation
-    norm = math.hypot(*vec)
-    return (huu + hvv) / 2 - r, (vec[0] / norm, vec[1] / norm) if norm > 0 else (1.0, 0.0)
 
 
 def _newton_step(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, float], _Point] | None:
@@ -473,7 +458,7 @@ def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, toleran
     """:func:`minimize_conditional_entropy` with the canonical form of ``t`` already taken."""
     lattice, nbrs = _lattice(_check_resolution(resolution))
     axes = np.vstack((canon.rotation_b, t.y, t.T.T @ t.x))
-    norms = np.linalg.norm(axes, axis=1)
+    norms = _row_norms(axes)
     axes = axes[norms > 1e-12] / norms[norms > 1e-12, None]
     dirs = lattice.copy()
     for i, axis in zip(np.abs(lattice @ axes.T).argmax(axis=0).tolist(), axes):  # in order: the later axis wins a point
@@ -487,14 +472,16 @@ def _closed_form_minimum(canon: CanonicalForm) -> tuple[float, np.ndarray, bool]
     if not classify(canon).kind.has_closed_form:
         return None
     x = canon.triple.x
-    mags = np.abs(canon.diagonal)
-    t_max = float(mags.max())
-    min_s = binary_entropy((1 + math.sqrt(float(x @ x) + t_max * t_max)) / 2)  # y = 0, T^T x = 0 in each family
+    _, _, rows, _ = canon.triple._floats
+    mags = [abs(rows[0][0]), abs(rows[1][1]), abs(rows[2][2])]
+    t_max = max(mags)
+    # y = 0, T^T x = 0 in each family; x @ x stays numpy's, whose fused multiply-adds the reported minimum carries
+    min_s = binary_entropy((1 + math.sqrt(float(x @ x) + t_max * t_max)) / 2)
     if t_max <= CLASS_TOL:
         # flat landscape: every direction is optimal, report theta = 0
         return min_s, np.array([0.0, 0.0, 1.0]), True
-    degenerate = int((mags >= t_max - 1e-12).sum()) > 1
-    return min_s, canon.rotation_b[int(mags.argmax())], degenerate  # O2^T applied to that axis
+    degenerate = sum(m >= t_max - 1e-12 for m in mags) > 1
+    return min_s, canon.rotation_b[mags.index(t_max)], degenerate  # O2^T applied to that axis
 
 
 def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFAULT_RESOLUTION,
@@ -531,7 +518,7 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         # pure state: S(A|n) = 0 for every direction, report theta = 0
         closed_form = 0.0, np.array([0.0, 0.0, 1.0]), True
     else:
-        canon = canonicalize(t)  # one SVD serves the class check and the search's start axes
+        canon = state.canonical  # one SVD serves the class check, the search's start axes and the bounds
         closed_form = _closed_form_minimum(canon) if fast_path else None
     if closed_form is not None:
         min_s, axis_dir, tie_degenerate = closed_form
@@ -577,7 +564,7 @@ def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
         cm = np.where(b.s_minus > BRANCH_TOL, np.log2(w3 / w4) / b.s_minus, 0.0)
         a = ly[:, None] * t.y + (cp[:, None] * b.v_plus - cm[:, None] * b.v_minus) @ t.T
         tang = a - (np.sum(a * dirs, axis=1))[:, None] * dirs
-        resid = np.linalg.norm(tang, axis=1)
+        resid = _row_norms(tang)
     return np.where(valid, resid, np.inf)
 
 

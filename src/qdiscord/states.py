@@ -77,10 +77,11 @@ class BlochTriple:
         if T.shape != (3, 3):
             raise ValidationError(f"T must be a real 3x3 matrix, got shape {T.shape}")
         for name, arr in (("x", x), ("y", y), ("T", T)):
-            if not np.isfinite(arr).all():
+            values = arr.ravel().tolist()
+            if not all(map(math.isfinite, values)):
                 raise ValidationError(f"{name} has non-finite entries")
             # hypot, unlike sqrt(v . v), does not overflow on entries beyond 1e154
-            if arr.ndim == 1 and (norm := math.hypot(*arr.tolist())) > 1 + 1e-9:
+            if arr.ndim == 1 and (norm := math.hypot(*values)) > 1 + 1e-9:
                 raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
             arr = arr.copy()
             arr.setflags(write=False)
@@ -229,6 +230,11 @@ class PreparedState:
         # I >= 0 by subadditivity; an accepted matrix's PSD slack can leave it just below
         return max(0.0, self.s_a + self.s_b - self.s_ab)
 
+    @cached_property
+    def canonical(self) -> CanonicalForm:
+        """:func:`canonicalize` of the triple, taken on first use and then shared; not a field."""
+        return canonicalize(self.triple)
+
 
 def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     """Validate a 4x4 density matrix once and derive its triple and entropies (a record passes through).
@@ -279,23 +285,25 @@ def canonicalize(t: BlochTriple) -> CanonicalForm:
     """Rotate a triple so that T is diagonal with |t1| >= |t2| >= |t3|.
 
     Uses the singular value decomposition of T with determinant repair:
-    if either orthogonal factor is a reflection, its last row and the
-    smallest diagonal entry are negated, keeping both rotations proper
-    while allowing negative diagonal entries.
+    if either orthogonal factor is a reflection (the triple product of its
+    rows, its determinant, is negative), its last row and the smallest
+    diagonal entry are negated, keeping both rotations proper while
+    allowing negative diagonal entries.
     """
-    if float(np.max(np.abs(t.T))) == 0.0:
+    if not t.T.any():
         return CanonicalForm(BlochTriple(t.x, t.y, np.zeros((3, 3))), np.eye(3), np.eye(3))
     u, s, vt = np.linalg.svd(t.T)
     o1 = u.T.copy()
     o2 = vt.copy()
     d = s.copy()
-    if np.linalg.det(o1) < 0:
-        o1[2, :] *= -1
-        d[2] *= -1
-    if np.linalg.det(o2) < 0:
-        o2[2, :] *= -1
-        d[2] *= -1
-    triple = BlochTriple(o1 @ t.x, o2 @ t.y, np.diag(d))
+    for o in (o1, o2):
+        (a, b, c), (e, f, g), (h, i, k) = o.tolist()
+        if a * (f * k - g * i) + b * (g * h - e * k) + c * (e * i - f * h) < 0:  # det o by cofactors
+            o[2, :] *= -1
+            d[2] *= -1
+    diagonal = np.zeros((3, 3))
+    diagonal.ravel()[::4] = d
+    triple = BlochTriple(o1 @ t.x, o2 @ t.y, diagonal)
     return CanonicalForm(triple, o1, o2)
 
 

@@ -15,6 +15,7 @@ from qdiscord import (
     perp_subspace,
     quantum_discord,
     random_state,
+    random_unitary,
     rows_to_csv,
     sample_bell_diagonal,
     sample_kernel_class,
@@ -23,6 +24,8 @@ from qdiscord import (
     theorem1_bounds,
     triple_from_matrix,
 )
+from qdiscord.bounds import SATURATION_TOL
+from qdiscord.states import prepare_state
 
 Z3 = np.zeros(3)
 
@@ -232,3 +235,69 @@ def test_bounds_of_a_matrix_match_the_pipeline(rng):
         worst = max(worst, float(np.max(np.abs(alone.e0.n - report.bounds.e0.n))))
         assert (alone.perp_dim, alone.saturated) == (report.bounds.perp_dim, report.bounds.saturated)
     assert worst <= 1e-12
+
+
+def _oracle_bounds(state, discord):
+    """(perp_dim, saturated, t0^2, e0, cond_entropy_ub, discord_ub, classical_lb) through perp_subspace and t0_squared."""
+    t = state.triple
+    t0sq, e0 = t0_squared(t)
+    cond_ub = binary_entropy((1 + math.sqrt(min(float(t.x @ t.x) + t0sq, 1.0))) / 2)
+    discord_ub = state.s_b - state.s_ab + cond_ub
+    return (perp_subspace(t).shape[1], abs(discord_ub - discord) <= SATURATION_TOL, t0sq, e0,
+            cond_ub, discord_ub, state.s_a - cond_ub)
+
+
+def _oracle_states(rng):
+    """1,040 states over the three ranks of [T^t x, y], half of them in a random local frame."""
+    def local(rho):
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        return u @ rho @ u.conj().T
+
+    def small():
+        return 10 ** rng.uniform(-12, -8)  # across the rank tolerance 1e-10
+
+    def unit():
+        v = rng.standard_normal(3)
+        return v / np.linalg.norm(v)
+
+    states = []
+    for k in range(120):  # Bell-diagonal with two or three tied |t_i|
+        s = rng.uniform(0, 0.5) if k % 3 else rng.uniform(0, 1 / 3)
+        mags = [s, s, rng.uniform(0, 1 - 2 * s)] if k % 3 else [s, s, s]
+        states.append(bell_diagonal_state(*rng.permutation(mags * rng.choice([-1.0, 1.0], 3))))
+    states += [matrix_from_triple(sample_kernel_class(rng)) for _ in range(120)]
+    states += [ab_state(a, b) for a in np.linspace(0, 1, 21)
+               for b in np.linspace(a - 1, 1 - a, 11)][:200]
+    states += [random_state(rank=1 + k % 4, rng=rng) for k in range(400)]
+    for k in range(150):  # y of 1e-12 to 1e-8, T^t x zero or of order 1
+        t1, t2 = rng.uniform(-0.3, 0.3, 2)
+        x, T = np.array([0.0, 0.0, rng.uniform(-0.3, 0.3)]), np.diag([t1, t2, 0.0])
+        if k % 2:
+            T[2, 2] = rng.uniform(-0.3, 0.3)
+            x += rng.uniform(-0.05, 0.05, 3)
+        states.append(matrix_from_triple(BlochTriple(x, small() * unit(), T)))
+    states = [local(rho) if k % 2 else rho for k, rho in enumerate(states)]
+    # T^t x of 1e-12 to 1e-8, y = 0, in the frame where T^t x has no cancellation: in any
+    # other its direction carries rounding of eps |T| |x| / |T^t x|, the oracle's as much as the floats'
+    for _ in range(50):
+        t1, t2 = rng.uniform(-0.3, 0.3, 2)
+        x = np.array([0.0, 0.0, rng.uniform(-0.3, 0.3)]) + small() * unit()
+        states.append(matrix_from_triple(BlochTriple(x, np.zeros(3), np.diag([t1, t2, 0.0]))))
+    return states
+
+
+def test_float_bounds_match_the_lapack_oracle():
+    rng = np.random.default_rng(1040)
+    ranks = {1: 0, 2: 0, 3: 0}
+    for rho in _oracle_states(rng):
+        state = prepare_state(rho)
+        discord = quantum_discord(state, with_bounds=False).discord
+        b = theorem1_bounds(state, discord=discord)
+        perp_dim, saturated, t0sq, e0, cond_ub, discord_ub, classical_lb = _oracle_bounds(state, discord)
+        assert (b.perp_dim, b.saturated) == (perp_dim, saturated)
+        for got, want in ((b.t0_squared, t0sq), (b.cond_entropy_ub, cond_ub),
+                          (b.discord_ub, discord_ub), (b.classical_lb, classical_lb)):
+            assert abs(got - want) <= 1e-14
+        assert abs(b.e0.n @ e0.n) >= 1 - 1e-12  # the same measurement
+        ranks[perp_dim] += 1
+    assert min(ranks.values()) >= 150, ranks

@@ -636,9 +636,10 @@ def test_discord_invariance_through_triple_rotations(rng):
     assert d1 == pytest.approx(d2, abs=1e-6)
 
 
-def test_one_call_validates_once_and_builds_the_subspace_once(monkeypatch, rng):
+def test_one_call_validates_once_and_builds_no_subspace(monkeypatch, rng):
     # S(rho_A) and S(rho_B) come from |x| and |y|: no von Neumann entropy and no
-    # 2x2 spectrum; the one 4x4 spectrum is validate's
+    # 2x2 spectrum; the one 4x4 spectrum is validate's; the bounds take the
+    # restricted subspace on floats, never through perp_subspace
     from qdiscord import bounds, entropy, optimize, states
 
     calls = {}
@@ -669,13 +670,14 @@ def test_one_call_validates_once_and_builds_the_subspace_once(monkeypatch, rng):
         calls.update({"validate": 0, "perp_subspace": 0, "von_neumann_entropy": 0,
                       "eigvalsh 2x2": 0, "eigvalsh 4x4": 0})
         assert quantum_discord(rho).bounds is not None
-        assert calls == {"validate": 1, "perp_subspace": 1, "von_neumann_entropy": 0,
+        assert calls == {"validate": 1, "perp_subspace": 0, "von_neumann_entropy": 0,
                          "eigvalsh 2x2": 0, "eigvalsh 4x4": 1}
 
 
-def test_one_call_takes_two_svds(monkeypatch, rng):
-    # canonicalize and perp_subspace; the closed forms read the canonical
-    # diagonal and the search's start axes reuse the canonical rotation
+def test_one_call_takes_one_svd(monkeypatch, rng):
+    # canonicalize's, taken once by the PreparedState: the closed forms read the
+    # canonical diagonal, the search's start axes and the bounds' rank-0 case
+    # reuse the canonical rotation
     calls = []
     svd = np.linalg.svd
 
@@ -689,4 +691,28 @@ def test_one_call_takes_two_svds(monkeypatch, rng):
     for rho, method in ((rotated_bell, "closed-form"), (random_state(rng=rng), "grid+refine")):
         calls.clear()
         assert quantum_discord(rho).method == method
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+
+def test_one_call_makes_no_eigh_det_or_norm_call(monkeypatch, rng):
+    # past validate's eigvalsh and canonicalize's svd, a call runs on floats:
+    # rank-0 bounds (Bell-diagonal, kernel class), rank 1 (ab family, pure) and rank 2
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    cases = [(u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T, True),
+             (u @ matrix_from_triple(sample_kernel_class(rng)) @ u.conj().T, True),
+             (bell_diagonal_state(0.5, -0.5, 0.5), False),
+             (u @ ab_state(0.3, 0.4) @ u.conj().T, True),
+             (random_state(rank=1, rng=rng), True),
+             (random_state(rng=rng), True)]
+    calls = []
+    for name in ("eigh", "det", "norm"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    for rho, fast_path in cases:
+        assert quantum_discord(rho, fast_path=fast_path).bounds is not None
+    assert calls == []
