@@ -31,7 +31,8 @@ from .measurement import (
     conditional_entropy_direct,
     direction_from_angles,
 )
-from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, _check_resolution, quantum_discord, stationary_vector
+from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, _check_resolution, _check_tolerance, quantum_discord
+from .optimize import stationary_vector
 from .states import BlochTriple, matrix_from_triple, random_state, triple_from_matrix
 
 EXIT_OK = 0
@@ -59,8 +60,10 @@ class RunConfig:
             _check_resolution(self.resolution_rad)
         except ValidationError:
             raise UsageError(f"--resolution must be in [0.5, 22.5] degrees, got {self.resolution_deg}") from None
-        if not 1e-12 <= self.tolerance <= 1e-3:
-            raise UsageError(f"--tolerance must be in [1e-12, 1e-3], got {self.tolerance}")
+        try:
+            _check_tolerance(self.tolerance)
+        except ValidationError as exc:
+            raise UsageError(f"--{exc}") from None
         if self.seed < 0:
             raise UsageError(f"--seed must be non-negative, got {self.seed}")
 

@@ -1,8 +1,8 @@
 """Global minimization of the conditioned entropy over measurement directions.
 
 The pipeline is: a coarse hemisphere lattice scan seeded with the state's
-own axes (the n -> -n symmetry halves the sphere), analytic-gradient
-refinement driven by the stationarity vector A from every plateau of
+own axes (the n -> -n symmetry halves the sphere), saddle-free Newton
+refinement of the stationarity condition A || n from every plateau of
 lattice-local minima, and assembly of mutual information, classical
 correlation and discord.  Pure states and states whose canonical form
 lands in a solvable family skip the search and use a closed form.
@@ -56,18 +56,14 @@ DEFAULT_TOLERANCE = 1e-9
 MAX_REFINE_ITERATIONS = 200
 
 _ARMIJO = 1e-4
-_NEWTON_THRESHOLD = 1e-2
 _COMPASS_MIN_STEP = 1e-9
 #: lattice values this close count as equal, so a landscape flat to this
 #: spread (a pure state's S(A|n) = 0 up to rounding) is one plateau
 _PLATEAU_TOL = 1e-12
 #: S(rho) at or below this marks a pure state, whose S(A|n) vanishes for every n
 PURE_STATE_TOL = 1e-12
-#: chart curvature below -this marks a refined point as a saddle or maximum
+#: chart curvature below -this marks a saddle or maximum; refinement divides by no smaller |curvature|
 _SADDLE_CURVATURE = 1e-8
-#: step off a saddle along its negative-curvature direction, radians
-_ESCAPE_STEP = 1e-2
-_MAX_ESCAPES = 3
 
 
 @dataclass(frozen=True)
@@ -196,11 +192,23 @@ def _diagnostics(t: BlochTriple, direction: MeasurementDirection, b: Branches) -
     )
 
 
+def _in_range(name: str, value, low: float, high: float) -> float:
+    """``value`` as a float in [low, high]; a ValidationError for any other value, nan or one float() rejects."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not low <= number <= high:
+        raise ValidationError(f"{name} must be in [{low!r}, {high!r}], got {value!r}")
+    return number
+
+
 def _check_resolution(resolution: float) -> float:
-    resolution = float(resolution)
-    if not MIN_RESOLUTION <= resolution <= math.pi / 8:
-        raise ValidationError(f"resolution must be in [{MIN_RESOLUTION!r}, pi/8], got {resolution!r}")
-    return resolution
+    return _in_range("resolution", resolution, MIN_RESOLUTION, math.pi / 8)
+
+
+def _check_tolerance(tolerance: float) -> float:
+    return _in_range("tolerance", tolerance, 1e-12, 1e-3)
 
 
 @lru_cache(maxsize=8)
@@ -325,10 +333,17 @@ def _chart_hessian(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float
             hvv - kappa * _dot(tv, tv) + sphere), u, v
 
 
-def _solve_2x2(huu: float, huv: float, hvv: float, bu: float, bv: float) -> tuple[float, float] | None:
-    """The solution of [[huu, huv], [huv, hvv]] d = (bu, bv) by Cramer's rule; None when singular."""
-    det = huu * hvv - huv * huv
-    return None if det == 0 else ((hvv * bu - huv * bv) / det, (huu * bv - huv * bu) / det)
+def _chart_model(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float], tuple[float, float], tuple]:
+    """The quadratic model at n, where A is defined, in the eigenbasis of :func:`_chart_hessian`.
+
+    Returns the eigenvalues (l1 <= l2), the chart gradient -tang/4 along the
+    eigenvectors (g1, g2), and the eigenvectors as ambient vectors (e1, e2).
+    """
+    (huu, huv, hvv), u, v = _chart_hessian(t, n, point)
+    l1, (cu, cv) = _lowest_eigenpair(huu, huv, hvv)
+    e1 = (cu * u[0] + cv * v[0], cu * u[1] + cv * v[1], cu * u[2] + cv * v[2])
+    e2 = (cu * v[0] - cv * u[0], cu * v[1] - cv * u[1], cu * v[2] - cv * u[2])
+    return (l1, huu + hvv - l1), (-0.25 * _dot(point.tang, e1), -0.25 * _dot(point.tang, e2)), (e1, e2)
 
 
 def _newton_step(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, float], _Point] | None:
@@ -337,12 +352,10 @@ def _newton_step(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, 
     None for a singular chart Hessian or a step not finite or over 0.5 rad, else the first of
     up to 8 halvings that lowers the residual, at any type of stationary point.
     """
-    (huu, huv, hvv), u, v = _chart_hessian(t, n, point)
-    # the chart gradient is -(tang . u, tang . v)/4; the step solves H delta = -gradient
-    delta = _solve_2x2(huu, huv, hvv, 0.25 * _dot(point.tang, u), 0.25 * _dot(point.tang, v))
-    if delta is None or not math.hypot(*delta) <= 0.5:  # False for a step that is not finite
+    (l1, l2), (g1, g2), (e1, e2) = _chart_model(t, n, point)
+    if l1 == 0 or l2 == 0 or not math.hypot(g1 / l1, g2 / l2) <= 0.5:  # False for a step that is not finite
         return None
-    w = [delta[0] * a + delta[1] * b for a, b in zip(u, v)]
+    w = [-g1 / l1 * a - g2 / l2 * b for a, b in zip(e1, e2)]
     scale = 1.0
     for _ in range(8):
         cand = _moved(n, scale, w)
@@ -369,69 +382,50 @@ def _compass(t: BlochTriple, n, f: float, step: float) -> tuple[float, float, fl
 
 
 def _descend(t: BlochTriple, n, tolerance: float) -> tuple[tuple[float, float, float], _Point]:
-    """Descent from the unit vector n to a stationary point: that point and its record."""
+    """Saddle-free Newton descent from the unit vector n to a local minimum: that point and its record."""
     p = _point(t, n)
-    step: float | None = None
-    n_prev = g_prev = None
     for _ in range(MAX_REFINE_ITERATIONS):
         if p.tang is None:
-            n = _compass(t, n, p.f, step or 0.01)
+            n = _compass(t, n, p.f, 0.01)
             return n, _point(t, n)
+        (l1, l2), (g1, g2), (e1, e2) = _chart_model(t, n, p)
         if p.resid <= tolerance:
-            break
-        g = [-0.25 * c for c in p.tang]
-        polished = _newton_step(t, n, p) if p.resid < _NEWTON_THRESHOLD else None
-        if polished is not None and polished[1].f <= p.f + 1e-14:  # a minimum takes downhill steps only
-            n, p = polished
-            continue
-        if n_prev is not None:
-            s_diff = [a - b for a, b in zip(n, n_prev)]
-            y_diff = [a - b for a, b in zip(g, g_prev)]
-            denom = _dot(y_diff, y_diff)
-            if denom > 1e-30:
-                step = min(max(abs(_dot(s_diff, y_diff) / denom), 1e-12), 1e3)
-        if step is None:
-            step = 1.0
-        n_prev, g_prev = n, g
-        gg = _dot(g, g)
+            if l1 >= -_SADDLE_CURVATURE:
+                break
+            c1, c2 = math.copysign(0.5, -g1), 0.0  # a saddle or maximum: 0.5 rad down e1
+        else:
+            c1, c2 = -g1 / max(abs(l1), _SADDLE_CURVATURE), -g2 / max(abs(l2), _SADDLE_CURVATURE)
+        slope, curvature = g1 * c1 + g2 * c2, min(l1 * c1 * c1 + l2 * c2 * c2, 0.0)
+        w = (c1 * e1[0] + c2 * e2[0], c1 * e1[1] + c2 * e2[1], c1 * e1[2] + c2 * e2[2])
+        s = min(1.0, 0.5 / math.hypot(c1, c2))
         for _ in range(60):
-            cand = _moved(n, -step, g)
+            model = s * slope + 0.5 * s * s * curvature
+            cand = _moved(n, s, w)
             pc = _point(t, cand)
-            if pc.f <= p.f - _ARMIJO * step * gg:
+            # a model decrease below rounding tests nothing: take a lower residual at no rise past rounding
+            if (pc.f <= p.f + 1e-14 and pc.resid < p.resid) if abs(model) < 1e-13 else pc.f <= p.f + _ARMIJO * model:
                 n, p = cand, pc
                 break
-            step /= 2
+            s /= 2
         else:
-            break  # improvements below machine precision
-        step *= 2
+            break  # no halving is accepted
     return n, p
 
 
 def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANCE,
                    ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
-    """Descend the conditioned entropy from ``start`` until A is parallel to n.
+    """Descend the conditioned entropy from ``start`` until A is parallel to n at a minimum.
 
-    Projected gradient descent on the sphere with a Barzilai-Borwein step
-    and Armijo backtracking; once the tangential residual is small, damped
-    Newton steps on the closed-form tangent-chart Hessian finish the
-    convergence.  Points where the gradient is undefined fall back to
-    compass search, and a saddle or maximum (the pole of an ab-family state
-    near its crossover a = q) is left a small step down its negative
-    curvature.  The returned value never exceeds the starting value.  One
-    branch evaluation serves each point visited and all that is read there.
+    Newton steps on the closed-form tangent-chart Hessian with each
+    eigenvalue taken by its magnitude ("saddle-free": Nocedal & Wright,
+    *Numerical Optimization*, 3.4; Dauphin et al., NIPS 2014) go downhill
+    from any start; a saddle or maximum (the pole of an ab-family state near
+    its crossover a = q) is left down its negative curvature.  Points where
+    the gradient is undefined fall back to compass search.  The returned
+    value never exceeds the starting value.  One branch evaluation serves
+    each point visited and all that is read there.
     """
-    n, p = _descend(t, _unit(start).tolist(), tolerance)
-    for _ in range(_MAX_ESCAPES):
-        if p.a is None:
-            break
-        hess, u, v = _chart_hessian(t, n, p)
-        curvature, (au, av) = _lowest_eigenpair(*hess)
-        if curvature >= -_SADDLE_CURVATURE:
-            break
-        pushed = _descend(t, _moved(n, _ESCAPE_STEP, [au * a + av * b for a, b in zip(u, v)]), tolerance)
-        if pushed[1].f >= p.f:
-            break
-        n, p = pushed
+    n, p = _descend(t, _unit(start).tolist(), _check_tolerance(tolerance))
     # p holds the branches at the sign-canonical representative of n
     direction = MeasurementDirection(_canonical_sign(n))
     return direction, p.f, _diagnostics(t, direction, p.b)
@@ -450,7 +444,7 @@ def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RES
     lattice-local minima gives one start, refined in ascending lattice
     value; the first lowest refined value wins.
     """
-    return _multistart(t, canonicalize(t), resolution, tolerance)
+    return _multistart(t, canonicalize(t), resolution, _check_tolerance(tolerance))
 
 
 def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, tolerance: float,
@@ -498,7 +492,7 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         Spacing of the start lattice that seeds the refinement, radians, in
         [0.5 degrees, pi/8].
     tolerance :
-        Stationarity residual at which refinement stops.
+        Stationarity residual at which refinement stops, in [1e-12, 1e-3].
     fast_path :
         Use the closed forms for pure states (``min_s = 0``) and when the
         canonical form lands in a solvable family; disable to force the
@@ -512,6 +506,7 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
     DiscordReport
         With ``discord = mutual_information - classical_correlation`` exact.
     """
+    tolerance = _check_tolerance(tolerance)
     state = prepare_state(rho)
     t = state.triple
     if fast_path and state.s_ab <= PURE_STATE_TOL:
@@ -587,11 +582,11 @@ def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[St
 
     The local minima of the stationarity residual on the start lattice of
     :func:`minimize_conditional_entropy`, at spacing ``resolution``, are
-    refined with the search's Newton step (this captures saddles and maxima
-    of the entropy, not just its minima), deduplicated with antipodes
-    identified, and returned sorted by entropy value, each with the value
-    and residual of its refined record.  Points whose refinement does not
-    reach residual 1e-9 are dropped.
+    refined by Newton steps on the search's chart model (this captures
+    saddles and maxima of the entropy, not just its minima), deduplicated
+    with antipodes identified, and returned sorted by entropy value, each
+    with the value and residual of its refined record.  Points whose
+    refinement does not reach residual 1e-9 are dropped.
     """
     dirs, nbrs = _lattice(_check_resolution(resolution))
     resid = stationary_residual_batch(t, dirs)

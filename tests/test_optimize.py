@@ -33,7 +33,7 @@ from qdiscord import (
     triple_from_matrix,
     von_neumann_entropy,
 )
-from qdiscord import measurement, optimize
+from qdiscord import ValidationError, measurement, optimize
 from qdiscord.states import reduced_states
 
 Z3 = np.zeros(3)
@@ -190,11 +190,16 @@ def _crossover_a(b: float) -> float:
     return lo
 
 
-def test_multistart_matches_oracle_along_ab_crossover():
+def _ab_crossover_triples() -> list[BlochTriple]:
+    """ab states on 25 b values at their crossover a = q and 10 offsets from it."""
     offsets = np.concatenate([[0.0], np.logspace(-5, -2, 5), -np.logspace(-5, -2, 5)])
-    triples = [triple_from_matrix(ab_state(a, b))
-               for b in np.linspace(-0.95, 0.95, 25)
-               for a in _crossover_a(b) + offsets if 0 < a < 1 - abs(b)]
+    return [triple_from_matrix(ab_state(a, b))
+            for b in np.linspace(-0.95, 0.95, 25)
+            for a in _crossover_a(b) + offsets if 0 < a < 1 - abs(b)]
+
+
+def test_multistart_matches_oracle_along_ab_crossover():
+    triples = _ab_crossover_triples()
     assert len(triples) >= 250
     assert _worst_oracle_gap(triples) <= 1e-12
 
@@ -347,6 +352,17 @@ def test_chart_hessian_matches_finite_differences():
         assert np.array_equal(np.array([u, v]), optimize._tangent_basis(d.n))
         reference = _fd_chart_hessian(t, d.n)
         assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
+        # the model: eigenvalues, eigenvectors mapped through (u, v), the gradient along them
+        (l1, l2), (g1, g2), (e1, e2) = optimize._chart_model(t, d.n.tolist(), point)
+        values, vectors = np.linalg.eigh(hess)
+        scale = float(np.abs(values).max())
+        assert abs(l1 - values[0]) <= 1e-14 * scale and abs(l2 - values[1]) <= 1e-14 * scale
+        assert values[1] - values[0] > 1e-6 * scale  # separated: each vector is fixed up to sign
+        for e, vector in ((e1, vectors[:, 0]), (e2, vectors[:, 1])):
+            mapped = vector @ np.array([u, v])
+            assert min(np.abs(np.array(e) - sign * mapped).max() for sign in (1, -1)) <= 1e-9
+        for g, e in ((g1, e1), (g2, e2)):
+            assert g == pytest.approx(-0.25 * float(np.dot(point.tang, e)), rel=1e-12, abs=1e-15)
         compared += 1
     assert compared == 150  # rank 1 is degenerate everywhere, ranks 2-4 here nowhere
 
@@ -384,21 +400,6 @@ def _symmetric_2x2(rng, cond):
     return float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
 
 
-def test_closed_form_2x2_solve_matches_lapack():
-    rng = np.random.default_rng(22)
-    for k in range(1000):
-        cond = 10.0 ** (12 * k / 999)  # 1 to 1e12: the last few hundred are near-singular
-        huu, huv, hvv = _symmetric_2x2(rng, cond)
-        rhs = rng.standard_normal(2)
-        reference = np.linalg.solve(np.array([[huu, huv], [huv, hvv]]), rhs)
-        got = np.array(optimize._solve_2x2(huu, huv, hvv, *rhs.tolist()))
-        # the forward error of either solver grows as cond * eps; up to cond 1e3 they agree to 1e-12
-        assert np.linalg.norm(got - reference) <= 1e-12 * max(1.0, cond / 1e3) * np.linalg.norm(reference)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
-    assert optimize._solve_2x2(1.0, 2.0, 4.0, 1.0, 1.0) is None  # exactly singular, where solve raises
-
-
 def test_closed_form_lowest_eigenpair_matches_lapack():
     rng = np.random.default_rng(23)
     cases = [_symmetric_2x2(rng, 10.0 ** rng.uniform(0, 8)) for _ in range(1000)]
@@ -418,6 +419,7 @@ def test_closed_form_lowest_eigenpair_matches_lapack():
 
 
 def test_refinement_calls_no_numpy_linear_algebra(monkeypatch):
+    # refinement and the stationary scan share the float chart model
     rng = np.random.default_rng(77)
     triples = [random_triple(rng, rank=2 + k % 3) for k in range(50)]
     starts = [random_direction(rng) for _ in triples]
@@ -432,17 +434,13 @@ def test_refinement_calls_no_numpy_linear_algebra(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     for t, start in zip(triples, starts):
         refine_minimum(t, start)
+    for t in triples[:3]:
+        assert stationary_scan(t)
     assert calls == []
 
 
-def test_search_branch_evaluations_do_not_grow(monkeypatch):
-    # exact work counts, free of timing noise: the closed-form chart Hessian
-    # costs one branch evaluation where the finite-difference one took four
-    # gradients; on these states the search made 2,721 evaluations with the
-    # finite-difference Hessian, 1,497 with the closed form while the entropy,
-    # A, the Hessian and the final diagnostics each evaluated the branches,
-    # 648 with one evaluation per point, and makes 545 from the seeded
-    # lattice, with the saddle check reading the last point's record
+def _branch_evaluations(monkeypatch, triples) -> int:
+    """The branch evaluations :func:`minimize_conditional_entropy` makes on ``triples``."""
     calls = []
     branches = optimize.branches
 
@@ -452,10 +450,66 @@ def test_search_branch_evaluations_do_not_grow(monkeypatch):
 
     monkeypatch.setattr(optimize, "branches", counting_branches)
     monkeypatch.setattr(measurement, "branches", counting_branches)
+    for t in triples:
+        minimize_conditional_entropy(t)
+    return len(calls)
+
+
+def test_search_branch_evaluations_do_not_grow(monkeypatch):
+    # exact work counts, free of timing noise: the closed-form chart Hessian
+    # costs one branch evaluation where the finite-difference one took four
+    # gradients; on these states the search made 2,721 evaluations with the
+    # finite-difference Hessian, 1,497 with the closed form while the entropy,
+    # A, the Hessian and the final diagnostics each evaluated the branches,
+    # 648 with one evaluation per point, 545 from the seeded lattice with
+    # Barzilai-Borwein descent finished by Newton steps, and makes 406 with
+    # saddle-free Newton steps from the start
     rng = np.random.default_rng(1234)
-    for k in range(100):
-        minimize_conditional_entropy(random_triple(rng, rank=2 + k % 3))
-    assert len(calls) <= 545
+    assert _branch_evaluations(monkeypatch, (random_triple(rng, rank=2 + k % 3) for k in range(100))) <= 406
+
+
+def test_ab_crossover_branch_evaluations_do_not_grow(monkeypatch):
+    # the pole of an ab state near its crossover is a saddle with a near-null
+    # ring direction, where a step rule that stalls or converges linearly
+    # shows: Barzilai-Borwein descent with a saddle escape made 3,194
+    # evaluations here, saddle-free Newton makes 3,098
+    assert _branch_evaluations(monkeypatch, _ab_crossover_triples()) <= 3098
+
+
+def test_refinement_leaves_saddles_and_maxima():
+    # stationary starts that are not minima: LANDSCAPE's saddle y and maximum z
+    for start in ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
+        d, value, diag = refine_minimum(LANDSCAPE, np.array(start))
+        assert angle_between_axes(d.n, np.array([1.0, 0, 0])) < 1e-5
+        assert value == pytest.approx(binary_entropy(0.95), abs=1e-12)
+        assert diag.residual <= 1e-9
+    # the pole of ab states, a saddle with lowest chart curvature -1.2e-3, -0.11 and -0.028
+    for a, b in [(0.19170, 0.70508), (0.3, 0.5), (0.2, 0.7)]:
+        t = triple_from_matrix(ab_state(a, b))
+        pole = np.array([0.0, 0.0, 1.0])
+        assert stationary_vector(t, MeasurementDirection(pole)).residual <= 1e-9
+        (curvature, _), _, _ = optimize._chart_model(t, pole.tolist(), optimize._point(t, pole.tolist()))
+        assert curvature <= -1e-3
+        _, value, _ = refine_minimum(t, pole)
+        _, oracle, _ = refine_minimum(t, grid_minimize(t)[0])
+        assert abs(value - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("tolerance", [1.0, 2e-3, 1e-13, 0.0, -1.0, math.nan, math.inf, "abc", None])
+def test_bad_tolerance_is_a_validation_error(tolerance):
+    rho = random_state(rng=3)
+    t = triple_from_matrix(rho)
+    for search in (lambda: quantum_discord(rho, tolerance=tolerance),
+                   lambda: minimize_conditional_entropy(t, tolerance=tolerance),
+                   lambda: refine_minimum(t, [0.0, 0.0, 1.0], tolerance=tolerance)):
+        with pytest.raises(ValidationError, match="tolerance"):
+            search()
+
+
+@pytest.mark.parametrize("resolution", ["abc", None])
+def test_bad_resolution_is_a_validation_error(resolution):
+    with pytest.raises(ValidationError, match="resolution"):
+        quantum_discord(random_state(rng=3), resolution=resolution)
 
 
 def test_refinement_reports_what_the_scalar_evaluators_give():
