@@ -12,6 +12,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -354,6 +355,7 @@ def cmd_verify(config: RunConfig, suite: str | None, n: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)  # argparse keeps no state between parses; the tree is built once per process
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--resolution", type=float, default=RunConfig.resolution_deg, metavar="DEG",

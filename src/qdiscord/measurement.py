@@ -146,12 +146,13 @@ def _assemble(d, vp, vm, sp, sm) -> Branches:
 
 def branches(t: BlochTriple, n) -> Branches:
     """Branch quantities at one unit direction n, a (3,) array or three floats, in float arithmetic."""
-    if isinstance(n, np.ndarray):
-        n = n.tolist()
-    x, y, rows, _ = t._floats
-    tn = [_dot(row, n) for row in rows]
-    vp, vm = (x[0] + tn[0], x[1] + tn[1], x[2] + tn[2]), (x[0] - tn[0], x[1] - tn[1], x[2] - tn[2])
-    return _assemble(_dot(y, n), vp, vm, math.sqrt(_dot(vp, vp)), math.sqrt(_dot(vm, vm)))
+    n0, n1, n2 = n.tolist() if isinstance(n, np.ndarray) else n
+    (x0, x1, x2), (y0, y1, y2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), _ = t._floats
+    # T n and the dot products unrolled, each sum in _dot's order
+    tn0, tn1, tn2 = r00 * n0 + r01 * n1 + r02 * n2, r10 * n0 + r11 * n1 + r12 * n2, r20 * n0 + r21 * n1 + r22 * n2
+    vp0, vp1, vp2, vm0, vm1, vm2 = x0 + tn0, x1 + tn1, x2 + tn2, x0 - tn0, x1 - tn1, x2 - tn2
+    return _assemble(y0 * n0 + y1 * n1 + y2 * n2, (vp0, vp1, vp2), (vm0, vm1, vm2),
+                     math.sqrt(vp0 * vp0 + vp1 * vp1 + vp2 * vp2), math.sqrt(vm0 * vm0 + vm1 * vm1 + vm2 * vm2))
 
 
 def branches_batch(t: BlochTriple, dirs: np.ndarray) -> Branches:

@@ -23,7 +23,6 @@ from .entropy import binary_entropy
 from .errors import ValidationError
 from .measurement import (
     BRANCH_TOL,
-    Branches,
     MeasurementDirection,
     _branch_entropy,
     _canonical_sign,
@@ -106,28 +105,6 @@ class DiscordReport:
     bounds: BoundReport | None
 
 
-def _a_from(t: BlochTriple, b: Branches) -> tuple[float, float, float] | None:
-    """A = log2(w1 w2 p1^2/(w3 w4 p0^2)) y + T^T (c+ v+ - c- v-) from the branches at n; None if degenerate.
-
-    c+ = log2(w1/w2)/s+ and c- = log2(w3/w4)/s-, each 0 (its limit) where
-    v+-/s+- is undefined; vanishing w or p have no finite limit.
-    """
-    if min(b.w1, b.w2, b.w3, b.w4, b.p0, b.p1) <= BRANCH_TOL:
-        return None
-    cp = math.log2(b.w1 / b.w2) / b.s_plus if b.s_plus > BRANCH_TOL else 0.0
-    cm = math.log2(b.w3 / b.w4) / b.s_minus if b.s_minus > BRANCH_TOL else 0.0
-    ly = math.log2((b.w1 * b.w2 * b.p1 * b.p1) / (b.w3 * b.w4 * b.p0 * b.p0))
-    _, y, _, cols = t._floats
-    cv = [cp * p - cm * m for p, m in zip(b.v_plus, b.v_minus)]
-    return ly * y[0] + _dot(cols[0], cv), ly * y[1] + _dot(cols[1], cv), ly * y[2] + _dot(cols[2], cv)
-
-
-def _tangential(n, a) -> tuple[float, float, float]:
-    """a - (n . a) n, the part of a orthogonal to the unit vector n."""
-    na = _dot(n, a)
-    return a[0] - na * n[0], a[1] - na * n[1], a[2] - na * n[2]
-
-
 def _moved(n, step: float, w) -> tuple[float, float, float]:
     """The unit vector along n + step w."""
     m = (n[0] + step * w[0], n[1] + step * w[1], n[2] + step * w[2])
@@ -135,25 +112,89 @@ def _moved(n, step: float, w) -> tuple[float, float, float]:
     return m[0] / r, m[1] / r, m[2] / r
 
 
-_Point = namedtuple("_Point", "f b a tang resid")
+_Point = namedtuple("_Point", "f b a tang resid l1 l2 g1 g2 e1 e2", defaults=(None,) * 6)
+
+#: -1/(16 ln 2), the weight unit of the chart Hessian's outer-product terms
+_K = -1 / (16 * math.log(2))
 
 
-def _point(t: BlochTriple, n) -> _Point:
-    """What refinement reads at the unit vector n (three floats), from one branch evaluation.
+def _point(t: BlochTriple, n, model: bool = True) -> _Point:
+    """Everything refinement reads at the unit vector n (three floats), from one branch evaluation.
 
     The entropy f (bitwise :func:`conditional_entropy`) and branches b at the
-    sign-canonical representative of {n, -n}; A at n by A(-n) = -A(n), its
-    tangential part and that part's norm (None, None, nan where A is undefined).
+    sign-canonical representative of {n, -n}; where A is defined, A at n by
+    A(-n) = -A(n), its tangential part tang and that part's norm resid, and
+    the chart model: the chart Hessian's eigenvalues l1 <= l2, the chart
+    gradient -tang/4 along its eigenvectors (g1, g2) and the eigenvectors as
+    ambient vectors (e1, e2), unless ``model`` is false.  A vanishing w or p
+    has no finite limit: there only f and b are set, and resid is nan.  Sums
+    run in :func:`_dot`'s order.
+
+    A = log2(w1 w2 p1^2/(w3 w4 p0^2)) y + T^T (c+ v+ - c- v-), c+- = log2(w1/w2)/s+,
+    log2(w3/w4)/s-, each 0 (its limit) where v+-/s+- is undefined.  With
+    u+- = (x +- T n)/s+- and the gradients g1,2 = (y +- T^T u+)/4,
+    g3,4 = -(y +- T^T u-)/4 of w1..w4, the ambient Hessian of h4(w) - h2(p0) is
+
+        -[sum_i g_i g_i^T/w_i - (1/p0 + 1/p1) y y^T/4]/ln 2
+        - [log2(w1/w2) T^T (I - u+ u+^T) T/s+ + log2(w3/w4) T^T (I - u- u-^T) T/s-]/4
+
+    and the chart Hessian is B^T (that) B + (n.A)/4 I with B = [u v], the
+    :func:`_tangent_basis`.  Where s+- = 0 the pair's terms take their limit
+    -(y y^T + T^T T)/(4 p ln 2).  The ambient Hessian is even in n.
     """
     c = _canonical_sign(n)
     b = branches(t, c)
     f = _branch_entropy(*_probabilities(b))
-    a = _a_from(t, b)
-    if a is None:
+    p0, p1, w1, w2, w3, w4, (vp0, vp1, vp2), (vm0, vm1, vm2), sp, sm = b
+    if min(w1, w2, w3, w4, p0, p1) <= BRANCH_TOL:
         return _Point(f, b, None, None, math.nan)
-    a = a if c is n else (-a[0], -a[1], -a[2])
-    tang = _tangential(n, a)
-    return _Point(f, b, a, tang, math.sqrt(_dot(tang, tang)))
+    _, (y0, y1, y2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), _ = t._floats
+    n0, n1, n2 = n
+    # per pair: c+-, the kappa+- of its term -kappa T^T (I - u u^T) T, and u+- (None in the limit, where it drops out)
+    if sp > BRANCH_TOL:
+        log_p, up = math.log2(w1 / w2), (vp0 / sp, vp1 / sp, vp2 / sp)
+        cp, kp = log_p / sp, log_p / (4 * sp)
+    else:
+        cp, kp, up = 0.0, 1 / (4 * math.log(2) * p0), None
+    if sm > BRANCH_TOL:
+        log_m, um = math.log2(w3 / w4), (vm0 / sm, vm1 / sm, vm2 / sm)
+        cm, km = log_m / sm, log_m / (4 * sm)
+    else:
+        cm, km, um = 0.0, 1 / (4 * math.log(2) * p1), None
+    ly = math.log2((w1 * w2 * p1 * p1) / (w3 * w4 * p0 * p0))
+    q0, q1, q2 = cp * vp0 - cm * vm0, cp * vp1 - cm * vm1, cp * vp2 - cm * vm2
+    a0 = ly * y0 + (r00 * q0 + r10 * q1 + r20 * q2)
+    a1 = ly * y1 + (r01 * q0 + r11 * q1 + r21 * q2)
+    a2 = ly * y2 + (r02 * q0 + r12 * q1 + r22 * q2)
+    if c is not n:
+        a0, a1, a2 = -a0, -a1, -a2
+    na = n0 * a0 + n1 * a1 + n2 * a2
+    tang = (a0 - na * n0, a1 - na * n1, a2 - na * n2)
+    resid = math.sqrt(_dot(tang, tang))
+    if not model:
+        return _Point(f, b, (a0, a1, a2), tang, resid)
+    (u0, u1, u2), (v0, v1, v2) = _tangent_basis(n)
+    tu0, tu1, tu2 = r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2, r20 * u0 + r21 * u1 + r22 * u2
+    tv0, tv1, tv2 = r00 * v0 + r01 * v1 + r02 * v2, r10 * v0 + r11 * v1 + r12 * v2, r20 * v0 + r21 * v1 + r22 * v2
+    yu, yv = y0 * u0 + y1 * u1 + y2 * u2, y0 * v0 + y1 * v1 + y2 * v2
+    # B^T T^T u+-, then the weight and (u, v) row of each term: y, per pair 4 g_i (up to sign) for its two w
+    # and B^T T^T u; each sum starts from 0.0, so that a sum of zeros is +0.0
+    pu, pv = (up[0] * tu0 + up[1] * tu1 + up[2] * tu2, up[0] * tv0 + up[1] * tv1 + up[2] * tv2) if up else (0.0, 0.0)
+    mu, mv = (um[0] * tu0 + um[1] * tu1 + um[2] * tu2, um[0] * tv0 + um[1] * tv1 + um[2] * tv2) if um else (0.0, 0.0)
+    w0, k1, k2, k3, k4 = -4 * _K * (1 / p0 + 1 / p1), _K / w1, _K / w2, _K / w3, _K / w4
+    r1, r2, r3, r4, s1, s2, s3, s4 = yu + pu, yu - pu, yu + mu, yu - mu, yv + pv, yv - pv, yv + mv, yv - mv
+    huu = 0.0 + yu * w0 * yu + r1 * k1 * r1 + r2 * k2 * r2 + pu * kp * pu + r3 * k3 * r3 + r4 * k4 * r4 + mu * km * mu
+    huv = 0.0 + yu * w0 * yv + r1 * k1 * s1 + r2 * k2 * s2 + pu * kp * pv + r3 * k3 * s3 + r4 * k4 * s4 + mu * km * mv
+    hvv = 0.0 + yv * w0 * yv + s1 * k1 * s1 + s2 * k2 * s2 + pv * kp * pv + s3 * k3 * s3 + s4 * k4 * s4 + mv * km * mv
+    kappa, sphere = kp + km, 0.25 * na  # sphere: the sphere's own curvature, -(n . grad S) I
+    huu = huu - kappa * (tu0 * tu0 + tu1 * tu1 + tu2 * tu2) + sphere
+    huv = huv - kappa * (tu0 * tv0 + tu1 * tv1 + tu2 * tv2)
+    hvv = hvv - kappa * (tv0 * tv0 + tv1 * tv1 + tv2 * tv2) + sphere
+    l1, (cu, cv) = _lowest_eigenpair(huu, huv, hvv)
+    e1 = (cu * u0 + cv * v0, cu * u1 + cv * v1, cu * u2 + cv * v2)
+    e2 = (cu * v0 - cv * u0, cu * v1 - cv * u1, cu * v2 - cv * u2)
+    return _Point(f, b, (a0, a1, a2), tang, resid, l1, huu + hvv - l1,
+                  -0.25 * _dot(tang, e1), -0.25 * _dot(tang, e2), e1, e2)
 
 
 def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
@@ -164,29 +205,28 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
     to n.  The Lagrange scalar of the constrained formulation equals n.A.
     """
     direction = direction if isinstance(direction, MeasurementDirection) else MeasurementDirection(direction)
-    return _diagnostics(t, direction, branches(t, direction.n))
+    return _diagnostics(t, direction, _point(t, direction.n.tolist(), model=False))
 
 
-def _diagnostics(t: BlochTriple, direction: MeasurementDirection, b: Branches) -> StationaryDiagnostics:
-    """:func:`stationary_vector` from the branches ``b`` at ``direction.n``."""
-    a = _a_from(t, b)
-    if a is None:
+def _diagnostics(t: BlochTriple, direction: MeasurementDirection, p: _Point, sign: float = 1.0,
+                 ) -> StationaryDiagnostics:
+    """:func:`stationary_vector` from the record ``p`` of ``sign * direction.n``."""
+    if p.a is None:
         return StationaryDiagnostics(None, None, None, None, None, degenerate=True)
+    a, b = (sign * p.a[0], sign * p.a[1], sign * p.a[2]), p.b
     th, ph = direction.theta, direction.phi
-    n_theta = (math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), -math.sin(th))
-    n_phi = (-math.sin(th) * math.sin(ph), math.sin(th) * math.cos(ph), 0.0)
+    ct, st, cp, sp = math.cos(th), math.sin(th), math.cos(ph), math.sin(ph)
+    n_theta, n_phi = (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
     # the Lagrange scalar of A = A_scalar n from its own formula, a check on n.A
-    a_scalar = -4 * _branch_entropy(*b[:6]) \
-        - math.log2((b.w1 * b.w2 * b.w3 * b.w4) / (b.p0 * b.p0 * b.p1 * b.p1))
+    a_scalar = -4 * p.f - math.log2((b.w1 * b.w2 * b.w3 * b.w4) / (b.p0 * b.p0 * b.p1 * b.p1))
     if b.s_plus > BRANCH_TOL:
         a_scalar -= math.log2(b.w1 / b.w2) * _dot(t._floats[0], [v / b.s_plus for v in b.v_plus])
     if b.s_minus > BRANCH_TOL:
         a_scalar -= math.log2(b.w3 / b.w4) * _dot(t._floats[0], [v / b.s_minus for v in b.v_minus])
-    tang = _tangential(direction.n.tolist(), a)
     return StationaryDiagnostics(
         a_vector=np.array(a),
         a_scalar=a_scalar,
-        residual=math.sqrt(_dot(tang, tang)),
+        residual=p.resid,
         grad_theta=-0.25 * _dot(n_theta, a),
         grad_phi=-0.25 * _dot(n_phi, a),
     )
@@ -244,14 +284,18 @@ def _lattice(resolution: float) -> tuple[np.ndarray, np.ndarray]:
     dirs = np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
     # z falls by 1/N per index, and whether m lies near n or near -n (both
     # with z >= 0), |z_n - z_m| <= 2 sin(reach/2) < reach: neighbours lie
-    # within reach * N indices
+    # within reach * N indices; elementwise products and lists build the graph
+    # (a first use of numpy's einsum and sort costs more memory than the build)
     reach = 1.5 * resolution
-    pairs = [np.stack((index[:-k], index[k:]))[:, np.abs(np.einsum("ij,ij->i", dirs[:-k], dirs[k:])) >= math.cos(reach)]
-             for k in range(1, int(reach * count) + 1)]
-    i, j = np.concatenate(pairs, axis=1)
-    rows, cols = np.divmod(np.sort(np.concatenate((i * count + j, j * count + i))), count)
-    nbrs = np.repeat(index[:, None], np.bincount(rows).max(), axis=1)
-    nbrs[rows, np.arange(len(rows)) - np.searchsorted(rows, rows)] = cols
+    x, y, z = dirs.T
+    rows: list[list[int]] = [[] for _ in range(count)]
+    for k in range(1, int(reach * count) + 1):
+        dots = x[:-k] * x[k:] + y[:-k] * y[k:] + z[:-k] * z[k:]
+        for i in np.flatnonzero(np.abs(dots) >= math.cos(reach)).tolist():
+            rows[i].append(i + k)
+            rows[i + k].append(i)
+    width = max(map(len, rows))
+    nbrs = np.array([sorted(row) + [i] * (width - len(row)) for i, row in enumerate(rows)])
     dirs.setflags(write=False)
     nbrs.setflags(write=False)
     return dirs, nbrs
@@ -265,6 +309,9 @@ def _basin_starts(values: np.ndarray, nbrs: np.ndarray) -> list[int]:
     smallest index over the graph of minima, which settles within N passes.
     """
     is_min = values <= values[nbrs].min(axis=1) + _PLATEAU_TOL
+    minima = np.flatnonzero(is_min)
+    if len(minima) == 1:  # one plateau: nothing to spread
+        return minima.tolist()
     outside = len(values)  # the label of the other points, which link nothing
     labels = np.where(is_min, np.arange(outside), outside)
     for _ in range(outside):
@@ -273,7 +320,7 @@ def _basin_starts(values: np.ndarray, nbrs: np.ndarray) -> list[int]:
             break
         labels = spread
     starts: dict[int, int] = {}  # plateau label -> its first point in ascending (value, index)
-    for i in sorted(np.flatnonzero(is_min), key=lambda i: (values[i], i)):
+    for i in sorted(minima, key=lambda i: (values[i], i)):
         starts.setdefault(labels[i], i)
     return list(starts.values())
 
@@ -292,67 +339,13 @@ def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tupl
     return best, conditional_entropy(t, best)
 
 
-def _chart_hessian(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, float], tuple, tuple]:
-    """Hessian of the conditioned entropy in the tangent chart at n, and the chart basis.
-
-    Closed form, from the record ``point`` of n, where A is defined.  With
-    u+- = (x +- T n)/s+- and the gradients g1,2 = (y +- T^T u+)/4,
-    g3,4 = -(y +- T^T u-)/4 of w1..w4, the ambient Hessian of h4(w) - h2(p0) is
-
-        -[sum_i g_i g_i^T/w_i - (1/p0 + 1/p1) y y^T/4]/ln 2
-        - [log2(w1/w2) T^T (I - u+ u+^T) T/s+ + log2(w3/w4) T^T (I - u- u-^T) T/s-]/4
-
-    and the chart Hessian is B^T (that) B + (n.A)/4 I with B = [u v].  Where
-    s+- = 0 the pair's terms take their limit -(y y^T + T^T T)/(4 p ln 2).
-    The ambient Hessian is even in n, so the branches at -n serve as well.
-    Returns the entries (H_uu, H_uv, H_vv) of the symmetric 2x2, then u and v.
-    """
-    b = point.b
-    u, v = _tangent_basis(n)
-    _, y, rows, _ = t._floats
-    tu, tv = [_dot(row, u) for row in rows], [_dot(row, v) for row in rows]  # the columns of T B
-    yu, yv = _dot(y, u), _dot(y, v)
-    k = -1 / (16 * math.log(2))
-    # (weight, row) per outer-product term: y, then per pair 4 g_i (up to sign) for its two w and B^T T^T u
-    terms = [(-4 * k * (1 / b.p0 + 1 / b.p1), yu, yv)]
-    kappa = 0.0  # the sum over pairs of the kappa of the term -kappa T^T (I - u u^T) T
-    for p, wa, wb, vec, s in ((b.p0, b.w1, b.w2, b.v_plus, b.s_plus),
-                              (b.p1, b.w3, b.w4, b.v_minus, b.s_minus)):
-        if s > BRANCH_TOL:
-            unit = [c / s for c in vec]
-            cu, cv, curvature = _dot(unit, tu), _dot(unit, tv), math.log2(wa / wb) / (4 * s)
-        else:  # the limit, in which u drops out
-            cu, cv, curvature = 0.0, 0.0, 1 / (4 * math.log(2) * p)
-        terms += ((k / wa, yu + cu, yv + cv), (k / wb, yu - cu, yv - cv), (curvature, cu, cv))
-        kappa += curvature
-    huu = huv = hvv = 0.0
-    for w, ru, rv in terms:
-        huu, huv, hvv = huu + ru * w * ru, huv + ru * w * rv, hvv + rv * w * rv
-    sphere = 0.25 * _dot(n, point.a)  # the sphere's own curvature, -(n . grad S) I
-    return (huu - kappa * _dot(tu, tu) + sphere, huv - kappa * _dot(tu, tv),
-            hvv - kappa * _dot(tv, tv) + sphere), u, v
-
-
-def _chart_model(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float], tuple[float, float], tuple]:
-    """The quadratic model at n, where A is defined, in the eigenbasis of :func:`_chart_hessian`.
-
-    Returns the eigenvalues (l1 <= l2), the chart gradient -tang/4 along the
-    eigenvectors (g1, g2), and the eigenvectors as ambient vectors (e1, e2).
-    """
-    (huu, huv, hvv), u, v = _chart_hessian(t, n, point)
-    l1, (cu, cv) = _lowest_eigenpair(huu, huv, hvv)
-    e1 = (cu * u[0] + cv * v[0], cu * u[1] + cv * v[1], cu * u[2] + cv * v[2])
-    e2 = (cu * v[0] - cv * u[0], cu * v[1] - cv * u[1], cu * v[2] - cv * u[2])
-    return (l1, huu + hvv - l1), (-0.25 * _dot(point.tang, e1), -0.25 * _dot(point.tang, e2)), (e1, e2)
-
-
 def _newton_step(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, float], _Point] | None:
     """One damped Newton step on A || n from n, where A is defined: (new point, its record) or None.
 
     None for a singular chart Hessian or a step not finite or over 0.5 rad, else the first of
     up to 8 halvings that lowers the residual, at any type of stationary point.
     """
-    (l1, l2), (g1, g2), (e1, e2) = _chart_model(t, n, point)
+    _, _, _, _, _, l1, l2, g1, g2, e1, e2 = point
     if l1 == 0 or l2 == 0 or not math.hypot(g1 / l1, g2 / l2) <= 0.5:  # False for a step that is not finite
         return None
     w = [-g1 / l1 * a - g2 / l2 * b for a, b in zip(e1, e2)]
@@ -367,16 +360,20 @@ def _newton_step(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, 
 
 
 def _compass(t: BlochTriple, n, f: float, step: float) -> tuple[float, float, float]:
-    """Derivative-free descent for points where the gradient is undefined."""
+    """Compass search where the gradient is undefined, until no probe is lower and all four lie within _PLATEAU_TOL."""
     while step > _COMPASS_MIN_STEP:
         u, v = _tangent_basis(n)
+        rise = 0.0
         for signed, probe in ((step, u), (-step, u), (step, v), (-step, v)):
             cand = _moved(n, signed, probe)
             fc = _point(t, cand).f
             if fc < f:
                 n, f = cand, fc
                 break
+            rise = max(rise, fc - f)
         else:
+            if rise <= _PLATEAU_TOL:
+                break
             step /= 2
     return n
 
@@ -388,8 +385,8 @@ def _descend(t: BlochTriple, n, tolerance: float) -> tuple[tuple[float, float, f
         if p.tang is None:
             n = _compass(t, n, p.f, 0.01)
             return n, _point(t, n)
-        (l1, l2), (g1, g2), (e1, e2) = _chart_model(t, n, p)
-        if p.resid <= tolerance:
+        _, _, _, _, resid, l1, l2, g1, g2, e1, e2 = p
+        if resid <= tolerance:
             if l1 >= -_SADDLE_CURVATURE:
                 break
             c1, c2 = math.copysign(0.5, -g1), 0.0  # a saddle or maximum: 0.5 rad down e1
@@ -403,7 +400,7 @@ def _descend(t: BlochTriple, n, tolerance: float) -> tuple[tuple[float, float, f
             cand = _moved(n, s, w)
             pc = _point(t, cand)
             # a model decrease below rounding tests nothing: take a lower residual at no rise past rounding
-            if (pc.f <= p.f + 1e-14 and pc.resid < p.resid) if abs(model) < 1e-13 else pc.f <= p.f + _ARMIJO * model:
+            if (pc.f <= p.f + 1e-14 and pc.resid < resid) if abs(model) < 1e-13 else pc.f <= p.f + _ARMIJO * model:
                 n, p = cand, pc
                 break
             s /= 2
@@ -426,9 +423,9 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     each point visited and all that is read there.
     """
     n, p = _descend(t, _unit(start).tolist(), _check_tolerance(tolerance))
-    # p holds the branches at the sign-canonical representative of n
-    direction = MeasurementDirection(_canonical_sign(n))
-    return direction, p.f, _diagnostics(t, direction, p.b)
+    c = _canonical_sign(n)
+    direction = MeasurementDirection(c)
+    return direction, p.f, _diagnostics(t, direction, p, 1.0 if c is n else -1.0)
 
 
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,

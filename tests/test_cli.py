@@ -307,3 +307,28 @@ def test_compute_triple_file_with_non_finite_x_exits_2(tmp_path, capsys, bad):
     path = _write_triple_file(tmp_path / "bad.json", [bad, 0, 0], [0, 0, 0], np.zeros((3, 3)))
     assert main(["compute", path]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_successive_calls_parse_their_own_flags(capsys):
+    # the parser is built once per process and shared by every call
+    from qdiscord.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert main(["verify", "--suite", "identity", "--n", "2", "--seed", "7"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(["verify", "--suite", "oracle", "--n", "2"]) == 0
+    assert capsys.readouterr().out.startswith("oracle: PASS")
+    assert _build_parser().parse_args(["verify"]).seed == 0  # no --seed left over from the first call
+    assert main(["verify", "--suite", "identity", "--n", "2", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == seeded
+    # a signed --a, then one without a sign: each scan has its own rows
+    assert main(["scan", "ab", "--a", "0.2", "--b", "-0.1:0.1:0.1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4  # header and three b values
+    assert main(["scan", "ab", "--a", "0.3", "--b", "0"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["verify", "--suite", "identity", "--n", "2", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == seeded

@@ -66,8 +66,10 @@ def test_every_private_module_name_is_referenced():
 
 #: primitives with one home each: the -v log2 v sums live in entropy.py (the
 #: stationarity vector's log-ratios in optimize.py), the Pauli matrices and
-#: their Kronecker products in states.py
-PRIMITIVE_HOMES = {"log2": {"entropy.py", "optimize.py"}, "np.kron": {"states.py"}, "PAULIS": {"states.py"}}
+#: their Kronecker products in states.py, the branch weights w = (2 p +- s)/4
+#: in measurement.py, so that no fused kernel forks the one branch kernel
+PRIMITIVE_HOMES = {"log2": {"entropy.py", "optimize.py"}, "np.kron": {"states.py"}, "PAULIS": {"states.py"},
+                   "2 * p0": {"measurement.py"}}
 
 
 def test_each_primitive_is_defined_in_its_home_module_only():

@@ -337,6 +337,13 @@ def _fd_chart_hessian(t, n, h=1e-6):
     return (hess + hess.T) / 2
 
 
+def _record_hessian(n, point):
+    """The chart Hessian in the basis (u, v) of :func:`_tangent_basis`, rebuilt from the record's model."""
+    basis = np.array(optimize._tangent_basis(n))
+    vectors = np.array([point.e1, point.e2]) @ basis.T  # rows: e1, e2 in (u, v) coordinates
+    return vectors.T @ np.diag([point.l1, point.l2]) @ vectors, basis
+
+
 def test_chart_hessian_matches_finite_differences():
     rng = np.random.default_rng(404)
     compared = 0
@@ -347,21 +354,21 @@ def test_chart_hessian_matches_finite_differences():
         assert (point.a is None) == stationary_vector(t, d).degenerate
         if point.a is None:
             continue
-        (huu, huv, hvv), u, v = optimize._chart_hessian(t, d.n.tolist(), point)
-        hess = np.array([[huu, huv], [huv, hvv]])
-        assert np.array_equal(np.array([u, v]), optimize._tangent_basis(d.n))
+        hess, basis = _record_hessian(d.n.tolist(), point)
+        # the eigenvectors are an orthonormal basis of the tangent plane
+        frame = np.array([point.e1, point.e2, d.n])
+        assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-15
         reference = _fd_chart_hessian(t, d.n)
         assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
         # the model: eigenvalues, eigenvectors mapped through (u, v), the gradient along them
-        (l1, l2), (g1, g2), (e1, e2) = optimize._chart_model(t, d.n.tolist(), point)
         values, vectors = np.linalg.eigh(hess)
         scale = float(np.abs(values).max())
-        assert abs(l1 - values[0]) <= 1e-14 * scale and abs(l2 - values[1]) <= 1e-14 * scale
+        assert abs(point.l1 - values[0]) <= 1e-14 * scale and abs(point.l2 - values[1]) <= 1e-14 * scale
         assert values[1] - values[0] > 1e-6 * scale  # separated: each vector is fixed up to sign
-        for e, vector in ((e1, vectors[:, 0]), (e2, vectors[:, 1])):
-            mapped = vector @ np.array([u, v])
+        for e, vector in ((point.e1, vectors[:, 0]), (point.e2, vectors[:, 1])):
+            mapped = vector @ basis
             assert min(np.abs(np.array(e) - sign * mapped).max() for sign in (1, -1)) <= 1e-9
-        for g, e in ((g1, e1), (g2, e2)):
+        for g, e in ((point.g1, point.e1), (point.g2, point.e2)):
             assert g == pytest.approx(-0.25 * float(np.dot(point.tang, e)), rel=1e-12, abs=1e-15)
         compared += 1
     assert compared == 150  # rank 1 is degenerate everywhere, ranks 2-4 here nowhere
@@ -373,9 +380,9 @@ def test_chart_hessian_at_the_vanishing_norm_limit():
     n = np.array([0.0, 0.0, 1.0])
     b = optimize.branches(t, n)
     assert b.s_plus == b.s_minus == 0.0
-    (huu, huv, hvv), _, _ = optimize._chart_hessian(t, n.tolist(), optimize._point(t, n.tolist()))
-    hess = np.array([[huu, huv], [huv, hvv]])
-    assert np.linalg.eigvalsh(hess) == pytest.approx([-0.5707365, -0.1426841], abs=1e-7)
+    point = optimize._point(t, n.tolist())
+    assert [point.l1, point.l2] == pytest.approx([-0.5707365, -0.1426841], abs=1e-7)
+    hess, _ = _record_hessian(n.tolist(), point)
     reference = _fd_chart_hessian(t, n)
     assert np.linalg.norm(hess - reference) <= 1e-6 * np.linalg.norm(reference)
 
@@ -476,6 +483,46 @@ def test_ab_crossover_branch_evaluations_do_not_grow(monkeypatch):
     assert _branch_evaluations(monkeypatch, _ab_crossover_triples()) <= 3098
 
 
+def test_flat_landscape_branch_evaluations_do_not_grow(monkeypatch):
+    # on a rank-1 triple S(A|n) = 0 up to rounding and A is undefined
+    # everywhere, so refinement is all compass search: halving its step down
+    # to 1e-9 on values equal to rounding made 9,844 evaluations here; it stops
+    # once all four probes lie within the plateau tolerance, at 639
+    rng = np.random.default_rng(2718)
+    assert _branch_evaluations(monkeypatch, [random_triple(rng, rank=1) for _ in range(100)]) <= 639
+
+
+def test_point_record_is_what_the_scalar_evaluators_give():
+    # f is conditional_entropy's and A and the residual stationary_vector's,
+    # bitwise, also where A is undefined and at the s+- = 0 limit; A is odd in
+    # n, the rest of the record even
+    rng = np.random.default_rng(8080)
+    cases = [(random_triple(rng, rank=1 + k % 4), random_direction(rng)) for k in range(298)]
+    # the s+- = 0 limit: x -+ T n = 0 at n = +-z
+    limit = BlochTriple(Z3, np.array([0.0, 0.0, 0.3]), np.diag([0.6, 0.3, 0.0]))
+    cases += [(limit, MeasurementDirection(np.array([0.0, 0.0, 1.0]))),
+              (limit, MeasurementDirection(np.array([0.0, 0.0, -1.0])))]
+    undefined = 0
+    for t, d in cases:
+        n = d.n.tolist()
+        point, antipode = optimize._point(t, n), optimize._point(t, [-v for v in n])
+        diag = stationary_vector(t, d)
+        assert point.f == antipode.f == conditional_entropy(t, d)
+        assert diag.degenerate == (point.a is None) == (antipode.a is None)
+        assert optimize._point(t, n, model=False) == point[:5] + (None,) * 6  # the record short of its model
+        if point.a is None:
+            assert math.isnan(point.resid) and point.l1 is None
+            undefined += 1
+            continue
+        assert np.array_equal(diag.a_vector, point.a) and diag.residual == point.resid == antipode.resid
+        assert antipode.a == tuple(-v for v in point.a) and antipode.tang == tuple(-v for v in point.tang)
+        assert (antipode.l1, antipode.l2) == (point.l1, point.l2)
+        # against the batch kernel's independent numpy evaluation
+        batch = optimize.stationary_residual_batch(t, d.n[None])[0]
+        assert point.resid == pytest.approx(batch, abs=1e-12 * max(1.0, math.hypot(*point.a)))
+    assert undefined == 75  # rank 1: A is undefined everywhere
+
+
 def test_refinement_leaves_saddles_and_maxima():
     # stationary starts that are not minima: LANDSCAPE's saddle y and maximum z
     for start in ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
@@ -488,8 +535,7 @@ def test_refinement_leaves_saddles_and_maxima():
         t = triple_from_matrix(ab_state(a, b))
         pole = np.array([0.0, 0.0, 1.0])
         assert stationary_vector(t, MeasurementDirection(pole)).residual <= 1e-9
-        (curvature, _), _, _ = optimize._chart_model(t, pole.tolist(), optimize._point(t, pole.tolist()))
-        assert curvature <= -1e-3
+        assert optimize._point(t, pole.tolist()).l1 <= -1e-3
         _, value, _ = refine_minimum(t, pole)
         _, oracle, _ = refine_minimum(t, grid_minimize(t)[0])
         assert abs(value - oracle) <= 1e-12
