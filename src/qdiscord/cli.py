@@ -28,6 +28,7 @@ from .closed_forms import (
 from .errors import NotAStateError, ValidationError
 from .measurement import (
     MeasurementDirection,
+    _normalized,
     conditional_entropy,
     conditional_entropy_direct,
     direction_from_angles,
@@ -241,16 +242,16 @@ def cmd_scan(family: str, args, config: RunConfig) -> int:
 def suite_identity(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
     """h4(w) - h2(p0) against the direct average sum_k p_k S(rho_A_k), n states x 50 directions.
 
-    Each direction goes through the scalar identity route one at a time;
-    the matrix route takes a state's 50 directions in one batched call.
+    A state's 50 directions are one draw of 50 x 3 normals, each row a unit float triple; each goes
+    through the scalar identity route one at a time, and the matrix route takes all 50 in one call.
     """
     worst = 0.0
     for _ in range(n):
         rho = random_state(rng=rng)
         t = triple_from_matrix(rho)
-        dirs = [MeasurementDirection(rng.standard_normal(3)) for _ in range(50)]
-        identity = np.array([conditional_entropy(t, d) for d in dirs])
-        direct = conditional_entropy_direct(t, np.array([d.n for d in dirs]), rho=rho)
+        units = [_normalized(v) for v in rng.standard_normal((50, 3)).tolist()]
+        identity = np.array([conditional_entropy(t, d) for d in units])
+        direct = conditional_entropy_direct(t, np.array(units), rho=rho)
         worst = max(worst, float(np.max(np.abs(identity - direct))))
     return worst < 1e-10, f"{n} states x 50 directions, max |h4-h2 vs sum p_k S| = {worst:.3e}"
 

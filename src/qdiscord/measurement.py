@@ -31,6 +31,25 @@ BRANCH_TOL = 1e-12
 _W_DEFICIT_TOL = 8 * PSD_TOL
 
 
+def _normalized(v) -> tuple[float, float, float]:
+    """The one normalization rule of a direction: v / hypot(v) as three floats, v itself within 1e-12 of unit length."""
+    if not ((type(v) is tuple or type(v) is list) and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float):
+        v = np.asarray(v, dtype=float)
+        if v.shape != (3,):
+            raise ValidationError(f"direction must be a real 3-vector, got shape {v.shape}")
+        v = v.tolist()
+    x, y, z = v
+    # hypot, unlike sqrt(n . n), does not overflow on entries beyond 1e154
+    if not (norm := math.hypot(x, y, z)) < math.inf:  # a nan or inf entry, or a norm past the largest float
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValidationError("direction has non-finite entries")
+        x, y, z = x / 2, y / 2, z / 2  # exact, and it brings the norm back below the largest float
+        norm = math.hypot(x, y, z)
+    if norm < 1e-12:
+        raise ValidationError("direction vector must be nonzero")
+    return (x / norm, y / norm, z / norm) if abs(norm - 1.0) > 1e-12 else (x, y, z)  # kept bits keep -n exact
+
+
 @dataclass(frozen=True)
 class MeasurementDirection:
     """Unit vector on the Bloch sphere labelling a projective measurement.
@@ -42,19 +61,7 @@ class MeasurementDirection:
     n: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.n, dtype=float)
-        if n.shape != (3,):
-            raise ValidationError(f"direction must be a real 3-vector, got shape {n.shape}")
-        if not all(map(math.isfinite, n.tolist())):
-            raise ValidationError("direction has non-finite entries")
-        # hypot, unlike sqrt(n . n), does not overflow on entries beyond 1e154
-        norm = math.hypot(*n.tolist())
-        if norm < 1e-12:
-            raise ValidationError("direction vector must be nonzero")
-        if abs(norm - 1.0) > 1e-12:
-            n = n / norm
-        else:
-            n = n.copy()  # keep bits: negating a unit vector must stay exact
+        n = np.array(_normalized(self.n))
         n.setflags(write=False)
         object.__setattr__(self, "n", n)
 
@@ -70,13 +77,12 @@ class MeasurementDirection:
 def direction_from_angles(theta: float, phi: float) -> MeasurementDirection:
     """Direction (sin t cos p, sin t sin p, cos t) from polar angles."""
     st = math.sin(theta)
-    return MeasurementDirection(np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)]))
+    return MeasurementDirection((st * math.cos(phi), st * math.sin(phi), math.cos(theta)))
 
 
-def _unit(direction) -> np.ndarray:
-    if isinstance(direction, MeasurementDirection):
-        return direction.n
-    return MeasurementDirection(np.asarray(direction, dtype=float)).n
+def _unit(direction) -> tuple[float, float, float] | list[float]:
+    """The unit vector of a :class:`MeasurementDirection` (its bits) or of any 3-vector, as three floats."""
+    return direction.n.tolist() if isinstance(direction, MeasurementDirection) else _normalized(direction)
 
 
 def _canonical_sign(n):
@@ -101,7 +107,8 @@ def _cross(a, b) -> tuple[float, float, float]:
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """The norm of every row of an (N, 3) array: np.linalg.norm(v, axis=1), bit for bit, without its dispatch."""
-    return np.sqrt((v * v).sum(axis=1))
+    sq = v * v
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
 
 
 def _tangent_basis(n) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
@@ -126,7 +133,7 @@ def projector_bloch(k: int, direction) -> np.ndarray:
     """Rank-1 projector (I + n_k . sigma)/2 with n_0 = n and n_1 = -n."""
     if k not in (0, 1):
         raise ValidationError(f"outcome index must be 0 or 1, got {k}")
-    n = _unit(direction)
+    n = np.array(_unit(direction))
     return _qubit_matrix(n if k == 0 else -n)
 
 
@@ -247,7 +254,7 @@ def conditional_entropy(t: BlochTriple, direction) -> float:
     Evaluated at the sign-canonical representative of {n, -n}, so the
     result is bitwise identical for antipodal directions.
     """
-    return _branch_entropy(*_probabilities(branches(t, _canonical_sign(_unit(direction).tolist()))))
+    return _branch_entropy(*_probabilities(branches(t, _canonical_sign(_unit(direction)))))
 
 
 def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndarray:
@@ -276,7 +283,7 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     passed to reuse a precomputed matrix for the same triple.
     """
     single = isinstance(directions, MeasurementDirection) or np.ndim(directions) != 2
-    dirs = _unit(directions)[None] if single else np.asarray(directions, dtype=float)
+    dirs = np.array([_unit(directions)]) if single else np.asarray(directions, dtype=float)
     if rho is None:
         rho = matrix_from_triple(t)
     count = len(dirs)
@@ -286,9 +293,9 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     lift[:, 0, :, 0] = lift[:, 1, :, 1] = proj
     lift = lift.reshape(-1, 4, 4)
     sandwich = lift @ rho @ lift
-    pk = np.trace(sandwich, axis1=1, axis2=2).real
+    pk = ((sandwich[:, 0, 0] + sandwich[:, 1, 1]) + (sandwich[:, 2, 2] + sandwich[:, 3, 3])).real  # np.trace's order
     live = pk > BRANCH_TOL
-    rho_a = np.einsum("nabcb->nac", sandwich[live].reshape(-1, 2, 2, 2, 2)) / pk[live, None, None]
+    rho_a = (sandwich[:, ::2, ::2] + sandwich[:, 1::2, 1::2])[live] / pk[live, None, None]  # einsum's Tr_B
     eig = np.clip(np.linalg.eigvalsh(rho_a), 0.0, 1.0)
     terms = np.zeros(2 * count)
     terms[live] = pk[live] * _h_sum(eig.T)

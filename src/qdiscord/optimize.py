@@ -273,8 +273,8 @@ def _lattice(resolution: float) -> tuple[np.ndarray, np.ndarray]:
     One point per ``resolution**2`` of area, at heights z = 1 - (i + 1/2)/N,
     none on the pole or the equator.  Two points are neighbours when
     |n.m| >= cos(1.5 resolution), which identifies antipodes.  Returns the
-    read-only (N, 3) directions and (N, k) neighbour indices, padded with
-    each point's own index.
+    read-only (N, 3) directions and (k, N) neighbour indices, a contiguous
+    column per point padded with its own index.
     """
     count = math.ceil(2 * math.pi / resolution**2)
     index = np.arange(count)
@@ -295,7 +295,7 @@ def _lattice(resolution: float) -> tuple[np.ndarray, np.ndarray]:
             rows[i].append(i + k)
             rows[i + k].append(i)
     width = max(map(len, rows))
-    nbrs = np.array([sorted(row) + [i] * (width - len(row)) for i, row in enumerate(rows)])
+    nbrs = np.array([sorted(row) + [i] * (width - len(row)) for i, row in enumerate(rows)]).T.copy()
     dirs.setflags(write=False)
     nbrs.setflags(write=False)
     return dirs, nbrs
@@ -308,14 +308,14 @@ def _basin_starts(values: np.ndarray, nbrs: np.ndarray) -> list[int]:
     (the lowest index among equals).  Plateaus are found by spreading the
     smallest index over the graph of minima, which settles within N passes.
     """
-    is_min = values <= values[nbrs].min(axis=1) + _PLATEAU_TOL
+    is_min = values <= values[nbrs].min(axis=0) + _PLATEAU_TOL
     minima = np.flatnonzero(is_min)
     if len(minima) == 1:  # one plateau: nothing to spread
         return minima.tolist()
     outside = len(values)  # the label of the other points, which link nothing
     labels = np.where(is_min, np.arange(outside), outside)
     for _ in range(outside):
-        spread = np.where(is_min, np.minimum(labels, labels[nbrs].min(axis=1)), outside)
+        spread = np.where(is_min, np.minimum(labels, labels[nbrs].min(axis=0)), outside)
         if np.array_equal(spread, labels):
             break
         labels = spread
@@ -366,7 +366,7 @@ def _compass(t: BlochTriple, n, f: float, step: float) -> tuple[float, float, fl
         rise = 0.0
         for signed, probe in ((step, u), (-step, u), (step, v), (-step, v)):
             cand = _moved(n, signed, probe)
-            fc = _point(t, cand).f
+            fc = _point(t, cand, model=False).f
             if fc < f:
                 n, f = cand, fc
                 break
@@ -422,7 +422,7 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     value never exceeds the starting value.  One branch evaluation serves
     each point visited and all that is read there.
     """
-    n, p = _descend(t, _unit(start).tolist(), _check_tolerance(tolerance))
+    n, p = _descend(t, _unit(start), _check_tolerance(tolerance))
     c = _canonical_sign(n)
     direction = MeasurementDirection(c)
     return direction, p.f, _diagnostics(t, direction, p, 1.0 if c is n else -1.0)
@@ -587,7 +587,7 @@ def stationary_scan(t: BlochTriple, resolution: float = math.pi / 60) -> list[St
     """
     dirs, nbrs = _lattice(_check_resolution(resolution))
     resid = stationary_residual_batch(t, dirs)
-    candidates = dirs[(resid <= resid[nbrs].min(axis=1)) & np.isfinite(resid)]
+    candidates = dirs[(resid <= resid[nbrs].min(axis=0)) & np.isfinite(resid)]
 
     found: list[StationaryPoint] = []
     for n0 in candidates.tolist():

@@ -279,6 +279,13 @@ def test_verify_single_suite(capsys):
     assert "identity: PASS" in out
 
 
+@pytest.mark.parametrize("seed, worst", [("1", "6.661e-16"), ("77", "7.772e-16")])
+def test_verify_identity_output_is_pinned(capsys, seed, worst):
+    # pinned: a moved draw order or normalization of the directions changes the worst gap
+    assert main(["verify", "--suite", "identity", "--n", "20", "--seed", seed]) == 0
+    assert capsys.readouterr().out == f"identity: PASS (20 states x 50 directions, max |h4-h2 vs sum p_k S| = {worst})\n"
+
+
 def test_verify_gradient_suite(capsys):
     assert main(["verify", "--suite", "gradient", "--n", "20"]) == 0
     assert "gradient: PASS" in capsys.readouterr().out

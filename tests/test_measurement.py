@@ -63,10 +63,45 @@ def test_direction_rejects_non_finite_entries(n):
         refine_minimum(BlochTriple(Z3, Z3, np.diag([0.5, 0.2, 0.1])), n)
 
 
-@pytest.mark.parametrize("n", [[1e300, 1e300, 0], [-1e308, 0, 1e308], [3e-12, 0, 4e-12]])
+@pytest.mark.parametrize("n", [[1e300, 1e300, 0], [-1e308, 0, 1e308], [3e-12, 0, 4e-12],
+                               [1.7e308, 1.7e308, 0], [1.7e308, -1.7e308, 1.7e308]])
 def test_direction_far_from_unit_length_normalizes_without_overflow(n):
     d = MeasurementDirection(n)  # a RuntimeWarning would fail the test
     assert abs(math.hypot(*d.n) - 1) < 1e-15
+
+
+def _numpy_rule(v):
+    """A direction's normalization in numpy terms: n / hypot(n) unless |hypot(n) - 1| <= 1e-12."""
+    n = np.asarray(v, dtype=float)
+    norm = math.hypot(*n.tolist())
+    return n / norm if abs(norm - 1.0) > 1e-12 else n.copy()
+
+
+def test_normalization_rule_is_numpy_division_bit_for_bit():
+    rng = np.random.default_rng(15)
+    vecs = rng.standard_normal((10_000, 3))
+    vecs[:2000] *= 10.0 ** rng.uniform(-12.5, 154, (2000, 1))  # norms from below 1e-12 to 1e154
+    unit = vecs[2000:4000] / np.linalg.norm(vecs[2000:4000], axis=1)[:, None]
+    vecs[2000:4000] = unit * (1 + rng.uniform(-2e-12, 2e-12, (2000, 1)))  # |norm - 1| on both sides of 1e-12
+    vecs[4000:5000] = -vecs[2000:3000]
+    zeros = rng.random((1000, 3)) < 0.4
+    vecs[5000:6000] = np.where(zeros, np.copysign(0.0, rng.standard_normal((1000, 3))), vecs[5000:6000])
+    vecs[6000:7000] *= 1e-12
+    vecs[7000:8000] *= 1e154
+    kept = rejected = 0
+    for v in vecs:
+        if math.hypot(*v) < 1e-12:
+            for given in (v, v.tolist(), tuple(v.tolist())):
+                with pytest.raises(ValidationError, match="nonzero"):
+                    measurement._normalized(given)
+            rejected += 1
+            continue
+        expected = _numpy_rule(v).tobytes()
+        for given in (v, v.tolist(), tuple(v.tolist())):
+            assert np.array(measurement._normalized(given)).tobytes() == expected
+        assert MeasurementDirection(v).n.tobytes() == expected
+        kept += abs(math.hypot(*v) - 1) <= 1e-12
+    assert kept > 1000 and rejected > 200  # both branches of the rule and its rejection are exercised
 
 
 def test_projectors_standard_basis():

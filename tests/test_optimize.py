@@ -272,8 +272,8 @@ def test_lattice_neighbours_match_brute_force_adjacency():
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0) and (dirs[:, 2] > 0).all()
         adjacent = np.abs(dirs @ dirs.T) >= math.cos(1.5 * resolution)
         np.fill_diagonal(adjacent, False)
-        for i, row in enumerate(nbrs):
-            assert set(row) - {i} == set(np.flatnonzero(adjacent[i]))
+        for i, column in enumerate(nbrs.T):  # one column per point
+            assert set(column) - {i} == set(np.flatnonzero(adjacent[i]))
         degree = adjacent.sum(axis=1)
         assert degree.min() >= 5 and degree.max() <= 8
     assert len(optimize._lattice(math.pi / 18)[0]) == 207
