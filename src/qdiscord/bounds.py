@@ -27,7 +27,6 @@ from .states import reduced_states, triple_from_matrix  # noqa: F401
 #: |discord_ub - discord| below this counts as a saturated bound
 SATURATION_TOL = 1e-6
 
-_RANK_TOL = 1e-10
 #: top eigenvalues of the projected form this close count as tied
 _TIE_TOL = 1e-12
 
@@ -58,39 +57,35 @@ class BoundReport:
     saturated: bool
 
 
+def _rank_tol(t: BlochTriple) -> float:
+    """The rank rule of [T^t x, y] for both routes: singular values at or below 1e-10 max(1, |T|, |x|, |y|) are zero."""
+    x, y, rows = t._floats
+    return 1e-10 * max(1.0, math.hypot(*rows[0], *rows[1], *rows[2]), math.hypot(*x), math.hypot(*y))
+
+
 def perp_subspace(t: BlochTriple) -> np.ndarray:
     """Orthonormal basis (columns) of the complement of span{T^t x, y}.
 
-    Rank is decided with singular values below ``1e-10 * max(1, |T|, |x|, |y|)``
+    Rank is decided with singular values at or below 1e-10 max(1, |T|, |x|, |y|)
     treated as zero, so the case split is stable near the solvable families.
     """
-    spanning = np.column_stack([t.T.T @ t.x, t.y])
-    u, s, _ = np.linalg.svd(spanning)
-    scale = max(1.0, float(np.linalg.norm(t.T)), float(np.linalg.norm(t.x)),
-                float(np.linalg.norm(t.y)))
-    rank = int((s > _RANK_TOL * scale).sum())
-    return u[:, rank:]
+    u, s, _ = np.linalg.svd(np.column_stack([t._tx, t.y]))
+    return u[:, int((s > _rank_tol(t)).sum()):]
 
 
 def t0_squared(t: BlochTriple) -> tuple[float, MeasurementDirection]:
     """Maximize e^t T^t T e over unit vectors of the restricted subspace.
 
     Projects T^t T onto the subspace and takes its largest eigenvalue; the
-    maximizing direction is returned sign-canonicalized.
+    maximizing direction is returned sign-canonicalized, and a tied top
+    eigenvalue takes :func:`_tied_axis` of its eigenspace.
     """
-    return _max_on_subspace(t, perp_subspace(t))
-
-
-def _max_on_subspace(t: BlochTriple, basis: np.ndarray) -> tuple[float, MeasurementDirection]:
-    projected = basis.T @ (t.T.T @ t.T) @ basis
-    vals, vecs = np.linalg.eigh(projected)
+    basis = perp_subspace(t)
+    vals, vecs = np.linalg.eigh(basis.T @ (t.T.T @ t.T) @ basis)
     e0 = basis @ vecs[:, -1]
     if len(vals) > 1 and vals[-2] >= vals[-1] - _TIE_TOL:
-        # eigh's vector in a tied eigenspace follows the last bits of T; the squared projections
-        # of the axes onto the space sum to its dimension >= 2, so one of them is >= 2/3
-        tied = basis @ vecs[:, vals >= vals[-1] - _TIE_TOL]
-        row = next(r for r in tied[::-1] if r @ r >= 0.5)  # rows z, y, x
-        e0 = tied @ row / math.sqrt(row @ row)
+        # eigh's vector in a tied eigenspace follows the last bits of T
+        e0 = _tied_axis((basis @ vecs[:, vals >= vals[-1] - _TIE_TOL]).T.tolist())
     return max(float(vals[-1]), 0.0), MeasurementDirection(_canonical_sign(e0))
 
 
@@ -113,21 +108,22 @@ def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, 
     """:func:`t0_squared` and the dimension of :func:`perp_subspace`, on floats: (t0^2, dimension, e0 up to sign).
 
     The singular values of [a, y] with a = T^t x come from s1 s2 = |a x y| and
-    s1^2 + s2^2 = |a|^2 + |y|^2 and are counted with perp_subspace's rank rule.
+    s1^2 + s2^2 = |a|^2 + |y|^2 and are counted with :func:`_rank_tol`, as in perp_subspace.
     Rank 2: the complement is the line of a x y.  Rank 1: it is the tangent
     plane of the top left singular vector, where the projected form is a 2x2.
     Rank 0: it is the whole space, and t0^2 = d_0^2 = |T e|^2 with e the first
     row of the canonical ``rotation_b``, which is e0.  Ties follow
     :func:`t0_squared`'s rule.
     """
-    x, y, rows, cols = state.triple._floats
-    a = (_dot(cols[0], x), _dot(cols[1], x), _dot(cols[2], x))
+    t = state.triple
+    _, y, rows = t._floats
+    a = t._tx
     normal = _cross(a, y)
     aa, ay, yy, cross = _dot(a, a), _dot(a, y), _dot(y, y), math.sqrt(_dot(normal, normal))
     total = aa + yy
     s1 = math.sqrt((total + math.sqrt(max((total - 2 * cross) * (total + 2 * cross), 0.0))) / 2)
     s2 = cross / s1 if s1 > 0 else 0.0
-    tol = _RANK_TOL * max(1.0, math.hypot(*rows[0], *rows[1], *rows[2]), math.hypot(*x), math.sqrt(yy))
+    tol = _rank_tol(t)
     if s2 > tol:
         e = (normal[0] / cross, normal[1] / cross, normal[2] / cross)
         te = [_dot(row, e) for row in rows]
@@ -146,7 +142,7 @@ def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, 
             return top, 2, _tied_axis((u, v))
         return top, 2, tuple(cu * p + cv * q for p, q in zip(u, v))
     canon = state.canonical
-    _, _, diagonal, _ = canon.triple._floats
+    _, _, diagonal = canon.triple._floats
     squares = [diagonal[j][j] * diagonal[j][j] for j in range(3)]
     axes = canon.rotation_b.tolist()
     tied = [axes[j] for j in range(3) if squares[j] >= squares[0] - _TIE_TOL]

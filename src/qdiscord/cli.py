@@ -29,9 +29,9 @@ from .errors import NotAStateError, ValidationError
 from .measurement import (
     MeasurementDirection,
     _normalized,
+    _unit_from_angles,
     conditional_entropy,
     conditional_entropy_direct,
-    direction_from_angles,
 )
 from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, _check_resolution, _check_tolerance, quantum_discord
 from .optimize import stationary_vector
@@ -267,8 +267,8 @@ def suite_gradient(n: int, rng: np.random.Generator, config: RunConfig) -> tuple
         if diag.degenerate or math.hypot(diag.grad_theta, diag.grad_phi) < 1e-3:
             continue
         th, ph = d.theta, d.phi
-        fd_th = _richardson(lambda h: conditional_entropy(t, direction_from_angles(th + h, ph)))
-        fd_ph = _richardson(lambda h: conditional_entropy(t, direction_from_angles(th, ph + h)))
+        fd_th = _richardson(lambda h: conditional_entropy(t, _unit_from_angles(th + h, ph)))
+        fd_ph = _richardson(lambda h: conditional_entropy(t, _unit_from_angles(th, ph + h)))
         for an, fd in ((diag.grad_theta, fd_th), (diag.grad_phi, fd_ph)):
             worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-12))
         checked += 1

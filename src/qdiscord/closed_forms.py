@@ -50,7 +50,7 @@ def classify(c: CanonicalForm) -> ClassTag:
     The AB benchmark family is never auto-detected (it is tied to a fixed
     basis); it only enters through its explicit constructor.
     """
-    x, y, rows, _ = c.triple._floats
+    x, y, rows = c.triple._floats
     d = (rows[0][0], rows[1][1], rows[2][2])
     if math.hypot(*y) <= CLASS_TOL:
         if math.hypot(*x) <= CLASS_TOL:

@@ -31,9 +31,11 @@ BRANCH_TOL = 1e-12
 _W_DEFICIT_TOL = 8 * PSD_TOL
 
 
-def _normalized(v) -> tuple[float, float, float]:
+def _normalized(v) -> tuple[float, float, float] | list[float]:
     """The one normalization rule of a direction: v / hypot(v) as three floats, v itself within 1e-12 of unit length."""
     if not ((type(v) is tuple or type(v) is list) and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float):
+        if isinstance(v, MeasurementDirection):
+            return v.n.tolist()  # the bits it stores, which came out of this rule
         v = np.asarray(v, dtype=float)
         if v.shape != (3,):
             raise ValidationError(f"direction must be a real 3-vector, got shape {v.shape}")
@@ -74,15 +76,15 @@ class MeasurementDirection:
         return float(math.atan2(self.n[1], self.n[0]) % (2 * math.pi))
 
 
+def _unit_from_angles(theta: float, phi: float) -> tuple[float, float, float]:
+    """(sin t cos p, sin t sin p, cos t) as three floats, whose bits :func:`_normalized` keeps."""
+    st = math.sin(theta)
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+
+
 def direction_from_angles(theta: float, phi: float) -> MeasurementDirection:
     """Direction (sin t cos p, sin t sin p, cos t) from polar angles."""
-    st = math.sin(theta)
-    return MeasurementDirection((st * math.cos(phi), st * math.sin(phi), math.cos(theta)))
-
-
-def _unit(direction) -> tuple[float, float, float] | list[float]:
-    """The unit vector of a :class:`MeasurementDirection` (its bits) or of any 3-vector, as three floats."""
-    return direction.n.tolist() if isinstance(direction, MeasurementDirection) else _normalized(direction)
+    return MeasurementDirection(_unit_from_angles(theta, phi))
 
 
 def _canonical_sign(n):
@@ -133,7 +135,7 @@ def projector_bloch(k: int, direction) -> np.ndarray:
     """Rank-1 projector (I + n_k . sigma)/2 with n_0 = n and n_1 = -n."""
     if k not in (0, 1):
         raise ValidationError(f"outcome index must be 0 or 1, got {k}")
-    n = np.array(_unit(direction))
+    n = np.array(_normalized(direction))
     return _qubit_matrix(n if k == 0 else -n)
 
 
@@ -154,7 +156,7 @@ def _assemble(d, vp, vm, sp, sm) -> Branches:
 def branches(t: BlochTriple, n) -> Branches:
     """Branch quantities at one unit direction n, a (3,) array or three floats, in float arithmetic."""
     n0, n1, n2 = n.tolist() if isinstance(n, np.ndarray) else n
-    (x0, x1, x2), (y0, y1, y2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), _ = t._floats
+    (x0, x1, x2), (y0, y1, y2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)) = t._floats
     # T n and the dot products unrolled, each sum in _dot's order
     tn0, tn1, tn2 = r00 * n0 + r01 * n1 + r02 * n2, r10 * n0 + r11 * n1 + r12 * n2, r20 * n0 + r21 * n1 + r22 * n2
     vp0, vp1, vp2, vm0, vm1, vm2 = x0 + tn0, x1 + tn1, x2 + tn2, x0 - tn0, x1 - tn1, x2 - tn2
@@ -223,20 +225,20 @@ class PostMeasurementState:
 
 def outcome_probabilities(t: BlochTriple, direction) -> tuple[float, float]:
     """Outcome probabilities p_k = (1 + y . n_k) / 2."""
-    b = branches(t, _unit(direction))
+    b = branches(t, _normalized(direction))
     return b.p0, b.p1
 
 
 def joint_probabilities(t: BlochTriple, direction) -> MeasurementProbabilities:
     """The six probabilities w_{1,2} = (2 p0 +- |x + T n|)/4, w_{3,4} = (2 p1 +- |x - T n|)/4."""
-    return MeasurementProbabilities(*_probabilities(branches(t, _unit(direction))))
+    return MeasurementProbabilities(*_probabilities(branches(t, _normalized(direction))))
 
 
 def post_measurement_state(t: BlochTriple, direction, k: int) -> PostMeasurementState:
     """State of A after outcome ``k``: x_tilde_k = (x + T n_k) / (1 + y . n_k)."""
     if k not in (0, 1):
         raise ValidationError(f"outcome index must be 0 or 1, got {k}")
-    b = branches(t, _unit(direction))
+    b = branches(t, _normalized(direction))
     pk, v = (b.p0, b.v_plus) if k == 0 else (b.p1, b.v_minus)
     if pk <= BRANCH_TOL:
         raise ZeroProbabilityError(f"outcome {k} has probability {pk:.3e}")
@@ -254,7 +256,7 @@ def conditional_entropy(t: BlochTriple, direction) -> float:
     Evaluated at the sign-canonical representative of {n, -n}, so the
     result is bitwise identical for antipodal directions.
     """
-    return _branch_entropy(*_probabilities(branches(t, _canonical_sign(_unit(direction)))))
+    return _branch_entropy(*_probabilities(branches(t, _canonical_sign(_normalized(direction)))))
 
 
 def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndarray:
@@ -283,7 +285,7 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     passed to reuse a precomputed matrix for the same triple.
     """
     single = isinstance(directions, MeasurementDirection) or np.ndim(directions) != 2
-    dirs = np.array([_unit(directions)]) if single else np.asarray(directions, dtype=float)
+    dirs = np.array([_normalized(directions)]) if single else np.asarray(directions, dtype=float)
     if rho is None:
         rho = matrix_from_triple(t)
     count = len(dirs)

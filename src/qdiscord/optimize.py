@@ -28,11 +28,11 @@ from .measurement import (
     _canonical_sign,
     _dot,
     _lowest_eigenpair,
+    _normalized,
     _probabilities,
     _probabilities_batch,
     _row_norms,
     _tangent_basis,
-    _unit,
     branches,
     branches_batch,
     conditional_entropy,
@@ -148,7 +148,7 @@ def _point(t: BlochTriple, n, model: bool = True) -> _Point:
     p0, p1, w1, w2, w3, w4, (vp0, vp1, vp2), (vm0, vm1, vm2), sp, sm = b
     if min(w1, w2, w3, w4, p0, p1) <= BRANCH_TOL:
         return _Point(f, b, None, None, math.nan)
-    _, (y0, y1, y2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), _ = t._floats
+    _, (y0, y1, y2), ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)) = t._floats
     n0, n1, n2 = n
     # per pair: c+-, the kappa+- of its term -kappa T^T (I - u u^T) T, and u+- (None in the limit, where it drops out)
     if sp > BRANCH_TOL:
@@ -339,26 +339,6 @@ def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tupl
     return best, conditional_entropy(t, best)
 
 
-def _newton_step(t: BlochTriple, n, point: _Point) -> tuple[tuple[float, float, float], _Point] | None:
-    """One damped Newton step on A || n from n, where A is defined: (new point, its record) or None.
-
-    None for a singular chart Hessian or a step not finite or over 0.5 rad, else the first of
-    up to 8 halvings that lowers the residual, at any type of stationary point.
-    """
-    _, _, _, _, _, l1, l2, g1, g2, e1, e2 = point
-    if l1 == 0 or l2 == 0 or not math.hypot(g1 / l1, g2 / l2) <= 0.5:  # False for a step that is not finite
-        return None
-    w = [-g1 / l1 * a - g2 / l2 * b for a, b in zip(e1, e2)]
-    scale = 1.0
-    for _ in range(8):
-        cand = _moved(n, scale, w)
-        pc = _point(t, cand)
-        if pc.resid < point.resid:  # False at a nan residual
-            return cand, pc
-        scale *= 0.5
-    return None
-
-
 def _compass(t: BlochTriple, n, f: float, step: float) -> tuple[float, float, float]:
     """Compass search where the gradient is undefined, until no probe is lower and all four lie within _PLATEAU_TOL."""
     while step > _COMPASS_MIN_STEP:
@@ -422,7 +402,7 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     value never exceeds the starting value.  One branch evaluation serves
     each point visited and all that is read there.
     """
-    n, p = _descend(t, _unit(start), _check_tolerance(tolerance))
+    n, p = _descend(t, _normalized(start), _check_tolerance(tolerance))
     c = _canonical_sign(n)
     direction = MeasurementDirection(c)
     return direction, p.f, _diagnostics(t, direction, p, 1.0 if c is n else -1.0)
@@ -448,7 +428,7 @@ def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, toleran
                 ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
     """:func:`minimize_conditional_entropy` with the canonical form of ``t`` already taken."""
     lattice, nbrs = _lattice(_check_resolution(resolution))
-    axes = np.vstack((canon.rotation_b, t.y, t.T.T @ t.x))
+    axes = np.vstack((canon.rotation_b, t.y, t._tx))
     norms = _row_norms(axes)
     axes = axes[norms > 1e-12] / norms[norms > 1e-12, None]
     dirs = lattice.copy()
@@ -463,7 +443,7 @@ def _closed_form_minimum(canon: CanonicalForm) -> tuple[float, np.ndarray, bool]
     if not classify(canon).kind.has_closed_form:
         return None
     x = canon.triple.x
-    _, _, rows, _ = canon.triple._floats
+    _, _, rows = canon.triple._floats
     mags = [abs(rows[0][0]), abs(rows[1][1]), abs(rows[2][2])]
     t_max = max(mags)
     # y = 0, T^T x = 0 in each family; x @ x stays numpy's, whose fused multiply-adds the reported minimum carries
@@ -561,16 +541,29 @@ def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
 
 
 def _refine_stationary(t: BlochTriple, n) -> tuple[tuple[float, float, float], _Point] | None:
-    """Up to 60 :func:`_newton_step` calls from n toward a stationary point of any type.
+    """Up to 60 damped Newton steps on A || n from n toward a stationary point of any type.
 
-    The first point with residual <= 1e-9 and its record; None where A is
-    undefined, a step fails or 60 steps do not get there.
+    Each step solves the chart model (refused for a singular chart Hessian or a
+    step not finite or over 0.5 rad) and takes the first of up to 8 halvings
+    that lowers the residual.  The first point with residual <= 1e-9 and its
+    record; None where A is undefined, a step fails or 60 steps do not get there.
     """
     p = _point(t, n)
     for _ in range(60):
-        if p.tang is None or p.resid <= 1e-9 or (stepped := _newton_step(t, n, p)) is None:
+        if p.tang is None or p.resid <= 1e-9:
             break
-        n, p = stepped
+        _, _, _, _, _, l1, l2, g1, g2, e1, e2 = p
+        if l1 == 0 or l2 == 0 or not math.hypot(g1 / l1, g2 / l2) <= 0.5:  # False for a step that is not finite
+            break
+        w = [-g1 / l1 * a - g2 / l2 * b for a, b in zip(e1, e2)]
+        for k in range(8):
+            cand = _moved(n, 0.5**k, w)
+            pc = _point(t, cand)
+            if pc.resid < p.resid:  # False at a nan residual
+                break
+        else:
+            break
+        n, p = cand, pc
     return (n, p) if p.resid <= 1e-9 else None
 
 

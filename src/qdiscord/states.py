@@ -89,9 +89,13 @@ class BlochTriple:
 
     @cached_property
     def _floats(self):
-        # (x, y, rows of T, rows of T^T) as floats for the scalar kernels, on first use; not a field
-        rows = tuple(map(tuple, self.T.tolist()))
-        return tuple(self.x.tolist()), tuple(self.y.tolist()), rows, tuple(zip(*rows))
+        # (x, y, rows of T) as floats for the scalar kernels, on first use; not a field
+        return tuple(self.x.tolist()), tuple(self.y.tolist()), tuple(map(tuple, self.T.tolist()))
+
+    @cached_property
+    def _tx(self):
+        # T^t x, numpy's product as floats, on first use; the search's start axes and both bounds routes read it
+        return tuple((self.T.T @ self.x).tolist())
 
 
 @dataclass(frozen=True)

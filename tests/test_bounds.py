@@ -301,3 +301,43 @@ def test_float_bounds_match_the_lapack_oracle():
         assert abs(b.e0.n @ e0.n) >= 1 - 1e-12  # the same measurement
         ranks[perp_dim] += 1
     assert min(ranks.values()) >= 150, ranks
+
+
+def test_both_routes_round_a_cancelling_t_x_alike():
+    # y = 0 and T^t x of 1e-12 to 1e-8 in a random local frame, where T^t x is the residue
+    # of a cancellation between entries of order |T| |x|: its direction follows the
+    # rounding of that one product, which both routes read, so they take the same subspace
+    rng = np.random.default_rng(716)
+    ranks = {2: 0, 3: 0}
+    for _ in range(60):
+        t1, t2 = rng.uniform(-0.3, 0.3, 2)
+        v = rng.standard_normal(3)
+        x = np.array([0.0, 0.0, rng.uniform(-0.3, 0.3)]) + 10 ** rng.uniform(-12, -8) * v / np.linalg.norm(v)
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        state = prepare_state(u @ matrix_from_triple(BlochTriple(x, Z3, np.diag([t1, t2, 0.0]))) @ u.conj().T)
+        discord = quantum_discord(state, with_bounds=False).discord
+        b = theorem1_bounds(state, discord=discord)
+        perp_dim, _, t0sq, e0, cond_ub, discord_ub, classical_lb = _oracle_bounds(state, discord)
+        assert b.perp_dim == perp_dim
+        for got, want in ((b.t0_squared, t0sq), (b.cond_entropy_ub, cond_ub),
+                          (b.discord_ub, discord_ub), (b.classical_lb, classical_lb)):
+            assert abs(got - want) <= 1e-14
+        assert abs(b.e0.n @ e0.n) >= 1 - 1e-12
+        ranks[perp_dim] += 1
+    assert min(ranks.values()) >= 10, ranks
+
+
+def test_bounds_without_a_discord_match_the_pipeline(rng):
+    # theorem1_bounds computes the discord itself when none is passed
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    states = [random_state(rank=1 + k % 4, rng=rng) for k in range(8)]
+    states += [u @ bell_diagonal_state(*sample_bell_diagonal(rng)) @ u.conj().T,
+               u @ matrix_from_triple(sample_kernel_class(rng)) @ u.conj().T, ab_state(0.3, 0.2)]
+    for rho in states:
+        alone, piped = theorem1_bounds(rho), quantum_discord(rho).bounds
+        for field in vars(piped):
+            got, want = getattr(alone, field), getattr(piped, field)
+            if field == "e0":
+                assert np.array_equal(got.n, want.n)
+            else:
+                assert got == want, field

@@ -1,6 +1,7 @@
 """Static hygiene of the package, read with ``ast``: no unused imports, no dead private names."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,3 +77,15 @@ def test_each_primitive_is_defined_in_its_home_module_only():
     strays = [f"{path.name}: {word}" for path, source in _modules(PACKAGE).items()
               for word, homes in PRIMITIVE_HOMES.items() if word in source and path.name not in homes]
     assert not strays, strays
+
+
+#: primitives that both bounds routes (the floats and the LAPACK oracle) and the
+#: search's start axes read, each written exactly once: T^t x as numpy's product,
+#: and the rank tolerance of [T^t x, y]
+SINGLE_DEFINITIONS = {r"\.T\.T @ \w+\.x\b|\w+\.x @ \w+\.T\b": "states.py", r"1e-10 \* max\(": "bounds.py"}
+
+
+def test_each_bounds_primitive_has_one_definition():
+    for pattern, home in SINGLE_DEFINITIONS.items():
+        found = [path.name for path, source in _modules(PACKAGE).items() for _ in re.finditer(pattern, source)]
+        assert found == [home], (pattern, found)

@@ -725,6 +725,31 @@ def test_stationary_scan_reports_its_refined_records():
         assert abs(points[0].value - minimize_conditional_entropy(t)[1]) <= 1e-12
 
 
+def test_stationary_scan_halves_a_newton_step(monkeypatch):
+    # the one state of 563 scanned where a full Newton step does not lower the residual
+    rng = np.random.default_rng(1)
+    t = triple_from_matrix([random_state(rank=2 + k % 3, rng=rng) for k in range(256)][255])
+    steps = []
+    moved = optimize._moved
+
+    def recorded(n, step, w):
+        steps.append(step)
+        return moved(n, step, w)
+
+    monkeypatch.setattr(optimize, "_moved", recorded)
+    points = stationary_scan(t)
+    assert 0.5 in steps
+    index = 0  # minima - saddles + maxima, which is 1 on the sphere with antipodes identified
+    for p in points:
+        assert p.residual <= 1e-9
+        assert p.value == conditional_entropy(t, p.direction)
+        assert stationary_vector(t, p.direction).residual == p.residual
+        record = optimize._point(t, p.direction.n.tolist())
+        index += -1 if record.l1 < 0 < record.l2 else 1
+    assert len(points) == 3 and index == 1
+    assert abs(points[0].value - minimize_conditional_entropy(t)[1]) <= 1e-12
+
+
 def test_discord_invariance_through_triple_rotations(rng):
     # same covariance at the triple level: rotate and compare pipelines
     t = random_triple(rng)
