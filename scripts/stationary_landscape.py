@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from qdiscord import NotAStateError, ValidationError, random_state, stationary_scan, triple_from_matrix
+from qdiscord.bounds import _csv_cell
 from qdiscord.cli import EXIT_NOT_A_STATE, EXIT_USAGE, UsageError, load_state
 from qdiscord.measurement import conditional_entropy_batch
 from qdiscord.optimize import _check_resolution, _grid, stationary_residual_batch
@@ -49,8 +50,9 @@ def main() -> None:
     out = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
         out.write("theta,phi,entropy,residual\n")
-        for (i, j), v, r in zip(np.ndindex(grid.shape[:2]), values, residuals):
-            out.write(f"{i * step:.9g},{j * step:.9g},{v:.9g},{'' if not np.isfinite(r) else format(r, '.9g')}\n")
+        for (i, j), v, r in zip(np.ndindex(grid.shape[:2]), values.tolist(), residuals.tolist()):
+            cells = (i * step, j * step, v, r if math.isfinite(r) else None)  # a degenerate direction's cell is empty
+            out.write(",".join(map(_csv_cell, cells)) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -3,7 +3,6 @@
 from .bounds import (
     BoundReport,
     ScanRow,
-    bound_comparison_scan,
     perp_subspace,
     rows_to_csv,
     t0_squared,
@@ -50,6 +49,7 @@ from .optimize import (
     DiscordReport,
     StationaryDiagnostics,
     StationaryPoint,
+    bound_comparison_scan,
     classical_correlation,
     grid_minimize,
     minimize_conditional_entropy,

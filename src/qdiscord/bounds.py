@@ -5,14 +5,15 @@ R = span{T^t x, y} equalize the outcome probabilities and make the
 conditioned entropy a binary entropy, which yields a closed-form upper
 bound on the minimal conditioned entropy and hence an upper bound on the
 discord and a lower bound on the classical correlation.  The marginal
-entropy S(rho_B) is also reported as a comparison bound.
+entropy S(rho_B) is also reported as a comparison bound.  The rows of a
+bound comparison scan and their CSV form are defined here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -193,29 +194,6 @@ class ScanRow:
 
 
 CSV_HEADER = "param1,param2,discord,discord_ub,xi_bound,saturated"
-
-
-def bound_comparison_scan(states: Iterable[tuple[float, float, np.ndarray]],
-                          resolution: float | None = None,
-                          tolerance: float | None = None) -> list[ScanRow]:
-    """Discord versus bounds over a parameterized family.
-
-    ``states`` yields ``(param1, param2, rho)`` tuples; rows come back in
-    the same order.  Each row records the computed discord, the discord
-    upper bound, the comparison bound S(rho_B), and whether the bound is
-    saturated within 1e-6.
-    """
-    from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, quantum_discord
-
-    resolution = DEFAULT_RESOLUTION if resolution is None else resolution
-    tolerance = DEFAULT_TOLERANCE if tolerance is None else tolerance
-    rows = []
-    for p1, p2, rho in states:
-        report = quantum_discord(rho, resolution=resolution, tolerance=tolerance)
-        b = report.bounds
-        rows.append(ScanRow(float(p1), float(p2), report.discord, b.discord_ub,
-                            b.xi_bound, b.saturated))
-    return rows
 
 
 def fmt9(x: float) -> str:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import _csv_cell, bound_comparison_scan, fmt9, rows_to_csv
+from .bounds import _csv_cell, fmt9, rows_to_csv
 from .closed_forms import (
     ab_state,
     bell_diagonal_discord,
@@ -34,7 +34,7 @@ from .measurement import (
     conditional_entropy_direct,
 )
 from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, _check_resolution, _check_tolerance, quantum_discord
-from .optimize import stationary_vector
+from .optimize import bound_comparison_scan, stationary_vector
 from .states import BlochTriple, matrix_from_triple, random_state, triple_from_matrix
 
 EXIT_OK = 0

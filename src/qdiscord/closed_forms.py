@@ -96,7 +96,7 @@ def bell_diagonal_discord(t1: float, t2: float, t3: float) -> BellDiagonalDiscor
     smallest index and flagged degenerate).
     """
     mus = _bell_diagonal_mus(t1, t2, t3)
-    if float(mus.min()) < -1e-9:
+    if not float(mus.min()) >= -1e-9:
         raise NotAStateError(f"(t1,t2,t3)=({t1},{t2},{t3}) lies outside the state tetrahedron")
     mags = np.abs([t1, t2, t3])
     t_max = float(mags.max())
@@ -115,7 +115,7 @@ def kernel_class_min_entropy(x: np.ndarray, T: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     T = np.asarray(T, dtype=float)
-    if float(np.linalg.norm(T.T @ x)) > CLASS_TOL:
+    if not float(np.linalg.norm(T.T @ x)) <= CLASS_TOL:  # a non-finite entry fails too, before the SVD
         raise WrongClassError("x is not in the kernel of T^t")
     t_max = float(np.linalg.svd(T, compute_uv=False)[0]) if np.any(T) else 0.0
     x2 = float(x @ x)
@@ -128,12 +128,12 @@ def x_subclass_discord(t1: float, t2: float, x3: float) -> float:
     Requires |t1| >= |t2|.  The joint eigenvalues are
     (1 +- sqrt((t1 + t2)^2 + x3^2))/4 and (1 +- sqrt((t1 - t2)^2 + x3^2))/4.
     """
-    if abs(t1) < abs(t2) - 1e-12:
+    if not abs(t1) >= abs(t2) - 1e-12:
         raise WrongClassError(f"|t1| >= |t2| required, got |{t1}| < |{t2}|")
     sp = math.hypot(t1 + t2, x3)
     sm = math.hypot(t1 - t2, x3)
     mus = np.array([(1 + sp) / 4, (1 - sp) / 4, (1 + sm) / 4, (1 - sm) / 4])
-    if float(mus.min()) < -1e-9:
+    if not float(mus.min()) >= -1e-9:
         raise NotAStateError(f"(t1,t2,x3)=({t1},{t2},{x3}) is not a state")
     return (1 - shannon_entropy(np.clip(mus, 0, 1))
             + binary_entropy((1 + math.hypot(t1, x3)) / 2))

@@ -78,10 +78,10 @@ def shannon_entropy(p) -> float:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.ndim != 1:
         raise ValidationError("probability vector must be one-dimensional")
-    if float(p.min(initial=0.0)) < -CLAMP_TOL:
-        raise ValidationError(f"negative probability {p.min():.3e}")
+    if not float(p.min(initial=0.0)) >= -CLAMP_TOL:
+        raise ValidationError(f"negative or NaN probability {p.min():.3e}")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
     return float(_h_sum(np.clip(p, 0.0, 1.0)))
 
@@ -94,7 +94,7 @@ def binary_entropy(x: float) -> float:
     agrees with :func:`shannon_entropy` of the pair ``(x, 1-x)`` to rounding.
     """
     x = float(x)
-    if x < -CLAMP_TOL or x > 1 + CLAMP_TOL:
+    if not -CLAMP_TOL <= x <= 1 + CLAMP_TOL:
         raise ValidationError(f"binary entropy argument {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     return _h_terms(x, 1.0 - x)
@@ -117,8 +117,8 @@ def _spectrum_entropy(vals: np.ndarray) -> float:
     :func:`shannon_entropy` and summed in scalar arithmetic.
     """
     trace = float(vals.sum())
-    if abs(trace - 1.0) > CLAMP_TOL:
+    if not abs(trace - 1.0) <= CLAMP_TOL:
         raise NotAStateError(f"trace is {trace!r}, not 1")
-    if float(vals.min()) < -CLAMP_TOL:
+    if not float(vals.min()) >= -CLAMP_TOL:
         raise NotAStateError(f"negative eigenvalue {vals.min():.3e}")
     return _h_terms(*np.clip(vals, 0.0, 1.0).tolist())

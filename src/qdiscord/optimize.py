@@ -14,10 +14,11 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
-from .bounds import BoundReport, theorem1_bounds
+from .bounds import BoundReport, ScanRow, theorem1_bounds
 from .closed_forms import CLASS_TOL, classify
 from .entropy import binary_entropy
 from .errors import ValidationError
@@ -523,6 +524,25 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
 def classical_correlation(rho: np.ndarray, **kwargs) -> float:
     """max over measurements of S(rho_A) - S(A | measurement), in bits."""
     return quantum_discord(rho, with_bounds=False, **kwargs).classical_correlation
+
+
+def bound_comparison_scan(states: Iterable[tuple[float, float, np.ndarray]],
+                          resolution: float = DEFAULT_RESOLUTION,
+                          tolerance: float = DEFAULT_TOLERANCE) -> list[ScanRow]:
+    """Discord versus bounds over a parameterized family.
+
+    ``states`` yields ``(param1, param2, rho)`` tuples; rows come back in
+    the same order.  Each row records the computed discord, the discord
+    upper bound, the comparison bound S(rho_B), and whether the bound is
+    saturated within 1e-6.
+    """
+    rows = []
+    for p1, p2, rho in states:
+        report = quantum_discord(rho, resolution=resolution, tolerance=tolerance)
+        b = report.bounds
+        rows.append(ScanRow(float(p1), float(p2), report.discord, b.discord_ub,
+                            b.xi_bound, b.saturated))
+    return rows
 
 
 def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:

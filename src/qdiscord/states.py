@@ -36,8 +36,9 @@ _PAULI_TRACES = _PAULI_PRODUCTS.transpose(2, 1, 0).reshape(16, 15)
 HERMITICITY_TOL = 1e-8
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-9
-# an accepted matrix's marginals have eigenvalues (tr - |x|)/2 >= -2 PSD_TOL, so
-# |x| and |y| may pass 1 by up to TRACE_TOL + 4 PSD_TOL; twice that covers rounding
+# an accepted matrix's marginals have eigenvalues (tr - |x|)/2 >= -2 PSD_TOL, so once it
+# is divided by its trace, |x| and |y| pass 1 by at most 4 PSD_TOL / tr, under
+# TRACE_TOL + 4 PSD_TOL; twice that covers rounding
 _NORM_SLACK = 2 * (TRACE_TOL + 4 * PSD_TOL)
 # no state has an entry beyond 1 in modulus; validate rejects a real or
 # imaginary part beyond this before any arithmetic, which near the float
@@ -169,29 +170,19 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     return StateDiagnostics(dev_h, dev_tr, min_eig, ok, eigenvalues, hermitian)
 
 
-def _require_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian part of an accepted matrix, which :func:`validate` diagonalized, and its eigenvalues."""
-    diag = validate(rho)
-    if not diag.ok:
-        raise NotAStateError(f"not a valid two-qubit state ({diag})")
-    return diag.hermitian_part, diag.eigenvalues
-
-
 def _unit_ball(v: np.ndarray) -> np.ndarray:
-    # a coherence vector that passes 1 within the acceptance slack is scaled back to the sphere
+    # a coherence vector of the unit-trace matrix past 1 by at most _NORM_SLACK is scaled back to the sphere
     norm = math.hypot(*v.tolist())
     return v / norm if 1 < norm <= 1 + _NORM_SLACK else v
 
 
-def _triple(rho: np.ndarray) -> BlochTriple:
-    # Pauli traces of a matrix that is already validated
-    v = (rho.reshape(16) @ _PAULI_TRACES).real
-    return BlochTriple(_unit_ball(v[:3]), _unit_ball(v[3:6]), v[6:].reshape(3, 3))
-
-
 def triple_from_matrix(rho: np.ndarray) -> BlochTriple:
-    """Extract {x, y, T} from a valid density matrix via Pauli traces."""
-    return _triple(_require_state(rho)[0])
+    """{x, y, T} of a valid density matrix divided by its trace, as :func:`prepare_state` extracts it.
+
+    This is the triple :func:`~qdiscord.optimize.quantum_discord` measures.
+    A matrix :func:`validate` rejects raises :class:`NotAStateError`.
+    """
+    return prepare_state(rho).triple
 
 
 def matrix_from_triple(t: BlochTriple) -> np.ndarray:
@@ -243,8 +234,10 @@ class PreparedState:
 def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     """Validate a 4x4 density matrix once and derive its triple and entropies (a record passes through).
 
-    The matrix is divided by its trace.  S(rho_AB) comes from the
-    eigenvalues :func:`validate` took; S(rho_A) and S(rho_B) come from the
+    This is the one place a matrix is validated and its triple extracted
+    (:func:`triple_from_matrix` returns this triple).  The matrix is divided
+    by its trace, and the triple is its Pauli traces.  S(rho_AB) comes from
+    the eigenvalues :func:`validate` took; S(rho_A) and S(rho_B) come from the
     triple, as h2((1 + |x|)/2) and h2((1 + |y|)/2), the entropies of the
     marginals (I + x.sigma)/2 and (I + y.sigma)/2.  Their smaller
     eigenvalue (1 - |x|)/2 follows :func:`~qdiscord.entropy.von_neumann_entropy`'s
@@ -254,12 +247,15 @@ def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     """
     if isinstance(rho, PreparedState):
         return rho
-    rho, eigenvalues = _require_state(rho)
-    trace = np.trace(rho).real
-    rho = rho / trace
-    t = _triple(rho)
+    diag = validate(rho)
+    if not diag.ok:
+        raise NotAStateError(f"not a valid two-qubit state ({diag})")
+    trace = np.trace(diag.hermitian_part).real
+    rho = diag.hermitian_part / trace
+    pauli = (rho.reshape(16) @ _PAULI_TRACES).real  # tr(rho P_k): x, y, then T row by row
+    t = BlochTriple(_unit_ball(pauli[:3]), _unit_ball(pauli[3:6]), pauli[6:].reshape(3, 3))
     s_a, s_b = (binary_entropy((1 + math.hypot(*v.tolist())) / 2) for v in (t.x, t.y))
-    return PreparedState(rho, t, s_a, s_b, _spectrum_entropy(eigenvalues / trace))
+    return PreparedState(rho, t, s_a, s_b, _spectrum_entropy(diag.eigenvalues / trace))
 
 
 def mutual_information(rho: np.ndarray | PreparedState) -> float:
@@ -316,13 +312,14 @@ def random_state(rank: int | None = None, rng: np.random.Generator | int | None 
 
     Draws a 4 x rank matrix G of independent standard complex Gaussians and
     returns G G^dag / tr(G G^dag) (rank defaults to 4, the unconstrained
-    Ginibre ensemble).  Pass a seeded ``numpy.random.Generator`` (or an int
-    seed) for reproducible output.
+    Ginibre ensemble); any rank but an int or numpy integer in 1..4 raises
+    :class:`ValidationError`.  Pass a seeded ``numpy.random.Generator`` (or
+    an int seed) for reproducible output.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    rank = 4 if rank is None else int(rank)
-    if not 1 <= rank <= 4:
-        raise ValidationError(f"rank must be in 1..4, got {rank}")
+    rank = 4 if rank is None else rank
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) or not 1 <= rank <= 4:
+        raise ValidationError(f"rank must be an integer in 1..4, got {rank!r}")
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

@@ -92,6 +92,9 @@ def test_bell_diagonal_discord_rejects_outside_tetrahedron():
         bell_diagonal_discord(0.9, 0.2, 0.1)
     with pytest.raises(NotAStateError):
         bell_diagonal_discord(1, 1, 1)
+    for t in ((math.nan, 0, 0), (0.1, math.nan, 0.2)):
+        with pytest.raises(ValidationError):
+            bell_diagonal_discord(*t)
 
 
 def test_bell_diagonal_discord_lu_symmetries():
@@ -136,6 +139,8 @@ def test_kernel_class_example_value():
 def test_kernel_class_rejects_wrong_class():
     with pytest.raises(WrongClassError):
         kernel_class_min_entropy(np.array([0.3, 0, 0]), np.diag([0.6, 0.3, 0.0]))
+    with pytest.raises(WrongClassError):  # a NaN entry of T, which the SVD would not take
+        kernel_class_min_entropy(np.array([0, 0, 0.4]), np.diag([0.6, math.nan, 0.0]))
 
 
 def test_x_subclass_reduces_to_bell_diagonal():
@@ -161,6 +166,9 @@ def test_x_subclass_matches_optimizer():
 def test_x_subclass_ordering_precondition():
     with pytest.raises(WrongClassError):
         x_subclass_discord(0.2, 0.5, 0.1)
+    for args in ((math.nan, 0, 0), (0.5, 0.2, math.nan)):
+        with pytest.raises(ValidationError):
+            x_subclass_discord(*args)
 
 
 def test_ab_state_corners():

@@ -71,6 +71,9 @@ def test_shannon_entropy_rejects_bad_input():
         shannon_entropy([0.7, -0.1, 0.4])
     with pytest.raises(ValidationError):
         shannon_entropy([0.5, 0.4])  # sums to 0.9
+    for p in ([math.nan, 1.0], [0.5, 0.5, math.nan]):
+        with pytest.raises(ValidationError):
+            shannon_entropy(p)
 
 
 def test_shannon_entropy_clamps_tiny_negatives():
@@ -118,7 +121,7 @@ def test_binary_entropy_values():
 
 
 def test_binary_entropy_domain():
-    for x in (-0.01, -1.1e-9, 1 + 1.1e-9, 1.01):
+    for x in (-0.01, -1.1e-9, 1 + 1.1e-9, 1.01, math.nan):
         with pytest.raises(ValidationError):
             binary_entropy(x)
 

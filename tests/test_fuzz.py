@@ -1,9 +1,10 @@
 """Property fuzzing of the input contract: any array or state file gives a report or a typed error.
 
 A 4x4 array that :func:`validate` rejects raises :class:`NotAStateError`
-(the CLI's exit 3), and any other yields a report whose invariants hold; a
-state file makes ``qdiscord compute`` exit 0, 2 or 3, and a range string
-makes ``qdiscord scan`` exit 0, 2 or 3, never 1 with a traceback.  A
+(the CLI's exit 3), and any other yields a report whose invariants hold,
+measured on the triple that :func:`triple_from_matrix` returns; a state
+file makes ``qdiscord compute`` exit 0, 2 or 3, and a range string makes
+``qdiscord scan`` exit 0, 2 or 3, never 1 with a traceback.  A
 3-vector becomes a unit measurement direction or raises
 :class:`ValidationError`, without a warning.
 """
@@ -24,6 +25,7 @@ from qdiscord import (
     NotAStateError,
     ValidationError,
     cli,
+    conditional_entropy,
     quantum_discord,
     random_state,
     random_unitary,
@@ -32,7 +34,7 @@ from qdiscord import (
     validate,
 )
 from qdiscord.cli import MAX_SCAN_POINTS, main
-from qdiscord.states import PSD_TOL
+from qdiscord.states import PSD_TOL, prepare_state
 
 #: covers PSD_TOL: an accepted matrix may have an eigenvalue down to -1e-9
 SLACK = 1e-8
@@ -101,6 +103,10 @@ def test_any_array_gives_a_report_or_a_typed_error(rho):
     assert 0.0 <= report.discord <= b.xi_bound + SLACK
     assert report.discord <= b.discord_ub + SLACK
     assert report.classical_correlation >= b.classical_lb - SLACK
+    # the public triple is the one the report measured, also at a trace off 1 by up to TRACE_TOL
+    t, measured = triple_from_matrix(rho), prepare_state(rho).triple
+    assert all(np.array_equal(getattr(t, k), getattr(measured, k)) for k in ("x", "y", "T"))
+    assert abs(conditional_entropy(t, report.optimal_direction) - report.min_conditional_entropy) <= 1e-10
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

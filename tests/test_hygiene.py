@@ -79,10 +79,12 @@ def test_each_primitive_is_defined_in_its_home_module_only():
     assert not strays, strays
 
 
-#: primitives that both bounds routes (the floats and the LAPACK oracle) and the
-#: search's start axes read, each written exactly once: T^t x as numpy's product,
-#: and the rank tolerance of [T^t x, y]
-SINGLE_DEFINITIONS = {r"\.T\.T @ \w+\.x\b|\w+\.x @ \w+\.T\b": "states.py", r"1e-10 \* max\(": "bounds.py"}
+#: primitives written exactly once: T^t x as numpy's product and the rank
+#: tolerance of [T^t x, y], which both bounds routes (the floats and the LAPACK
+#: oracle) and the search's start axes read, and the call of validate, in
+#: prepare_state, the one route from a matrix to its triple
+SINGLE_DEFINITIONS = {r"\.T\.T @ \w+\.x\b|\w+\.x @ \w+\.T\b": "states.py", r"1e-10 \* max\(": "bounds.py",
+                      r"(?<!def )\bvalidate\(": "states.py"}
 
 
 def test_each_bounds_primitive_has_one_definition():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +39,17 @@ def test_stationary_landscape_writes_the_grid_and_the_points(tmp_path):
     assert rows[1].startswith("0,0,")
     points = [line for line in out.stderr.splitlines() if "theta=" in line]
     assert points and all("residual=" in line for line in points)
+
+
+def test_stationary_landscape_takes_a_pure_state_with_the_trace_slack_validate_accepts(tmp_path):
+    # |x +- T n| = 2 p_k in every direction of a pure state, so a triple not divided by the trace breaks w >= 0
+    psi = np.array([0.6, 0.2j, -0.5, 0.3 + 0.4j])
+    rho = (1 + 9e-9) * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]}))
+    out = _run("stationary_landscape.py", str(state), "--step-deg", "15", "--out", str(tmp_path / "x.csv"), check=False)
+    assert out.returncode == 0, out.stderr
+    assert len((tmp_path / "x.csv").read_text().splitlines()) == 1 + 7 * 24
 
 
 @pytest.mark.parametrize("step", ["0.4", "30"])

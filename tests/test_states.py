@@ -23,7 +23,7 @@ from qdiscord import (
     validate,
     von_neumann_entropy,
 )
-from qdiscord.states import _triple, prepare_state
+from qdiscord.states import prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -276,6 +276,13 @@ def test_random_state_ranks(rng):
         assert int((eig > 1e-9).sum()) == rank
 
 
+def test_random_state_takes_only_an_integer_rank_in_1_to_4(rng):
+    assert np.linalg.matrix_rank(random_state(rank=np.int64(2), rng=rng), tol=1e-9) == 2
+    for rank in (0, 5, 2.5, 2.0, True, "2", np.bool_(True)):
+        with pytest.raises(ValidationError):
+            random_state(rank=rank, rng=rng)
+
+
 def test_random_state_rank1_is_pure(rng):
     rho = random_state(rank=1, rng=rng)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
@@ -371,7 +378,7 @@ def test_triple_matches_the_einsum_pauli_traces(rng):
     for rank in (1, 2, 3, 4):
         for _ in range(50):
             rho = random_state(rank=rank, rng=rng)
-            t = _triple(rho)
+            t = triple_from_matrix(rho)
             assert np.max(np.abs(t.x - np.einsum("ij,kji->k", rho, kron_a).real)) <= 1e-15
             assert np.max(np.abs(t.y - np.einsum("ij,kji->k", rho, kron_b).real)) <= 1e-15
             assert np.max(np.abs(t.T - np.einsum("ij,klji->kl", rho, kron_ab).real)) <= 1e-15
