@@ -116,9 +116,10 @@ def _spectrum_entropy(vals: np.ndarray) -> float:
     lies below -1e-9; the rest are clipped to [0, 1] as in
     :func:`shannon_entropy` and summed in scalar arithmetic.
     """
-    trace = float(vals.sum())
+    vals = vals.tolist()
+    trace = sum(vals)  # NaN if a value is NaN
     if not abs(trace - 1.0) <= CLAMP_TOL:
         raise NotAStateError(f"trace is {trace!r}, not 1")
-    if not float(vals.min()) >= -CLAMP_TOL:
-        raise NotAStateError(f"negative eigenvalue {vals.min():.3e}")
-    return _h_terms(*np.clip(vals, 0.0, 1.0).tolist())
+    if not (low := min(vals)) >= -CLAMP_TOL:
+        raise NotAStateError(f"negative eigenvalue {low:.3e}")
+    return _h_terms(*(min(max(v, 0.0), 1.0) for v in vals))

@@ -108,9 +108,9 @@ def _cross(a, b) -> tuple[float, float, float]:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """The norm of every row of an (N, 3) array: np.linalg.norm(v, axis=1), bit for bit, without its dispatch."""
+    """The norm of every row of an (..., 3) array: np.linalg.norm(v, axis=-1), bit for bit, without its dispatch."""
     sq = v * v
-    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 def _tangent_basis(n) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
@@ -142,15 +142,11 @@ def projector_bloch(k: int, direction) -> np.ndarray:
 #: Raw branch quantities at a direction n, before any clamp or degeneracy policy:
 #: p0, p1; w1, w2 = (2 p0 +- s_plus)/4; w3, w4 = (2 p1 +- s_minus)/4; v_plus,
 #: v_minus = x +- T n with norms s_plus, s_minus.  Floats and float 3-tuples from
-#: :func:`branches`, (N,) and (N, 3) arrays from :func:`branches_batch`.
+#: :func:`branches`; from :func:`branches_batch`, views of its stacked rows.
 Branches = namedtuple("Branches", "p0 p1 w1 w2 w3 w4 v_plus v_minus s_plus s_minus")
 
-
-def _assemble(d, vp, vm, sp, sm) -> Branches:
-    p0 = (1 + d) / 2
-    p1 = (1 - d) / 2
-    return Branches(p0, p1, (2 * p0 + sp) / 4, (2 * p0 - sp) / 4,
-                    (2 * p1 + sm) / 4, (2 * p1 - sm) / 4, vp, vm, sp, sm)
+#: +1 and -1 as a column, the signs of the pairs (p0, p1), (x + T n, x - T n) and (w1, w2)
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def branches(t: BlochTriple, n) -> Branches:
@@ -160,15 +156,35 @@ def branches(t: BlochTriple, n) -> Branches:
     # T n and the dot products unrolled, each sum in _dot's order
     tn0, tn1, tn2 = r00 * n0 + r01 * n1 + r02 * n2, r10 * n0 + r11 * n1 + r12 * n2, r20 * n0 + r21 * n1 + r22 * n2
     vp0, vp1, vp2, vm0, vm1, vm2 = x0 + tn0, x1 + tn1, x2 + tn2, x0 - tn0, x1 - tn1, x2 - tn2
-    return _assemble(y0 * n0 + y1 * n1 + y2 * n2, (vp0, vp1, vp2), (vm0, vm1, vm2),
-                     math.sqrt(vp0 * vp0 + vp1 * vp1 + vp2 * vp2), math.sqrt(vm0 * vm0 + vm1 * vm1 + vm2 * vm2))
+    sp, sm = math.sqrt(vp0 * vp0 + vp1 * vp1 + vp2 * vp2), math.sqrt(vm0 * vm0 + vm1 * vm1 + vm2 * vm2)
+    d = y0 * n0 + y1 * n1 + y2 * n2
+    p0, p1 = (1 + d) / 2, (1 - d) / 2
+    return Branches(p0, p1, (2 * p0 + sp) / 4, (2 * p0 - sp) / 4, (2 * p1 + sm) / 4, (2 * p1 - sm) / 4,
+                    (vp0, vp1, vp2), (vm0, vm1, vm2), sp, sm)
 
 
-def branches_batch(t: BlochTriple, dirs: np.ndarray) -> Branches:
-    """Branch quantities at every row of an (N, 3) array of unit directions."""
-    tn = dirs @ t.T.T
-    vp, vm = t.x + tn, t.x - tn
-    return _assemble(dirs @ t.y, vp, vm, _row_norms(vp), _row_norms(vm))
+def branches_batch(t: BlochTriple, dirs) -> Branches:
+    """Branch quantities at every row of an (N, 3) array of unit directions, as views of stacked arrays.
+
+    w1 w2 w3 w4 p0 p1 are the rows of one (6, N) array, v_plus and v_minus
+    the halves of one (2, N, 3) array and s_plus and s_minus of one (2, N)
+    array.  The arithmetic is :func:`branches`', operation for operation
+    (x - T n as x + (-1) T n and 1 - d as 1 + (-1) d, which round alike).
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != 3:
+        raise ValidationError(f"directions must be an (N, 3) array, got shape {dirs.shape}")
+    # before any arithmetic: an inf entry times a zero of T or y would warn inside the matmul
+    if not np.logical_and.reduce(np.isfinite(dirs), axis=None):
+        raise ValidationError("directions have non-finite entries")
+    v = t.x + _SIGNS[:, :, None] * (dirs @ t.T.T)
+    s = _row_norms(v)
+    rows = np.empty((6, len(dirs)))
+    p = rows[4:]
+    np.divide(1 + _SIGNS * (dirs @ t.y), 2, out=p)
+    w = rows[:4].reshape(2, 2, -1)  # [[w1, w2], [w3, w4]]: branch k, sign of s
+    np.divide(2 * p[:, None] + _SIGNS * s[:, None], 4, out=w)
+    return Branches(*p, *rows[:4], *v, *s)
 
 
 def _probabilities(b: Branches) -> tuple[float, float, float, float, float, float]:
@@ -186,16 +202,23 @@ def _probabilities(b: Branches) -> tuple[float, float, float, float, float, floa
     return p0, p1, w1, w2, w3, w4
 
 
-def _probabilities_batch(b: Branches) -> tuple[np.ndarray, ...]:
-    """:func:`_probabilities` at every direction of a batch: the same check, error and snap."""
-    p0, p1, w1, w2, w3, w4 = b[:6]
-    low = np.minimum(w2, w4).min(initial=0.0)
+def _probabilities_batch(b: Branches) -> np.ndarray:
+    """:func:`_probabilities` at every direction of a batch: the same check, error and snap.
+
+    Returns the (6, N) rows w1 w2 w3 w4 p0 p1 that the fields of a
+    :func:`branches_batch` result view, snapped on a copy.
+    """
+    rows = b.w1.base
+    low = float(np.minimum.reduce(rows[1:4:2], axis=None, initial=0.0))
     if low < -_W_DEFICIT_TOL / 4:
         raise NotAStateError(f"|x +- T n| exceeds 2 p_k by {-4 * low:.3e}; triple is not a state")
     if low < 0:
-        w1, w2 = np.where(w2 < 0, p0, w1), np.where(w2 < 0, 0.0, w2)
-        w3, w4 = np.where(w4 < 0, p1, w3), np.where(w4 < 0, 0.0, w4)
-    return p0, p1, w1, w2, w3, w4
+        rows = rows.copy()
+        for k in (0, 2):  # (w1, w2) with p0, (w3, w4) with p1
+            snap = rows[k + 1] < 0
+            rows[k, snap] = rows[4 + k // 2, snap]
+            rows[k + 1, snap] = 0.0
+    return rows
 
 
 @dataclass(frozen=True)
@@ -260,11 +283,14 @@ def conditional_entropy(t: BlochTriple, direction) -> float:
 
 
 def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`conditional_entropy` over an (N, 3) array of unit vectors."""
-    p0, p1, w1, w2, w3, w4 = _probabilities_batch(branches_batch(t, np.asarray(directions, dtype=float)))
-    v = np.stack([w1, w2, w3, w4, p0, p1])
-    np.clip(v[:4], 0.0, 1.0, out=v[:4])
-    return _h_sum(v[:4]) - _h_sum(v[4:])
+    """Vectorized :func:`conditional_entropy` over an (N, 3) array of unit vectors.
+
+    Any other shape or a non-finite entry raises :class:`ValidationError`.
+    """
+    rows = _probabilities_batch(branches_batch(t, directions))
+    w = rows[:4]
+    np.minimum(np.maximum(w, 0.0, out=w), 1.0, out=w)
+    return _h_sum(w) - _h_sum(rows[4:])
 
 
 def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | None = None):

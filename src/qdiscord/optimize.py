@@ -429,11 +429,13 @@ def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, toleran
                 ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
     """:func:`minimize_conditional_entropy` with the canonical form of ``t`` already taken."""
     lattice, nbrs = _lattice(_check_resolution(resolution))
-    axes = np.vstack((canon.rotation_b, t.y, t._tx))
-    norms = _row_norms(axes)
-    axes = axes[norms > 1e-12] / norms[norms > 1e-12, None]
+    axes = []
+    for a in (*canon.rotation_b.tolist(), t._floats[1], t._tx):  # _row_norms' sum and sqrt, in floats
+        norm = math.sqrt(_dot(a, a))
+        if norm > 1e-12:
+            axes.append((a[0] / norm, a[1] / norm, a[2] / norm))
     dirs = lattice.copy()
-    for i, axis in zip(np.abs(lattice @ axes.T).argmax(axis=0).tolist(), axes):  # in order: the later axis wins a point
+    for i, axis in zip(np.abs(lattice @ np.array(axes).T).argmax(axis=0).tolist(), axes):  # the later axis wins a point
         dirs[i] = axis
     starts = _basin_starts(conditional_entropy_batch(t, dirs), nbrs)
     return min((refine_minimum(t, dirs[i], tolerance=tolerance) for i in starts), key=lambda found: found[1])
@@ -546,10 +548,15 @@ def bound_comparison_scan(states: Iterable[tuple[float, float, np.ndarray]],
 
 
 def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
-    """Vectorized stationarity residual |A - (n.A) n|; inf at degenerate directions."""
+    """Vectorized stationarity residual |A - (n.A) n|; inf at degenerate directions.
+
+    ``dirs`` is an (N, 3) array of unit vectors, checked as by :func:`conditional_entropy_batch`.
+    """
+    dirs = np.asarray(dirs, dtype=float)
     b = branches_batch(t, dirs)
-    p0, p1, w1, w2, w3, w4 = _probabilities_batch(b)
-    valid = np.minimum.reduce([w1, w2, w3, w4, p0, p1]) > BRANCH_TOL
+    rows = _probabilities_batch(b)
+    w1, w2, w3, w4, p0, p1 = rows
+    valid = np.minimum.reduce(rows) > BRANCH_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         ly = np.log2((w1 * w2 * p1 * p1) / (w3 * w4 * p0 * p0))
         cp = np.where(b.s_plus > BRANCH_TOL, np.log2(w1 / w2) / b.s_plus, 0.0)

@@ -237,7 +237,9 @@ def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     This is the one place a matrix is validated and its triple extracted
     (:func:`triple_from_matrix` returns this triple).  The matrix is divided
     by its trace, and the triple is its Pauli traces.  S(rho_AB) comes from
-    the eigenvalues :func:`validate` took; S(rho_A) and S(rho_B) come from the
+    the eigenvalues :func:`validate` took, divided by the trace (one that a
+    trace below 1 pushes under -1e-9 snaps back to -1e-9, as the coherence
+    vectors snap back to the unit ball); S(rho_A) and S(rho_B) come from the
     triple, as h2((1 + |x|)/2) and h2((1 + |y|)/2), the entropies of the
     marginals (I + x.sigma)/2 and (I + y.sigma)/2.  Their smaller
     eigenvalue (1 - |x|)/2 follows :func:`~qdiscord.entropy.von_neumann_entropy`'s
@@ -255,7 +257,8 @@ def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     pauli = (rho.reshape(16) @ _PAULI_TRACES).real  # tr(rho P_k): x, y, then T row by row
     t = BlochTriple(_unit_ball(pauli[:3]), _unit_ball(pauli[3:6]), pauli[6:].reshape(3, 3))
     s_a, s_b = (binary_entropy((1 + math.hypot(*v.tolist())) / 2) for v in (t.x, t.y))
-    return PreparedState(rho, t, s_a, s_b, _spectrum_entropy(diag.eigenvalues / trace))
+    # an accepted eigenvalue is at least -PSD_TOL, which only the division can have pushed lower
+    return PreparedState(rho, t, s_a, s_b, _spectrum_entropy(np.maximum(diag.eigenvalues / trace, -PSD_TOL)))
 
 
 def mutual_information(rho: np.ndarray | PreparedState) -> float:

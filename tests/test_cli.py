@@ -156,6 +156,22 @@ def test_compute_not_a_state_exits_3(tmp_path, capsys):
     assert main(["compute", str(path)]) == 3
 
 
+def test_compute_accepts_a_spectrum_that_dividing_by_the_trace_pushes_below_minus_psd_tol(tmp_path, capsys):
+    # validate accepts the matrix (|tr - 1| = 9e-9, min eig = -PSD_TOL); divided by its
+    # trace, the eigenvalue -1e-9 becomes -1.000000009e-9, past the spectrum entropy's check
+    rho = np.diag([0.5, 0.3, 0.2 - 8e-9, -1e-9])
+    assert validate(rho).ok
+    assert np.linalg.eigvalsh(rho / np.trace(rho))[0] < -1e-9
+    report = quantum_discord(rho)
+    b = report.bounds
+    assert report.discord == report.mutual_information - report.classical_correlation
+    assert 0.0 <= report.discord <= b.xi_bound + 1e-8 and report.discord <= b.discord_ub + 1e-8
+    assert report.classical_correlation >= b.classical_lb - 1e-8
+    path = _write_matrix_file(tmp_path / "deficit.json", rho)
+    assert main(["compute", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["discord"] == report.discord
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_compute_non_finite_matrix_exits_3(tmp_path, capsys, value):
     rho = np.full((4, 4), value)

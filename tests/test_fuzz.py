@@ -34,13 +34,14 @@ from qdiscord import (
     validate,
 )
 from qdiscord.cli import MAX_SCAN_POINTS, main
-from qdiscord.states import PSD_TOL, prepare_state
+from qdiscord.states import PSD_TOL, TRACE_TOL, prepare_state
 
 #: covers PSD_TOL: an accepted matrix may have an eigenvalue down to -1e-9
 SLACK = 1e-8
 
 _NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 1.0))
-_KINDS = ("state", "non-finite", "huge", "non-hermitian", "trace", "near-psd", "product-deficit", "near-pure", "raw")
+_KINDS = ("state", "non-finite", "huge", "non-hermitian", "trace", "near-psd", "product-deficit", "trace-deficit",
+          "near-pure", "raw")
 
 
 @st.composite
@@ -79,6 +80,12 @@ def matrices(draw):
         rho = np.kron(np.diag([p, 1 - p]), np.diag([q, 1 - q])).astype(complex)
         rho[i, i] -= draw(st.floats(0.0, PSD_TOL))
         rho /= np.trace(rho).real
+        if draw(st.booleans()):  # the same state in a random local basis
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            rho = u @ rho @ u.conj().T
+    elif kind == "trace-deficit":  # an eigenvalue at -PSD_TOL and a trace below 1, which dividing by it pushes lower
+        spectrum = rng.dirichlet(np.ones(3)) * (1 - draw(st.floats(0.0, TRACE_TOL - PSD_TOL)))
+        rho = np.diag(np.append(spectrum, -PSD_TOL)[rng.permutation(4)]).astype(complex)
         if draw(st.booleans()):  # the same state in a random local basis
             u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             rho = u @ rho @ u.conj().T

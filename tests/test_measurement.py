@@ -29,7 +29,8 @@ from qdiscord import (
     stationary_scan,
     triple_from_matrix,
 )
-from qdiscord.measurement import BRANCH_TOL, branches, branches_batch
+from qdiscord.entropy import _h_sum
+from qdiscord.measurement import _W_DEFICIT_TOL, BRANCH_TOL, _row_norms, branches, branches_batch
 from qdiscord.optimize import stationary_residual_batch
 
 Z3 = np.zeros(3)
@@ -211,6 +212,87 @@ def test_batch_kernels_reject_a_triple_that_is_not_a_state():
         stationary_residual_batch(t, dirs)
     with pytest.raises(NotAStateError, match=message):
         stationary_scan(t)
+
+
+@pytest.mark.parametrize("dirs", [np.array([0.0, 0.0, 1.0]), np.zeros((4, 2)), np.zeros((2, 3, 1)),
+                                  np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]]),
+                                  np.array([[0.0, 0.0, 1.0], [0.0, -math.inf, 0.0]])])
+@pytest.mark.parametrize("kernel", [conditional_entropy_batch, stationary_residual_batch])
+def test_batch_kernels_reject_what_is_not_a_finite_n_by_3_array(kernel, dirs):
+    # also where y = 0 or T = 0, so that a NaN or inf direction reaches the branches only through 0 * inf
+    for t in (random_triple(np.random.default_rng(4)), BlochTriple(np.array([0.3, 0.0, 0.0]), Z3, Z33),
+              BlochTriple(Z3, np.array([0.0, 0.5, 0.0]), Z33), BlochTriple(Z3, Z3, np.diag([0.0, 0.5, 0.0]))):
+        with pytest.raises(ValidationError, match="directions") as info:
+            kernel(t, dirs)
+        assert info.type is ValidationError
+
+
+def _parent_branches(t, dirs):
+    """The branch fields as the batch kernel once formed them: ten separate arrays."""
+    tn = dirs @ t.T.T
+    vp, vm = t.x + tn, t.x - tn
+    sp, sm = _row_norms(vp), _row_norms(vm)
+    d = dirs @ t.y
+    p0, p1 = (1 + d) / 2, (1 - d) / 2
+    return p0, p1, (2 * p0 + sp) / 4, (2 * p0 - sp) / 4, (2 * p1 + sm) / 4, (2 * p1 - sm) / 4, vp, vm, sp, sm
+
+
+def _parent_rows(t, dirs):
+    """w1 w2 w3 w4 p0 p1 and the branches, snapped by np.where."""
+    p0, p1, w1, w2, w3, w4, vp, vm, sp, sm = _parent_branches(t, dirs)
+    assert np.minimum(w2, w4).min(initial=0.0) >= -_W_DEFICIT_TOL / 4
+    w1, w2 = np.where(w2 < 0, p0, w1), np.where(w2 < 0, 0.0, w2)
+    w3, w4 = np.where(w4 < 0, p1, w3), np.where(w4 < 0, 0.0, w4)
+    return (w1, w2, w3, w4, p0, p1), (vp, vm, sp, sm)
+
+
+def _parent_conditional_entropy_batch(t, dirs):
+    v = np.stack(_parent_rows(t, dirs)[0])
+    np.clip(v[:4], 0.0, 1.0, out=v[:4])
+    return _h_sum(v[:4]) - _h_sum(v[4:])
+
+
+def _parent_stationary_residual_batch(t, dirs):
+    (w1, w2, w3, w4, p0, p1), (vp, vm, sp, sm) = _parent_rows(t, dirs)
+    valid = np.minimum.reduce([w1, w2, w3, w4, p0, p1]) > BRANCH_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ly = np.log2((w1 * w2 * p1 * p1) / (w3 * w4 * p0 * p0))
+        cp = np.where(sp > BRANCH_TOL, np.log2(w1 / w2) / sp, 0.0)
+        cm = np.where(sm > BRANCH_TOL, np.log2(w3 / w4) / sm, 0.0)
+        a = ly[:, None] * t.y + (cp[:, None] * vp - cm[:, None] * vm) @ t.T
+        tang = a - (np.sum(a * dirs, axis=1))[:, None] * dirs
+        resid = _row_norms(tang)
+    return np.where(valid, resid, np.inf)
+
+
+def test_stacked_batch_kernels_are_the_six_array_formula_bit_for_bit():
+    rng = np.random.default_rng(1818)
+    dirs = rng.standard_normal((300, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    # the six poles, then unit vectors with signed zero components
+    special = [np.roll(np.array([0.0, 0.0, s]), k) for s in (1.0, -1.0) for k in range(3)]
+    special += [[0.6, -0.0, 0.8], [-0.0, 0.0, -1.0], [-0.0, -0.6, -0.8], [0.8, 0.6, -0.0], [-0.0, -0.0, 1.0]]
+    dirs = np.vstack([dirs, special])
+    triples = [random_triple(rng, rank=1 + k % 4) for k in range(40)]
+    triples += [BlochTriple(Z3, Z3, Z33), BlochTriple(Z3, Z3, np.diag([1.0, -1.0, 1.0])),
+                BlochTriple(np.array([0.0, 0.0, 0.6]), np.array([0.0, 0.0, 0.6]), np.diag([0.0, 0.0, 0.4]))]
+    # the snap path: |T n| = 1 + eps > 2 p_k = 1 along x, so w2 and w4 lie in (-_W_DEFICIT_TOL/4, 0)
+    for eps in (1e-12, 4e-9, 7.9e-9):
+        triples.append(BlochTriple(Z3, Z3, np.diag([1 + eps, 0.5, -0.2])))
+    snapped = []
+    for t in triples:
+        fields = _parent_branches(t, dirs)
+        snapped.append(min(fields[3].min(), fields[5].min()) < 0)
+        b = branches_batch(t, dirs)
+        assert b._fields == ("p0", "p1", "w1", "w2", "w3", "w4", "v_plus", "v_minus", "s_plus", "s_minus")
+        assert all(new.tobytes() == old.tobytes() for new, old in zip(b, fields))
+        for kernel, oracle in ((conditional_entropy_batch, _parent_conditional_entropy_batch),
+                               (stationary_residual_batch, _parent_stationary_residual_batch)):
+            assert kernel(t, dirs).tobytes() == oracle(t, dirs).tobytes()
+    assert all(snapped[-3:])  # rounding snaps some of the rank-deficient random triples too
+    # the snap works on a copy: the fields of the branches keep their raw values
+    conditional_entropy_batch(t, dirs)
+    assert b.w2.tobytes() == fields[3].tobytes() and fields[3].min() < 0
 
 
 def test_post_measurement_state_simple():

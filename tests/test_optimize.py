@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import time
 
 import numpy as np
@@ -34,7 +36,8 @@ from qdiscord import (
     von_neumann_entropy,
 )
 from qdiscord import ValidationError, measurement, optimize
-from qdiscord.states import reduced_states
+from qdiscord.measurement import _row_norms
+from qdiscord.states import canonicalize, reduced_states
 
 Z3 = np.zeros(3)
 
@@ -263,6 +266,59 @@ def test_basin_starts_one_per_plateau_in_ascending_value():
     deepest = nearest(np.array([0.0, 1.0, 1.0]))
     values[deepest] = -2.0
     assert optimize._basin_starts(values, nbrs) == [deepest, 0, equatorial]
+
+
+def test_start_directions_are_the_stacked_axes_formula(monkeypatch):
+    # the start axes are normalized in Python floats; the lattice they are moved
+    # onto is, bit for bit, the one the (k, 3) array of axes and _row_norms gave
+    lattice = optimize._lattice(optimize.DEFAULT_RESOLUTION)[0]
+    evaluated = []
+    batch = optimize.conditional_entropy_batch
+    monkeypatch.setattr(optimize, "conditional_entropy_batch",
+                        lambda t, dirs: evaluated.append(dirs) or batch(t, dirs))
+    rng = np.random.default_rng(1812)
+    triples = [random_triple(rng, rank=2 + k % 3) for k in range(196)]
+    # y = 0 or T^t x = 0 drops an axis
+    triples += [BlochTriple(Z3, Z3, np.diag([0.5, 0.3, 0.1])),
+                BlochTriple(np.array([0.0, 0.0, 0.2]), Z3, np.diag([0.5, 0.3, 0.0])),
+                BlochTriple(Z3, np.array([0.0, 0.3, 0.0]), np.diag([0.2, -0.4, 0.1])), triples[0]]
+    for t in triples:
+        minimize_conditional_entropy(t)
+        axes = np.vstack((canonicalize(t).rotation_b, t.y, t._tx))
+        norms = _row_norms(axes)
+        axes = axes[norms > 1e-12] / norms[norms > 1e-12, None]
+        expected = lattice.copy()
+        for i, axis in zip(np.abs(lattice @ axes.T).argmax(axis=0).tolist(), axes):
+            expected[i] = axis
+        assert evaluated.pop().tobytes() == expected.tobytes()
+
+
+#: calls into numpy's Python layer in one start-set evaluation: np.where's
+#: dispatcher and ndarray.sum's wrapper, once in each of the two entropy sums;
+#: stacking the six rows with np.stack, clipping with np.clip and taking the
+#: not-a-state minimum with ndarray.min made it 16
+START_SET_NUMPY_FRAMES = 4
+
+
+def test_start_set_evaluation_does_not_grow_numpy_dispatch():
+    t = random_triple(np.random.default_rng(1813), rank=4)
+    dirs = optimize._lattice(optimize.DEFAULT_RESOLUTION)[0]
+    assert len(dirs) == 207
+    optimize.conditional_entropy_batch(t, dirs)  # any first-use work happens outside the count
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            entered.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        optimize.conditional_entropy_batch(t, dirs)
+    finally:
+        sys.setprofile(previous)
+    assert len(entered) <= START_SET_NUMPY_FRAMES, entered
 
 
 def test_lattice_neighbours_match_brute_force_adjacency():
