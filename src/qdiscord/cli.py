@@ -92,10 +92,7 @@ def load_state(path: str) -> np.ndarray:
                 raise UsageError(f"'matrix' must be 4x4 of [re, im] pairs, got shape {entries.shape}")
             return entries[..., 0] + 1j * entries[..., 1]
         triple = data["triple"]
-        t = BlochTriple(np.asarray(triple["x"], dtype=float),
-                        np.asarray(triple["y"], dtype=float),
-                        np.asarray(triple["T"], dtype=float))
-        return matrix_from_triple(t)
+        return matrix_from_triple(BlochTriple(triple["x"], triple["y"], triple["T"]))
     except UsageError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:

@@ -106,17 +106,16 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     The matrix must be Hermitian, PSD within ``-1e-9`` and unit trace within
     1e-9; violations raise :class:`NotAStateError`.
     """
-    return _spectrum_entropy(hermitian_eigenvalues(m))
+    return _spectrum_entropy(hermitian_eigenvalues(m).tolist())
 
 
-def _spectrum_entropy(vals: np.ndarray) -> float:
-    """:func:`von_neumann_entropy` from the eigenvalues of the density matrix.
+def _spectrum_entropy(vals: list[float]) -> float:
+    """:func:`von_neumann_entropy` from the eigenvalues of the density matrix, as floats.
 
     Raises :class:`NotAStateError` if they sum to 1 only beyond 1e-9 or one
     lies below -1e-9; the rest are clipped to [0, 1] as in
     :func:`shannon_entropy` and summed in scalar arithmetic.
     """
-    vals = vals.tolist()
     trace = sum(vals)  # NaN if a value is NaN
     if not abs(trace - 1.0) <= CLAMP_TOL:
         raise NotAStateError(f"trace is {trace!r}, not 1")

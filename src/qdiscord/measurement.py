@@ -22,10 +22,13 @@ import numpy as np
 
 from .entropy import _h_sum, _h_terms
 from .errors import NotAStateError, ValidationError, ZeroProbabilityError
-from .states import PSD_TOL, BlochTriple, _qubit_matrix, matrix_from_triple
+from .states import PSD_TOL, BlochTriple, _as_real, _qubit_matrix, matrix_from_triple
 
 #: probabilities below this are treated as exactly zero branches
 BRANCH_TOL = 1e-12
+
+#: how far from unit length a direction may lie and keep its bits, or a row of a batch at all
+_UNIT_TOL = 1e-12
 
 #: how far |x +- T n| may exceed 2 p_k before the state is rejected: twice the 4 PSD_TOL an accepted matrix reaches
 _W_DEFICIT_TOL = 8 * PSD_TOL
@@ -36,7 +39,7 @@ def _normalized(v) -> tuple[float, float, float] | list[float]:
     if not ((type(v) is tuple or type(v) is list) and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float):
         if isinstance(v, MeasurementDirection):
             return v.n.tolist()  # the bits it stores, which came out of this rule
-        v = np.asarray(v, dtype=float)
+        v = _as_real(np.asarray(v), "direction")
         if v.shape != (3,):
             raise ValidationError(f"direction must be a real 3-vector, got shape {v.shape}")
         v = v.tolist()
@@ -49,7 +52,7 @@ def _normalized(v) -> tuple[float, float, float] | list[float]:
         norm = math.hypot(x, y, z)
     if norm < 1e-12:
         raise ValidationError("direction vector must be nonzero")
-    return (x / norm, y / norm, z / norm) if abs(norm - 1.0) > 1e-12 else (x, y, z)  # kept bits keep -n exact
+    return (x / norm, y / norm, z / norm) if abs(norm - 1.0) > _UNIT_TOL else (x, y, z)  # kept bits keep -n exact
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,16 @@ class MeasurementDirection:
 
     @property
     def theta(self) -> float:
-        return float(math.acos(min(max(self.n[2], -1.0), 1.0)))
+        return _polar(self.n)[0]
 
     @property
     def phi(self) -> float:
-        return float(math.atan2(self.n[1], self.n[0]) % (2 * math.pi))
+        return _polar(self.n)[1]
+
+
+def _polar(n) -> tuple[float, float]:
+    """(theta, phi) of a unit vector given as three floats or an array, theta in [0, pi] and phi in [0, 2 pi)."""
+    return math.acos(min(max(n[2], -1.0), 1.0)), math.atan2(n[1], n[0]) % (2 * math.pi)
 
 
 def _unit_from_angles(theta: float, phi: float) -> tuple[float, float, float]:
@@ -145,6 +153,8 @@ def projector_bloch(k: int, direction) -> np.ndarray:
 #: :func:`branches`; from :func:`branches_batch`, views of its stacked rows.
 Branches = namedtuple("Branches", "p0 p1 w1 w2 w3 w4 v_plus v_minus s_plus s_minus")
 
+#: x @ _ONES sums each row of an (N, 3) array in one call
+_ONES = np.ones(3)
 #: +1 and -1 as a column, the signs of the pairs (p0, p1), (x + T n, x - T n) and (w1, w2)
 _SIGNS = np.array([[1.0], [-1.0]])
 
@@ -163,6 +173,21 @@ def branches(t: BlochTriple, n) -> Branches:
                     (vp0, vp1, vp2), (vm0, vm1, vm2), sp, sm)
 
 
+def _unit_rows(dirs) -> np.ndarray:
+    """``dirs`` as an (N, 3) float array of rows within 1e-12 of unit length, else :class:`ValidationError`."""
+    dirs = _as_real(np.asarray(dirs), "directions")
+    if dirs.ndim != 2 or dirs.shape[1] != 3:
+        raise ValidationError(f"directions must be an (N, 3) array, got shape {dirs.shape}")
+    # |n|^2 from entries capped at 2, so none overflows (no inf reaches a matmul either); a nan fails
+    sq = np.square(np.minimum(np.abs(dirs), 2.0)) @ _ONES
+    if not (np.minimum.reduce(sq, initial=1.0) >= 1 - 2 * _UNIT_TOL
+            and np.maximum.reduce(sq, initial=1.0) <= 1 + 2 * _UNIT_TOL):  # |n| within 1e-12 of 1
+        if not np.logical_and.reduce(np.isfinite(dirs), axis=None):
+            raise ValidationError("directions have non-finite entries")
+        raise ValidationError("directions must be unit vectors (within 1e-12)")
+    return dirs
+
+
 def branches_batch(t: BlochTriple, dirs) -> Branches:
     """Branch quantities at every row of an (N, 3) array of unit directions, as views of stacked arrays.
 
@@ -171,12 +196,7 @@ def branches_batch(t: BlochTriple, dirs) -> Branches:
     array.  The arithmetic is :func:`branches`', operation for operation
     (x - T n as x + (-1) T n and 1 - d as 1 + (-1) d, which round alike).
     """
-    dirs = np.asarray(dirs, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise ValidationError(f"directions must be an (N, 3) array, got shape {dirs.shape}")
-    # before any arithmetic: an inf entry times a zero of T or y would warn inside the matmul
-    if not np.logical_and.reduce(np.isfinite(dirs), axis=None):
-        raise ValidationError("directions have non-finite entries")
+    dirs = _unit_rows(dirs)
     v = t.x + _SIGNS[:, :, None] * (dirs @ t.T.T)
     s = _row_norms(v)
     rows = np.empty((6, len(dirs)))
@@ -311,7 +331,7 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     passed to reuse a precomputed matrix for the same triple.
     """
     single = isinstance(directions, MeasurementDirection) or np.ndim(directions) != 2
-    dirs = np.array([_normalized(directions)]) if single else np.asarray(directions, dtype=float)
+    dirs = np.array([_normalized(directions)]) if single else _unit_rows(directions)
     if rho is None:
         rho = matrix_from_triple(t)
     count = len(dirs)

@@ -30,6 +30,7 @@ from .measurement import (
     _dot,
     _lowest_eigenpair,
     _normalized,
+    _polar,
     _probabilities,
     _probabilities_batch,
     _row_norms,
@@ -205,17 +206,16 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
     -tau.A/4 (in bits), so stationary points are exactly where A is parallel
     to n.  The Lagrange scalar of the constrained formulation equals n.A.
     """
-    direction = direction if isinstance(direction, MeasurementDirection) else MeasurementDirection(direction)
-    return _diagnostics(t, direction, _point(t, direction.n.tolist(), model=False))
+    n = _normalized(direction)
+    return _diagnostics(t, n, _point(t, n, model=False))
 
 
-def _diagnostics(t: BlochTriple, direction: MeasurementDirection, p: _Point, sign: float = 1.0,
-                 ) -> StationaryDiagnostics:
-    """:func:`stationary_vector` from the record ``p`` of ``sign * direction.n``."""
+def _diagnostics(t: BlochTriple, n, p: _Point, sign: float = 1.0) -> StationaryDiagnostics:
+    """:func:`stationary_vector` at the unit vector n (three floats) from the record ``p`` of ``sign * n``."""
     if p.a is None:
         return StationaryDiagnostics(None, None, None, None, None, degenerate=True)
     a, b = (sign * p.a[0], sign * p.a[1], sign * p.a[2]), p.b
-    th, ph = direction.theta, direction.phi
+    th, ph = _polar(n)
     ct, st, cp, sp = math.cos(th), math.sin(th), math.cos(ph), math.sin(ph)
     n_theta, n_phi = (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
     # the Lagrange scalar of A = A_scalar n from its own formula, a check on n.A
@@ -309,15 +309,15 @@ def _basin_starts(values: np.ndarray, nbrs: np.ndarray) -> list[int]:
     (the lowest index among equals).  Plateaus are found by spreading the
     smallest index over the graph of minima, which settles within N passes.
     """
-    is_min = values <= values[nbrs].min(axis=0) + _PLATEAU_TOL
-    minima = np.flatnonzero(is_min)
+    is_min = values <= np.minimum.reduce(values[nbrs], axis=0) + _PLATEAU_TOL
+    minima = is_min.nonzero()[0]
     if len(minima) == 1:  # one plateau: nothing to spread
         return minima.tolist()
     outside = len(values)  # the label of the other points, which link nothing
     labels = np.where(is_min, np.arange(outside), outside)
     for _ in range(outside):
-        spread = np.where(is_min, np.minimum(labels, labels[nbrs].min(axis=0)), outside)
-        if np.array_equal(spread, labels):
+        spread = np.where(is_min, np.minimum(labels, np.minimum.reduce(labels[nbrs], axis=0)), outside)
+        if np.logical_and.reduce(spread == labels):
             break
         labels = spread
     starts: dict[int, int] = {}  # plateau label -> its first point in ascending (value, index)
@@ -405,8 +405,7 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     """
     n, p = _descend(t, _normalized(start), _check_tolerance(tolerance))
     c = _canonical_sign(n)
-    direction = MeasurementDirection(c)
-    return direction, p.f, _diagnostics(t, direction, p, 1.0 if c is n else -1.0)
+    return MeasurementDirection(c), p.f, _diagnostics(t, c, p, 1.0 if c is n else -1.0)
 
 
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,
@@ -438,11 +437,14 @@ def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, toleran
     for i, axis in zip(np.abs(lattice @ np.array(axes).T).argmax(axis=0).tolist(), axes):  # the later axis wins a point
         dirs[i] = axis
     starts = _basin_starts(conditional_entropy_batch(t, dirs), nbrs)
-    return min((refine_minimum(t, dirs[i], tolerance=tolerance) for i in starts), key=lambda found: found[1])
+    return min((refine_minimum(t, dirs[i].tolist(), tolerance=tolerance) for i in starts), key=lambda found: found[1])
 
 
-def _closed_form_minimum(canon: CanonicalForm) -> tuple[float, np.ndarray, bool] | None:
-    """(min S(A|n), optimal direction, tie flag) when a closed form applies, else None."""
+def _closed_form_minimum(state: PreparedState) -> tuple[float, list[float], bool] | None:
+    """(min S(A|n), optimal direction as three floats, tie flag) for a pure state or a solvable class, else None."""
+    if state.s_ab <= PURE_STATE_TOL:  # pure state: S(A|n) = 0 for every direction, report theta = 0
+        return 0.0, [0.0, 0.0, 1.0], True
+    canon = state.canonical  # one SVD serves the class check, the search's start axes and the bounds
     if not classify(canon).kind.has_closed_form:
         return None
     x = canon.triple.x
@@ -453,9 +455,9 @@ def _closed_form_minimum(canon: CanonicalForm) -> tuple[float, np.ndarray, bool]
     min_s = binary_entropy((1 + math.sqrt(float(x @ x) + t_max * t_max)) / 2)
     if t_max <= CLASS_TOL:
         # flat landscape: every direction is optimal, report theta = 0
-        return min_s, np.array([0.0, 0.0, 1.0]), True
+        return min_s, [0.0, 0.0, 1.0], True
     degenerate = sum(m >= t_max - 1e-12 for m in mags) > 1
-    return min_s, canon.rotation_b[mags.index(t_max)], degenerate  # O2^T applied to that axis
+    return min_s, canon.rotation_b[mags.index(t_max)].tolist(), degenerate  # O2^T applied to that axis
 
 
 def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFAULT_RESOLUTION,
@@ -489,21 +491,17 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
     tolerance = _check_tolerance(tolerance)
     state = prepare_state(rho)
     t = state.triple
-    if fast_path and state.s_ab <= PURE_STATE_TOL:
-        # pure state: S(A|n) = 0 for every direction, report theta = 0
-        closed_form = 0.0, np.array([0.0, 0.0, 1.0]), True
-    else:
-        canon = state.canonical  # one SVD serves the class check, the search's start axes and the bounds
-        closed_form = _closed_form_minimum(canon) if fast_path else None
+    closed_form = _closed_form_minimum(state) if fast_path else None
     if closed_form is not None:
-        min_s, axis_dir, tie_degenerate = closed_form
-        direction = MeasurementDirection(_canonical_sign(axis_dir))
+        min_s, axis, tie_degenerate = closed_form
+        n = _canonical_sign(_normalized(axis))
+        direction = MeasurementDirection(n)
         method = "closed-form"
-        diagnostics = stationary_vector(t, direction)
+        diagnostics = _diagnostics(t, n, _point(t, n, model=False))
         if tie_degenerate:
             diagnostics = replace(diagnostics, degenerate=True)
     else:
-        direction, min_s, diagnostics = _multistart(t, canon, resolution, tolerance)
+        direction, min_s, diagnostics = _multistart(t, state.canonical, resolution, tolerance)
         method = "grid+refine"
 
     # 0 <= J <= I, which the PSD slack of an accepted matrix can break by rounding
@@ -552,8 +550,8 @@ def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
 
     ``dirs`` is an (N, 3) array of unit vectors, checked as by :func:`conditional_entropy_batch`.
     """
-    dirs = np.asarray(dirs, dtype=float)
     b = branches_batch(t, dirs)
+    dirs = np.asarray(dirs, dtype=float)  # real, (N, 3) and unit rows: branches_batch checked them
     rows = _probabilities_batch(b)
     w1, w2, w3, w4, p0, p1 = rows
     valid = np.minimum.reduce(rows) > BRANCH_TOL

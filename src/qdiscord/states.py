@@ -48,11 +48,11 @@ _MAX_ENTRY = 1e100
 _ROTATION_TOL = 1e-10
 
 
-def _vec3(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValidationError(f"{name} must be a real 3-vector, got shape {arr.shape}")
-    return arr
+def _as_real(arr: np.ndarray, name: str) -> np.ndarray:
+    """A numpy array as float (itself if it is one); complex entries raise instead of losing their imaginary part."""
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"{name} has complex entries")
+    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -72,26 +72,22 @@ class BlochTriple:
     T: np.ndarray
 
     def __post_init__(self):
-        x = _vec3(self.x, "x")
-        y = _vec3(self.y, "y")
-        T = np.asarray(self.T, dtype=float)
-        if T.shape != (3, 3):
-            raise ValidationError(f"T must be a real 3x3 matrix, got shape {T.shape}")
-        for name, arr in (("x", x), ("y", y), ("T", T)):
-            values = arr.ravel().tolist()
-            if not all(map(math.isfinite, values)):
+        floats = []  # (x, y, rows of T) as floats for the scalar kernels; not a field
+        for name, kind in (("x", "3-vector"), ("y", "3-vector"), ("T", "3x3 matrix")):
+            arr = _as_real(np.array(getattr(self, name)), name)  # a copy the caller cannot mutate
+            if arr.shape != ((3, 3) if name == "T" else (3,)):
+                raise ValidationError(f"{name} must be a real {kind}, got shape {arr.shape}")
+            values = arr.tolist()
+            entries = values[0] + values[1] + values[2] if name == "T" else values
+            if not all(map(math.isfinite, entries)):
                 raise ValidationError(f"{name} has non-finite entries")
             # hypot, unlike sqrt(v . v), does not overflow on entries beyond 1e154
-            if arr.ndim == 1 and (norm := math.hypot(*values)) > 1 + 1e-9:
+            if name != "T" and (norm := math.hypot(*values)) > 1 + 1e-9:
                 raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @cached_property
-    def _floats(self):
-        # (x, y, rows of T) as floats for the scalar kernels, on first use; not a field
-        return tuple(self.x.tolist()), tuple(self.y.tolist()), tuple(map(tuple, self.T.tolist()))
+            floats.append(tuple(map(tuple, values)) if name == "T" else tuple(values))
+        object.__setattr__(self, "_floats", tuple(floats))
 
     @cached_property
     def _tx(self):
@@ -154,12 +150,12 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
     # the largest real or imaginary part; NaN if any is NaN
-    peak = float(np.abs(np.ascontiguousarray(rho).view(float)).max())
+    peak = float(np.maximum.reduce(np.abs(np.ascontiguousarray(rho).view(float)), axis=None))
     if not peak <= _MAX_ENTRY:
         dev = math.inf if math.isfinite(peak) else math.nan
         return StateDiagnostics(dev, dev, math.nan, False)
     herm = rho.conj().T
-    dev_h = float(np.abs(rho - herm).max())
+    dev_h = float(np.maximum.reduce(np.abs(rho - herm), axis=None))
     dev_tr = float(abs(rho.trace() - 1.0))
     hermitian = (rho + herm) / 2
     hermitian.setflags(write=False)
@@ -170,10 +166,10 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     return StateDiagnostics(dev_h, dev_tr, min_eig, ok, eigenvalues, hermitian)
 
 
-def _unit_ball(v: np.ndarray) -> np.ndarray:
+def _unit_ball(v: list[float]) -> list[float]:
     # a coherence vector of the unit-trace matrix past 1 by at most _NORM_SLACK is scaled back to the sphere
-    norm = math.hypot(*v.tolist())
-    return v / norm if 1 < norm <= 1 + _NORM_SLACK else v
+    norm = math.hypot(*v)
+    return [c / norm for c in v] if 1 < norm <= 1 + _NORM_SLACK else v
 
 
 def triple_from_matrix(rho: np.ndarray) -> BlochTriple:
@@ -252,13 +248,14 @@ def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     diag = validate(rho)
     if not diag.ok:
         raise NotAStateError(f"not a valid two-qubit state ({diag})")
-    trace = np.trace(diag.hermitian_part).real
+    trace = float(diag.hermitian_part.trace().real)
     rho = diag.hermitian_part / trace
-    pauli = (rho.reshape(16) @ _PAULI_TRACES).real  # tr(rho P_k): x, y, then T row by row
-    t = BlochTriple(_unit_ball(pauli[:3]), _unit_ball(pauli[3:6]), pauli[6:].reshape(3, 3))
-    s_a, s_b = (binary_entropy((1 + math.hypot(*v.tolist())) / 2) for v in (t.x, t.y))
+    pauli = (rho.reshape(16) @ _PAULI_TRACES).real.tolist()  # tr(rho P_k): x, y, then T row by row
+    t = BlochTriple(_unit_ball(pauli[:3]), _unit_ball(pauli[3:6]), (pauli[6:9], pauli[9:12], pauli[12:]))
+    s_a, s_b = (binary_entropy((1 + math.hypot(*v)) / 2) for v in t._floats[:2])
     # an accepted eigenvalue is at least -PSD_TOL, which only the division can have pushed lower
-    return PreparedState(rho, t, s_a, s_b, _spectrum_entropy(np.maximum(diag.eigenvalues / trace, -PSD_TOL)))
+    spectrum = [max(v / trace, -PSD_TOL) for v in diag.eigenvalues.tolist()]
+    return PreparedState(rho, t, s_a, s_b, _spectrum_entropy(spectrum))
 
 
 def mutual_information(rho: np.ndarray | PreparedState) -> float:
@@ -267,7 +264,7 @@ def mutual_information(rho: np.ndarray | PreparedState) -> float:
 
 
 def _require_rotation(o: np.ndarray, name: str) -> np.ndarray:
-    o = np.asarray(o, dtype=float)
+    o = _as_real(np.asarray(o), name)
     if o.shape != (3, 3):
         raise ValidationError(f"{name} must be a 3x3 matrix")
     if np.max(np.abs(o.T @ o - np.eye(3))) > _ROTATION_TOL:
@@ -293,20 +290,17 @@ def canonicalize(t: BlochTriple) -> CanonicalForm:
     diagonal entry are negated, keeping both rotations proper while
     allowing negative diagonal entries.
     """
-    if not t.T.any():
+    if not any(map(any, t._floats[2])):
         return CanonicalForm(BlochTriple(t.x, t.y, np.zeros((3, 3))), np.eye(3), np.eye(3))
     u, s, vt = np.linalg.svd(t.T)
-    o1 = u.T.copy()
-    o2 = vt.copy()
-    d = s.copy()
-    for o in (o1, o2):
-        (a, b, c), (e, f, g), (h, i, k) = o.tolist()
+    d, rows = s.tolist(), (u.T.tolist(), vt.tolist())
+    for o in rows:
+        (a, b, c), (e, f, g), (h, i, k) = o
         if a * (f * k - g * i) + b * (g * h - e * k) + c * (e * i - f * h) < 0:  # det o by cofactors
-            o[2, :] *= -1
-            d[2] *= -1
-    diagonal = np.zeros((3, 3))
-    diagonal.ravel()[::4] = d
-    triple = BlochTriple(o1 @ t.x, o2 @ t.y, diagonal)
+            o[2] = [-h, -i, -k]
+            d[2] = -d[2]
+    o1, o2 = map(np.array, rows)
+    triple = BlochTriple(o1 @ t.x, o2 @ t.y, ((d[0], 0.0, 0.0), (0.0, d[1], 0.0), (0.0, 0.0, d[2])))
     return CanonicalForm(triple, o1, o2)
 
 

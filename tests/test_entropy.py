@@ -180,13 +180,13 @@ def test_von_neumann_rejects_negative_eigenvalue():
 
 def test_spectrum_entropy_checks_and_clamps_the_spectrum(rng):
     with pytest.raises(NotAStateError, match="trace is"):
-        _spectrum_entropy(np.array([0.5, 0.5 + 2 * CLAMP_TOL]))
+        _spectrum_entropy([0.5, 0.5 + 2 * CLAMP_TOL])
     with pytest.raises(NotAStateError, match="negative eigenvalue"):
-        _spectrum_entropy(np.array([0.3, 0.7 + 2 * CLAMP_TOL, -2 * CLAMP_TOL]))
-    assert _spectrum_entropy(np.array([1 + CLAMP_TOL, -CLAMP_TOL, 0.0, 0.0])) == 0.0
+        _spectrum_entropy([0.3, 0.7 + 2 * CLAMP_TOL, -2 * CLAMP_TOL])
+    assert _spectrum_entropy([1 + CLAMP_TOL, -CLAMP_TOL, 0.0, 0.0]) == 0.0
     for _ in range(100):
         vals = rng.dirichlet(np.ones(4))
-        assert abs(_spectrum_entropy(vals) - shannon_entropy(vals)) <= 1e-15
+        assert abs(_spectrum_entropy(vals.tolist()) - shannon_entropy(vals)) <= 1e-15
 
 
 def test_von_neumann_rejects_wrong_trace():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_direction, random_rotation, random_triple
-from qdiscord import measurement
+from qdiscord import measurement, optimize
 from qdiscord import (
     BlochTriple,
     MeasurementDirection,
@@ -293,6 +293,67 @@ def test_stacked_batch_kernels_are_the_six_array_formula_bit_for_bit():
     # the snap works on a copy: the fields of the branches keep their raw values
     conditional_entropy_batch(t, dirs)
     assert b.w2.tobytes() == fields[3].tobytes() and fields[3].min() < 0
+
+
+@pytest.mark.parametrize("row", [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.6, 0.0, 0.8 + 2e-12]])
+@pytest.mark.parametrize("kernel", [conditional_entropy_batch, stationary_residual_batch, conditional_entropy_direct])
+def test_batch_kernels_reject_rows_off_unit_length(kernel, row):
+    # before the check, [2, 0, 0] blamed the triple, [0, 0, 0] gave a value and [1e200, 0, 0] warned of overflow
+    dirs = np.array([[0.0, 0.0, 1.0], row])
+    for t in (random_triple(np.random.default_rng(4)), BlochTriple(Z3, Z3, Z33)):
+        with pytest.raises(ValidationError, match="unit vectors") as info:
+            kernel(t, dirs)
+        assert info.type is ValidationError
+
+
+def _snapped_start_sets(triples, monkeypatch):
+    """The start set _multistart hands to conditional_entropy_batch, one per triple."""
+    seen = []
+
+    def recording(t, dirs):
+        seen.append(dirs)
+        return conditional_entropy_batch(t, dirs)
+
+    monkeypatch.setattr(optimize, "conditional_entropy_batch", recording)
+    for t in triples:
+        optimize.minimize_conditional_entropy(t)
+    monkeypatch.undo()
+    return seen
+
+
+def test_unit_check_accepts_every_direction_set_of_the_search_unchanged(monkeypatch):
+    rng = np.random.default_rng(1901)
+    triples = [random_triple(rng, rank=1 + k % 4) for k in range(8)]
+    sets = [optimize._grid(optimize.ORACLE_RESOLUTION).reshape(-1, 3)]
+    sets += [optimize._lattice(math.radians(degrees))[0] for degrees in (0.5, 1, 3, 5, 10, 15, 22.5)]
+    starts = _snapped_start_sets(triples, monkeypatch)
+    assert all(not np.array_equal(s, optimize._lattice(optimize.DEFAULT_RESOLUTION)[0]) for s in starts)
+    for t, dirs in [(t, dirs) for t in triples[:2] for dirs in sets] + list(zip(triples, starts)):
+        assert measurement._unit_rows(dirs) is dirs  # checked, not copied
+        assert conditional_entropy_batch(t, dirs).tobytes() == _parent_conditional_entropy_batch(t, dirs).tobytes()
+    t = triples[0]
+    assert stationary_residual_batch(t, sets[4]).tobytes() == _parent_stationary_residual_batch(t, sets[4]).tobytes()
+
+
+#: a complex 3-vector, as a numpy array and with a Python complex in a list
+_COMPLEX_DIRECTIONS = [np.array([1j, 0.0, 1.0]), [1j, 0.0, 1.0], (0.0, 0.0, 1.0 + 0j)]
+
+
+@pytest.mark.parametrize("n", _COMPLEX_DIRECTIONS)
+@pytest.mark.parametrize("entry", [conditional_entropy, conditional_entropy_direct, refine_minimum, None])
+def test_direction_inputs_reject_complex_entries(entry, n):
+    # numpy's cast to float dropped the imaginary part with a ComplexWarning; float() raised TypeError
+    with pytest.raises(ValidationError, match="complex"):
+        MeasurementDirection(n) if entry is None else entry(random_triple(np.random.default_rng(2)), n)
+
+
+@pytest.mark.parametrize("n", _COMPLEX_DIRECTIONS)
+@pytest.mark.parametrize("kernel", [conditional_entropy_batch, stationary_residual_batch, branches_batch,
+                                    conditional_entropy_direct])
+def test_batch_kernels_reject_complex_entries(kernel, n):
+    dirs = [[0.0, 0.0, 1.0], list(n)] if isinstance(n, (list, tuple)) else np.vstack([[0.0, 0.0, 1.0], n])
+    with pytest.raises(ValidationError, match="complex"):
+        kernel(random_triple(np.random.default_rng(2)), dirs)
 
 
 def test_post_measurement_state_simple():

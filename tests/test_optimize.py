@@ -300,25 +300,59 @@ def test_start_directions_are_the_stacked_axes_formula(monkeypatch):
 START_SET_NUMPY_FRAMES = 4
 
 
+def _numpy_frames(call):
+    """Names of the numpy Python functions entered while ``call()`` runs: all, and those entered from package code.
+
+    The second list leaves out the ``*_dispatcher`` functions that numpy's
+    C layer calls on entry to an overridable function.
+    """
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    package_dir = os.path.dirname(optimize.__file__) + os.sep
+    entered, direct = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            entered.append(frame.f_code.co_name)
+            if (frame.f_back.f_code.co_filename.startswith(package_dir)
+                    and not frame.f_code.co_name.endswith("_dispatcher")):
+                direct.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return entered, direct
+
+
 def test_start_set_evaluation_does_not_grow_numpy_dispatch():
     t = random_triple(np.random.default_rng(1813), rank=4)
     dirs = optimize._lattice(optimize.DEFAULT_RESOLUTION)[0]
     assert len(dirs) == 207
     optimize.conditional_entropy_batch(t, dirs)  # any first-use work happens outside the count
-    numpy_dir = os.path.dirname(np.__file__) + os.sep
-    entered = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
-            entered.append(frame.f_code.co_name)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        optimize.conditional_entropy_batch(t, dirs)
-    finally:
-        sys.setprofile(previous)
+    entered, _ = _numpy_frames(lambda: optimize.conditional_entropy_batch(t, dirs))
     assert len(entered) <= START_SET_NUMPY_FRAMES, entered
+
+
+def test_one_call_enters_numpy_python_layer_only_for_eigvalsh_and_svd():
+    rng = np.random.default_rng(1819)
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    cases = {
+        "closed-form": (u @ bell_diagonal_state(0.4, -0.3, 0.2) @ u.conj().T, ["eigvalsh", "svd"]),
+        "pure": (np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, ["eigvalsh"]),
+        # the start set's pair, np.where's dispatcher and ndarray.sum, once per entropy sum
+        "generic": (random_state(rank=4, rng=rng), ["eigvalsh", "svd"] + ["where", "_sum"] * 2),
+    }
+    found = {}
+    for name, (rho, _) in cases.items():
+        quantum_discord(rho)  # any first-use work happens outside the count
+        reports = []
+        _, direct = _numpy_frames(lambda: reports.append(quantum_discord(rho)))
+        assert reports[0].method == ("grid+refine" if name == "generic" else "closed-form")
+        found[name] = sorted(direct)
+    assert found == {name: sorted(expected) for name, (_, expected) in cases.items()}
 
 
 def test_lattice_neighbours_match_brute_force_adjacency():

@@ -74,3 +74,12 @@ def test_stationary_landscape_exits_2_or_3_on_a_bad_state_file(tmp_path, content
     assert out.returncode == code
     assert message in out.stderr and "Traceback" not in out.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_report_digest_repeats_between_runs():
+    args = ("--generic", "6", "--closed-form", "4", "--a", "0:0.2:0.1", "--b=-0.1:0.1:0.1", "--verify-n", "2")
+    first, second = _run("report_digest.py", *args), _run("report_digest.py", *args)
+    lines = first.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["reports", "scan", "verify"]
+    assert all(len(line.split()[1]) == 64 for line in lines)
+    assert second.stdout == first.stdout

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,6 +24,8 @@ from qdiscord import (
     validate,
     von_neumann_entropy,
 )
+from qdiscord import states
+from qdiscord.entropy import _spectrum_entropy
 from qdiscord.states import prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
@@ -395,3 +398,104 @@ def test_triple_of_an_accepted_matrix_with_overlong_marginals(delta):
     assert state.s_a == state.s_b == 0.0
     with pytest.raises(ValidationError, match="exceeds 1"):  # a triple given as such is not scaled
         BlochTriple(np.array([0, 0, 1 + 4 * delta]), _zeros3(), np.zeros((3, 3)))
+
+
+def _hex(values):
+    """float.hex of each float in a flat or nested sequence: equal strings are equal bits, -0.0 included."""
+    return [_hex(v) if isinstance(v, (list, tuple)) else v.hex() for v in values]
+
+
+def _assert_float_record(t):
+    x, y, rows = t._floats
+    assert type(x) is type(y) is type(rows) is tuple and all(type(r) is tuple for r in rows)
+    assert _hex(x) == _hex(t.x.tolist()) and _hex(y) == _hex(t.y.tolist()) and _hex(rows) == _hex(t.T.tolist())
+    assert not (t.x.flags.writeable or t.y.flags.writeable or t.T.flags.writeable)
+
+
+def test_the_float_record_is_the_stored_arrays_bit_for_bit(rng):
+    x, y, T = [0.1, -0.0, 0.3], [0.0, -0.2, -0.0], [[0.5, -0.0, 0.0], [0.0, -0.3, 0.0], [-0.0, 0.0, 0.1]]
+    given = [BlochTriple(np.array(x), np.array(y), np.array(T)), BlochTriple(x, y, T),
+             BlochTriple(tuple(x), tuple(y), tuple(map(tuple, T))),
+             BlochTriple([0, 0, 1], [0, 0, 0], np.eye(3, dtype=int))]
+    made = []
+    for t in [random_triple(rng, rank) for rank in (1, 2, 3, 4)] + given[:1]:
+        made += [canonicalize(t).triple, apply_local_rotations(t, random_rotation(rng), random_rotation(rng))]
+    made.append(canonicalize(BlochTriple(x, y, np.zeros((3, 3)))).triple)  # the T = 0 case
+    prepared = [prepare_state(random_state(rank=rank, rng=rng)).triple for rank in (1, 2, 3, 4)]
+    prepared.append(prepare_state(np.diag([1 + 9e-10, 0.0, -4.5e-10, -4.5e-10])).triple)  # snapped to |x| = 1
+    for t in given + made + prepared:
+        _assert_float_record(t)
+    assert _hex(given[1]._floats[0]) == ["0x1.999999999999ap-4", "-0x0.0p+0", "0x1.3333333333333p-2"]
+    # the stored arrays are copies: mutating the caller's array changes neither them nor the record
+    xs, ts = np.array(x), np.array(T)
+    t = BlochTriple(xs, y, ts)
+    xs[0], ts[1, 1] = 0.9, 0.9
+    assert t.x[0] == 0.1 and t.T[1, 1] == -0.3 and t._floats[0][0] == 0.1 and t._floats[2][1][1] == -0.3
+    with pytest.raises(ValueError):
+        t.x[0] = 0.5
+
+
+def _parent_unit_ball(v: np.ndarray) -> np.ndarray:
+    """The snap of a coherence vector as the numpy formula once wrote it, the oracle of the float one."""
+    norm = math.hypot(*v.tolist())
+    return v / norm if 1 < norm <= 1 + states._NORM_SLACK else v
+
+
+def test_unit_ball_snap_is_the_numpy_formula_bit_for_bit(rng):
+    snapped = 0
+    for k in range(2000):
+        v = rng.standard_normal(3)
+        # |v| just above 1 within the slack, past it, exactly 1 and below
+        scale = 1 + states._NORM_SLACK * (rng.uniform(0, 1.2) if k % 4 else rng.uniform(-1, 0))
+        v = v / np.linalg.norm(v) * scale
+        v[k % 3] = -0.0 if k % 7 == 0 else v[k % 3]
+        expected = _parent_unit_ball(v).tolist()
+        snapped += expected != v.tolist()
+        assert _hex(states._unit_ball(v.tolist())) == _hex(expected)
+    assert snapped > 1000
+
+
+def _trace_deficit_states(rng):
+    # an eigenvalue near -PSD_TOL and a trace below 1: dividing by the trace pushes it under -PSD_TOL
+    yield np.diag([0.5, 0.3, 0.2 - 8e-9, -1e-9])
+    for k in range(200):
+        vals = np.concatenate([rng.dirichlet(np.ones(3)), [-states.PSD_TOL]])
+        vals[:3] *= 1 - rng.uniform(0, 0.9) * states.TRACE_TOL
+        if k % 2:  # exact eigenvalues, shuffled; rotated, rounding moves them by about 1e-17
+            yield np.diag(rng.permutation(vals))
+        else:
+            vals[3] *= rng.uniform(0.5, 1)
+            u = random_unitary(4, rng)
+            yield (u * vals) @ u.conj().T
+
+
+def test_trace_deficit_spectrum_is_the_numpy_formula_bit_for_bit(rng):
+    clamped = 0
+    for rho in _trace_deficit_states(rng):
+        diag = validate(rho)
+        if not diag.ok:
+            continue
+        trace = np.trace(diag.hermitian_part).real
+        spectrum = np.maximum(diag.eigenvalues / trace, -states.PSD_TOL)
+        clamped += bool((diag.eigenvalues / trace < -states.PSD_TOL).any())
+        assert prepare_state(rho).s_ab.hex() == _spectrum_entropy(spectrum.tolist()).hex()
+    assert clamped >= 100
+
+
+@pytest.mark.parametrize("field", ["x", "y", "T"])
+@pytest.mark.parametrize("complex_form", [np.array, list, lambda v: [np.complex128(e) for e in v]])
+def test_bloch_triple_rejects_complex_entries(field, complex_form):
+    parts = {"x": [0.1, 0.0, 0.0], "y": [0.0, 0.2, 0.0], "T": [0.3, 0.0, 0.0]}
+    parts[field] = complex_form([0.1, 1e-3j, 0.0])
+    if field == "T":
+        parts["T"] = [parts["T"], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]]
+    with pytest.raises(ValidationError, match="complex"):
+        BlochTriple(**parts)
+
+
+@pytest.mark.parametrize("rotation", [np.eye(3) + 0j, [[1, 0, 0], [0, 1, 0], [0, 0, 1j]]])
+def test_apply_local_rotations_rejects_complex_rotations(rotation):
+    t = BlochTriple(_zeros3(), _zeros3(), np.zeros((3, 3)))
+    for o1, o2 in ((rotation, np.eye(3)), (np.eye(3), rotation)):
+        with pytest.raises(ValidationError, match="complex"):
+            apply_local_rotations(t, o1, o2)
