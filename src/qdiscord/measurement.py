@@ -72,16 +72,11 @@ class MeasurementDirection:
 
     @property
     def theta(self) -> float:
-        return _polar(self.n)[0]
+        return math.acos(min(max(self.n[2], -1.0), 1.0))
 
     @property
     def phi(self) -> float:
-        return _polar(self.n)[1]
-
-
-def _polar(n) -> tuple[float, float]:
-    """(theta, phi) of a unit vector given as three floats or an array, theta in [0, pi] and phi in [0, 2 pi)."""
-    return math.acos(min(max(n[2], -1.0), 1.0)), math.atan2(n[1], n[0]) % (2 * math.pi)
+        return math.atan2(self.n[1], self.n[0]) % (2 * math.pi)
 
 
 def _unit_from_angles(theta: float, phi: float) -> tuple[float, float, float]:
@@ -153,8 +148,6 @@ def projector_bloch(k: int, direction) -> np.ndarray:
 #: :func:`branches`; from :func:`branches_batch`, views of its stacked rows.
 Branches = namedtuple("Branches", "p0 p1 w1 w2 w3 w4 v_plus v_minus s_plus s_minus")
 
-#: x @ _ONES sums each row of an (N, 3) array in one call
-_ONES = np.ones(3)
 #: +1 and -1 as a column, the signs of the pairs (p0, p1), (x + T n, x - T n) and (w1, w2)
 _SIGNS = np.array([[1.0], [-1.0]])
 
@@ -178,10 +171,9 @@ def _unit_rows(dirs) -> np.ndarray:
     dirs = _as_real(np.asarray(dirs), "directions")
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValidationError(f"directions must be an (N, 3) array, got shape {dirs.shape}")
-    # |n|^2 from entries capped at 2, so none overflows (no inf reaches a matmul either); a nan fails
-    sq = np.square(np.minimum(np.abs(dirs), 2.0)) @ _ONES
-    if not (np.minimum.reduce(sq, initial=1.0) >= 1 - 2 * _UNIT_TOL
-            and np.maximum.reduce(sq, initial=1.0) <= 1 + 2 * _UNIT_TOL):  # |n| within 1e-12 of 1
+    norms = _row_norms(np.minimum(np.abs(dirs), 2.0))  # entries capped at 2, so none overflows; a nan fails
+    if not (np.minimum.reduce(norms, initial=1.0) >= 1 - _UNIT_TOL
+            and np.maximum.reduce(norms, initial=1.0) <= 1 + _UNIT_TOL):
         if not np.logical_and.reduce(np.isfinite(dirs), axis=None):
             raise ValidationError("directions have non-finite entries")
         raise ValidationError("directions must be unit vectors (within 1e-12)")
@@ -305,7 +297,8 @@ def conditional_entropy(t: BlochTriple, direction) -> float:
 def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndarray:
     """Vectorized :func:`conditional_entropy` over an (N, 3) array of unit vectors.
 
-    Any other shape or a non-finite entry raises :class:`ValidationError`.
+    Each row must be a real vector within 1e-12 of unit length; any other
+    row, shape or entry raises :class:`ValidationError`.
     """
     rows = _probabilities_batch(branches_batch(t, directions))
     w = rows[:4]

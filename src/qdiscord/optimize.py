@@ -30,7 +30,6 @@ from .measurement import (
     _dot,
     _lowest_eigenpair,
     _normalized,
-    _polar,
     _probabilities,
     _probabilities_batch,
     _row_norms,
@@ -206,16 +205,17 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
     -tau.A/4 (in bits), so stationary points are exactly where A is parallel
     to n.  The Lagrange scalar of the constrained formulation equals n.A.
     """
-    n = _normalized(direction)
-    return _diagnostics(t, n, _point(t, n, model=False))
+    direction = MeasurementDirection(direction)
+    return _diagnostics(t, direction, _point(t, direction.n.tolist(), model=False))
 
 
-def _diagnostics(t: BlochTriple, n, p: _Point, sign: float = 1.0) -> StationaryDiagnostics:
-    """:func:`stationary_vector` at the unit vector n (three floats) from the record ``p`` of ``sign * n``."""
+def _diagnostics(t: BlochTriple, direction: MeasurementDirection, p: _Point, sign: float = 1.0,
+                 ) -> StationaryDiagnostics:
+    """:func:`stationary_vector` at ``direction`` from the record ``p`` of ``sign * direction.n``."""
     if p.a is None:
         return StationaryDiagnostics(None, None, None, None, None, degenerate=True)
     a, b = (sign * p.a[0], sign * p.a[1], sign * p.a[2]), p.b
-    th, ph = _polar(n)
+    th, ph = direction.theta, direction.phi
     ct, st, cp, sp = math.cos(th), math.sin(th), math.cos(ph), math.sin(ph)
     n_theta, n_phi = (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
     # the Lagrange scalar of A = A_scalar n from its own formula, a check on n.A
@@ -404,8 +404,8 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     each point visited and all that is read there.
     """
     n, p = _descend(t, _normalized(start), _check_tolerance(tolerance))
-    c = _canonical_sign(n)
-    return MeasurementDirection(c), p.f, _diagnostics(t, c, p, 1.0 if c is n else -1.0)
+    direction = MeasurementDirection(c := _canonical_sign(n))
+    return direction, p.f, _diagnostics(t, direction, p, 1.0 if c is n else -1.0)
 
 
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,
@@ -497,7 +497,7 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         n = _canonical_sign(_normalized(axis))
         direction = MeasurementDirection(n)
         method = "closed-form"
-        diagnostics = _diagnostics(t, n, _point(t, n, model=False))
+        diagnostics = _diagnostics(t, direction, _point(t, n, model=False))
         if tie_degenerate:
             diagnostics = replace(diagnostics, degenerate=True)
     else:

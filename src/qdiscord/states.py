@@ -276,8 +276,7 @@ def _require_rotation(o: np.ndarray, name: str) -> np.ndarray:
 
 def apply_local_rotations(t: BlochTriple, o1: np.ndarray, o2: np.ndarray) -> BlochTriple:
     """Local-unitary action on the triple: x -> O1 x, y -> O2 y, T -> O1 T O2^t."""
-    o1 = _require_rotation(o1, "O1")
-    o2 = _require_rotation(o2, "O2")
+    o1, o2 = _require_rotation(o1, "O1"), _require_rotation(o2, "O2")
     return BlochTriple(o1 @ t.x, o2 @ t.y, o1 @ t.T @ o2.T)
 
 

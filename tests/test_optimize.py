@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -345,14 +346,13 @@ def test_one_call_enters_numpy_python_layer_only_for_eigvalsh_and_svd():
         # the start set's pair, np.where's dispatcher and ndarray.sum, once per entropy sum
         "generic": (random_state(rank=4, rng=rng), ["eigvalsh", "svd"] + ["where", "_sum"] * 2),
     }
-    found = {}
-    for name, (rho, _) in cases.items():
+    for name, (rho, expected) in cases.items():
         quantum_discord(rho)  # any first-use work happens outside the count
         reports = []
         _, direct = _numpy_frames(lambda: reports.append(quantum_discord(rho)))
         assert reports[0].method == ("grid+refine" if name == "generic" else "closed-form")
-        found[name] = sorted(direct)
-    assert found == {name: sorted(expected) for name, (_, expected) in cases.items()}
+        # a bound, not a pin: a numpy release that drops a wrapper passes, a new entry from the package fails
+        assert Counter(direct) <= Counter(expected), (name, direct)
 
 
 def test_lattice_neighbours_match_brute_force_adjacency():
