@@ -11,7 +11,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,28 +49,17 @@ class UsageError(Exception):
     """Bad file, flag or range; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    resolution_deg: float = math.degrees(DEFAULT_RESOLUTION)
-    tolerance: float = DEFAULT_TOLERANCE
-    output_format: str = "text"
-    seed: int = 0
-
-    def __post_init__(self):
-        try:
-            _check_resolution(self.resolution_rad)
-        except ValidationError:
-            raise UsageError(f"--resolution must be in [0.5, 22.5] degrees, got {self.resolution_deg}") from None
-        try:
-            _check_tolerance(self.tolerance)
-        except ValidationError as exc:
-            raise UsageError(f"--{exc}") from None
-        if self.seed < 0:
-            raise UsageError(f"--seed must be non-negative, got {self.seed}")
-
-    @property
-    def resolution_rad(self) -> float:
-        return math.radians(self.resolution_deg)
+def _search_settings(args) -> dict:
+    """``--resolution`` (degrees) and ``--tolerance``, checked, as :func:`quantum_discord`'s keyword arguments."""
+    try:
+        resolution = _check_resolution(math.radians(args.resolution))
+    except ValidationError:
+        raise UsageError(f"--resolution must be in [0.5, 22.5] degrees, got {args.resolution}") from None
+    try:
+        tolerance = _check_tolerance(args.tolerance)
+    except ValidationError as exc:
+        raise UsageError(f"--{exc}") from None
+    return {"resolution": resolution, "tolerance": tolerance}
 
 
 def load_state(path: str) -> np.ndarray:
@@ -165,10 +153,9 @@ def _emit_report(report, output_format: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_compute(path: str, config: RunConfig) -> int:
-    rho = load_state(path)
-    report = quantum_discord(rho, resolution=config.resolution_rad, tolerance=config.tolerance)
-    print(_emit_report(report, config.output_format))
+def cmd_compute(path: str, output_format: str, search: dict) -> int:
+    report = quantum_discord(load_state(path), **search)
+    print(_emit_report(report, output_format))
     return EXIT_OK
 
 
@@ -195,8 +182,8 @@ def _parse_range(text: str, name: str) -> list[float]:
     raise UsageError(f"--{name}: expected a number or start:stop:step, got {text!r}")
 
 
-def cmd_scan(family: str, args, config: RunConfig) -> int:
-    if family == "ab":
+def cmd_scan(args, search: dict) -> int:
+    if args.family == "ab":
         if args.a is None or args.b is None:
             raise UsageError("scan ab requires --a and --b (value or start:stop:step)")
         a_values = _parse_range(args.a, "a")
@@ -207,7 +194,7 @@ def cmd_scan(family: str, args, config: RunConfig) -> int:
             states = [(a, b, ab_state(a, b)) for a in a_values for b in b_values]
         except ValidationError as exc:
             raise UsageError(f"scan range leaves the valid (a, b) region: {exc}") from exc
-    elif family == "bell-diagonal":
+    elif args.family == "bell-diagonal":
         if args.ray is None or args.s is None:
             raise UsageError("scan bell-diagonal requires --ray t1,t2,t3 and --s (value or range)")
         try:
@@ -225,10 +212,8 @@ def cmd_scan(family: str, args, config: RunConfig) -> int:
                 raise UsageError(f"s = {s} leaves the Bell-diagonal state set: {exc}") from exc
             states.append((s, 0.0, bell_diagonal_state(t1, t2, t3)))
     else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {family!r}")
-    rows = bound_comparison_scan(states, resolution=config.resolution_rad,
-                                 tolerance=config.tolerance)
-    sys.stdout.write(rows_to_csv(rows))
+        raise UsageError(f"unknown family {args.family!r}")
+    sys.stdout.write(rows_to_csv(bound_comparison_scan(states, **search)))
     return EXIT_OK
 
 
@@ -236,7 +221,7 @@ def cmd_scan(family: str, args, config: RunConfig) -> int:
 # verification suites
 
 
-def suite_identity(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+def suite_identity(n: int, rng: np.random.Generator, search: dict) -> tuple[bool, str]:
     """h4(w) - h2(p0) against the direct average sum_k p_k S(rho_A_k), n states x 50 directions.
 
     A state's 50 directions are one draw of 50 x 3 normals, each row a unit float triple; each goes
@@ -253,7 +238,7 @@ def suite_identity(n: int, rng: np.random.Generator, config: RunConfig) -> tuple
     return worst < 1e-10, f"{n} states x 50 directions, max |h4-h2 vs sum p_k S| = {worst:.3e}"
 
 
-def suite_gradient(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+def suite_gradient(n: int, rng: np.random.Generator, search: dict) -> tuple[bool, str]:
     """Analytic entropy gradients against a Richardson difference at n random points."""
     worst = 0.0
     checked = 0
@@ -286,40 +271,36 @@ def _richardson(f) -> float:
     return (4 * d1 - d2) / 3
 
 
-def bell_diagonal_oracle_error(n: int, rng: np.random.Generator, config: RunConfig) -> float:
+def bell_diagonal_oracle_error(n: int, rng: np.random.Generator, search: dict) -> float:
     """Worst |closed form - grid+refine| discord over n sampled Bell-diagonal states."""
     worst = 0.0
     for _ in range(n):
         t1, t2, t3 = sample_bell_diagonal(rng)
         exact = bell_diagonal_discord(t1, t2, t3).discord
-        numeric = quantum_discord(bell_diagonal_state(t1, t2, t3), fast_path=False,
-                                  resolution=config.resolution_rad,
-                                  tolerance=config.tolerance, with_bounds=False).discord
+        numeric = quantum_discord(bell_diagonal_state(t1, t2, t3), fast_path=False, with_bounds=False,
+                                  **search).discord
         worst = max(worst, abs(exact - numeric))
     return worst
 
 
-def suite_oracle(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+def suite_oracle(n: int, rng: np.random.Generator, search: dict) -> tuple[bool, str]:
     """The optimizer against the closed forms: n/2 Bell-diagonal, the rest kernel-class states."""
-    worst = bell_diagonal_oracle_error(n // 2, rng, config)
+    worst = bell_diagonal_oracle_error(n // 2, rng, search)
     for _ in range(n - n // 2):
         t = sample_kernel_class(rng)
         exact = kernel_class_min_entropy(t.x, t.T)
-        numeric = quantum_discord(matrix_from_triple(t), fast_path=False,
-                                  resolution=config.resolution_rad,
-                                  tolerance=config.tolerance, with_bounds=False)
+        numeric = quantum_discord(matrix_from_triple(t), fast_path=False, with_bounds=False, **search)
         worst = max(worst, abs(exact - numeric.min_conditional_entropy))
     return worst < 1e-6, f"{n} in-class states, max |closed form - optimizer| = {worst:.3e}"
 
 
-def suite_bounds(n: int, rng: np.random.Generator, config: RunConfig) -> tuple[bool, str]:
+def suite_bounds(n: int, rng: np.random.Generator, search: dict) -> tuple[bool, str]:
     """Discord and classical correlation inside their bounds on n random states."""
     violations = 0
     worst = 0.0
     for _ in range(n):
         rho = random_state(rng=rng)
-        report = quantum_discord(rho, resolution=config.resolution_rad,
-                                 tolerance=config.tolerance)
+        report = quantum_discord(rho, **search)
         b = report.bounds
         over = max(report.discord - b.discord_ub, b.classical_lb - report.classical_correlation)
         worst = max(worst, over)
@@ -336,15 +317,16 @@ _SUITES = {
 }
 
 
-def cmd_verify(config: RunConfig, suite: str | None, n: int | None) -> int:
+def cmd_verify(suite: str | None, n: int | None, seed: int, search: dict) -> int:
+    if seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {seed}")
     if n is not None and n < 1:
         raise UsageError(f"--n must be a positive sample count, got {n}")
     names = [suite] if suite else list(_SUITES)
     failed = False
     for name in names:
         fn, default_n = _SUITES[name]
-        rng = np.random.default_rng(config.seed)
-        ok, detail = fn(default_n if n is None else n, rng, config)
+        ok, detail = fn(default_n if n is None else n, np.random.default_rng(seed), search)
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         failed = failed or not ok
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
@@ -355,26 +337,25 @@ def cmd_verify(config: RunConfig, suite: str | None, n: int | None) -> int:
 
 @lru_cache(maxsize=1)  # argparse keeps no state between parses; the tree is built once per process
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--resolution", type=float, default=RunConfig.resolution_deg, metavar="DEG",
+    # the search flags, which compute, scan and the oracle and bounds suites read
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--resolution", type=float, default=math.degrees(DEFAULT_RESOLUTION), metavar="DEG",
                         help="spacing of the start lattice whose local minima seed the refinement, "
-                             f"in degrees (default {RunConfig.resolution_deg:g})")
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="TOL",
-                        help=f"stationarity residual target for refinement (default {DEFAULT_TOLERANCE:g})")
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="output format for compute (default text)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for random-state commands (default 0)")
+                             "in degrees (default %(default)g)")
+    search.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="TOL",
+                        help="stationarity residual target for refinement (default %(default)g)")
 
     parser = argparse.ArgumentParser(prog="qdiscord",
                                      description="Quantum discord of two-qubit states")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compute = sub.add_parser("compute", parents=[common],
+    p_compute = sub.add_parser("compute", parents=[search],
                                help="full correlation report for one state file")
     p_compute.add_argument("file", help="JSON state file with a 'matrix' or 'triple' key")
+    p_compute.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                           help="output format (default text)")
 
-    p_scan = sub.add_parser("scan", parents=[common],
+    p_scan = sub.add_parser("scan", parents=[search],
                             help="discord vs. bounds over a state family (CSV)")
     p_scan.add_argument("family", choices=("ab", "bell-diagonal"))
     p_scan.add_argument("--a", help="a value or start:stop:step")
@@ -382,10 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--ray", help="Bell-diagonal ray t1,t2,t3")
     p_scan.add_argument("--s", help="scale along the ray, value or start:stop:step")
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[search],
                               help="run the numerical property suites")
     p_verify.add_argument("--suite", choices=tuple(_SUITES), default=None)
     p_verify.add_argument("--n", type=int, default=None, help="sample count override")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed of each suite's random draws (default 0)")
 
     return parser
 
@@ -415,13 +397,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        config = RunConfig(resolution_deg=args.resolution, tolerance=args.tolerance,
-                           output_format=args.format, seed=args.seed)
+        search = _search_settings(args)
         if args.command == "compute":
-            return cmd_compute(args.file, config)
+            return cmd_compute(args.file, args.format, search)
         if args.command == "scan":
-            return cmd_scan(args.family, args, config)
-        return cmd_verify(config, args.suite, args.n)
+            return cmd_scan(args, search)
+        return cmd_verify(args.suite, args.n, args.seed, search)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

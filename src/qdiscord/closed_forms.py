@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .entropy import _h_terms, binary_entropy, shannon_entropy
+from .entropy import _as_real, _h_terms, binary_entropy, shannon_entropy
 from .errors import NotAStateError, ValidationError, WrongClassError
 from .states import BlochTriple, CanonicalForm, matrix_from_triple
 
@@ -113,8 +113,7 @@ def kernel_class_min_entropy(x: np.ndarray, T: np.ndarray) -> float:
     ``t_max`` is the largest singular value of T.  Raises
     :class:`WrongClassError` when x is not in the kernel of T^t.
     """
-    x = np.asarray(x, dtype=float)
-    T = np.asarray(T, dtype=float)
+    x, T = _as_real(np.asarray(x), "x"), _as_real(np.asarray(T), "T")
     if not float(np.linalg.norm(T.T @ x)) <= CLASS_TOL:  # a non-finite entry fails too, before the SVD
         raise WrongClassError("x is not in the kernel of T^t")
     t_max = float(np.linalg.svd(T, compute_uv=False)[0]) if np.any(T) else 0.0

@@ -22,6 +22,13 @@ CLAMP_TOL = 1e-9
 HERMITIAN_TOL = 1e-10
 
 
+def _as_real(arr: np.ndarray, name: str) -> np.ndarray:
+    """A numpy array as float (itself if it is one); complex entries raise instead of losing their imaginary part."""
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"{name} has complex entries")
+    return arr.astype(float, copy=False)
+
+
 def _as_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -75,7 +82,7 @@ def shannon_entropy(p) -> float:
     The entries must be at least -1e-9 and sum to 1 within 1e-6; anything
     further off raises :class:`ValidationError`.  They are clipped to [0, 1].
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = np.atleast_1d(_as_real(np.asarray(p), "probability vector"))
     if p.ndim != 1:
         raise ValidationError("probability vector must be one-dimensional")
     if not float(p.min(initial=0.0)) >= -CLAMP_TOL:
@@ -93,6 +100,8 @@ def binary_entropy(x: float) -> float:
     it is clamped to [0, 1] and evaluated in scalar arithmetic, which
     agrees with :func:`shannon_entropy` of the pair ``(x, 1-x)`` to rounding.
     """
+    if type(x) is not float and np.iscomplexobj(x):  # float() would drop the imaginary part or raise TypeError
+        raise ValidationError(f"binary entropy argument {x!r} is complex")
     x = float(x)
     if not -CLAMP_TOL <= x <= 1 + CLAMP_TOL:
         raise ValidationError(f"binary entropy argument {x!r} outside [0, 1]")

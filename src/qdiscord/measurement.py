@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _h_sum, _h_terms
+from .entropy import _as_real, _h_sum, _h_terms
 from .errors import NotAStateError, ValidationError, ZeroProbabilityError
-from .states import PSD_TOL, BlochTriple, _as_real, _qubit_matrix, matrix_from_triple
+from .states import PSD_TOL, BlochTriple, _qubit_matrix, matrix_from_triple
 
 #: probabilities below this are treated as exactly zero branches
 BRANCH_TOL = 1e-12

@@ -236,7 +236,8 @@ def _diagnostics(t: BlochTriple, direction: MeasurementDirection, p: _Point, sig
 def _in_range(name: str, value, low: float, high: float) -> float:
     """``value`` as a float in [low, high]; a ValidationError for any other value, nan or one float() rejects."""
     try:
-        number = float(value)
+        # float() would drop an imaginary part
+        number = math.nan if type(value) is not float and np.iscomplexobj(value) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not low <= number <= high:
@@ -336,7 +337,6 @@ def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tupl
     """
     dirs = _grid(_check_resolution(resolution)).reshape(-1, 3)
     best = MeasurementDirection(dirs[int(np.argmin(conditional_entropy_batch(t, dirs)))])
-    # re-evaluate through the scalar path so refinement starts bit-consistent
     return best, conditional_entropy(t, best)
 
 
@@ -449,15 +449,13 @@ def _closed_form_minimum(state: PreparedState) -> tuple[float, list[float], bool
         return None
     x = canon.triple.x
     _, _, rows = canon.triple._floats
-    mags = [abs(rows[0][0]), abs(rows[1][1]), abs(rows[2][2])]
-    t_max = max(mags)
+    t_max = abs(rows[0][0])  # the canonical diagonal descends in magnitude
     # y = 0, T^T x = 0 in each family; x @ x stays numpy's, whose fused multiply-adds the reported minimum carries
     min_s = binary_entropy((1 + math.sqrt(float(x @ x) + t_max * t_max)) / 2)
     if t_max <= CLASS_TOL:
         # flat landscape: every direction is optimal, report theta = 0
         return min_s, [0.0, 0.0, 1.0], True
-    degenerate = sum(m >= t_max - 1e-12 for m in mags) > 1
-    return min_s, canon.rotation_b[mags.index(t_max)].tolist(), degenerate  # O2^T applied to that axis
+    return min_s, canon.rotation_b[0].tolist(), abs(rows[1][1]) >= t_max - 1e-12  # O2^T applied to that axis
 
 
 def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFAULT_RESOLUTION,

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import _spectrum_entropy, binary_entropy
+from .entropy import _as_real, _spectrum_entropy, binary_entropy
 from .errors import NotAStateError, ValidationError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,13 +46,8 @@ _NORM_SLACK = 2 * (TRACE_TOL + 4 * PSD_TOL)
 _MAX_ENTRY = 1e100
 
 _ROTATION_TOL = 1e-10
-
-
-def _as_real(arr: np.ndarray, name: str) -> np.ndarray:
-    """A numpy array as float (itself if it is one); complex entries raise instead of losing their imaginary part."""
-    if arr.dtype.kind == "c":
-        raise ValidationError(f"{name} has complex entries")
-    return arr.astype(float, copy=False)
+#: the most |x| and |y| of a BlochTriple may be
+_NORM_BOUND = 1 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class BlochTriple:
             if not all(map(math.isfinite, entries)):
                 raise ValidationError(f"{name} has non-finite entries")
             # hypot, unlike sqrt(v . v), does not overflow on entries beyond 1e154
-            if name != "T" and (norm := math.hypot(*values)) > 1 + 1e-9:
+            if name != "T" and (norm := math.hypot(*values)) > _NORM_BOUND:
                 raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -274,10 +269,17 @@ def _require_rotation(o: np.ndarray, name: str) -> np.ndarray:
     return o
 
 
+def _rotated(o: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """O v; where rounding carries it past the norm bound (a rotation keeps |v|), scaled back just inside."""
+    w = o @ v
+    norm = math.hypot(*w.tolist())
+    return w * (_NORM_BOUND * (1 - 1e-15) / norm) if norm > _NORM_BOUND else w
+
+
 def apply_local_rotations(t: BlochTriple, o1: np.ndarray, o2: np.ndarray) -> BlochTriple:
     """Local-unitary action on the triple: x -> O1 x, y -> O2 y, T -> O1 T O2^t."""
     o1, o2 = _require_rotation(o1, "O1"), _require_rotation(o2, "O2")
-    return BlochTriple(o1 @ t.x, o2 @ t.y, o1 @ t.T @ o2.T)
+    return BlochTriple(_rotated(o1, t.x), _rotated(o2, t.y), o1 @ t.T @ o2.T)
 
 
 def canonicalize(t: BlochTriple) -> CanonicalForm:
@@ -299,7 +301,7 @@ def canonicalize(t: BlochTriple) -> CanonicalForm:
             o[2] = [-h, -i, -k]
             d[2] = -d[2]
     o1, o2 = map(np.array, rows)
-    triple = BlochTriple(o1 @ t.x, o2 @ t.y, ((d[0], 0.0, 0.0), (0.0, d[1], 0.0), (0.0, 0.0, d[2])))
+    triple = BlochTriple(_rotated(o1, t.x), _rotated(o2, t.y), ((d[0], 0.0, 0.0), (0.0, d[1], 0.0), (0.0, 0.0, d[2])))
     return CanonicalForm(triple, o1, o2)
 
 

@@ -26,7 +26,6 @@ from qdiscord import (
     von_neumann_entropy,
 )
 from qdiscord.cli import (
-    RunConfig,
     bell_diagonal_oracle_error,
     suite_bounds,
     suite_gradient,
@@ -43,7 +42,7 @@ def test_criterion_1_central_identity():
     # h4(w) - h2(p0) equals sum_k p_k S(rho_A_k) on 1000 states x 50 directions
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
-    ok, detail = suite_identity(1000, rng, RunConfig())
+    ok, detail = suite_identity(1000, rng, {})
     elapsed = time.perf_counter() - start
     _report("criterion 1 (conditional-entropy identity)", ok,
             f"{detail} in {elapsed:.1f}s (target <10s)")
@@ -51,7 +50,7 @@ def test_criterion_1_central_identity():
 
 def test_criterion_2_bell_diagonal_oracle():
     rng = np.random.default_rng(1002)
-    worst = bell_diagonal_oracle_error(200, rng, RunConfig())
+    worst = bell_diagonal_oracle_error(200, rng, {})
     bell = quantum_discord(bell_diagonal_state(1, -1, 1), with_bounds=False).discord
     mixed = quantum_discord(np.eye(4) / 4, with_bounds=False).discord
     ok = worst < 1e-6 and abs(bell - 1) <= 1e-9 and abs(mixed) <= 1e-9
@@ -130,7 +129,7 @@ def test_criterion_6_stationarity():
         assert not report.diagnostics.degenerate
         worst_residual = max(worst_residual, report.diagnostics.residual)
 
-    gradients_ok, gradients = suite_gradient(100, rng, RunConfig())
+    gradients_ok, gradients = suite_gradient(100, rng, {})
     ok = worst_residual <= 1e-7 and gradients_ok
     _report("criterion 6 (stationarity and gradients)", ok,
             f"max residual at minima = {worst_residual:.3e}; {gradients}")
@@ -168,7 +167,7 @@ def test_criterion_7_symmetries():
 
 def test_criterion_8_theorem_validity():
     rng = np.random.default_rng(1008)
-    valid, validity = suite_bounds(500, rng, RunConfig())
+    valid, validity = suite_bounds(500, rng, {})
     worst_gap = 0.0
     for _ in range(50):
         rho = matrix_from_triple(sample_kernel_class(rng))

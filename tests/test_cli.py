@@ -181,11 +181,39 @@ def test_compute_non_finite_matrix_exits_3(tmp_path, capsys, value):
 
 
 def test_resolution_default_is_the_library_default():
-    from qdiscord.cli import RunConfig, _build_parser
-    from qdiscord.optimize import DEFAULT_RESOLUTION
+    from qdiscord.cli import _build_parser, _search_settings
+    from qdiscord.optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE
 
-    args = _build_parser().parse_args(["compute", "state.json"])
-    assert RunConfig(resolution_deg=args.resolution).resolution_rad == DEFAULT_RESOLUTION
+    for argv in (["compute", "state.json"], ["scan", "ab"], ["verify"]):
+        search = _search_settings(_build_parser().parse_args(argv))
+        assert search == {"resolution": DEFAULT_RESOLUTION, "tolerance": DEFAULT_TOLERANCE}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(bell_file, capsys):
+    import argparse
+
+    from qdiscord.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(f for a in p._actions for f in a.option_strings if f not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "compute": ["--format", "--resolution", "--tolerance"],
+        "scan": ["--a", "--b", "--ray", "--resolution", "--s", "--tolerance"],
+        "verify": ["--n", "--resolution", "--seed", "--suite", "--tolerance"],
+    }
+    for argv in (["scan", "ab", "--a", "0.2", "--b", "0", "--format", "json"],
+                 ["scan", "ab", "--a", "0.2", "--b", "0", "--seed", "1"],
+                 ["compute", bell_file, "--seed", "3"],
+                 ["verify", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["scan", "ab", "--a", "0.2", "--b", "0", "--resolution", "5", "--tolerance", "1e-10"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+    assert main(["verify", "--suite", "oracle", "--n", "2", "--resolution", "5", "--tolerance", "1e-10"]) == 0
+    assert capsys.readouterr().out.startswith("oracle: PASS")
 
 
 def test_bad_config_exits_2(bell_file, capsys):

@@ -136,6 +136,14 @@ def test_kernel_class_example_value():
     assert got == pytest.approx(0.5827831343002603, abs=1e-12)
 
 
+@pytest.mark.parametrize("x, T", [(np.array([0, 0, 0.5 + 1j]), np.zeros((3, 3))), ([0, 0, 0.5 + 1j], np.zeros((3, 3))),
+                                  (np.zeros(3), np.diag([0.5 + 1j, 0.0, 0.0]))])
+def test_kernel_class_rejects_complex_entries(x, T):
+    # the cast to float dropped the imaginary part: 0.8113 for x = (0, 0, 0.5 + 1j)
+    with pytest.raises(ValidationError, match="complex"):
+        kernel_class_min_entropy(x, T)
+
+
 def test_kernel_class_rejects_wrong_class():
     with pytest.raises(WrongClassError):
         kernel_class_min_entropy(np.array([0.3, 0, 0]), np.diag([0.6, 0.3, 0.0]))

@@ -74,6 +74,9 @@ def test_shannon_entropy_rejects_bad_input():
     for p in ([math.nan, 1.0], [0.5, 0.5, math.nan]):
         with pytest.raises(ValidationError):
             shannon_entropy(p)
+    for p in (np.array([0.5 + 1j, 0.5]), [0.5 + 1j, 0.5]):  # the cast to float dropped 1j
+        with pytest.raises(ValidationError, match="complex"):
+            shannon_entropy(p)
 
 
 def test_shannon_entropy_clamps_tiny_negatives():
@@ -123,6 +126,9 @@ def test_binary_entropy_values():
 def test_binary_entropy_domain():
     for x in (-0.01, -1.1e-9, 1 + 1.1e-9, 1.01, math.nan):
         with pytest.raises(ValidationError):
+            binary_entropy(x)
+    for x in (np.complex128(0.3), 0.3 + 0j, np.array(0.3 + 0j)):
+        with pytest.raises(ValidationError, match="complex"):
             binary_entropy(x)
 
 

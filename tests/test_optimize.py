@@ -631,7 +631,8 @@ def test_refinement_leaves_saddles_and_maxima():
         assert abs(value - oracle) <= 1e-12
 
 
-@pytest.mark.parametrize("tolerance", [1.0, 2e-3, 1e-13, 0.0, -1.0, math.nan, math.inf, "abc", None])
+@pytest.mark.parametrize("tolerance", [1.0, 2e-3, 1e-13, 0.0, -1.0, math.nan, math.inf, "abc", None,
+                                       np.complex128(1e-9), 1e-9 + 0j])
 def test_bad_tolerance_is_a_validation_error(tolerance):
     rho = random_state(rng=3)
     t = triple_from_matrix(rho)

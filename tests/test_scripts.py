@@ -80,6 +80,6 @@ def test_report_digest_repeats_between_runs():
     args = ("--generic", "6", "--closed-form", "4", "--a", "0:0.2:0.1", "--b=-0.1:0.1:0.1", "--verify-n", "2")
     first, second = _run("report_digest.py", *args), _run("report_digest.py", *args)
     lines = first.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["reports", "scan", "verify"]
+    assert [line.split()[0] for line in lines] == ["reports", "scan", "verify", "compute"]
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert second.stdout == first.stdout

@@ -257,6 +257,35 @@ def test_canonicalize_properties(rng):
         assert np.linalg.norm(c.triple.y) == pytest.approx(np.linalg.norm(t.y), abs=1e-10)
 
 
+def _on_the_norm_bound(rng) -> np.ndarray:
+    # a random direction, stretched until one more float step would pass BlochTriple's |v| <= 1 + 1e-9
+    v = rng.standard_normal(3)
+    v *= (1 + 1e-9) / np.linalg.norm(v)
+    while math.hypot(*v) > 1 + 1e-9:
+        v = np.nextafter(v, 0)
+    while math.hypot(*(w := np.nextafter(v, 2 * v))) <= 1 + 1e-9:
+        v = w
+    return v
+
+
+def test_rotations_take_every_triple_blochtriple_accepts(rng):
+    # rounding in O x carried a vector on the bound just past it, and the rotated triple raised
+    for _ in range(200):
+        t = BlochTriple(_on_the_norm_bound(rng), _on_the_norm_bound(rng), 0.1 * rng.standard_normal((3, 3)))
+        c = canonicalize(t)
+        r1, r2 = random_rotation(rng), random_rotation(rng)
+        turned = apply_local_rotations(t, r1, r2)
+        for out, o1, o2 in ((c.triple, c.rotation_a, c.rotation_b), (turned, r1, r2)):
+            assert np.max(np.abs(out.x - o1 @ t.x)) <= 3e-15 and np.max(np.abs(out.y - o2 @ t.y)) <= 3e-15
+    for _ in range(50):  # inside the bound, the rotated vectors keep numpy's bits
+        t = random_triple(rng)
+        c = canonicalize(t)
+        r1, r2 = random_rotation(rng), random_rotation(rng)
+        turned = apply_local_rotations(t, r1, r2)
+        for out, o1, o2 in ((c.triple, c.rotation_a, c.rotation_b), (turned, r1, r2)):
+            assert out.x.tobytes() == (o1 @ t.x).tobytes() and out.y.tobytes() == (o2 @ t.y).tobytes()
+
+
 def test_canonicalize_zero_correlation():
     t = BlochTriple(np.array([0.2, 0.1, 0]), np.array([0, 0.3, 0]), np.zeros((3, 3)))
     c = canonicalize(t)
