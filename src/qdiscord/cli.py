@@ -205,12 +205,10 @@ def cmd_scan(args, search: dict) -> int:
             raise UsageError(f"--ray must have three finite components, got {args.ray!r}")
         states = []
         for s in _parse_range(args.s, "s"):
-            t1, t2, t3 = (s * ray).tolist()
             try:
-                bell_diagonal_discord(t1, t2, t3)  # region check
+                states.append((s, 0.0, bell_diagonal_state(*(s * ray).tolist())))
             except NotAStateError as exc:
                 raise UsageError(f"s = {s} leaves the Bell-diagonal state set: {exc}") from exc
-            states.append((s, 0.0, bell_diagonal_state(t1, t2, t3)))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown family {args.family!r}")
     sys.stdout.write(rows_to_csv(bound_comparison_scan(states, **search)))

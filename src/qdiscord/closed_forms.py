@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .entropy import _as_real, _h_terms, binary_entropy, shannon_entropy
+from .entropy import _as_real, _h_terms, _real_scalar, binary_entropy, shannon_entropy
 from .errors import NotAStateError, ValidationError, WrongClassError
 from .states import BlochTriple, CanonicalForm, matrix_from_triple
 
@@ -67,16 +67,25 @@ def classify(c: CanonicalForm) -> ClassTag:
 
 
 def _bell_diagonal_mus(t1: float, t2: float, t3: float) -> np.ndarray:
-    return np.array([
+    """The eigenvalues of the Bell-diagonal state.
+
+    A t that is not a real number raises ValidationError, a point outside the tetrahedron NotAStateError.
+    """
+    t1, t2, t3 = map(_real_scalar, (t1, t2, t3), ("t1", "t2", "t3"))
+    mus = np.array([
         (1 + t1 + t2 - t3) / 4,
         (1 - t1 - t2 - t3) / 4,
         (1 + t1 - t2 + t3) / 4,
         (1 - t1 + t2 + t3) / 4,
     ])
+    if not float(mus.min()) >= -1e-9:
+        raise NotAStateError(f"(t1,t2,t3)=({t1},{t2},{t3}) lies outside the state tetrahedron")
+    return mus
 
 
 def bell_diagonal_state(t1: float, t2: float, t3: float) -> np.ndarray:
-    """Density matrix with x = y = 0 and T = diag(t1, t2, t3)."""
+    """Density matrix with x = y = 0 and T = diag(t1, t2, t3); a non-state point raises NotAStateError."""
+    _bell_diagonal_mus(t1, t2, t3)
     return matrix_from_triple(BlochTriple(np.zeros(3), np.zeros(3), np.diag([t1, t2, t3])))
 
 
@@ -96,8 +105,6 @@ def bell_diagonal_discord(t1: float, t2: float, t3: float) -> BellDiagonalDiscor
     smallest index and flagged degenerate).
     """
     mus = _bell_diagonal_mus(t1, t2, t3)
-    if not float(mus.min()) >= -1e-9:
-        raise NotAStateError(f"(t1,t2,t3)=({t1},{t2},{t3}) lies outside the state tetrahedron")
     mags = np.abs([t1, t2, t3])
     t_max = float(mags.max())
     axis = int(mags.argmax())
@@ -127,6 +134,7 @@ def x_subclass_discord(t1: float, t2: float, x3: float) -> float:
     Requires |t1| >= |t2|.  The joint eigenvalues are
     (1 +- sqrt((t1 + t2)^2 + x3^2))/4 and (1 +- sqrt((t1 - t2)^2 + x3^2))/4.
     """
+    t1, t2, x3 = map(_real_scalar, (t1, t2, x3), ("t1", "t2", "x3"))
     if not abs(t1) >= abs(t2) - 1e-12:
         raise WrongClassError(f"|t1| >= |t2| required, got |{t1}| < |{t2}|")
     sp = math.hypot(t1 + t2, x3)
@@ -149,8 +157,9 @@ class ABState:
     b: float
 
     def __post_init__(self):
-        if not (-1e-12 <= self.a <= 1 + 1e-12 and abs(self.b) <= 1 - self.a + 1e-12):
-            raise ValidationError(f"(a, b) = ({self.a}, {self.b}) outside the valid region")
+        a, b = _real_scalar(self.a, "a"), _real_scalar(self.b, "b")
+        if not (-1e-12 <= a <= 1 + 1e-12 and abs(b) <= 1 - a + 1e-12):
+            raise ValidationError(f"(a, b) = ({a}, {b}) outside the valid region")
 
 
 def ab_state(a: float, b: float) -> np.ndarray:

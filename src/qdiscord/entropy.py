@@ -29,6 +29,17 @@ def _as_real(arr: np.ndarray, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _real_scalar(value, name: str) -> float:
+    """A real number as a float; a complex one, a string or one float() rejects raises ValidationError instead."""
+    try:
+        # float() would drop an imaginary part, and parse a string
+        if type(value) is float or not (isinstance(value, (str, bytes)) or np.iscomplexobj(value)):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be a real, not complex, number; got {value!r}")
+
+
 def _as_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -100,9 +111,7 @@ def binary_entropy(x: float) -> float:
     it is clamped to [0, 1] and evaluated in scalar arithmetic, which
     agrees with :func:`shannon_entropy` of the pair ``(x, 1-x)`` to rounding.
     """
-    if type(x) is not float and np.iscomplexobj(x):  # float() would drop the imaginary part or raise TypeError
-        raise ValidationError(f"binary entropy argument {x!r} is complex")
-    x = float(x)
+    x = _real_scalar(x, "binary entropy argument")
     if not -CLAMP_TOL <= x <= 1 + CLAMP_TOL:
         raise ValidationError(f"binary entropy argument {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _as_real, _h_sum, _h_terms
+from .entropy import _as_real, _h_sum, _h_terms, _real_scalar
 from .errors import NotAStateError, ValidationError, ZeroProbabilityError
 from .states import PSD_TOL, BlochTriple, _qubit_matrix, matrix_from_triple
 
@@ -72,11 +72,16 @@ class MeasurementDirection:
 
     @property
     def theta(self) -> float:
-        return math.acos(min(max(self.n[2], -1.0), 1.0))
+        return _polar(self.n)[0]
 
     @property
     def phi(self) -> float:
-        return math.atan2(self.n[1], self.n[0]) % (2 * math.pi)
+        return _polar(self.n)[1]
+
+
+def _polar(n) -> tuple[float, float]:
+    """(theta, phi) of a unit vector, three floats or an array: theta in [0, pi], phi in [0, 2 pi)."""
+    return math.acos(min(max(n[2], -1.0), 1.0)), math.atan2(n[1], n[0]) % (2 * math.pi)
 
 
 def _unit_from_angles(theta: float, phi: float) -> tuple[float, float, float]:
@@ -86,7 +91,10 @@ def _unit_from_angles(theta: float, phi: float) -> tuple[float, float, float]:
 
 
 def direction_from_angles(theta: float, phi: float) -> MeasurementDirection:
-    """Direction (sin t cos p, sin t sin p, cos t) from polar angles."""
+    """Direction (sin t cos p, sin t sin p, cos t) from real, finite polar angles, else ValidationError."""
+    theta, phi = _real_scalar(theta, "theta"), _real_scalar(phi, "phi")
+    if not (math.isfinite(theta) and math.isfinite(phi)):  # sin and cos raise ValueError on inf
+        raise ValidationError(f"angles must be finite, got ({theta!r}, {phi!r})")
     return MeasurementDirection(_unit_from_angles(theta, phi))
 
 

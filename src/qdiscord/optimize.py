@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import BoundReport, ScanRow, theorem1_bounds
 from .closed_forms import CLASS_TOL, classify
-from .entropy import binary_entropy
+from .entropy import _real_scalar, binary_entropy
 from .errors import ValidationError
 from .measurement import (
     BRANCH_TOL,
@@ -30,6 +30,7 @@ from .measurement import (
     _dot,
     _lowest_eigenpair,
     _normalized,
+    _polar,
     _probabilities,
     _probabilities_batch,
     _row_norms,
@@ -205,17 +206,20 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
     -tau.A/4 (in bits), so stationary points are exactly where A is parallel
     to n.  The Lagrange scalar of the constrained formulation equals n.A.
     """
-    direction = MeasurementDirection(direction)
-    return _diagnostics(t, direction, _point(t, direction.n.tolist(), model=False))
+    n = _normalized(direction)
+    return _diagnostics(t, n, _point(t, n, model=False))
 
 
-def _diagnostics(t: BlochTriple, direction: MeasurementDirection, p: _Point, sign: float = 1.0,
+def _diagnostics(t: BlochTriple, n, p: _Point, sign: float = 1.0, degenerate: bool = False,
                  ) -> StationaryDiagnostics:
-    """:func:`stationary_vector` at ``direction`` from the record ``p`` of ``sign * direction.n``."""
+    """:func:`stationary_vector` at the unit vector n (three floats) from the record ``p`` of ``sign * n``.
+
+    ``degenerate`` flags a tied optimum; a point where A is undefined is flagged in any case.
+    """
     if p.a is None:
         return StationaryDiagnostics(None, None, None, None, None, degenerate=True)
     a, b = (sign * p.a[0], sign * p.a[1], sign * p.a[2]), p.b
-    th, ph = direction.theta, direction.phi
+    th, ph = _polar(n)
     ct, st, cp, sp = math.cos(th), math.sin(th), math.cos(ph), math.sin(ph)
     n_theta, n_phi = (ct * cp, ct * sp, -st), (-st * sp, st * cp, 0.0)
     # the Lagrange scalar of A = A_scalar n from its own formula, a check on n.A
@@ -230,17 +234,13 @@ def _diagnostics(t: BlochTriple, direction: MeasurementDirection, p: _Point, sig
         residual=p.resid,
         grad_theta=-0.25 * _dot(n_theta, a),
         grad_phi=-0.25 * _dot(n_phi, a),
+        degenerate=degenerate,
     )
 
 
 def _in_range(name: str, value, low: float, high: float) -> float:
-    """``value`` as a float in [low, high]; a ValidationError for any other value, nan or one float() rejects."""
-    try:
-        # float() would drop an imaginary part
-        number = math.nan if type(value) is not float and np.iscomplexobj(value) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not low <= number <= high:
+    """``value`` as a float in [low, high]; a ValidationError for any other value, nan or one that is not real."""
+    if not low <= (number := _real_scalar(value, name)) <= high:
         raise ValidationError(f"{name} must be in [{low!r}, {high!r}], got {value!r}")
     return number
 
@@ -405,7 +405,7 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     """
     n, p = _descend(t, _normalized(start), _check_tolerance(tolerance))
     direction = MeasurementDirection(c := _canonical_sign(n))
-    return direction, p.f, _diagnostics(t, direction, p, 1.0 if c is n else -1.0)
+    return direction, p.f, _diagnostics(t, c, p, 1.0 if c is n else -1.0)
 
 
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,
@@ -440,22 +440,24 @@ def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, toleran
     return min((refine_minimum(t, dirs[i].tolist(), tolerance=tolerance) for i in starts), key=lambda found: found[1])
 
 
-def _closed_form_minimum(state: PreparedState) -> tuple[float, list[float], bool] | None:
-    """(min S(A|n), optimal direction as three floats, tie flag) for a pure state or a solvable class, else None."""
-    if state.s_ab <= PURE_STATE_TOL:  # pure state: S(A|n) = 0 for every direction, report theta = 0
-        return 0.0, [0.0, 0.0, 1.0], True
-    canon = state.canonical  # one SVD serves the class check, the search's start axes and the bounds
-    if not classify(canon).kind.has_closed_form:
-        return None
-    x = canon.triple.x
-    _, _, rows = canon.triple._floats
-    t_max = abs(rows[0][0])  # the canonical diagonal descends in magnitude
-    # y = 0, T^T x = 0 in each family; x @ x stays numpy's, whose fused multiply-adds the reported minimum carries
-    min_s = binary_entropy((1 + math.sqrt(float(x @ x) + t_max * t_max)) / 2)
-    if t_max <= CLASS_TOL:
-        # flat landscape: every direction is optimal, report theta = 0
-        return min_s, [0.0, 0.0, 1.0], True
-    return min_s, canon.rotation_b[0].tolist(), abs(rows[1][1]) >= t_max - 1e-12  # O2^T applied to that axis
+def _closed_form_minimum(state: PreparedState) -> tuple[MeasurementDirection, float, StationaryDiagnostics] | None:
+    """(optimal direction, min S(A|n), diagnostics) for a pure state or a solvable class, else None."""
+    axis, tie = [0.0, 0.0, 1.0], True  # where every direction is optimal, report theta = 0
+    if state.s_ab <= PURE_STATE_TOL:  # pure state: S(A|n) = 0 for every direction
+        min_s = 0.0
+    else:
+        canon = state.canonical  # one SVD serves the class check, the search's start axes and the bounds
+        if not classify(canon).kind.has_closed_form:
+            return None
+        x = canon.triple.x
+        _, _, rows = canon.triple._floats
+        t_max = abs(rows[0][0])  # the canonical diagonal descends in magnitude
+        # y = 0, T^T x = 0 in each family; x @ x stays numpy's, whose fused multiply-adds the reported minimum carries
+        min_s = binary_entropy((1 + math.sqrt(float(x @ x) + t_max * t_max)) / 2)
+        if t_max > CLASS_TOL:  # else a flat landscape
+            axis, tie = canon.rotation_b[0].tolist(), abs(rows[1][1]) >= t_max - 1e-12  # O2^T applied to that axis
+    t, n = state.triple, _canonical_sign(_normalized(axis))
+    return MeasurementDirection(n), min_s, _diagnostics(t, n, _point(t, n, model=False), degenerate=tie)
 
 
 def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFAULT_RESOLUTION,
@@ -488,19 +490,9 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
     """
     tolerance = _check_tolerance(tolerance)
     state = prepare_state(rho)
-    t = state.triple
-    closed_form = _closed_form_minimum(state) if fast_path else None
-    if closed_form is not None:
-        min_s, axis, tie_degenerate = closed_form
-        n = _canonical_sign(_normalized(axis))
-        direction = MeasurementDirection(n)
-        method = "closed-form"
-        diagnostics = _diagnostics(t, direction, _point(t, n, model=False))
-        if tie_degenerate:
-            diagnostics = replace(diagnostics, degenerate=True)
-    else:
-        direction, min_s, diagnostics = _multistart(t, state.canonical, resolution, tolerance)
-        method = "grid+refine"
+    found = _closed_form_minimum(state) if fast_path else None
+    method = "grid+refine" if found is None else "closed-form"
+    direction, min_s, diagnostics = found or _multistart(state.triple, state.canonical, resolution, tolerance)
 
     # 0 <= J <= I, which the PSD slack of an accepted matrix can break by rounding
     mutual = state.mutual_information

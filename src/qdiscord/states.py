@@ -50,6 +50,14 @@ _ROTATION_TOL = 1e-10
 _NORM_BOUND = 1 + 1e-9
 
 
+def _checked_norm(name: str, v) -> float:
+    """|v| of a coherence vector given as three finite floats; past the norm bound a ValidationError."""
+    # hypot, unlike sqrt(v . v), does not overflow on entries beyond 1e154
+    if (norm := math.hypot(*v)) > _NORM_BOUND:
+        raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
+    return norm
+
+
 @dataclass(frozen=True)
 class BlochTriple:
     """Hilbert-Schmidt parametrization of a two-qubit state.
@@ -69,20 +77,32 @@ class BlochTriple:
     def __post_init__(self):
         floats = []  # (x, y, rows of T) as floats for the scalar kernels; not a field
         for name, kind in (("x", "3-vector"), ("y", "3-vector"), ("T", "3x3 matrix")):
-            arr = _as_real(np.array(getattr(self, name)), name)  # a copy the caller cannot mutate
+            arr = _as_real(np.asarray(getattr(self, name)), name)
             if arr.shape != ((3, 3) if name == "T" else (3,)):
                 raise ValidationError(f"{name} must be a real {kind}, got shape {arr.shape}")
             values = arr.tolist()
             entries = values[0] + values[1] + values[2] if name == "T" else values
             if not all(map(math.isfinite, entries)):
                 raise ValidationError(f"{name} has non-finite entries")
-            # hypot, unlike sqrt(v . v), does not overflow on entries beyond 1e154
-            if name != "T" and (norm := math.hypot(*values)) > _NORM_BOUND:
-                raise ValidationError(f"|{name}| = {norm!r} exceeds 1")
+            if name != "T":
+                _checked_norm(name, values)
+            floats.append(tuple(map(tuple, values)) if name == "T" else tuple(values))
+        self._store(*floats)
+
+    @classmethod
+    def _of(cls, x: tuple, y: tuple, rows: tuple) -> BlochTriple:
+        """A triple from checked floats: x, y and T's rows as tuples of finite floats, |x|, |y| in bound; no check."""
+        t = object.__new__(cls)
+        t._store(x, y, rows)
+        return t
+
+    def _store(self, x: tuple, y: tuple, rows: tuple) -> None:
+        # the float record, and read-only arrays made from it that the caller cannot mutate
+        for name, values in (("x", x), ("y", y), ("T", rows)):
+            arr = np.array(values)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-            floats.append(tuple(map(tuple, values)) if name == "T" else tuple(values))
-        object.__setattr__(self, "_floats", tuple(floats))
+        object.__setattr__(self, "_floats", (x, y, rows))
 
     @cached_property
     def _tx(self):
@@ -203,13 +223,26 @@ def marginals(t: BlochTriple) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PreparedState:
-    """A validated unit-trace state, its triple and its entropies S(A), S(B), S(AB) in bits."""
+    """A validated unit-trace state and its triple; its entropies S(A), S(B), S(AB) in bits are taken on first use."""
 
     rho: np.ndarray
     triple: BlochTriple
-    s_a: float
-    s_b: float
-    s_ab: float
+    _norms: tuple[float, float] = field(repr=False)  # |x| and |y|
+    _spectrum: tuple[np.ndarray, float] = field(repr=False)  # validate's eigenvalues and the trace they divide by
+
+    @cached_property
+    def s_a(self) -> float:
+        return binary_entropy((1 + self._norms[0]) / 2)
+
+    @cached_property
+    def s_b(self) -> float:
+        return binary_entropy((1 + self._norms[1]) / 2)
+
+    @cached_property
+    def s_ab(self) -> float:
+        eigenvalues, trace = self._spectrum
+        # an accepted eigenvalue is at least -PSD_TOL, which only the division can have pushed lower
+        return _spectrum_entropy([max(v / trace, -PSD_TOL) for v in eigenvalues.tolist()])
 
     @property
     def mutual_information(self) -> float:
@@ -223,19 +256,17 @@ class PreparedState:
 
 
 def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
-    """Validate a 4x4 density matrix once and derive its triple and entropies (a record passes through).
+    """Validate a 4x4 density matrix once and derive its triple (a record passes through).
 
     This is the one place a matrix is validated and its triple extracted
     (:func:`triple_from_matrix` returns this triple).  The matrix is divided
-    by its trace, and the triple is its Pauli traces.  S(rho_AB) comes from
-    the eigenvalues :func:`validate` took, divided by the trace (one that a
-    trace below 1 pushes under -1e-9 snaps back to -1e-9, as the coherence
-    vectors snap back to the unit ball); S(rho_A) and S(rho_B) come from the
-    triple, as h2((1 + |x|)/2) and h2((1 + |y|)/2), the entropies of the
-    marginals (I + x.sigma)/2 and (I + y.sigma)/2.  Their smaller
-    eigenvalue (1 - |x|)/2 follows :func:`~qdiscord.entropy.von_neumann_entropy`'s
-    rule: a value in [-1e-9, 0) snaps to 0, and :class:`BlochTriple`
-    guarantees none lies lower.  A matrix :func:`validate` rejects raises
+    by its trace, and the triple is its Pauli traces.  The entropies, taken
+    on first use, are S(rho_AB) from the eigenvalues :func:`validate` took,
+    divided by the trace (one that a trace below 1 pushes under -1e-9 snaps
+    back to -1e-9, as the coherence vectors snap back to the unit ball), and
+    S(rho_A) = h2((1 + |x|)/2), S(rho_B) = h2((1 + |y|)/2), whose smaller
+    eigenvalue (1 - |x|)/2 lies no lower than -1e-9 by :class:`BlochTriple`'s
+    norm bound, checked here.  A matrix :func:`validate` rejects raises
     :class:`NotAStateError`.
     """
     if isinstance(rho, PreparedState):
@@ -246,11 +277,11 @@ def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     trace = float(diag.hermitian_part.trace().real)
     rho = diag.hermitian_part / trace
     pauli = (rho.reshape(16) @ _PAULI_TRACES).real.tolist()  # tr(rho P_k): x, y, then T row by row
-    t = BlochTriple(_unit_ball(pauli[:3]), _unit_ball(pauli[3:6]), (pauli[6:9], pauli[9:12], pauli[12:]))
-    s_a, s_b = (binary_entropy((1 + math.hypot(*v)) / 2) for v in t._floats[:2])
-    # an accepted eigenvalue is at least -PSD_TOL, which only the division can have pushed lower
-    spectrum = [max(v / trace, -PSD_TOL) for v in diag.eigenvalues.tolist()]
-    return PreparedState(rho, t, s_a, s_b, _spectrum_entropy(spectrum))
+    # finite, as validate's matrix is; only the norm bound is left to check
+    x, y = tuple(_unit_ball(pauli[:3])), tuple(_unit_ball(pauli[3:6]))
+    norms = _checked_norm("x", x), _checked_norm("y", y)
+    t = BlochTriple._of(x, y, (tuple(pauli[6:9]), tuple(pauli[9:12]), tuple(pauli[12:])))
+    return PreparedState(rho, t, norms, (diag.eigenvalues, trace))
 
 
 def mutual_information(rho: np.ndarray | PreparedState) -> float:
@@ -269,11 +300,11 @@ def _require_rotation(o: np.ndarray, name: str) -> np.ndarray:
     return o
 
 
-def _rotated(o: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """O v; where rounding carries it past the norm bound (a rotation keeps |v|), scaled back just inside."""
-    w = o @ v
-    norm = math.hypot(*w.tolist())
-    return w * (_NORM_BOUND * (1 - 1e-15) / norm) if norm > _NORM_BOUND else w
+def _rotated(o: np.ndarray, v: np.ndarray) -> tuple[float, ...]:
+    """O v as floats; where rounding carries it past the norm bound (a rotation keeps |v|), scaled back just inside."""
+    w = (o @ v).tolist()
+    norm = math.hypot(*w)
+    return tuple(c * (_NORM_BOUND * (1 - 1e-15) / norm) for c in w) if norm > _NORM_BOUND else tuple(w)
 
 
 def apply_local_rotations(t: BlochTriple, o1: np.ndarray, o2: np.ndarray) -> BlochTriple:
@@ -292,7 +323,7 @@ def canonicalize(t: BlochTriple) -> CanonicalForm:
     allowing negative diagonal entries.
     """
     if not any(map(any, t._floats[2])):
-        return CanonicalForm(BlochTriple(t.x, t.y, np.zeros((3, 3))), np.eye(3), np.eye(3))
+        return CanonicalForm(BlochTriple._of(*t._floats[:2], ((0.0, 0.0, 0.0),) * 3), np.eye(3), np.eye(3))
     u, s, vt = np.linalg.svd(t.T)
     d, rows = s.tolist(), (u.T.tolist(), vt.tolist())
     for o in rows:
@@ -301,7 +332,9 @@ def canonicalize(t: BlochTriple) -> CanonicalForm:
             o[2] = [-h, -i, -k]
             d[2] = -d[2]
     o1, o2 = map(np.array, rows)
-    triple = BlochTriple(_rotated(o1, t.x), _rotated(o2, t.y), ((d[0], 0.0, 0.0), (0.0, d[1], 0.0), (0.0, 0.0, d[2])))
+    # a rotation keeps |x| and |y| within the bound, and _rotated keeps the rounding within it
+    diagonal = (d[0], 0.0, 0.0), (0.0, d[1], 0.0), (0.0, 0.0, d[2])
+    triple = BlochTriple._of(_rotated(o1, t.x), _rotated(o2, t.y), diagonal)
     return CanonicalForm(triple, o1, o2)
 
 
@@ -339,7 +372,7 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
     O_ij = Re tr(sigma_i U sigma_j U^dag) / 2; the global phase of U drops out.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - _I2)) > 1e-10:
+    if u.shape != (2, 2) or not np.isfinite(u).all() or np.max(np.abs(u @ u.conj().T - _I2)) > 1e-10:
         raise ValidationError("expected a 2x2 unitary")
     upu = u @ PAULIS @ u.conj().T
     return np.einsum("iab,jba->ij", PAULIS, upu).real / 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,29 @@ def test_x_subclass_matches_optimizer():
     rho = matrix_from_triple(triple)
     numeric = quantum_discord(rho, fast_path=False, with_bounds=False).discord
     assert numeric == pytest.approx(x_subclass_discord(t1, t2, x3), abs=1e-6)
+
+
+@pytest.mark.parametrize("z", [np.complex128(0.1 + 0.01j), np.complex128(0.1), 0.1 + 0.01j, 0.1 + 0j, "0.1"])
+@pytest.mark.parametrize("call", [lambda z: ab_q(z, 0.1), lambda z: ab_discord(0.3, z), lambda z: ab_state(z, 0),
+                                  lambda z: x_subclass_discord(0.3, z, 0.1), lambda z: x_subclass_discord(0.3, 0.1, z),
+                                  lambda z: bell_diagonal_discord(z, 0.1, 0.1), lambda z: bell_diagonal_state(0.1, 0, z)])
+def test_scalar_closed_forms_reject_complex_and_string_parameters(call, z):
+    # np.complex128 passed the range checks: ab_q returned (0.6238-2.1699j), x_subclass_discord
+    # dropped the imaginary part with a ComplexWarning; a Python complex or a string raised TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="complex"):
+            call(z)
+
+
+@pytest.mark.parametrize("t", [(2.0, 0, 0), (0.9, 0.2, 0.1), (1, 1, 1), (math.nan, 0, 0), (0.1, 0.1, math.inf)])
+def test_bell_diagonal_state_rejects_points_outside_the_tetrahedron(t):
+    # (2, 0, 0) gave a matrix with eigenvalue -0.25; bell_diagonal_discord's rule now holds for both
+    with pytest.raises(NotAStateError, match="tetrahedron"):
+        bell_diagonal_state(*t)
+    with pytest.raises(NotAStateError, match="tetrahedron"):
+        bell_diagonal_discord(*t)
+    assert validate(bell_diagonal_state(1, -1, 1)).ok  # the corners are states
 
 
 def test_x_subclass_ordering_precondition():

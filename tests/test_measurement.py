@@ -56,6 +56,14 @@ def test_direction_normalizes():
     assert abs(np.linalg.norm(d.n) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("angles", [(math.inf, 0.0), (0.3, -math.inf), (math.nan, 0.0), (0.3, math.nan),
+                                    (np.complex128(0.3 + 1j), 0.0), (0.3, 0.2 + 0j)])
+def test_direction_from_angles_rejects_non_finite_and_complex_angles(angles):
+    # inf leaked math's ValueError (domain error), a complex angle TypeError or a ComplexWarning
+    with pytest.raises(ValidationError, match="finite|complex"):
+        direction_from_angles(*angles)
+
+
 @pytest.mark.parametrize("n", [[np.nan, 0, 0], [0, np.nan, 1], [np.inf, 0, 0], [0, 0, -np.inf]])
 def test_direction_rejects_non_finite_entries(n):
     with pytest.raises(ValidationError, match="non-finite"):

@@ -910,6 +910,26 @@ def test_one_call_takes_one_svd(monkeypatch, rng):
         assert len(calls) == 1
 
 
+def test_a_closed_form_call_validates_no_triple(monkeypatch, rng):
+    # the matrix is validated once; the prepared and canonical triples are made from checked floats
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rhos = [u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T,
+            u @ matrix_from_triple(sample_kernel_class(rng)) @ u.conj().T,
+            bell_diagonal_state(0.5, -0.5, 0.5),  # a tie
+            np.eye(4) / 4,  # T = 0
+            np.outer(psi, psi.conj()) / np.vdot(psi, psi).real]  # pure
+    calls = []
+    post_init = BlochTriple.__post_init__
+    monkeypatch.setattr(BlochTriple, "__post_init__", lambda self: calls.append(1) or post_init(self))
+    for rho in rhos:
+        assert quantum_discord(rho).method == "closed-form"
+    assert calls == []
+    assert quantum_discord(random_state(rng=rng)).method == "grid+refine" and calls == []
+    BlochTriple(np.zeros(3), np.zeros(3), np.eye(3))  # the public constructor still runs its checks
+    assert calls == [1]
+
+
 def test_one_call_makes_no_eigh_det_or_norm_call(monkeypatch, rng):
     # past validate's eigvalsh and canonicalize's svd, a call runs on floats:
     # rank-0 bounds (Bell-diagonal, kernel class), rank 1 (ab family, pure) and rank 2

@@ -25,7 +25,7 @@ from qdiscord import (
     von_neumann_entropy,
 )
 from qdiscord import states
-from qdiscord.entropy import _spectrum_entropy
+from qdiscord.entropy import _spectrum_entropy, binary_entropy
 from qdiscord.states import prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
@@ -464,6 +464,52 @@ def test_the_float_record_is_the_stored_arrays_bit_for_bit(rng):
         t.x[0] = 0.5
 
 
+def _assert_same_triple(a, b):
+    """Equal arrays and float records, bit for bit (-0.0 included), both read-only."""
+    for name in ("x", "y", "T"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert getattr(a, name).dtype == getattr(b, name).dtype == np.float64
+        assert getattr(a, name).shape == getattr(b, name).shape
+    assert _hex(a._floats) == _hex(b._floats)
+    _assert_float_record(a)
+    _assert_float_record(b)
+
+
+def test_the_private_constructor_is_the_public_one_bit_for_bit(rng):
+    x, y, T = (0.1, -0.0, 0.3), (0.0, -0.2, -0.0), ((0.5, -0.0, 0.0), (0.0, -0.3, 0.0), (-0.0, 0.0, 0.1))
+    triples = [BlochTriple(x, y, T), BlochTriple(x, y, np.zeros((3, 3))), BlochTriple(x, y, -np.zeros((3, 3)))]
+    for rank in (1, 2, 3, 4):
+        for _ in range(25):
+            t = random_triple(rng, rank)
+            triples += [t, apply_local_rotations(t, random_rotation(rng), random_rotation(rng))]
+    for t in triples:
+        _assert_same_triple(BlochTriple._of(*t._floats), BlochTriple(t.x, t.y, t.T))
+        # the triples made without checks: canonicalize's (the T = 0 case included) and prepare_state's
+        canonical = canonicalize(t).triple
+        _assert_same_triple(canonical, BlochTriple(canonical.x, canonical.y, canonical.T))
+        prepared = prepare_state(matrix_from_triple(t)).triple
+        _assert_same_triple(prepared, BlochTriple(prepared.x, prepared.y, prepared.T))
+    zero_t = canonicalize(triples[2]).triple  # T = -0 is zero: the caller's x and y, and a +0.0 diagonal
+    assert _hex(zero_t._floats[:2]) == _hex((x, y)) and _hex(zero_t._floats[2]) == [["0x0.0p+0"] * 3] * 3
+
+
+def test_triple_from_matrix_takes_no_entropy(monkeypatch, rng):
+    calls = []
+    for name in ("binary_entropy", "_spectrum_entropy"):
+        original = getattr(states, name)
+        monkeypatch.setattr(states, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    rho = random_state(rng=rng)
+    triple_from_matrix(rho)
+    assert calls == []
+    state = prepare_state(rho)
+    # taken on first use, once each, with the values of their formulas
+    s = [state.s_a, state.s_b, state.s_ab, state.s_a, state.mutual_information]
+    assert sorted(calls) == ["_spectrum_entropy", "binary_entropy", "binary_entropy"]
+    x, y = state.triple._floats[:2]
+    assert s[0] == binary_entropy((1 + math.hypot(*x)) / 2) and s[1] == binary_entropy((1 + math.hypot(*y)) / 2)
+    assert s[2] == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+
+
 def _parent_unit_ball(v: np.ndarray) -> np.ndarray:
     """The snap of a coherence vector as the numpy formula once wrote it, the oracle of the float one."""
     norm = math.hypot(*v.tolist())
@@ -509,6 +555,13 @@ def test_trace_deficit_spectrum_is_the_numpy_formula_bit_for_bit(rng):
         clamped += bool((diag.eigenvalues / trace < -states.PSD_TOL).any())
         assert prepare_state(rho).s_ab.hex() == _spectrum_entropy(spectrum.tolist()).hex()
     assert clamped >= 100
+
+
+@pytest.mark.parametrize("u", [np.full((2, 2), np.nan), np.array([[np.nan, 0], [0, 1]]), np.diag([np.inf, 1.0])])
+def test_bloch_rotation_rejects_non_finite_matrices(u):
+    # a nan deviation from unitarity passed the old "> 1e-10" test and gave a nan rotation
+    with pytest.raises(ValidationError, match="unitary"):
+        bloch_rotation(u)
 
 
 @pytest.mark.parametrize("field", ["x", "y", "T"])
