@@ -105,19 +105,19 @@ def _tied_axis(span) -> tuple[float, float, float]:
             return tuple(sum(c * e[i] for c, e in zip(coords, span)) / r for i in range(3))
 
 
-def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, float, float]]:
-    """:func:`t0_squared` and the dimension of :func:`perp_subspace`, on floats: (t0^2, dimension, e0 up to sign).
+def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, float, float], bool, float]:
+    """(t0^2, dimension, e0 up to sign, tie, bound): :func:`t0_squared` and :func:`perp_subspace` on floats.
 
-    The singular values of [a, y] with a = T^t x come from s1 s2 = |a x y| and
-    s1^2 + s2^2 = |a|^2 + |y|^2 and are counted with :func:`_rank_tol`, as in perp_subspace.
-    Rank 2: the complement is the line of a x y.  Rank 1: it is the tangent
-    plane of the top left singular vector, where the projected form is a 2x2.
-    Rank 0: it is the whole space, and t0^2 = d_0^2 = |T e|^2 with e the first
-    row of the canonical ``rotation_b``, which is e0.  Ties follow
-    :func:`t0_squared`'s rule.
+    ``tie`` says whether the top eigenvalue tied (by :func:`t0_squared`'s rule), ``bound`` is
+    h2((1 + sqrt(|x|^2 + t0^2))/2).  The singular values of [a, y] with a = T^t x come from
+    s1 s2 = |a x y| and s1^2 + s2^2 = |a|^2 + |y|^2 and are counted with :func:`_rank_tol`, as
+    in perp_subspace.  Rank 2: the complement is the line of a x y.  Rank 1: it is the tangent
+    plane of the top left singular vector, where the projected form is a 2x2.  Rank 0: it is the
+    whole space, and t0^2 = d_0^2 = |T e|^2 with e the first row of the canonical ``rotation_b``,
+    which is e0; the bound is then the minimum itself.
     """
     t = state.triple
-    _, y, rows = t._floats
+    x, y, rows = t._floats
     a = t._tx
     normal = _cross(a, y)
     aa, ay, yy, cross = _dot(a, a), _dot(a, y), _dot(y, y), math.sqrt(_dot(normal, normal))
@@ -126,10 +126,10 @@ def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, 
     s2 = cross / s1 if s1 > 0 else 0.0
     tol = _rank_tol(t)
     if s2 > tol:
-        e = (normal[0] / cross, normal[1] / cross, normal[2] / cross)
-        te = [_dot(row, e) for row in rows]
-        return _dot(te, te), 1, e
-    if s1 > tol:
+        e0 = (normal[0] / cross, normal[1] / cross, normal[2] / cross)
+        te = [_dot(row, e0) for row in rows]
+        t0sq, dim, tied = _dot(te, te), 1, False
+    elif s1 > tol:
         # the top left singular vector of [a, y] is [a, y] c for the top eigenvector c of its Gram matrix
         _, (ca, cy) = _lowest_eigenpair(-aa, -ay, -yy)
         m = [ca * p + cy * q for p, q in zip(a, y)]
@@ -138,17 +138,21 @@ def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, 
         tu, tv = [_dot(row, u) for row in rows], [_dot(row, v) for row in rows]
         huu, huv, hvv = _dot(tu, tu), _dot(tu, tv), _dot(tv, tv)
         low, (cu, cv) = _lowest_eigenpair(-huu, -huv, -hvv)
-        top = max(-low, 0.0)
-        if huu + hvv - top >= top - _TIE_TOL:
-            return top, 2, _tied_axis((u, v))
-        return top, 2, tuple(cu * p + cv * q for p, q in zip(u, v))
-    canon = state.canonical
-    _, _, diagonal = canon.triple._floats
-    squares = [diagonal[j][j] * diagonal[j][j] for j in range(3)]
-    axes = canon.rotation_b.tolist()
-    tied = [axes[j] for j in range(3) if squares[j] >= squares[0] - _TIE_TOL]
-    te = [_dot(row, axes[0]) for row in rows]  # d_0^2 as |T e|^2, rounded from T's entries rather than from d_0
-    return _dot(te, te), 3, _tied_axis(tied) if len(tied) > 1 else tuple(axes[0])
+        t0sq, dim = max(-low, 0.0), 2
+        tied = huu + hvv - t0sq >= t0sq - _TIE_TOL
+        e0 = _tied_axis((u, v)) if tied else tuple(cu * p + cv * q for p, q in zip(u, v))
+    else:
+        canon = state.canonical
+        _, _, diagonal = canon.triple._floats
+        squares = [diagonal[j][j] * diagonal[j][j] for j in range(3)]
+        axes = canon.rotation_b.tolist()
+        top = [axes[j] for j in range(3) if squares[j] >= squares[0] - _TIE_TOL]
+        te = [_dot(row, axes[0]) for row in rows]  # d_0^2 as |T e|^2, rounded from T's entries rather than from d_0
+        t0sq, dim, tied = _dot(te, te), 3, len(top) > 1
+        e0 = _tied_axis(top) if tied else tuple(axes[0])
+    # |x|^2 + t0^2 <= 1 on states; one that validate accepts with an eigenvalue
+    # down to -PSD_TOL can exceed 1 by a few 1e-9, past binary_entropy's clamp
+    return t0sq, dim, e0, tied, binary_entropy((1 + math.sqrt(min(_dot(x, x) + t0sq, 1.0))) / 2)
 
 
 def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = None) -> BoundReport:
@@ -160,12 +164,7 @@ def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = Non
     order to fill the ``saturated`` flag.
     """
     state = prepare_state(rho)
-    t0sq, perp_dim, e0 = _restricted_maximum(state)
-    x = state.triple._floats[0]
-    # |x|^2 + t0^2 <= 1 on states; one that validate accepts with an eigenvalue
-    # down to -PSD_TOL can exceed 1 by a few 1e-9, past binary_entropy's clamp
-    r2 = min(_dot(x, x) + t0sq, 1.0)
-    cond_ub = binary_entropy((1 + math.sqrt(r2)) / 2)
+    t0sq, perp_dim, e0, _, cond_ub = state._restricted
     discord_ub = state.s_b - state.s_ab + cond_ub
     if discord is None:
         from .optimize import quantum_discord

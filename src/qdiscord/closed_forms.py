@@ -1,9 +1,9 @@
 """Closed-form discord results for the exactly solvable state families.
 
-These serve both as fast paths in the optimizer and as independent test
-oracles for it.  The solvable families all have y = 0 and x in the kernel
-of T^t in the diagonal-T frame, where the conditioned entropy collapses to
-a binary entropy whose minimum is known in closed form.
+These are independent test oracles of the optimizer, which finds these
+families by the bounds' rank rule.  They all have y = 0 and x in the kernel
+of T^t in the diagonal-T frame, where the conditioned entropy collapses to a
+binary entropy whose minimum is known in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .entropy import _as_real, _h_terms, _real_scalar, binary_entropy, shannon_e
 from .errors import NotAStateError, ValidationError, WrongClassError
 from .states import BlochTriple, CanonicalForm, matrix_from_triple
 
-#: class predicates must hold to this tolerance to fire a fast path
+#: class predicates of :func:`classify` and :func:`kernel_class_min_entropy` hold to this tolerance
 CLASS_TOL = 1e-10
 
 
@@ -32,10 +32,6 @@ class StateKind(Enum):
     KERNEL_CLASS = "kernel-class"
     AB_FAMILY = "ab-family"
     GENERIC = "generic"
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self not in (StateKind.AB_FAMILY, StateKind.GENERIC)
 
 
 @dataclass(frozen=True)

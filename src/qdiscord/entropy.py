@@ -30,14 +30,14 @@ def _as_real(arr: np.ndarray, name: str) -> np.ndarray:
 
 
 def _real_scalar(value, name: str) -> float:
-    """A real number as a float; a complex one, a string or one float() rejects raises ValidationError instead."""
+    """A real number as a float; a bool, a complex one, a string or what float() rejects raises ValidationError."""
     try:
-        # float() would drop an imaginary part, and parse a string
-        if type(value) is float or not (isinstance(value, (str, bytes)) or np.iscomplexobj(value)):
+        # float() would take a bool as 0 or 1, drop an imaginary part, and parse a string
+        if type(value) is float or not (isinstance(value, (str, bytes)) or np.asarray(value).dtype.kind in "bc"):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValidationError(f"{name} must be a real, not complex, number; got {value!r}")
+    raise ValidationError(f"{name} must be a real number, not a bool, complex or string; got {value!r}")
 
 
 def _as_hermitian(m: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ The pipeline is: a coarse hemisphere lattice scan seeded with the state's
 own axes (the n -> -n symmetry halves the sphere), saddle-free Newton
 refinement of the stationarity condition A || n from every plateau of
 lattice-local minima, and assembly of mutual information, classical
-correlation and discord.  Pure states and states whose canonical form
-lands in a solvable family skip the search and use a closed form.
+correlation and discord.  Pure states and states with T^t x = y = 0, as the
+bounds' rank rule decides, skip the search: there the bound is the minimum.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .bounds import BoundReport, ScanRow, theorem1_bounds
-from .closed_forms import CLASS_TOL, classify
-from .entropy import _real_scalar, binary_entropy
+from .entropy import _real_scalar
 from .errors import ValidationError
 from .measurement import (
     BRANCH_TOL,
@@ -43,7 +42,7 @@ from .measurement import (
 from .states import BlochTriple, CanonicalForm, PreparedState, canonicalize, prepare_state
 
 # Unused here; kept bound because the benchmark trace (perfbench/spans.py) wraps them.
-from .closed_forms import kernel_class_min_entropy  # noqa: F401
+from .closed_forms import classify, kernel_class_min_entropy  # noqa: F401
 from .entropy import von_neumann_entropy  # noqa: F401
 from .states import reduced_states, triple_from_matrix  # noqa: F401
 
@@ -441,22 +440,14 @@ def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, toleran
 
 
 def _closed_form_minimum(state: PreparedState) -> tuple[MeasurementDirection, float, StationaryDiagnostics] | None:
-    """(optimal direction, min S(A|n), diagnostics) for a pure state or a solvable class, else None."""
-    axis, tie = [0.0, 0.0, 1.0], True  # where every direction is optimal, report theta = 0
+    """(optimal direction, min S(A|n), diagnostics) for a pure state or one with T^t x = y = 0, else None."""
     if state.s_ab <= PURE_STATE_TOL:  # pure state: S(A|n) = 0 for every direction
-        min_s = 0.0
+        axis, min_s, tie = (0.0, 0.0, 1.0), 0.0, True  # where every direction is optimal, report theta = 0
     else:
-        canon = state.canonical  # one SVD serves the class check, the search's start axes and the bounds
-        if not classify(canon).kind.has_closed_form:
+        _, dim, axis, tie, min_s = state._restricted
+        if dim < 3:  # dimension 3: the bounds' rank rule finds T^t x = y = 0, so their bound is the minimum
             return None
-        x = canon.triple.x
-        _, _, rows = canon.triple._floats
-        t_max = abs(rows[0][0])  # the canonical diagonal descends in magnitude
-        # y = 0, T^T x = 0 in each family; x @ x stays numpy's, whose fused multiply-adds the reported minimum carries
-        min_s = binary_entropy((1 + math.sqrt(float(x @ x) + t_max * t_max)) / 2)
-        if t_max > CLASS_TOL:  # else a flat landscape
-            axis, tie = canon.rotation_b[0].tolist(), abs(rows[1][1]) >= t_max - 1e-12  # O2^T applied to that axis
-    t, n = state.triple, _canonical_sign(_normalized(axis))
+    t, n = state.triple, _canonical_sign(axis)
     return MeasurementDirection(n), min_s, _diagnostics(t, n, _point(t, n, model=False), degenerate=tie)
 
 
@@ -476,10 +467,10 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
     tolerance :
         Stationarity residual at which refinement stops, in [1e-12, 1e-3].
     fast_path :
-        Use the closed forms for pure states (``min_s = 0``) and when the
-        canonical form lands in a solvable family; disable to force the
-        multi-start search, reported as grid+refine (e.g. to cross-check
-        oracles).
+        Skip the search for pure states (``min_s = 0``) and where the bounds'
+        rank rule finds T^t x = y = 0, whose bound (value, e0 and tie flag)
+        is then the minimum; disable to force the multi-start search,
+        reported as grid+refine (e.g. to cross-check oracles).
     with_bounds :
         Attach the correlation bounds to the report.
 

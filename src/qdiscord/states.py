@@ -254,6 +254,11 @@ class PreparedState:
         """:func:`canonicalize` of the triple, taken on first use and then shared; not a field."""
         return canonicalize(self.triple)
 
+    @cached_property
+    def _restricted(self):
+        # the bounds' restricted maximum, taken on first use: it routes quantum_discord and fills its bounds
+        return bounds._restricted_maximum(self)
+
 
 def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
     """Validate a 4x4 density matrix once and derive its triple (a record passes through).
@@ -338,6 +343,13 @@ def canonicalize(t: BlochTriple) -> CanonicalForm:
     return CanonicalForm(triple, o1, o2)
 
 
+def _count(name: str, value, most: float) -> int:
+    """``value`` if it is an int or numpy integer, not a bool, in 1..most; else a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 1 <= value <= most:
+        raise ValidationError(f"{name} must be an integer in 1..{most}, got {value!r}")
+    return value
+
+
 def random_state(rank: int | None = None, rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Sample a random two-qubit density matrix of the given rank.
 
@@ -348,16 +360,15 @@ def random_state(rank: int | None = None, rng: np.random.Generator | int | None 
     an int seed) for reproducible output.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    rank = 4 if rank is None else rank
-    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)) or not 1 <= rank <= 4:
-        raise ValidationError(f"rank must be an integer in 1..4, got {rank!r}")
+    rank = _count("rank", 4 if rank is None else rank, 4)
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
 def random_unitary(dim: int = 2, rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix with phase fix."""
+    """Haar-random unitary via QR of a complex Ginibre matrix with phase fix; any ``dim`` but an integer >= 1 raises."""
+    dim = _count("dim", dim, math.inf)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
@@ -376,3 +387,6 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
         raise ValidationError("expected a 2x2 unitary")
     upu = u @ PAULIS @ u.conj().T
     return np.einsum("iab,jba->ij", PAULIS, upu).real / 2
+
+
+from . import bounds  # noqa: E402  (bound last: bounds imports this module, and the package imports bounds first)

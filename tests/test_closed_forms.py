@@ -22,13 +22,15 @@ from qdiscord import (
     kernel_class_min_entropy,
     matrix_from_triple,
     quantum_discord,
+    random_unitary,
     sample_bell_diagonal,
     sample_kernel_class,
     triple_from_matrix,
     validate,
     x_subclass_discord,
 )
-from qdiscord.closed_forms import CLASS_TOL
+from qdiscord.bounds import _rank_tol, _restricted_maximum
+from qdiscord.states import prepare_state
 
 Z3 = np.zeros(3)
 
@@ -172,13 +174,15 @@ def test_x_subclass_matches_optimizer():
     assert numeric == pytest.approx(x_subclass_discord(t1, t2, x3), abs=1e-6)
 
 
-@pytest.mark.parametrize("z", [np.complex128(0.1 + 0.01j), np.complex128(0.1), 0.1 + 0.01j, 0.1 + 0j, "0.1"])
+@pytest.mark.parametrize("z", [np.complex128(0.1 + 0.01j), np.complex128(0.1), 0.1 + 0.01j, 0.1 + 0j, "0.1",
+                               True, np.True_])
 @pytest.mark.parametrize("call", [lambda z: ab_q(z, 0.1), lambda z: ab_discord(0.3, z), lambda z: ab_state(z, 0),
                                   lambda z: x_subclass_discord(0.3, z, 0.1), lambda z: x_subclass_discord(0.3, 0.1, z),
                                   lambda z: bell_diagonal_discord(z, 0.1, 0.1), lambda z: bell_diagonal_state(0.1, 0, z)])
 def test_scalar_closed_forms_reject_complex_and_string_parameters(call, z):
     # np.complex128 passed the range checks: ab_q returned (0.6238-2.1699j), x_subclass_discord
-    # dropped the imaginary part with a ComplexWarning; a Python complex or a string raised TypeError
+    # dropped the imaginary part with a ComplexWarning; a Python complex or a string raised TypeError;
+    # a bool counted as 0 or 1 (ab_q(True, 0) returned 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="complex"):
@@ -320,33 +324,59 @@ def test_fast_path_agrees_with_grid(rng):
         assert fast.discord == pytest.approx(slow.discord, abs=1e-6)
 
 
-#: an interior member of each solvable family, in the canonical frame
+def test_rank_zero_reports_are_the_bound(rng):
+    # the closed form took |d0| from the canonical diagonal, x.x from numpy and its own tie rule
+    # |d1| >= |d0| - 1e-12: its min S left the bound's in the last bits on 768 of 2,000 such states,
+    # and on the near-tie below it reported degenerate=False 31.8 degrees from e0
+    unitaries = np.random.default_rng(5)
+    u = np.kron(random_unitary(2, unitaries), random_unitary(2, unitaries))
+    states = [u @ bell_diagonal_state(0.3, 0.3 - 1.3e-12, 0.1) @ u.conj().T]
+    for k in range(500):
+        rho = bell_diagonal_state(*sample_bell_diagonal(rng)) if k % 2 else matrix_from_triple(sample_kernel_class(rng))
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        states.append(u @ rho @ u.conj().T)
+    for rho in states:
+        report = quantum_discord(rho)
+        assert report.method == "closed-form" and report.bounds.perp_dim == 3
+        assert report.min_conditional_entropy == report.bounds.cond_entropy_ub
+        assert np.array_equal(report.optimal_direction.n, report.bounds.e0.n)
+        assert report.diagnostics.degenerate == _restricted_maximum(prepare_state(rho))[3]  # the bound's tie flag
+    assert quantum_discord(states[0]).diagnostics.degenerate
+
+
+#: an interior member of each solvable family, in the canonical frame, and a Bell-diagonal
+#: one with |T|_F > 1, where the rank tolerance 1e-10 |T|_F exceeds classify's 1e-10
 _CLASS_MEMBERS = {
-    StateKind.BELL_DIAGONAL: (Z3, [0.6, -0.3, 0.2]),
-    StateKind.X_SUBCLASS: ([0.0, 0.0, 0.3], [0.5, 0.3, 0.0]),
-    StateKind.ZERO_DISCORD_AXIAL: ([0.0, 0.3, 0.2], [0.4, 0.0, 0.0]),
-    StateKind.ZERO_DISCORD_UNCORRELATED: ([0.2, -0.1, 0.3], Z3),
-    StateKind.KERNEL_CLASS: ([0.0, 0.0, 0.3], [0.5, 0.3, 2e-10]),  # t3 just past X_SUBCLASS
+    "bell-diagonal": (StateKind.BELL_DIAGONAL, Z3, [0.6, -0.3, 0.2]),
+    "x-subclass": (StateKind.X_SUBCLASS, [0.0, 0.0, 0.3], [0.5, 0.3, 0.0]),
+    "zero-discord-axial": (StateKind.ZERO_DISCORD_AXIAL, [0.0, 0.3, 0.2], [0.4, 0.0, 0.0]),
+    "zero-discord-uncorrelated": (StateKind.ZERO_DISCORD_UNCORRELATED, [0.2, -0.1, 0.3], Z3),
+    "kernel-class": (StateKind.KERNEL_CLASS, [0.0, 0.0, 0.3], [0.5, 0.3, 2e-10]),  # t3 just past X_SUBCLASS
+    "bell-diagonal-large-T": (StateKind.BELL_DIAGONAL, Z3, [0.8, -0.5, 0.4]),
 }
 
 
-@pytest.mark.parametrize("kind", list(_CLASS_MEMBERS), ids=lambda k: k.value)
-def test_fast_path_is_continuous_across_the_class_tolerance(kind):
-    x, d = (np.asarray(v, float) for v in _CLASS_MEMBERS[kind])
+@pytest.mark.parametrize("member", list(_CLASS_MEMBERS))
+def test_fast_path_is_continuous_across_the_class_tolerance(member):
+    # the class of the fast path is rank 0 under the bounds' rank rule; the sweep straddles its tolerance
+    kind, x, d = _CLASS_MEMBERS[member]
+    x, d = np.asarray(x, float), np.asarray(d, float)
     assert classify(_canon(x, Z3, np.diag(d))).kind is kind
+    tol = _rank_tol(BlochTriple(x, Z3, np.diag(d)))  # the perturbations below keep |x|, |y| < 1
     k = int(np.argmax(np.abs(d)))
     distances = np.logspace(-12, -6, 7)
     sides = 0
-    for size in np.concatenate((CLASS_TOL - distances[distances < CLASS_TOL], CLASS_TOL + distances)):
+    for size in np.concatenate((tol - distances[distances < tol], tol + distances)):
         # |y| = size breaks y = 0; an x step along the largest t_k breaks T^t x = 0 by size
         perturbed = [(x, np.full(3, size / math.sqrt(3)))]
         if d[k]:
             perturbed.append((x + size / abs(d[k]) * np.eye(3)[k], Z3))
         for px, py in perturbed:
             rho = matrix_from_triple(BlochTriple(px, py, np.diag(d)))
-            fast = quantum_discord(rho, with_bounds=False)
+            fast = quantum_discord(rho)
             slow = quantum_discord(rho, fast_path=False, with_bounds=False)
             assert slow.method == "grid+refine"
+            assert (fast.method == "closed-form") == (fast.bounds.perp_dim == 3)  # the route is the rank rule
             assert fast.discord == pytest.approx(slow.discord, abs=1e-6), (size, px, py)
             sides |= 1 << (fast.method == "closed-form")
     assert sides == 3  # both routes were compared

@@ -127,7 +127,7 @@ def test_binary_entropy_domain():
     for x in (-0.01, -1.1e-9, 1 + 1.1e-9, 1.01, math.nan):
         with pytest.raises(ValidationError):
             binary_entropy(x)
-    for x in (np.complex128(0.3), 0.3 + 0j, np.array(0.3 + 0j)):
+    for x in (np.complex128(0.3), 0.3 + 0j, np.array(0.3 + 0j), True, np.False_, np.array(True)):  # True gave 0.0
         with pytest.raises(ValidationError, match="complex"):
             binary_entropy(x)
 

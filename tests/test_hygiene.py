@@ -68,9 +68,11 @@ def test_every_private_module_name_is_referenced():
 #: primitives with one home each: the -v log2 v sums live in entropy.py (the
 #: stationarity vector's log-ratios in optimize.py), the Pauli matrices and
 #: their Kronecker products in states.py, the branch weights w = (2 p +- s)/4
-#: in measurement.py, so that no fused kernel forks the one branch kernel
+#: in measurement.py, so that no fused kernel forks the one branch kernel, and
+#: the class tolerance in closed_forms.py, so that the route of quantum_discord
+#: reads the bounds' rank rule and no second class rule
 PRIMITIVE_HOMES = {"log2": {"entropy.py", "optimize.py"}, "np.kron": {"states.py"}, "PAULIS": {"states.py"},
-                   "2 * p0": {"measurement.py"}}
+                   "2 * p0": {"measurement.py"}, "CLASS_TOL": {"closed_forms.py"}}
 
 
 def test_each_primitive_is_defined_in_its_home_module_only():

@@ -57,9 +57,9 @@ def test_direction_normalizes():
 
 
 @pytest.mark.parametrize("angles", [(math.inf, 0.0), (0.3, -math.inf), (math.nan, 0.0), (0.3, math.nan),
-                                    (np.complex128(0.3 + 1j), 0.0), (0.3, 0.2 + 0j)])
+                                    (np.complex128(0.3 + 1j), 0.0), (0.3, 0.2 + 0j), (np.True_, 0.0), (0.3, True)])
 def test_direction_from_angles_rejects_non_finite_and_complex_angles(angles):
-    # inf leaked math's ValueError (domain error), a complex angle TypeError or a ComplexWarning
+    # inf leaked math's ValueError (domain error), a complex angle TypeError or a ComplexWarning; a bool was an angle
     with pytest.raises(ValidationError, match="finite|complex"):
         direction_from_angles(*angles)
 

@@ -36,7 +36,7 @@ from qdiscord import (
     triple_from_matrix,
     von_neumann_entropy,
 )
-from qdiscord import ValidationError, measurement, optimize
+from qdiscord import ValidationError, bounds, measurement, optimize
 from qdiscord.measurement import _row_norms
 from qdiscord.states import canonicalize, reduced_states
 
@@ -891,9 +891,8 @@ def test_one_call_validates_once_and_builds_no_subspace(monkeypatch, rng):
 
 
 def test_one_call_takes_one_svd(monkeypatch, rng):
-    # canonicalize's, taken once by the PreparedState: the closed forms read the
-    # canonical diagonal, the search's start axes and the bounds' rank-0 case
-    # reuse the canonical rotation
+    # canonicalize's, taken once by the PreparedState: the bounds' rank-0 case,
+    # which routes the closed form, and the search's start axes reuse it
     calls = []
     svd = np.linalg.svd
 
@@ -908,6 +907,25 @@ def test_one_call_takes_one_svd(monkeypatch, rng):
         calls.clear()
         assert quantum_discord(rho).method == method
         assert len(calls) == 1
+
+
+def test_one_call_takes_the_restricted_maximum_once_and_only_where_read(monkeypatch, rng):
+    # the route and theorem1_bounds share it; a call with neither the fast path nor bounds takes none
+    calls = []
+    restricted = bounds._restricted_maximum
+
+    def counted(state):
+        calls.append(1)
+        return restricted(state)
+
+    monkeypatch.setattr(bounds, "_restricted_maximum", counted)
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    rotated_bell = u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T
+    for rho in (rotated_bell, random_state(rng=rng), random_state(rank=1, rng=rng)):
+        for settings, expected in (({}, 1), ({"fast_path": False, "with_bounds": False}, 0)):
+            calls.clear()
+            quantum_discord(rho, **settings)
+            assert len(calls) == expected
 
 
 def test_a_closed_form_call_validates_no_triple(monkeypatch, rng):

@@ -315,6 +315,15 @@ def test_random_state_takes_only_an_integer_rank_in_1_to_4(rng):
             random_state(rank=rank, rng=rng)
 
 
+def test_random_unitary_takes_only_an_integer_dim_of_at_least_1(rng):
+    # -1 raised ValueError, 2.5 and True TypeError, and 0 gave a 0x0 array
+    u = random_unitary(np.int64(3), rng)
+    assert u.shape == (3, 3) and np.allclose(u @ u.conj().T, np.eye(3))
+    for dim in (0, -1, 2.5, 2.0, True, "2", np.bool_(True), None):
+        with pytest.raises(ValidationError, match="dim"):
+            random_unitary(dim, rng)
+
+
 def test_random_state_rank1_is_pure(rng):
     rho = random_state(rank=1, rng=rng)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
