@@ -105,16 +105,16 @@ def _tied_axis(span) -> tuple[float, float, float]:
             return tuple(sum(c * e[i] for c, e in zip(coords, span)) / r for i in range(3))
 
 
-def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, float, float], bool, float]:
-    """(t0^2, dimension, e0 up to sign, tie, bound): :func:`t0_squared` and :func:`perp_subspace` on floats.
+def _restricted_maximum(state: PreparedState) -> tuple[float, int, MeasurementDirection, bool, float]:
+    """(t0^2, dimension, e0, tie, bound): :func:`t0_squared` and :func:`perp_subspace` on floats.
 
     ``tie`` says whether the top eigenvalue tied (by :func:`t0_squared`'s rule), ``bound`` is
     h2((1 + sqrt(|x|^2 + t0^2))/2).  The singular values of [a, y] with a = T^t x come from
     s1 s2 = |a x y| and s1^2 + s2^2 = |a|^2 + |y|^2 and are counted with :func:`_rank_tol`, as
     in perp_subspace.  Rank 2: the complement is the line of a x y.  Rank 1: it is the tangent
     plane of the top left singular vector, where the projected form is a 2x2.  Rank 0: it is the
-    whole space, and t0^2 = d_0^2 = |T e|^2 with e the first row of the canonical ``rotation_b``,
-    which is e0; the bound is then the minimum itself.
+    whole space, and t0^2 = d_0^2 = |T e|^2 with e0 = e the first row of O2 in T's SVD (the
+    canonical ``rotation_b``); the bound is then the minimum itself.  e0 is sign-canonical.
     """
     t = state.triple
     x, y, rows = t._floats
@@ -142,17 +142,16 @@ def _restricted_maximum(state: PreparedState) -> tuple[float, int, tuple[float, 
         tied = huu + hvv - t0sq >= t0sq - _TIE_TOL
         e0 = _tied_axis((u, v)) if tied else tuple(cu * p + cv * q for p, q in zip(u, v))
     else:
-        canon = state.canonical
-        _, _, diagonal = canon.triple._floats
-        squares = [diagonal[j][j] * diagonal[j][j] for j in range(3)]
-        axes = canon.rotation_b.tolist()
+        d, (_, axes) = state._svd
+        squares = [v * v for v in d]
         top = [axes[j] for j in range(3) if squares[j] >= squares[0] - _TIE_TOL]
         te = [_dot(row, axes[0]) for row in rows]  # d_0^2 as |T e|^2, rounded from T's entries rather than from d_0
         t0sq, dim, tied = _dot(te, te), 3, len(top) > 1
         e0 = _tied_axis(top) if tied else tuple(axes[0])
     # |x|^2 + t0^2 <= 1 on states; one that validate accepts with an eigenvalue
     # down to -PSD_TOL can exceed 1 by a few 1e-9, past binary_entropy's clamp
-    return t0sq, dim, e0, tied, binary_entropy((1 + math.sqrt(min(_dot(x, x) + t0sq, 1.0))) / 2)
+    bound = binary_entropy((1 + math.sqrt(min(_dot(x, x) + t0sq, 1.0))) / 2)
+    return t0sq, dim, MeasurementDirection(_canonical_sign(e0)), tied, bound
 
 
 def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = None) -> BoundReport:
@@ -173,7 +172,7 @@ def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = Non
     return BoundReport(
         t0_squared=t0sq,
         perp_dim=perp_dim,
-        e0=MeasurementDirection(_canonical_sign(e0)),
+        e0=e0,
         cond_entropy_ub=cond_ub,
         discord_ub=discord_ub,
         classical_lb=state.s_a - cond_ub,

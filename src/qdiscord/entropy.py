@@ -23,9 +23,14 @@ HERMITIAN_TOL = 1e-10
 
 
 def _as_real(arr: np.ndarray, name: str) -> np.ndarray:
-    """A numpy array as float (itself if it is one); complex entries raise instead of losing their imaginary part."""
+    """A numpy array as float (itself if it is one); complex entries raise instead of losing their imaginary part.
+
+    So do string and object arrays, whose cast would parse the strings or leak a ValueError or TypeError.
+    """
     if arr.dtype.kind == "c":
         raise ValidationError(f"{name} has complex entries")
+    if arr.dtype.kind in "OSU":
+        raise ValidationError(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
     return arr.astype(float, copy=False)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .entropy import _as_real, _h_sum, _h_terms, _real_scalar
 from .errors import NotAStateError, ValidationError, ZeroProbabilityError
-from .states import PSD_TOL, BlochTriple, _qubit_matrix, matrix_from_triple
+from .states import PSD_TOL, BlochTriple, _count, _qubit_matrix, matrix_from_triple
 
 #: probabilities below this are treated as exactly zero branches
 BRANCH_TOL = 1e-12
@@ -144,8 +144,7 @@ def _lowest_eigenpair(huu: float, huv: float, hvv: float) -> tuple[float, tuple[
 
 def projector_bloch(k: int, direction) -> np.ndarray:
     """Rank-1 projector (I + n_k . sigma)/2 with n_0 = n and n_1 = -n."""
-    if k not in (0, 1):
-        raise ValidationError(f"outcome index must be 0 or 1, got {k}")
+    k = _count("outcome index", k, 1, least=0)
     n = np.array(_normalized(direction))
     return _qubit_matrix(n if k == 0 else -n)
 
@@ -279,8 +278,7 @@ def joint_probabilities(t: BlochTriple, direction) -> MeasurementProbabilities:
 
 def post_measurement_state(t: BlochTriple, direction, k: int) -> PostMeasurementState:
     """State of A after outcome ``k``: x_tilde_k = (x + T n_k) / (1 + y . n_k)."""
-    if k not in (0, 1):
-        raise ValidationError(f"outcome index must be 0 or 1, got {k}")
+    k = _count("outcome index", k, 1, least=0)
     b = branches(t, _normalized(direction))
     pk, v = (b.p0, b.v_plus) if k == 0 else (b.p1, b.v_minus)
     if pk <= BRANCH_TOL:
@@ -335,6 +333,8 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     dirs = np.array([_normalized(directions)]) if single else _unit_rows(directions)
     if rho is None:
         rho = matrix_from_triple(t)
+    elif np.shape(rho) != (4, 4) or not np.logical_and.reduce(np.isfinite(rho), axis=None):
+        raise ValidationError("rho must be a finite 4x4 matrix")
     count = len(dirs)
     # rows 0..N-1 are outcome 0 (Bloch vector n), rows N..2N-1 outcome 1 (-n)
     proj = _qubit_matrix(np.concatenate((dirs, -dirs)))

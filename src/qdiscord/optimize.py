@@ -39,12 +39,12 @@ from .measurement import (
     conditional_entropy,
     conditional_entropy_batch,
 )
-from .states import BlochTriple, CanonicalForm, PreparedState, canonicalize, prepare_state
+from .states import BlochTriple, PreparedState, _proper_svd, prepare_state
 
 # Unused here; kept bound because the benchmark trace (perfbench/spans.py) wraps them.
 from .closed_forms import classify, kernel_class_min_entropy  # noqa: F401
 from .entropy import von_neumann_entropy  # noqa: F401
-from .states import reduced_states, triple_from_matrix  # noqa: F401
+from .states import canonicalize, reduced_states, triple_from_matrix  # noqa: F401
 
 #: spacing of the start lattice of :func:`minimize_conditional_entropy`
 DEFAULT_RESOLUTION = math.pi / 18
@@ -420,15 +420,15 @@ def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RES
     lattice-local minima gives one start, refined in ascending lattice
     value; the first lowest refined value wins.
     """
-    return _multistart(t, canonicalize(t), resolution, _check_tolerance(tolerance))
+    return _multistart(t, _proper_svd(t)[1][1], _check_resolution(resolution), _check_tolerance(tolerance))
 
 
-def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, tolerance: float,
+def _multistart(t: BlochTriple, axes_b: list, resolution: float, tolerance: float,
                 ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
-    """:func:`minimize_conditional_entropy` with the canonical form of ``t`` already taken."""
-    lattice, nbrs = _lattice(_check_resolution(resolution))
+    """:func:`minimize_conditional_entropy` with checked settings and ``axes_b``, the rows of O2 in T's SVD."""
+    lattice, nbrs = _lattice(resolution)
     axes = []
-    for a in (*canon.rotation_b.tolist(), t._floats[1], t._tx):  # _row_norms' sum and sqrt, in floats
+    for a in (*axes_b, t._floats[1], t._tx):  # _row_norms' sum and sqrt, in floats
         norm = math.sqrt(_dot(a, a))
         if norm > 1e-12:
             axes.append((a[0] / norm, a[1] / norm, a[2] / norm))
@@ -442,13 +442,13 @@ def _multistart(t: BlochTriple, canon: CanonicalForm, resolution: float, toleran
 def _closed_form_minimum(state: PreparedState) -> tuple[MeasurementDirection, float, StationaryDiagnostics] | None:
     """(optimal direction, min S(A|n), diagnostics) for a pure state or one with T^t x = y = 0, else None."""
     if state.s_ab <= PURE_STATE_TOL:  # pure state: S(A|n) = 0 for every direction
-        axis, min_s, tie = (0.0, 0.0, 1.0), 0.0, True  # where every direction is optimal, report theta = 0
+        direction, min_s, tie = MeasurementDirection((0.0, 0.0, 1.0)), 0.0, True  # all optimal: theta = 0
     else:
-        _, dim, axis, tie, min_s = state._restricted
+        _, dim, direction, tie, min_s = state._restricted
         if dim < 3:  # dimension 3: the bounds' rank rule finds T^t x = y = 0, so their bound is the minimum
             return None
-    t, n = state.triple, _canonical_sign(axis)
-    return MeasurementDirection(n), min_s, _diagnostics(t, n, _point(t, n, model=False), degenerate=tie)
+    t, n = state.triple, direction.n.tolist()
+    return direction, min_s, _diagnostics(t, n, _point(t, n, model=False), degenerate=tie)
 
 
 def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFAULT_RESOLUTION,
@@ -479,11 +479,11 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
     DiscordReport
         With ``discord = mutual_information - classical_correlation`` exact.
     """
-    tolerance = _check_tolerance(tolerance)
+    resolution, tolerance = _check_resolution(resolution), _check_tolerance(tolerance)
     state = prepare_state(rho)
     found = _closed_form_minimum(state) if fast_path else None
     method = "grid+refine" if found is None else "closed-form"
-    direction, min_s, diagnostics = found or _multistart(state.triple, state.canonical, resolution, tolerance)
+    direction, min_s, diagnostics = found or _multistart(state.triple, state._svd[1][1], resolution, tolerance)
 
     # 0 <= J <= I, which the PSD slack of an accepted matrix can break by rounding
     mutual = state.mutual_information

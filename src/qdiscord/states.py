@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +47,17 @@ _MAX_ENTRY = 1e100
 _ROTATION_TOL = 1e-10
 #: the most |x| and |y| of a BlochTriple may be
 _NORM_BOUND = 1 + 1e-9
+
+
+class _lazy:
+    """A field computed on first read and kept in the instance ``__dict__``: cached_property without 3.11's lock."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __get__(self, obj, cls=None):
+        # the descriptor itself on the class; an instance's later reads find its __dict__ entry first
+        return self if obj is None else obj.__dict__.setdefault(self.func.__name__, self.func(obj))
 
 
 def _checked_norm(name: str, v) -> float:
@@ -104,7 +114,7 @@ class BlochTriple:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_floats", (x, y, rows))
 
-    @cached_property
+    @_lazy
     def _tx(self):
         # T^t x, numpy's product as floats, on first use; the search's start axes and both bounds routes read it
         return tuple((self.T.T @ self.x).tolist())
@@ -161,7 +171,10 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     one with a real or imaginary part beyond 1e100, with infinite
     deviations and a NaN eigenvalue.
     """
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError) as err:  # a string, or an entry that is not a number
+        raise ValidationError(f"expected a 4x4 matrix of numbers: {err}") from None
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
     # the largest real or imaginary part; NaN if any is NaN
@@ -223,22 +236,22 @@ def marginals(t: BlochTriple) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PreparedState:
-    """A validated unit-trace state and its triple; its entropies S(A), S(B), S(AB) in bits are taken on first use."""
+    """A validated unit-trace state and its triple; S(A), S(B), S(AB) in bits and T's SVD are taken on first use."""
 
     rho: np.ndarray
     triple: BlochTriple
     _norms: tuple[float, float] = field(repr=False)  # |x| and |y|
     _spectrum: tuple[np.ndarray, float] = field(repr=False)  # validate's eigenvalues and the trace they divide by
 
-    @cached_property
+    @_lazy
     def s_a(self) -> float:
         return binary_entropy((1 + self._norms[0]) / 2)
 
-    @cached_property
+    @_lazy
     def s_b(self) -> float:
         return binary_entropy((1 + self._norms[1]) / 2)
 
-    @cached_property
+    @_lazy
     def s_ab(self) -> float:
         eigenvalues, trace = self._spectrum
         # an accepted eigenvalue is at least -PSD_TOL, which only the division can have pushed lower
@@ -249,12 +262,12 @@ class PreparedState:
         # I >= 0 by subadditivity; an accepted matrix's PSD slack can leave it just below
         return max(0.0, self.s_a + self.s_b - self.s_ab)
 
-    @cached_property
-    def canonical(self) -> CanonicalForm:
-        """:func:`canonicalize` of the triple, taken on first use and then shared; not a field."""
-        return canonicalize(self.triple)
+    @_lazy
+    def _svd(self):
+        # T's SVD as floats, taken on first use: the bounds' rank-0 case and the search's start axes read it
+        return _proper_svd(self.triple)
 
-    @cached_property
+    @_lazy
     def _restricted(self):
         # the bounds' restricted maximum, taken on first use: it routes quantum_discord and fills its bounds
         return bounds._restricted_maximum(self)
@@ -298,6 +311,8 @@ def _require_rotation(o: np.ndarray, name: str) -> np.ndarray:
     o = _as_real(np.asarray(o), name)
     if o.shape != (3, 3):
         raise ValidationError(f"{name} must be a 3x3 matrix")
+    if not np.logical_and.reduce(np.isfinite(o), axis=None):  # before o^t o and det, which warn on inf or nan
+        raise ValidationError(f"{name} has non-finite entries")
     if np.max(np.abs(o.T @ o - np.eye(3))) > _ROTATION_TOL:
         raise ValidationError(f"{name} is not orthogonal")
     if abs(np.linalg.det(o) - 1.0) > _ROTATION_TOL:
@@ -318,17 +333,10 @@ def apply_local_rotations(t: BlochTriple, o1: np.ndarray, o2: np.ndarray) -> Blo
     return BlochTriple(_rotated(o1, t.x), _rotated(o2, t.y), o1 @ t.T @ o2.T)
 
 
-def canonicalize(t: BlochTriple) -> CanonicalForm:
-    """Rotate a triple so that T is diagonal with |t1| >= |t2| >= |t3|.
-
-    Uses the singular value decomposition of T with determinant repair:
-    if either orthogonal factor is a reflection (the triple product of its
-    rows, its determinant, is negative), its last row and the smallest
-    diagonal entry are negated, keeping both rotations proper while
-    allowing negative diagonal entries.
-    """
+def _proper_svd(t: BlochTriple) -> tuple[list[float], tuple[list[list[float]], list[list[float]]]]:
+    """(d, (rows of O1, rows of O2)) of :func:`canonicalize` as floats; zeros and identities at T = 0."""
     if not any(map(any, t._floats[2])):
-        return CanonicalForm(BlochTriple._of(*t._floats[:2], ((0.0, 0.0, 0.0),) * 3), np.eye(3), np.eye(3))
+        return [0.0, 0.0, 0.0], (np.eye(3).tolist(), np.eye(3).tolist())
     u, s, vt = np.linalg.svd(t.T)
     d, rows = s.tolist(), (u.T.tolist(), vt.tolist())
     for o in rows:
@@ -336,17 +344,29 @@ def canonicalize(t: BlochTriple) -> CanonicalForm:
         if a * (f * k - g * i) + b * (g * h - e * k) + c * (e * i - f * h) < 0:  # det o by cofactors
             o[2] = [-h, -i, -k]
             d[2] = -d[2]
+    return d, rows
+
+
+def canonicalize(t: BlochTriple) -> CanonicalForm:
+    """Rotate a triple so that T is diagonal with |t1| >= |t2| >= |t3|.
+
+    Uses the singular value decomposition of T with determinant repair:
+    if either orthogonal factor is a reflection (the triple product of its
+    rows, its determinant, is negative), its last row and the smallest
+    diagonal entry are negated, keeping both rotations proper while
+    allowing negative diagonal entries.  A triple with T = 0 keeps its x and y.
+    """
+    d, rows = _proper_svd(t)
     o1, o2 = map(np.array, rows)
     # a rotation keeps |x| and |y| within the bound, and _rotated keeps the rounding within it
-    diagonal = (d[0], 0.0, 0.0), (0.0, d[1], 0.0), (0.0, 0.0, d[2])
-    triple = BlochTriple._of(_rotated(o1, t.x), _rotated(o2, t.y), diagonal)
-    return CanonicalForm(triple, o1, o2)
+    x, y = (_rotated(o1, t.x), _rotated(o2, t.y)) if any(map(any, t._floats[2])) else t._floats[:2]
+    return CanonicalForm(BlochTriple._of(x, y, ((d[0], 0.0, 0.0), (0.0, d[1], 0.0), (0.0, 0.0, d[2]))), o1, o2)
 
 
-def _count(name: str, value, most: float) -> int:
-    """``value`` if it is an int or numpy integer, not a bool, in 1..most; else a ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 1 <= value <= most:
-        raise ValidationError(f"{name} must be an integer in 1..{most}, got {value!r}")
+def _count(name: str, value, most: float, least: int = 1) -> int:
+    """``value`` if it is an int or numpy integer, not a bool, in least..most; else a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not least <= value <= most:
+        raise ValidationError(f"{name} must be an integer in {least}..{most}, got {value!r}")
     return value
 
 

@@ -70,9 +70,11 @@ def test_every_private_module_name_is_referenced():
 #: their Kronecker products in states.py, the branch weights w = (2 p +- s)/4
 #: in measurement.py, so that no fused kernel forks the one branch kernel, and
 #: the class tolerance in closed_forms.py, so that the route of quantum_discord
-#: reads the bounds' rank rule and no second class rule
+#: reads the bounds' rank rule and no second class rule; functools' cached_property
+#: has no home, since on Python 3.11 it takes a lock on each first read
 PRIMITIVE_HOMES = {"log2": {"entropy.py", "optimize.py"}, "np.kron": {"states.py"}, "PAULIS": {"states.py"},
-                   "2 * p0": {"measurement.py"}, "CLASS_TOL": {"closed_forms.py"}}
+                   "2 * p0": {"measurement.py"}, "CLASS_TOL": {"closed_forms.py"},
+                   "functools import cached_property": set()}
 
 
 def test_each_primitive_is_defined_in_its_home_module_only():
@@ -83,10 +85,11 @@ def test_each_primitive_is_defined_in_its_home_module_only():
 
 #: primitives written exactly once: T^t x as numpy's product and the rank
 #: tolerance of [T^t x, y], which both bounds routes (the floats and the LAPACK
-#: oracle) and the search's start axes read, and the call of validate, in
-#: prepare_state, the one route from a matrix to its triple
+#: oracle) and the search's start axes read, the call of validate, in
+#: prepare_state, the one route from a matrix to its triple, and the SVD of T,
+#: which the bounds' rank-0 case, the start axes and canonicalize read
 SINGLE_DEFINITIONS = {r"\.T\.T @ \w+\.x\b|\w+\.x @ \w+\.T\b": "states.py", r"1e-10 \* max\(": "bounds.py",
-                      r"(?<!def )\bvalidate\(": "states.py"}
+                      r"(?<!def )\bvalidate\(": "states.py", r"np\.linalg\.svd\(t\.T\)": "states.py"}
 
 
 def test_each_bounds_primitive_has_one_definition():

@@ -355,6 +355,26 @@ def test_direction_inputs_reject_complex_entries(entry, n):
         MeasurementDirection(n) if entry is None else entry(random_triple(np.random.default_rng(2)), n)
 
 
+@pytest.mark.parametrize("n", ["abc", np.array(["0", "0", "1"]), np.array([0.0, 0.0, 1.0], dtype=object), object()])
+def test_direction_inputs_reject_strings_and_objects(n):
+    # numpy's cast to float leaked ValueError or TypeError, or parsed the strings
+    t = random_triple(np.random.default_rng(2))
+    for call in (MeasurementDirection, lambda n: joint_probabilities(t, n), lambda n: conditional_entropy(t, n),
+                 lambda n: conditional_entropy_batch(t, [n])):
+        with pytest.raises(ValidationError, match="real numbers") as info:
+            call(n)
+        assert info.type is ValidationError
+
+
+@pytest.mark.parametrize("rho", [np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0]), np.eye(3), np.eye(16)])
+def test_direct_route_rejects_what_is_not_a_finite_4x4_matrix(rho):
+    # a nan matrix gave [0.], a 3x3 one leaked ValueError from matmul
+    t = random_triple(np.random.default_rng(2))
+    for dirs in ([[0.0, 0.0, 1.0]], [0.0, 0.0, 1.0]):
+        with pytest.raises(ValidationError, match="finite 4x4"):
+            conditional_entropy_direct(t, dirs, rho=rho)
+
+
 @pytest.mark.parametrize("n", _COMPLEX_DIRECTIONS)
 @pytest.mark.parametrize("kernel", [conditional_entropy_batch, stationary_residual_batch, branches_batch,
                                     conditional_entropy_direct])
@@ -384,6 +404,17 @@ def test_post_measurement_state_ab_family():
     t = triple_from_matrix(ab_state(a, b))
     out = post_measurement_state(t, MeasurementDirection(np.array([1.0, 0, 0])), 0)
     assert np.allclose(out.x_tilde, [a, 0, -b], atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [True, False, np.True_, 0.0, 1.0, -1, 2, "0", None])
+def test_outcome_index_is_an_integer_0_or_1(k):
+    # a bool or a float passed "k not in (0, 1)", and post_measurement_state returned outcome=True
+    t, n = random_triple(np.random.default_rng(6)), [0.0, 0.0, 1.0]
+    for call in (lambda: projector_bloch(k, n), lambda: post_measurement_state(t, n, k)):
+        with pytest.raises(ValidationError, match="outcome index"):
+            call()
+    for index in (0, 1, np.int64(1)):
+        assert post_measurement_state(t, n, index).outcome == index and projector_bloch(index, n).shape == (2, 2)
 
 
 def test_post_measurement_zero_probability_branch():

@@ -36,7 +36,7 @@ from qdiscord import (
     triple_from_matrix,
     von_neumann_entropy,
 )
-from qdiscord import ValidationError, bounds, measurement, optimize
+from qdiscord import ValidationError, bounds, measurement, optimize, states
 from qdiscord.measurement import _row_norms
 from qdiscord.states import canonicalize, reduced_states
 
@@ -643,10 +643,20 @@ def test_bad_tolerance_is_a_validation_error(tolerance):
             search()
 
 
-@pytest.mark.parametrize("resolution", ["abc", None])
+@pytest.mark.parametrize("resolution", [-5.0, 100.0, 0.0, math.nan, math.inf, True, "abc", None, 0.1 + 0j])
 def test_bad_resolution_is_a_validation_error(resolution):
+    # every route checks it: the pure and closed-form routes returned a report
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    routes = {"pure": np.outer(psi, psi.conj()) / np.vdot(psi, psi).real,
+              "closed-form": bell_diagonal_state(0.3, 0.2, 0.1), "grid+refine": random_state(4, 1)}
+    for route, rho in routes.items():
+        assert quantum_discord(rho).method == ("grid+refine" if route == "grid+refine" else "closed-form")
+        for settings in ({}, {"fast_path": False}):
+            with pytest.raises(ValidationError, match="resolution"):
+                quantum_discord(rho, resolution=resolution, **settings)
     with pytest.raises(ValidationError, match="resolution"):
-        quantum_discord(random_state(rng=3), resolution=resolution)
+        minimize_conditional_entropy(triple_from_matrix(routes["grid+refine"]), resolution=resolution)
 
 
 def test_refinement_reports_what_the_scalar_evaluators_give():
@@ -891,8 +901,8 @@ def test_one_call_validates_once_and_builds_no_subspace(monkeypatch, rng):
 
 
 def test_one_call_takes_one_svd(monkeypatch, rng):
-    # canonicalize's, taken once by the PreparedState: the bounds' rank-0 case,
-    # which routes the closed form, and the search's start axes reuse it
+    # T's, taken once by the PreparedState and cached as floats: the bounds' rank-0
+    # case, which routes the closed form, and the search's start axes reuse it
     calls = []
     svd = np.linalg.svd
 
@@ -928,8 +938,29 @@ def test_one_call_takes_the_restricted_maximum_once_and_only_where_read(monkeypa
             assert len(calls) == expected
 
 
+def test_a_call_builds_no_canonical_form(monkeypatch, rng):
+    # the route and the start axes read T's SVD as floats; canonicalize builds the public form from the same helper
+    calls = []
+    init = states.CanonicalForm.__init__
+    monkeypatch.setattr(states.CanonicalForm, "__init__", lambda self, *a: calls.append(1) or init(self, *a))
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    cases = [(u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T, "closed-form"),
+             (u @ matrix_from_triple(sample_kernel_class(rng)) @ u.conj().T, "closed-form"),
+             (np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, "closed-form"),
+             (np.eye(4) / 4, "closed-form"),
+             (random_state(rng=rng), "grid+refine")]
+    for rho, method in cases:
+        assert quantum_discord(rho).method == method
+        assert quantum_discord(rho, fast_path=False).method == "grid+refine"
+    minimize_conditional_entropy(triple_from_matrix(cases[-1][0]))
+    assert calls == []
+    canonicalize(triple_from_matrix(cases[0][0]))  # the public form is still built where asked for
+    assert calls == [1]
+
+
 def test_a_closed_form_call_validates_no_triple(monkeypatch, rng):
-    # the matrix is validated once; the prepared and canonical triples are made from checked floats
+    # the matrix is validated once; the prepared triple is made from checked floats, and no canonical one
     u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     rhos = [u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T,
@@ -949,7 +980,7 @@ def test_a_closed_form_call_validates_no_triple(monkeypatch, rng):
 
 
 def test_one_call_makes_no_eigh_det_or_norm_call(monkeypatch, rng):
-    # past validate's eigvalsh and canonicalize's svd, a call runs on floats:
+    # past validate's eigvalsh and the svd of T, a call runs on floats:
     # rank-0 bounds (Bell-diagonal, kernel class), rank 1 (ab family, pure) and rank 2
     u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
     cases = [(u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T, True),

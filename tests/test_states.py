@@ -1,5 +1,7 @@
+import functools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from qdiscord import (
     bell_diagonal_state,
     bloch_rotation,
     canonicalize,
+    quantum_discord,
+    theorem1_bounds,
     marginals,
     matrix_from_triple,
     mutual_information,
@@ -26,7 +30,7 @@ from qdiscord import (
 )
 from qdiscord import states
 from qdiscord.entropy import _spectrum_entropy, binary_entropy
-from qdiscord.states import prepare_state
+from qdiscord.states import PreparedState, _proper_svd, prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -130,6 +134,15 @@ def test_validate_rejects_entries_near_the_float_range(entries):
             triple_from_matrix(rho)
 
 
+@pytest.mark.parametrize("rho", ["abcd", np.full((4, 4), "x"), [[object()] * 4] * 4, [[1, 2], [3]]])
+def test_validate_rejects_what_is_not_a_matrix_of_numbers(rho):
+    # the cast to complex leaked ValueError or TypeError
+    for check in (validate, triple_from_matrix, quantum_discord):
+        with pytest.raises(ValidationError) as info:
+            check(rho)
+        assert info.type is ValidationError
+
+
 def test_triple_from_matrix_rejects_invalid():
     with pytest.raises(NotAStateError):
         triple_from_matrix(np.diag([0.5, 0.6, -0.1, 0.0]))
@@ -214,6 +227,11 @@ def test_apply_local_rotations_rejects_non_rotation():
         apply_local_rotations(t, np.diag([1.0, 1.0, -1.0]), np.eye(3))  # reflection
     with pytest.raises(ValidationError):
         apply_local_rotations(t, 2 * np.eye(3), np.eye(3))
+    # a nan deviation passed the "> 1e-10" tests, and det warned
+    for bad in (np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), np.diag([np.nan, 1.0, 1.0])):
+        for o1, o2 in ((bad, np.eye(3)), (np.eye(3), bad)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                apply_local_rotations(t, o1, o2)
 
 
 def test_canonicalize_already_diagonal():
@@ -590,3 +608,50 @@ def test_apply_local_rotations_rejects_complex_rotations(rotation):
     for o1, o2 in ((rotation, np.eye(3)), (np.eye(3), rotation)):
         with pytest.raises(ValidationError, match="complex"):
             apply_local_rotations(t, o1, o2)
+
+
+def test_the_svd_helper_is_canonicalize_bit_for_bit(rng):
+    # d and the rows of O1 and O2, which the pipeline reads in place of the canonical form
+    x, y = (0.1, -0.0, 0.3), (0.0, -0.2, -0.0)
+    triples = [BlochTriple(x, y, np.zeros((3, 3))), BlochTriple(x, y, -np.zeros((3, 3))),
+               BlochTriple(_zeros3(), _zeros3(), np.diag([0.5, -0.5, 0.2])),  # a tied top pair
+               triple_from_matrix(bell_diagonal_state(0.5, -0.5, 0.5))]
+    for rank in (1, 2, 3, 4):
+        for _ in range(25):
+            t = random_triple(rng, rank)
+            triples += [t, apply_local_rotations(t, random_rotation(rng), random_rotation(rng))]
+    for t in triples:
+        d, (rows_a, rows_b) = _proper_svd(t)
+        c = canonicalize(t)
+        assert _hex(d) == _hex(c.diagonal.tolist())
+        assert _hex(rows_a) == _hex(c.rotation_a.tolist()) and _hex(rows_b) == _hex(c.rotation_b.tolist())
+    assert _proper_svd(triples[1]) == ([0.0] * 3, (np.eye(3).tolist(), np.eye(3).tolist()))  # T = -0 is zero
+
+
+def test_each_lazy_field_runs_its_function_once(monkeypatch, rng):
+    fields = [(PreparedState, name) for name in ("s_a", "s_b", "s_ab", "_svd", "_restricted")] + [(BlochTriple, "_tx")]
+    calls = Counter()
+    for cls, name in fields:
+        lazy = cls.__dict__[name]
+        assert cls.__dict__[name] is getattr(cls, name)  # read on the class, the descriptor itself
+
+        @functools.wraps(lazy.func)
+        def counted(obj, _func=lazy.func, _name=name):
+            calls[_name] += 1
+            return _func(obj)
+
+        monkeypatch.setattr(lazy, "func", counted)
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    for rho in (u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T, random_state(rng=rng),
+                np.outer(psi, psi.conj()) / np.vdot(psi, psi).real):
+        calls.clear()
+        state = prepare_state(rho)
+        for _ in range(2):
+            quantum_discord(state)
+            theorem1_bounds(state)
+            values = [getattr(state.triple if cls is BlochTriple else state, name) for cls, name in fields]
+        assert calls == dict.fromkeys([name for _, name in fields], 1)
+        # each value is the one stored in its instance's __dict__ on first read
+        assert all(value is vars(state.triple if cls is BlochTriple else state)[name]
+                   for value, (cls, name) in zip(values, fields))
