@@ -6,7 +6,9 @@ Four digests, one line each, of the package in this checkout's ``src``:
 * ``reports``: ``repr`` of ``quantum_discord`` over the first N generic and
   M closed_form requests of the benchmark's request streams at seed 11
   (``perfbench/workloads.py``), arrays printed with every digit that tells
-  two floats apart;
+  two floats apart; every report of a stream is built before any is printed,
+  so a report's diagnostics, taken on first read, are read only after all the
+  stream's calls have run, and values that depend on when they are read show;
 * ``scan``: the output of ``qdiscord scan ab --a A --b B``;
 * ``verify``: the output of ``qdiscord verify --n K`` at seeds 1 and 77;
 * ``compute``: the text, json and csv output of ``qdiscord compute`` on
@@ -68,7 +70,8 @@ def main() -> None:
         for stream, count in ((workloads.generic_requests, args.generic),
                               (workloads.closed_form_requests, args.closed_form)):
             requests = list(itertools.islice(stream(11), count))
-            reports += [repr(quantum_discord(req.rho)) for req in requests]
+            built = [quantum_discord(req.rho) for req in requests]
+            reports += [repr(report) for report in built]
             matrices += [req.rho for req in requests[:COMPUTE_STATES]]
     print("reports", _digest("\n".join(reports)))
     print("scan", _digest(_cli_output("scan", "ab", f"--a={args.a}", f"--b={args.b}")))

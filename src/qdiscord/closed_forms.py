@@ -117,6 +117,8 @@ def kernel_class_min_entropy(x: np.ndarray, T: np.ndarray) -> float:
     :class:`WrongClassError` when x is not in the kernel of T^t.
     """
     x, T = _as_real(np.asarray(x), "x"), _as_real(np.asarray(T), "T")
+    if x.shape != (3,) or T.shape != (3, 3):
+        raise ValidationError(f"expected a 3-vector x and a 3x3 T, got shapes {x.shape} and {T.shape}")
     if not float(np.linalg.norm(T.T @ x)) <= CLASS_TOL:  # a non-finite entry fails too, before the SVD
         raise WrongClassError("x is not in the kernel of T^t")
     t_max = float(np.linalg.svd(T, compute_uv=False)[0]) if np.any(T) else 0.0

@@ -22,16 +22,39 @@ CLAMP_TOL = 1e-9
 HERMITIAN_TOL = 1e-10
 
 
+#: complex128 in native byte order, the dtype of a matrix that :func:`_as_complex` passes through
+_COMPLEX = np.dtype(complex)
+
+
 def _as_real(arr: np.ndarray, name: str) -> np.ndarray:
     """A numpy array as float (itself if it is one); complex entries raise instead of losing their imaginary part.
 
-    So do string and object arrays, whose cast would parse the strings or leak a ValueError or TypeError.
+    Only integer and float arrays are numbers: a bool, string, object, date or void array raises too, whose
+    cast would count True as 1, parse the strings, count days or leak a ValueError or TypeError.
     """
     if arr.dtype.kind == "c":
         raise ValidationError(f"{name} has complex entries")
-    if arr.dtype.kind in "OSU":
+    if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be real numbers, got an array of dtype {arr.dtype}")
     return arr.astype(float, copy=False)
+
+
+def _as_complex(m, what: str, *shapes: tuple[int, int]) -> np.ndarray:
+    """``m`` as a complex array of one of ``shapes`` (itself if it is one); else ValidationError "expected {what}".
+
+    The complex counterpart of :func:`_as_real`, whose rule it keeps, and a ragged nesting raises too.
+    """
+    try:
+        m = np.asarray(m)
+    except ValueError as err:  # a ragged nesting
+        raise ValidationError(f"expected {what}: {err}") from None
+    if m.dtype is not _COMPLEX:  # the one dtype test that a complex128 array pays
+        if m.dtype.kind not in "iufc":
+            raise ValidationError(f"expected {what}, got an array of dtype {m.dtype}")
+        m = m.astype(complex)
+    if m.shape not in shapes:
+        raise ValidationError(f"expected {what}, got shape {m.shape}")
+    return m
 
 
 def _real_scalar(value, name: str) -> float:
@@ -46,11 +69,7 @@ def _real_scalar(value, name: str) -> float:
 
 
 def _as_hermitian(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in (2, 4):
-        raise ValidationError(f"only 2x2 and 4x4 matrices are supported, got {m.shape[0]}")
+    m = _as_complex(m, "a 2x2 or 4x4 matrix of numbers", (2, 2), (4, 4))
     if not np.isfinite(m).all():
         raise NotAStateError("matrix has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().T)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _as_real, _h_sum, _h_terms, _real_scalar
+from .entropy import _as_complex, _as_real, _h_sum, _h_terms, _real_scalar
 from .errors import NotAStateError, ValidationError, ZeroProbabilityError
 from .states import PSD_TOL, BlochTriple, _count, _qubit_matrix, matrix_from_triple
 
@@ -333,8 +333,10 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     dirs = np.array([_normalized(directions)]) if single else _unit_rows(directions)
     if rho is None:
         rho = matrix_from_triple(t)
-    elif np.shape(rho) != (4, 4) or not np.logical_and.reduce(np.isfinite(rho), axis=None):
-        raise ValidationError("rho must be a finite 4x4 matrix")
+    else:
+        rho = _as_complex(rho, "rho as a finite 4x4 matrix", (4, 4))
+        if not np.logical_and.reduce(np.isfinite(rho), axis=None):
+            raise ValidationError("rho must be a finite 4x4 matrix")
     count = len(dirs)
     # rows 0..N-1 are outcome 0 (Bloch vector n), rows N..2N-1 outcome 1 (-n)
     proj = _qubit_matrix(np.concatenate((dirs, -dirs)))

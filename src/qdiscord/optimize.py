@@ -74,7 +74,9 @@ class StationaryDiagnostics:
     vanishes exactly at stationary points.  ``grad_theta`` and ``grad_phi``
     are the derivatives of the conditioned entropy in bits.  When a branch
     probability vanishes the logarithms in A are undefined: the point is
-    flagged ``degenerate`` and no numbers are reported.
+    flagged ``degenerate`` and no numbers are reported.  A report's record
+    takes all six fields on the first read of any (:func:`stationary_vector`
+    returns them taken), so a caller that reads none never pays for them.
     """
 
     a_vector: np.ndarray | None
@@ -83,6 +85,33 @@ class StationaryDiagnostics:
     grad_theta: float | None
     grad_phi: float | None
     degenerate: bool = False
+
+
+class _Deferred:
+    """A field of a :func:`_deferred` record; non-data, so a record built by ``__init__`` never runs it."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        fields = obj.__dict__
+        # the pending arguments stay: a thread reading at once takes its own values and returns the ones stored
+        for name, value in vars(_diagnostics(*fields["_pending"])).items():
+            fields.setdefault(name, value)
+        return fields[self.name]
+
+
+for _name in ("a_vector", "a_scalar", "residual", "grad_theta", "grad_phi", "degenerate"):  # after @dataclass, not defaults
+    setattr(StationaryDiagnostics, _name, _Deferred(_name))
+
+
+def _deferred(*pending) -> StationaryDiagnostics:
+    """``_diagnostics(*pending)`` as a record whose first read of any field takes all six; ``pending`` is plain data."""
+    record = object.__new__(StationaryDiagnostics)
+    record.__dict__["_pending"] = pending
+    return record
 
 
 @dataclass(frozen=True)
@@ -205,16 +234,17 @@ def stationary_vector(t: BlochTriple, direction) -> StationaryDiagnostics:
     -tau.A/4 (in bits), so stationary points are exactly where A is parallel
     to n.  The Lagrange scalar of the constrained formulation equals n.A.
     """
-    n = _normalized(direction)
-    return _diagnostics(t, n, _point(t, n, model=False))
+    return _diagnostics(t, _normalized(direction), None)
 
 
-def _diagnostics(t: BlochTriple, n, p: _Point, sign: float = 1.0, degenerate: bool = False,
+def _diagnostics(t: BlochTriple, n, p: _Point | None, sign: float = 1.0, degenerate: bool = False,
                  ) -> StationaryDiagnostics:
-    """:func:`stationary_vector` at the unit vector n (three floats) from the record ``p`` of ``sign * n``.
+    """:func:`stationary_vector` at the unit vector n (three floats) from the record ``p`` of ``sign * n``, or of n if None.
 
     ``degenerate`` flags a tied optimum; a point where A is undefined is flagged in any case.
     """
+    if p is None:
+        p = _point(t, n, model=False)
     if p.a is None:
         return StationaryDiagnostics(None, None, None, None, None, degenerate=True)
     a, b = (sign * p.a[0], sign * p.a[1], sign * p.a[2]), p.b
@@ -400,11 +430,11 @@ def refine_minimum(t: BlochTriple, start, *, tolerance: float = DEFAULT_TOLERANC
     its crossover a = q) is left down its negative curvature.  Points where
     the gradient is undefined fall back to compass search.  The returned
     value never exceeds the starting value.  One branch evaluation serves
-    each point visited and all that is read there.
+    each point visited; the diagnostics reuse the last, on first read.
     """
     n, p = _descend(t, _normalized(start), _check_tolerance(tolerance))
     direction = MeasurementDirection(c := _canonical_sign(n))
-    return direction, p.f, _diagnostics(t, c, p, 1.0 if c is n else -1.0)
+    return direction, p.f, _deferred(t, c, p, 1.0 if c is n else -1.0, False)
 
 
 def minimize_conditional_entropy(t: BlochTriple, resolution: float = DEFAULT_RESOLUTION,
@@ -447,8 +477,7 @@ def _closed_form_minimum(state: PreparedState) -> tuple[MeasurementDirection, fl
         _, dim, direction, tie, min_s = state._restricted
         if dim < 3:  # dimension 3: the bounds' rank rule finds T^t x = y = 0, so their bound is the minimum
             return None
-    t, n = state.triple, direction.n.tolist()
-    return direction, min_s, _diagnostics(t, n, _point(t, n, model=False), degenerate=tie)
+    return direction, min_s, _deferred(state.triple, direction.n.tolist(), None, 1.0, tie)
 
 
 def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFAULT_RESOLUTION,
@@ -477,7 +506,8 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
     Returns
     -------
     DiscordReport
-        With ``discord = mutual_information - classical_correlation`` exact.
+        With ``discord = mutual_information - classical_correlation`` exact;
+        its ``diagnostics`` are taken on first read.
     """
     resolution, tolerance = _check_resolution(resolution), _check_tolerance(tolerance)
     state = prepare_state(rho)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _as_real, _spectrum_entropy, binary_entropy
+from .entropy import _as_complex, _as_real, _spectrum_entropy, binary_entropy
 from .errors import NotAStateError, ValidationError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,19 +164,15 @@ class CanonicalForm:
 def validate(rho: np.ndarray) -> StateDiagnostics:
     """Check a 4x4 matrix against the density-matrix axioms.
 
-    Raises only on a wrong shape; otherwise returns the measured deviations
+    Raises only on a wrong shape or what is not numbers (a bool, string,
+    object or ragged array); otherwise returns the measured deviations
     and an accept flag (Hermiticity and trace deviations at most 1e-8,
     minimum eigenvalue at least -1e-9).  A matrix with an infinite or NaN
     entry is rejected before any arithmetic, with every deviation NaN; so is
     one with a real or imaginary part beyond 1e100, with infinite
     deviations and a NaN eigenvalue.
     """
-    try:
-        rho = np.asarray(rho, dtype=complex)
-    except (TypeError, ValueError) as err:  # a string, or an entry that is not a number
-        raise ValidationError(f"expected a 4x4 matrix of numbers: {err}") from None
-    if rho.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    rho = _as_complex(rho, "a 4x4 matrix of numbers", (4, 4))
     # the largest real or imaginary part; NaN if any is NaN
     peak = float(np.maximum.reduce(np.abs(np.ascontiguousarray(rho).view(float)), axis=None))
     if not peak <= _MAX_ENTRY:
@@ -220,7 +216,7 @@ def matrix_from_triple(t: BlochTriple) -> np.ndarray:
 
 def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Partial traces (rho_A, rho_B) of a 4x4 matrix."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    r = _as_complex(rho, "a 4x4 matrix of numbers", (4, 4)).reshape(2, 2, 2, 2)
     return r.trace(axis1=1, axis2=3), r.trace(axis1=0, axis2=2)
 
 
@@ -402,8 +398,8 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
 
     O_ij = Re tr(sigma_i U sigma_j U^dag) / 2; the global phase of U drops out.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not np.isfinite(u).all() or np.max(np.abs(u @ u.conj().T - _I2)) > 1e-10:
+    u = _as_complex(u, "a 2x2 unitary", (2, 2))
+    if not np.isfinite(u).all() or np.max(np.abs(u @ u.conj().T - _I2)) > 1e-10:
         raise ValidationError("expected a 2x2 unitary")
     upu = u @ PAULIS @ u.conj().T
     return np.einsum("iab,jba->ij", PAULIS, upu).real / 2

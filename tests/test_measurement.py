@@ -355,7 +355,10 @@ def test_direction_inputs_reject_complex_entries(entry, n):
         MeasurementDirection(n) if entry is None else entry(random_triple(np.random.default_rng(2)), n)
 
 
-@pytest.mark.parametrize("n", ["abc", np.array(["0", "0", "1"]), np.array([0.0, 0.0, 1.0], dtype=object), object()])
+@pytest.mark.parametrize("n", ["abc", np.array(["0", "0", "1"]), np.array([0.0, 0.0, 1.0], dtype=object), object(),
+                               # a bool array gave (1, 0, 0), dates counted days and a void array leaked ValueError
+                               np.array([True, False, False]), np.array([1, 0, 0], dtype="datetime64[D]"),
+                               np.zeros(3, dtype="V8")])
 def test_direction_inputs_reject_strings_and_objects(n):
     # numpy's cast to float leaked ValueError or TypeError, or parsed the strings
     t = random_triple(np.random.default_rng(2))
@@ -366,7 +369,9 @@ def test_direction_inputs_reject_strings_and_objects(n):
         assert info.type is ValidationError
 
 
-@pytest.mark.parametrize("rho", [np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0]), np.eye(3), np.eye(16)])
+@pytest.mark.parametrize("rho", [np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0]), np.eye(3), np.eye(16),
+                                 # a bool matrix gave [4.], a string one leaked TypeError from isfinite
+                                 np.eye(4, dtype=bool), np.full((4, 4), "x")])
 def test_direct_route_rejects_what_is_not_a_finite_4x4_matrix(rho):
     # a nan matrix gave [0.], a 3x3 one leaked ValueError from matmul
     t = random_triple(np.random.default_rng(2))

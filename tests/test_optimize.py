@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import math
 import os
+import pickle
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -1001,3 +1005,129 @@ def test_one_call_makes_no_eigh_det_or_norm_call(monkeypatch, rng):
     for rho, fast_path in cases:
         assert quantum_discord(rho, fast_path=fast_path).bounds is not None
     assert calls == []
+
+
+_DIAGNOSTIC_FIELDS = [f.name for f in dataclasses.fields(optimize.StationaryDiagnostics)]
+
+
+def _bits(record):
+    """The six fields of a diagnostics record, exactly: the vector's bytes, each float's hex, None and bools as such."""
+    values = [getattr(record, name) for name in _DIAGNOSTIC_FIELDS]
+    bits = [v.tobytes() if isinstance(v, np.ndarray) else v.hex() if isinstance(v, float) else v for v in values]
+    with np.printoptions(floatmode="unique"):
+        return bits, repr(record)
+
+
+def _unread_records(rng):
+    """(route, triple, direction, record) of every route that defers its diagnostics, each record unread."""
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    found = []
+    for route, rho, settings in (("pure", pure, {}),
+                                 ("closed-form", u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T, {}),
+                                 ("closed-form", bell_diagonal_state(1.0, -0.5, 0.5), {}),  # A undefined at e0
+                                 ("grid+refine", random_state(rng=rng), {}),
+                                 ("grid+refine", pure, {"fast_path": False})):  # A undefined at the minimum
+        report = quantum_discord(rho, **settings)
+        assert report.method == route.replace("pure", "closed-form")
+        found.append((route, triple_from_matrix(rho), report.optimal_direction, report.diagnostics))
+    t = random_triple(rng)
+    direction, _, record = refine_minimum(t, random_direction(rng))
+    found.append(("refine_minimum", t, direction, record))
+    direction, _, record = minimize_conditional_entropy(t)
+    found.append(("minimize_conditional_entropy", t, direction, record))
+    return found
+
+
+def test_deferred_diagnostics_are_the_eager_ones_bit_for_bit(rng):
+    for route, t, direction, record in _unread_records(rng):
+        assert list(vars(record)) == ["_pending"], route  # nothing taken yet
+        eager = optimize._diagnostics(*vars(record)["_pending"])
+        assert _bits(record) == _bits(eager), route
+        # and the numbers are the scalar evaluator's at the reported direction
+        expected = stationary_vector(t, direction)
+        assert _bits(record)[0][:5] == _bits(expected)[0][:5], route
+    # a boundary state: s+ = 1 makes w2 = 0 at e0, which the branch evaluation alone knows, and no tie flags it
+    state = states.prepare_state(bell_diagonal_state(1.0, -0.5, 0.5))
+    assert state._restricted[3] is False
+    record = quantum_discord(state).diagnostics
+    assert record.degenerate is True and record.residual is None and record.a_vector is None
+
+
+def test_a_report_takes_its_diagnostics_on_first_read_only(monkeypatch, rng):
+    calls = []
+    for name in ("_diagnostics", "_point"):
+        original = getattr(optimize, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, name, counting)
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    cases = [(u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T, "closed-form"),
+             (np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, "closed-form"),
+             (random_state(rng=rng), "grid+refine")]
+    for rho, method in cases:
+        report = quantum_discord(rho)
+        assert report.method == method and "_diagnostics" not in calls
+        # the closed-form routes evaluate no point before the first read; refinement hands its last record on
+        assert "_point" not in calls if method == "closed-form" else "_point" in calls
+        calls.clear()
+        first = report.diagnostics.residual
+        assert calls == ["_diagnostics", "_point"] if method == "closed-form" else calls == ["_diagnostics"]
+        calls.clear()
+        assert report.diagnostics.residual is first
+        _bits(report.diagnostics)  # every field and the repr
+        assert calls == []
+
+
+def test_an_unread_record_copies_and_pickles_with_the_eager_values(rng):
+    for route, _, _, record in _unread_records(rng):
+        eager = _bits(optimize._diagnostics(*vars(record)["_pending"]))
+        copies = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+        assert all(list(vars(c)) == ["_pending"] for c in copies), route
+        for c in copies + [record]:
+            assert _bits(c) == eager, route
+
+
+def test_the_public_constructor_and_stationary_vector_stay_eager(rng):
+    t, d = random_triple(rng), random_direction(rng)
+    assert set(vars(stationary_vector(t, d))) == set(_DIAGNOSTIC_FIELDS)
+    assert set(vars(optimize.StationaryDiagnostics(None, None, None, None, None))) == set(_DIAGNOSTIC_FIELDS)
+
+
+def test_threads_reading_fresh_reports_at_once_all_get_the_eager_values(rng):
+    # more threads than cores and a short switch interval, so that first reads of one record interleave
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    rhos = [u @ bell_diagonal_state(*sample_bell_diagonal(rng)) @ u.conj().T for _ in range(20)]
+    rhos += [random_state(rng=rng) for _ in range(4)] + [bell_diagonal_state(1.0, -0.5, 0.5)]
+    reports = [quantum_discord(rho, with_bounds=False) for rho in rhos * 8]
+    expected = [_bits(optimize._diagnostics(*vars(r.diagnostics)["_pending"])) for r in reports]
+    count = 8
+    barrier, seen, errors = threading.Barrier(count), [None] * count, []
+
+    def read(k):
+        try:
+            barrier.wait(timeout=30)
+            seen[k] = [_bits(r.diagnostics) for r in (reports if k % 2 else reports[::-1])]
+        except BaseException as err:  # reported below, with the thread's values
+            errors.append(err)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    for k, values in enumerate(seen):
+        assert values == (expected if k % 2 else expected[::-1])

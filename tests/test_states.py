@@ -16,7 +16,11 @@ from qdiscord import (
     bell_diagonal_state,
     bloch_rotation,
     canonicalize,
+    hermitian_eigensystem,
+    hermitian_eigenvalues,
+    kernel_class_min_entropy,
     quantum_discord,
+    shannon_entropy,
     theorem1_bounds,
     marginals,
     matrix_from_triple,
@@ -29,7 +33,7 @@ from qdiscord import (
     von_neumann_entropy,
 )
 from qdiscord import states
-from qdiscord.entropy import _spectrum_entropy, binary_entropy
+from qdiscord.entropy import _as_complex, _spectrum_entropy, binary_entropy
 from qdiscord.states import PreparedState, _proper_svd, prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
@@ -134,13 +138,47 @@ def test_validate_rejects_entries_near_the_float_range(entries):
             triple_from_matrix(rho)
 
 
-@pytest.mark.parametrize("rho", ["abcd", np.full((4, 4), "x"), [[object()] * 4] * 4, [[1, 2], [3]]])
+@pytest.mark.parametrize("rho", ["abcd", np.full((4, 4), "x"), [[object()] * 4] * 4, [[1, 2], [3]],
+                                 # a bool matrix gave a closed-form report and dates counted days; an int past
+                                 # the float range makes an object array
+                                 np.diag([True, False, False, False]), np.eye(4).astype("datetime64[D]"),
+                                 [[10**400] * 4] * 4])
 def test_validate_rejects_what_is_not_a_matrix_of_numbers(rho):
     # the cast to complex leaked ValueError or TypeError
     for check in (validate, triple_from_matrix, quantum_discord):
         with pytest.raises(ValidationError) as info:
             check(rho)
         assert info.type is ValidationError
+
+
+@pytest.mark.parametrize("call", [
+    # bool arrays are not numbers, as a bool scalar is not: each gave 0s and 1s
+    lambda: BlochTriple(np.zeros(3), np.zeros(3), np.eye(3, dtype=bool)),
+    lambda: shannon_entropy(np.array([True, False])),
+    lambda: shannon_entropy(np.array([1, 0], dtype="timedelta64[s]")),  # dates counted days
+    lambda: hermitian_eigensystem(np.eye(2, dtype=bool)),
+    lambda: bloch_rotation(np.eye(2, dtype=bool)),
+    # strings and wrong shapes leaked ValueError or TypeError from the complex cast, reshape or matmul
+    lambda: hermitian_eigenvalues(np.full((2, 2), "a")),
+    lambda: bloch_rotation(np.full((2, 2), "a")),
+    lambda: reduced_states("abcd"),
+    lambda: reduced_states(np.eye(3)),
+    lambda: reduced_states([[1, 2], [3]]),
+    lambda: kernel_class_min_entropy(np.zeros(2), np.eye(3)),
+])
+def test_what_is_not_an_array_of_numbers_raises_validation_error(call):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert info.type is ValidationError
+
+
+def test_the_matrix_rule_casts_numbers_and_passes_complex128_through():
+    rho = random_state(rng=np.random.default_rng(5))
+    assert _as_complex(rho, "a 4x4 matrix", (4, 4)) is rho
+    for form in (rho.astype(np.complex64), rho.real, rho.real.astype(np.float32), rho.astype(">c16"),
+                 (rho.real * 8).astype(int), rho.tolist()):
+        cast = _as_complex(form, "a 4x4 matrix", (4, 4))
+        assert cast.dtype == np.complex128 and np.array_equal(cast, np.asarray(form, dtype=complex))
 
 
 def test_triple_from_matrix_rejects_invalid():
