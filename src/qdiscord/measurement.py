@@ -152,11 +152,15 @@ def projector_bloch(k: int, direction) -> np.ndarray:
 #: Raw branch quantities at a direction n, before any clamp or degeneracy policy:
 #: p0, p1; w1, w2 = (2 p0 +- s_plus)/4; w3, w4 = (2 p1 +- s_minus)/4; v_plus,
 #: v_minus = x +- T n with norms s_plus, s_minus.  Floats and float 3-tuples from
-#: :func:`branches`; from :func:`branches_batch`, views of its stacked rows.
+#: :func:`branches`, (N,) and (N, 3) arrays from :func:`branches_batch`; both
+#: take p and w from :func:`_weights`.
 Branches = namedtuple("Branches", "p0 p1 w1 w2 w3 w4 v_plus v_minus s_plus s_minus")
 
-#: +1 and -1 as a column, the signs of the pairs (p0, p1), (x + T n, x - T n) and (w1, w2)
-_SIGNS = np.array([[1.0], [-1.0]])
+
+def _weights(d, sp, sm):
+    """(p0, p1, w1, w2, w3, w4) from y . n and |x +- T n|, alike on floats and on (N,) arrays."""
+    p0, p1 = (1 + d) / 2, (1 - d) / 2
+    return p0, p1, (2 * p0 + sp) / 4, (2 * p0 - sp) / 4, (2 * p1 + sm) / 4, (2 * p1 - sm) / 4
 
 
 def branches(t: BlochTriple, n) -> Branches:
@@ -167,10 +171,7 @@ def branches(t: BlochTriple, n) -> Branches:
     tn0, tn1, tn2 = r00 * n0 + r01 * n1 + r02 * n2, r10 * n0 + r11 * n1 + r12 * n2, r20 * n0 + r21 * n1 + r22 * n2
     vp0, vp1, vp2, vm0, vm1, vm2 = x0 + tn0, x1 + tn1, x2 + tn2, x0 - tn0, x1 - tn1, x2 - tn2
     sp, sm = math.sqrt(vp0 * vp0 + vp1 * vp1 + vp2 * vp2), math.sqrt(vm0 * vm0 + vm1 * vm1 + vm2 * vm2)
-    d = y0 * n0 + y1 * n1 + y2 * n2
-    p0, p1 = (1 + d) / 2, (1 - d) / 2
-    return Branches(p0, p1, (2 * p0 + sp) / 4, (2 * p0 - sp) / 4, (2 * p1 + sm) / 4, (2 * p1 - sm) / 4,
-                    (vp0, vp1, vp2), (vm0, vm1, vm2), sp, sm)
+    return Branches(*_weights(y0 * n0 + y1 * n1 + y2 * n2, sp, sm), (vp0, vp1, vp2), (vm0, vm1, vm2), sp, sm)
 
 
 def _unit_rows(dirs) -> np.ndarray:
@@ -188,56 +189,40 @@ def _unit_rows(dirs) -> np.ndarray:
 
 
 def branches_batch(t: BlochTriple, dirs) -> Branches:
-    """Branch quantities at every row of an (N, 3) array of unit directions, as views of stacked arrays.
-
-    w1 w2 w3 w4 p0 p1 are the rows of one (6, N) array, v_plus and v_minus
-    the halves of one (2, N, 3) array and s_plus and s_minus of one (2, N)
-    array.  The arithmetic is :func:`branches`', operation for operation
-    (x - T n as x + (-1) T n and 1 - d as 1 + (-1) d, which round alike).
-    """
+    """Branch quantities at every row of an (N, 3) array of unit directions, with T n as one matrix product."""
     dirs = _unit_rows(dirs)
-    v = t.x + _SIGNS[:, :, None] * (dirs @ t.T.T)
-    s = _row_norms(v)
-    rows = np.empty((6, len(dirs)))
-    p = rows[4:]
-    np.divide(1 + _SIGNS * (dirs @ t.y), 2, out=p)
-    w = rows[:4].reshape(2, 2, -1)  # [[w1, w2], [w3, w4]]: branch k, sign of s
-    np.divide(2 * p[:, None] + _SIGNS * s[:, None], 4, out=w)
-    return Branches(*p, *rows[:4], *v, *s)
+    x, tn = t.x, dirs @ t.T.T  # x first: a record without one raises AttributeError before the product
+    vp, vm = x + tn, x - tn
+    sp, sm = _row_norms(vp), _row_norms(vm)
+    return Branches(*_weights(dirs @ t.y, sp, sm), vp, vm, sp, sm)
 
 
-def _probabilities(b: Branches) -> tuple[float, float, float, float, float, float]:
+def _pick(c, a, b):
+    """a if c else b: the select of :func:`_probabilities` on floats."""
+    return a if c else b
+
+
+def _least_of_rows(w2: np.ndarray, w4: np.ndarray) -> float:
+    """The least entry of two (N,) arrays, or 0.0: the least of :func:`_probabilities` on arrays."""
+    return float(np.minimum.reduce(np.minimum(w2, w4), initial=0.0))
+
+
+def _probabilities(b: Branches, least=min, select=_pick):
     """(p0, p1, w1, w2, w3, w4) of the branches; a w below zero by at most 1e-9/4 snaps to 0.
 
     Its partner snaps to p_k, so w1 + w2 = p0 and w3 + w4 = p1 stay exact.
+    Floats as given; for the (N,) arrays of :func:`branches_batch` pass
+    ``_least_of_rows`` and ``np.where``, so the two shapes share the check,
+    its error and the snap.
     """
     p0, p1, w1, w2, w3, w4 = b[:6]
-    if min(w2, w4) < -_W_DEFICIT_TOL / 4:
-        raise NotAStateError(f"|x +- T n| exceeds 2 p_k by {-4 * min(w2, w4):.3e}; triple is not a state")
-    if w2 < 0:
-        w1, w2 = p0, 0.0
-    if w4 < 0:
-        w3, w4 = p1, 0.0
-    return p0, p1, w1, w2, w3, w4
-
-
-def _probabilities_batch(b: Branches) -> np.ndarray:
-    """:func:`_probabilities` at every direction of a batch: the same check, error and snap.
-
-    Returns the (6, N) rows w1 w2 w3 w4 p0 p1 that the fields of a
-    :func:`branches_batch` result view, snapped on a copy.
-    """
-    rows = b.w1.base
-    low = float(np.minimum.reduce(rows[1:4:2], axis=None, initial=0.0))
+    low = least(w2, w4)
     if low < -_W_DEFICIT_TOL / 4:
         raise NotAStateError(f"|x +- T n| exceeds 2 p_k by {-4 * low:.3e}; triple is not a state")
     if low < 0:
-        rows = rows.copy()
-        for k in (0, 2):  # (w1, w2) with p0, (w3, w4) with p1
-            snap = rows[k + 1] < 0
-            rows[k, snap] = rows[4 + k // 2, snap]
-            rows[k + 1, snap] = 0.0
-    return rows
+        w1, w2 = select(w2 < 0, p0, w1), select(w2 < 0, 0.0, w2)
+        w3, w4 = select(w4 < 0, p1, w3), select(w4 < 0, 0.0, w4)
+    return p0, p1, w1, w2, w3, w4
 
 
 @dataclass(frozen=True)
@@ -306,10 +291,10 @@ def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndar
     Each row must be a real vector within 1e-12 of unit length; any other
     row, shape or entry raises :class:`ValidationError`.
     """
-    rows = _probabilities_batch(branches_batch(t, directions))
-    w = rows[:4]
+    rows = np.array(_probabilities(branches_batch(t, directions), _least_of_rows, np.where))
+    w = rows[2:]
     np.minimum(np.maximum(w, 0.0, out=w), 1.0, out=w)
-    return _h_sum(w) - _h_sum(rows[4:])
+    return _h_sum(w) - _h_sum(rows[:2])
 
 
 def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | None = None):

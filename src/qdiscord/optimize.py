@@ -27,11 +27,11 @@ from .measurement import (
     _branch_entropy,
     _canonical_sign,
     _dot,
+    _least_of_rows,
     _lowest_eigenpair,
     _normalized,
     _polar,
     _probabilities,
-    _probabilities_batch,
     _row_norms,
     _tangent_basis,
     branches,
@@ -563,9 +563,8 @@ def stationary_residual_batch(t: BlochTriple, dirs: np.ndarray) -> np.ndarray:
     """
     b = branches_batch(t, dirs)
     dirs = np.asarray(dirs, dtype=float)  # real, (N, 3) and unit rows: branches_batch checked them
-    rows = _probabilities_batch(b)
-    w1, w2, w3, w4, p0, p1 = rows
-    valid = np.minimum.reduce(rows) > BRANCH_TOL
+    probs = p0, p1, w1, w2, w3, w4 = _probabilities(b, _least_of_rows, np.where)
+    valid = np.minimum.reduce(probs) > BRANCH_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         ly = np.log2((w1 * w2 * p1 * p1) / (w3 * w4 * p0 * p0))
         cp = np.where(b.s_plus > BRANCH_TOL, np.log2(w1 / w2) / b.s_plus, 0.0)

@@ -21,7 +21,7 @@ def _read_names(tree):
 
 def test_no_unused_imports():
     unused = []
-    for path, source in _modules(PACKAGE).items():
+    for path, source in _modules(PACKAGE, ROOT / "scripts").items():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(source, str(path))
@@ -86,10 +86,13 @@ def test_each_primitive_is_defined_in_its_home_module_only():
 #: primitives written exactly once: T^t x as numpy's product and the rank
 #: tolerance of [T^t x, y], which both bounds routes (the floats and the LAPACK
 #: oracle) and the search's start axes read, the call of validate, in
-#: prepare_state, the one route from a matrix to its triple, and the SVD of T,
-#: which the bounds' rank-0 case, the start axes and canonicalize read
+#: prepare_state, the one route from a matrix to its triple, the SVD of T,
+#: which the bounds' rank-0 case, the start axes and canonicalize read, and the
+#: branch weights w = (2 p +- s)/4 and the not-a-state check on them, which the
+#: scalar and the batch kernels share, so that no float/array fork comes back
 SINGLE_DEFINITIONS = {r"\.T\.T @ \w+\.x\b|\w+\.x @ \w+\.T\b": "states.py", r"1e-10 \* max\(": "bounds.py",
-                      r"(?<!def )\bvalidate\(": "states.py", r"np\.linalg\.svd\(t\.T\)": "states.py"}
+                      r"(?<!def )\bvalidate\(": "states.py", r"np\.linalg\.svd\(t\.T\)": "states.py",
+                      r"\(2 \* p0 \+ \w+\) / 4": "measurement.py", r"exceeds 2 p_k": "measurement.py"}
 
 
 def test_each_bounds_primitive_has_one_definition():

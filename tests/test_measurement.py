@@ -30,7 +30,15 @@ from qdiscord import (
     triple_from_matrix,
 )
 from qdiscord.entropy import _h_sum
-from qdiscord.measurement import _W_DEFICIT_TOL, BRANCH_TOL, _row_norms, branches, branches_batch
+from qdiscord.measurement import (
+    _W_DEFICIT_TOL,
+    BRANCH_TOL,
+    _least_of_rows,
+    _probabilities,
+    _row_norms,
+    branches,
+    branches_batch,
+)
 from qdiscord.optimize import stationary_residual_batch
 
 Z3 = np.zeros(3)
@@ -220,6 +228,36 @@ def test_batch_kernels_reject_a_triple_that_is_not_a_state():
         stationary_residual_batch(t, dirs)
     with pytest.raises(NotAStateError, match=message):
         stationary_scan(t)
+
+
+#: n = +-e_x, where |T n| = 1 + eps exceeds 2 p_k = 1 for the triples below
+_X_AXES = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("eps", [1e-12, 4e-9, 7.9e-9])
+def test_scalar_and_batch_paths_snap_alike(eps):
+    t = BlochTriple(Z3, Z3, np.diag([1 + eps, 0.5, -0.2]))
+    raw = branches_batch(t, _X_AXES)
+    low = np.minimum(raw.w2, raw.w4)
+    assert ((-_W_DEFICIT_TOL / 4 < low) & (low < 0)).all()
+    rows = np.array(_probabilities(raw, _least_of_rows, np.where))
+    batch = conditional_entropy_batch(t, _X_AXES)
+    for i, n in enumerate(_X_AXES):
+        p = joint_probabilities(t, n)
+        assert np.array([p.p0, p.p1, *p.w]).tobytes() == rows[:, i].tobytes()
+        assert np.float64(conditional_entropy(t, n)).tobytes() == batch[i].tobytes()
+
+
+def test_scalar_and_batch_paths_reject_alike():
+    # |T n| = 1 + 8.1e-9 at n = +-e_x: w2 and w4 lie just past the snap band
+    t = BlochTriple(Z3, Z3, np.diag([1 + 8.1e-9, 0.5, -0.2]))
+    messages = []
+    for call in (lambda: conditional_entropy(t, _X_AXES[0]), lambda: conditional_entropy_batch(t, _X_AXES),
+                 lambda: stationary_residual_batch(t, _X_AXES)):
+        with pytest.raises(NotAStateError) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1 and "triple is not a state" in messages[0], messages
 
 
 @pytest.mark.parametrize("dirs", [np.array([0.0, 0.0, 1.0]), np.zeros((4, 2)), np.zeros((2, 3, 1)),

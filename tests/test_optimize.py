@@ -763,6 +763,21 @@ def test_discord_invariant_under_local_unitaries(rng):
                                   o2 @ report.optimal_direction.n) < 1e-3
 
 
+def test_discord_invariant_under_local_unitaries_sweep():
+    # an oracle-free guard of the global search: a local frame that led it to another minimum would move D
+    rng = np.random.default_rng(2026)
+    states = [random_state(rank=1 + k % 4, rng=rng) for k in range(1500)]
+    states += [ab_state(a, s * (1 - a)) for a in np.linspace(0.02, 0.98, 25) for s in np.linspace(-0.95, 0.95, 21)]
+    assert len(states) >= 2000
+    worst = 0.0
+    for rho in states:
+        discord = quantum_discord(rho, with_bounds=False).discord
+        for _ in range(4):
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+            worst = max(worst, abs(quantum_discord(u @ rho @ u.conj().T, with_bounds=False).discord - discord))
+    assert worst <= 1e-12
+
+
 def test_classical_correlation_wrapper():
     assert classical_correlation(bell_diagonal_state(1, -1, 1)) == pytest.approx(1.0, abs=1e-12)
 

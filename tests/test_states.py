@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import warnings
 from collections import Counter
@@ -32,6 +33,7 @@ from qdiscord import (
     validate,
     von_neumann_entropy,
 )
+import qdiscord
 from qdiscord import states
 from qdiscord.entropy import _as_complex, _spectrum_entropy, binary_entropy
 from qdiscord.states import PreparedState, _proper_svd, prepare_state
@@ -693,3 +695,47 @@ def test_each_lazy_field_runs_its_function_once(monkeypatch, rng):
         # each value is the one stored in its instance's __dict__ on first read
         assert all(value is vars(state.triple if cls is BlochTriple else state)[name]
                    for value, (cls, name) in zip(values, fields))
+
+
+_N = (0.0, 0.0, 1.0)
+#: every public callable that takes a record, with valid values for its other arguments
+RECORD_CALLS = {
+    "apply_local_rotations": lambda r: qdiscord.apply_local_rotations(r, np.eye(3), np.eye(3)),
+    "canonicalize": qdiscord.canonicalize,
+    "classify": qdiscord.classify,
+    "conditional_entropy": lambda r: qdiscord.conditional_entropy(r, _N),
+    "conditional_entropy_batch": lambda r: qdiscord.conditional_entropy_batch(r, np.eye(3)),
+    "conditional_entropy_direct": lambda r: qdiscord.conditional_entropy_direct(r, np.eye(3)),
+    "grid_minimize": qdiscord.grid_minimize,
+    "joint_probabilities": lambda r: qdiscord.joint_probabilities(r, _N),
+    "marginals": qdiscord.marginals,
+    "matrix_from_triple": qdiscord.matrix_from_triple,
+    "minimize_conditional_entropy": qdiscord.minimize_conditional_entropy,
+    "outcome_probabilities": lambda r: qdiscord.outcome_probabilities(r, _N),
+    "perp_subspace": qdiscord.perp_subspace,
+    "post_measurement_state": lambda r: qdiscord.post_measurement_state(r, _N, 0),
+    "refine_minimum": lambda r: qdiscord.refine_minimum(r, _N),
+    "sample_bell_diagonal": qdiscord.sample_bell_diagonal,
+    "sample_kernel_class": qdiscord.sample_kernel_class,
+    "stationary_scan": qdiscord.stationary_scan,
+    "stationary_vector": lambda r: qdiscord.stationary_vector(r, _N),
+    "t0_squared": qdiscord.t0_squared,
+}
+
+
+def test_record_table_covers_every_public_callable_that_takes_a_record():
+    records = {"BlochTriple", "CanonicalForm", "np.random.Generator"}
+    public = [getattr(qdiscord, name) for name in dir(qdiscord) if not name.startswith("_")]
+    takers = {f.__name__ for f in public if inspect.isfunction(f)
+              and any(p.annotation in records for p in inspect.signature(f).parameters.values())}
+    assert takers == set(RECORD_CALLS)
+
+
+@pytest.mark.parametrize("bad", [None, "triple", {"x": [0.0, 0.0, 0.0]}, np.eye(4) / 4], ids=type)
+@pytest.mark.parametrize("name", sorted(RECORD_CALLS))
+def test_a_record_argument_of_another_type_raises_attribute_or_type_error(name, bad):
+    # records are not validated: a wrong type fails on its first missing attribute, never with a result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((AttributeError, TypeError)):
+            RECORD_CALLS[name](bad)
