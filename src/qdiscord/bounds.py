@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import binary_entropy
+from .entropy import _real_scalar, binary_entropy
+from .errors import ValidationError
 from .measurement import MeasurementDirection, _canonical_sign, _cross, _dot, _lowest_eigenpair, _tangent_basis
 from .states import BlochTriple, PreparedState, prepare_state
 
@@ -157,10 +158,10 @@ def _restricted_maximum(state: PreparedState) -> tuple[float, int, MeasurementDi
 def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = None) -> BoundReport:
     """Correlation bounds of a state.
 
-    ``rho`` is a 4x4 density matrix or the
-    :class:`~qdiscord.states.PreparedState` built for one.  If ``discord``
-    is not supplied it is computed with the default optimizer settings in
-    order to fill the ``saturated`` flag.
+    ``rho`` is a 4x4 density matrix or the :class:`~qdiscord.states.PreparedState`
+    built for one.  If ``discord`` is not supplied it is computed with the default
+    optimizer settings in order to fill the ``saturated`` flag; one that is not a
+    finite real number raises :class:`~qdiscord.errors.ValidationError`.
     """
     state = prepare_state(rho)
     t0sq, perp_dim, e0, _, cond_ub = state._restricted
@@ -169,6 +170,8 @@ def theorem1_bounds(rho: np.ndarray | PreparedState, discord: float | None = Non
         from .optimize import quantum_discord
 
         discord = quantum_discord(state, with_bounds=False).discord
+    elif not math.isfinite(discord := _real_scalar(discord, "discord")):
+        raise ValidationError(f"discord must be finite, got {discord!r}")
     return BoundReport(
         t0_squared=t0sq,
         perp_dim=perp_dim,

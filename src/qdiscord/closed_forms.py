@@ -116,10 +116,11 @@ def kernel_class_min_entropy(x: np.ndarray, T: np.ndarray) -> float:
     ``t_max`` is the largest singular value of T.  Raises
     :class:`WrongClassError` when x is not in the kernel of T^t.
     """
-    x, T = _as_real(np.asarray(x), "x"), _as_real(np.asarray(T), "T")
+    x, T = _as_real(x, "x"), _as_real(T, "T")
     if x.shape != (3,) or T.shape != (3, 3):
         raise ValidationError(f"expected a 3-vector x and a 3x3 T, got shapes {x.shape} and {T.shape}")
-    if not float(np.linalg.norm(T.T @ x)) <= CLASS_TOL:  # a non-finite entry fails too, before the SVD
+    # a non-finite entry fails too, before T^t x (where inf * 0 warns) and the SVD
+    if not (np.isfinite(x).all() and np.isfinite(T).all() and float(np.linalg.norm(T.T @ x)) <= CLASS_TOL):
         raise WrongClassError("x is not in the kernel of T^t")
     t_max = float(np.linalg.svd(T, compute_uv=False)[0]) if np.any(T) else 0.0
     x2 = float(x @ x)
@@ -201,8 +202,8 @@ def ab_discord(a: float, b: float) -> tuple[float, float]:
     (0.19170, 0.70508) it lies at theta ~ 43 degrees, and the discord
     0.1915942 is 4.9e-5 below min{a, q}.
     """
-    q = ab_q(a, b)
-    return min(a, q), q
+    q = ab_q(a, b)  # checks a and b
+    return min(_real_scalar(a, "a"), q), q
 
 
 def sample_bell_diagonal(rng: np.random.Generator) -> tuple[float, float, float]:

@@ -26,12 +26,16 @@ HERMITIAN_TOL = 1e-10
 _COMPLEX = np.dtype(complex)
 
 
-def _as_real(arr: np.ndarray, name: str) -> np.ndarray:
-    """A numpy array as float (itself if it is one); complex entries raise instead of losing their imaginary part.
+def _as_real(arr, name: str) -> np.ndarray:
+    """Numbers as a float array (itself if it is one); complex entries raise instead of losing their imaginary part.
 
-    Only integer and float arrays are numbers: a bool, string, object, date or void array raises too, whose
-    cast would count True as 1, parse the strings, count days or leak a ValueError or TypeError.
+    Only integer and float arrays are numbers: a bool, string, object, date or void array or a ragged nesting raises
+    too, whose cast would count True as 1, parse the strings, count days or leak a ValueError or TypeError.
     """
+    try:
+        arr = np.asarray(arr)
+    except ValueError as err:  # a ragged nesting
+        raise ValidationError(f"{name} must be real numbers: {err}") from None
     if arr.dtype.kind == "c":
         raise ValidationError(f"{name} has complex entries")
     if arr.dtype.kind not in "iuf":
@@ -117,7 +121,7 @@ def shannon_entropy(p) -> float:
     The entries must be at least -1e-9 and sum to 1 within 1e-6; anything
     further off raises :class:`ValidationError`.  They are clipped to [0, 1].
     """
-    p = np.atleast_1d(_as_real(np.asarray(p), "probability vector"))
+    p = np.atleast_1d(_as_real(p, "probability vector"))
     if p.ndim != 1:
         raise ValidationError("probability vector must be one-dimensional")
     if not float(p.min(initial=0.0)) >= -CLAMP_TOL:

@@ -39,7 +39,7 @@ def _normalized(v) -> tuple[float, float, float] | list[float]:
     if not ((type(v) is tuple or type(v) is list) and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float):
         if isinstance(v, MeasurementDirection):
             return v.n.tolist()  # the bits it stores, which came out of this rule
-        v = _as_real(np.asarray(v), "direction")
+        v = _as_real(v, "direction")
         if v.shape != (3,):
             raise ValidationError(f"direction must be a real 3-vector, got shape {v.shape}")
         v = v.tolist()
@@ -176,7 +176,7 @@ def branches(t: BlochTriple, n) -> Branches:
 
 def _unit_rows(dirs) -> np.ndarray:
     """``dirs`` as an (N, 3) float array of rows within 1e-12 of unit length, else :class:`ValidationError`."""
-    dirs = _as_real(np.asarray(dirs), "directions")
+    dirs = _as_real(dirs, "directions")
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValidationError(f"directions must be an (N, 3) array, got shape {dirs.shape}")
     norms = _row_norms(np.minimum(np.abs(dirs), 2.0))  # entries capped at 2, so none overflows; a nan fails
@@ -314,7 +314,7 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     Branches with p_k <= BRANCH_TOL contribute nothing.  ``rho`` may be
     passed to reuse a precomputed matrix for the same triple.
     """
-    single = isinstance(directions, MeasurementDirection) or np.ndim(directions) != 2
+    single = isinstance(directions, MeasurementDirection) or _as_real(directions, "directions").ndim != 2
     dirs = np.array([_normalized(directions)]) if single else _unit_rows(directions)
     if rho is None:
         rho = matrix_from_triple(t)
@@ -328,10 +328,11 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     lift = np.zeros((2 * count, 2, 2, 2, 2), dtype=complex)  # I (x) P_k: P_k on both diagonal blocks
     lift[:, 0, :, 0] = lift[:, 1, :, 1] = proj
     lift = lift.reshape(-1, 4, 4)
-    sandwich = lift @ rho @ lift
-    pk = ((sandwich[:, 0, 0] + sandwich[:, 1, 1]) + (sandwich[:, 2, 2] + sandwich[:, 3, 3])).real  # np.trace's order
+    sandwich = (lift.reshape(-1, 4) @ rho).reshape(-1, 4, 4) @ lift  # lift @ rho as one 2-D matmul, same bits
+    block = sandwich[:, ::2, ::2] + sandwich[:, 1::2, 1::2]  # einsum's Tr_B, before dividing by p_k
+    pk = (block[:, 0, 0] + block[:, 1, 1]).real  # np.trace's order: (s00 + s11) + (s22 + s33)
     live = pk > BRANCH_TOL
-    rho_a = (sandwich[:, ::2, ::2] + sandwich[:, 1::2, 1::2])[live] / pk[live, None, None]  # einsum's Tr_B
+    rho_a = block[live] / pk[live, None, None]
     eig = np.clip(np.linalg.eigvalsh(rho_a), 0.0, 1.0)
     terms = np.zeros(2 * count)
     terms[live] = pk[live] * _h_sum(eig.T)

@@ -510,6 +510,8 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         its ``diagnostics`` are taken on first read.
     """
     resolution, tolerance = _check_resolution(resolution), _check_tolerance(tolerance)
+    if not (isinstance(fast_path, (bool, np.bool_)) and isinstance(with_bounds, (bool, np.bool_))):
+        raise ValidationError(f"fast_path and with_bounds must be bools, got {fast_path!r} and {with_bounds!r}")
     state = prepare_state(rho)
     found = _closed_form_minimum(state) if fast_path else None
     method = "grid+refine" if found is None else "closed-form"
@@ -542,17 +544,17 @@ def bound_comparison_scan(states: Iterable[tuple[float, float, np.ndarray]],
                           tolerance: float = DEFAULT_TOLERANCE) -> list[ScanRow]:
     """Discord versus bounds over a parameterized family.
 
-    ``states`` yields ``(param1, param2, rho)`` tuples; rows come back in
-    the same order.  Each row records the computed discord, the discord
-    upper bound, the comparison bound S(rho_B), and whether the bound is
-    saturated within 1e-6.
+    ``states`` yields ``(param1, param2, rho)`` tuples, each parameter a real number (not
+    a bool, complex or string); rows come back in the same order.  Each row records the
+    computed discord, the discord upper bound, the comparison bound S(rho_B), and
+    whether the bound is saturated within 1e-6.
     """
     rows = []
     for p1, p2, rho in states:
         report = quantum_discord(rho, resolution=resolution, tolerance=tolerance)
         b = report.bounds
-        rows.append(ScanRow(float(p1), float(p2), report.discord, b.discord_ub,
-                            b.xi_bound, b.saturated))
+        rows.append(ScanRow(_real_scalar(p1, "param1"), _real_scalar(p2, "param2"), report.discord,
+                            b.discord_ub, b.xi_bound, b.saturated))
     return rows
 
 

@@ -87,7 +87,7 @@ class BlochTriple:
     def __post_init__(self):
         floats = []  # (x, y, rows of T) as floats for the scalar kernels; not a field
         for name, kind in (("x", "3-vector"), ("y", "3-vector"), ("T", "3x3 matrix")):
-            arr = _as_real(np.asarray(getattr(self, name)), name)
+            arr = _as_real(getattr(self, name), name)
             if arr.shape != ((3, 3) if name == "T" else (3,)):
                 raise ValidationError(f"{name} must be a real {kind}, got shape {arr.shape}")
             values = arr.tolist()
@@ -304,7 +304,7 @@ def mutual_information(rho: np.ndarray | PreparedState) -> float:
 
 
 def _require_rotation(o: np.ndarray, name: str) -> np.ndarray:
-    o = _as_real(np.asarray(o), name)
+    o = _as_real(o, name)
     if o.shape != (3, 3):
         raise ValidationError(f"{name} must be a 3x3 matrix")
     if not np.logical_and.reduce(np.isfinite(o), axis=None):  # before o^t o and det, which warn on inf or nan
@@ -366,6 +366,13 @@ def _count(name: str, value, most: float, least: int = 1) -> int:
     return value
 
 
+def _generator(rng) -> np.random.Generator:
+    """A Generator passes through, None draws fresh entropy, and a seed is an integer of at least 0, not a bool."""
+    if not (rng is None or isinstance(rng, np.random.Generator)):
+        _count("rng", rng, math.inf, least=0)
+    return np.random.default_rng(rng)
+
+
 def random_state(rank: int | None = None, rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Sample a random two-qubit density matrix of the given rank.
 
@@ -373,9 +380,9 @@ def random_state(rank: int | None = None, rng: np.random.Generator | int | None 
     returns G G^dag / tr(G G^dag) (rank defaults to 4, the unconstrained
     Ginibre ensemble); any rank but an int or numpy integer in 1..4 raises
     :class:`ValidationError`.  Pass a seeded ``numpy.random.Generator`` (or
-    an int seed) for reproducible output.
+    an int seed of at least 0) for reproducible output.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = _generator(rng)
     rank = _count("rank", 4 if rank is None else rank, 4)
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
@@ -385,7 +392,7 @@ def random_state(rank: int | None = None, rng: np.random.Generator | int | None 
 def random_unitary(dim: int = 2, rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix with phase fix; any ``dim`` but an integer >= 1 raises."""
     dim = _count("dim", dim, math.inf)
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = _generator(rng)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()

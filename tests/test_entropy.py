@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from qdiscord import (
     NotAStateError,
-    ValidationError,
     bell_diagonal_state,
     binary_entropy,
     hermitian_eigensystem,
@@ -54,29 +53,10 @@ def test_eigensystem_reconstruction(rng):
         assert np.linalg.norm(h - (vecs * vals) @ vecs.conj().T) < 1e-10
 
 
-def test_non_hermitian_rejected():
-    m = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValidationError):
-        hermitian_eigenvalues(m)
-
-
 def test_shannon_entropy_values():
     assert shannon_entropy([1, 0, 0, 0]) == 0.0
     assert shannon_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-14)
     assert shannon_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5, abs=1e-14)
-
-
-def test_shannon_entropy_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        shannon_entropy([0.7, -0.1, 0.4])
-    with pytest.raises(ValidationError):
-        shannon_entropy([0.5, 0.4])  # sums to 0.9
-    for p in ([math.nan, 1.0], [0.5, 0.5, math.nan]):
-        with pytest.raises(ValidationError):
-            shannon_entropy(p)
-    for p in (np.array([0.5 + 1j, 0.5]), [0.5 + 1j, 0.5]):  # the cast to float dropped 1j
-        with pytest.raises(ValidationError, match="complex"):
-            shannon_entropy(p)
 
 
 def test_shannon_entropy_clamps_tiny_negatives():
@@ -121,15 +101,6 @@ def test_binary_entropy_values():
     assert binary_entropy(1.0) == 0.0
     # direct evaluation of -x log2 x - (1-x) log2 (1-x) at x = 0.11
     assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-12)
-
-
-def test_binary_entropy_domain():
-    for x in (-0.01, -1.1e-9, 1 + 1.1e-9, 1.01, math.nan):
-        with pytest.raises(ValidationError):
-            binary_entropy(x)
-    for x in (np.complex128(0.3), 0.3 + 0j, np.array(0.3 + 0j), True, np.False_, np.array(True)):  # True gave 0.0
-        with pytest.raises(ValidationError, match="complex"):
-            binary_entropy(x)
 
 
 def test_binary_entropy_matches_shannon_on_a_grid_with_the_clamp_edges():
@@ -179,11 +150,6 @@ def test_von_neumann_unitary_invariance(rng):
             von_neumann_entropy(rho), abs=1e-9)
 
 
-def test_von_neumann_rejects_negative_eigenvalue():
-    with pytest.raises(NotAStateError):
-        von_neumann_entropy(np.diag([0.5, 0.6, -0.1, 0.0]))
-
-
 def test_spectrum_entropy_checks_and_clamps_the_spectrum(rng):
     with pytest.raises(NotAStateError, match="trace is"):
         _spectrum_entropy([0.5, 0.5 + 2 * CLAMP_TOL])
@@ -193,18 +159,3 @@ def test_spectrum_entropy_checks_and_clamps_the_spectrum(rng):
     for _ in range(100):
         vals = rng.dirichlet(np.ones(4))
         assert abs(_spectrum_entropy(vals.tolist()) - shannon_entropy(vals)) <= 1e-15
-
-
-def test_von_neumann_rejects_wrong_trace():
-    with pytest.raises(NotAStateError):
-        von_neumann_entropy(np.diag([0.5, 0.3, 0.25, 0.0]))
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
-@pytest.mark.parametrize("fn", [hermitian_eigenvalues, hermitian_eigensystem, von_neumann_entropy])
-def test_non_finite_entries_are_rejected(fn, entry, bad):
-    m = np.eye(4, dtype=complex) / 4
-    m[entry] = bad
-    with pytest.raises(NotAStateError, match="non-finite"):
-        fn(m)

@@ -89,10 +89,11 @@ def test_each_primitive_is_defined_in_its_home_module_only():
 #: prepare_state, the one route from a matrix to its triple, the SVD of T,
 #: which the bounds' rank-0 case, the start axes and canonicalize read, and the
 #: branch weights w = (2 p +- s)/4 and the not-a-state check on them, which the
-#: scalar and the batch kernels share, so that no float/array fork comes back
+#: scalar and the batch kernels share, so that no float/array fork comes back, and the seed rule of the samplers
 SINGLE_DEFINITIONS = {r"\.T\.T @ \w+\.x\b|\w+\.x @ \w+\.T\b": "states.py", r"1e-10 \* max\(": "bounds.py",
                       r"(?<!def )\bvalidate\(": "states.py", r"np\.linalg\.svd\(t\.T\)": "states.py",
-                      r"\(2 \* p0 \+ \w+\) / 4": "measurement.py", r"exceeds 2 p_k": "measurement.py"}
+                      r"\(2 \* p0 \+ \w+\) / 4": "measurement.py", r"exceeds 2 p_k": "measurement.py",
+                      r"np\.random\.default_rng\(rng\)": "states.py"}
 
 
 def test_each_bounds_primitive_has_one_definition():

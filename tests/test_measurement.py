@@ -25,7 +25,6 @@ from qdiscord import (
     matrix_from_triple,
     projector_bloch,
     random_state,
-    refine_minimum,
     stationary_scan,
     triple_from_matrix,
 )
@@ -35,6 +34,7 @@ from qdiscord.measurement import (
     BRANCH_TOL,
     _least_of_rows,
     _probabilities,
+    _qubit_matrix,
     _row_norms,
     branches,
     branches_batch,
@@ -62,22 +62,6 @@ def test_direction_normalizes():
     d = MeasurementDirection(np.array([0.0, 0.0, 5.0]))
     assert np.allclose(d.n, [0, 0, 1])
     assert abs(np.linalg.norm(d.n) - 1) < 1e-12
-
-
-@pytest.mark.parametrize("angles", [(math.inf, 0.0), (0.3, -math.inf), (math.nan, 0.0), (0.3, math.nan),
-                                    (np.complex128(0.3 + 1j), 0.0), (0.3, 0.2 + 0j), (np.True_, 0.0), (0.3, True)])
-def test_direction_from_angles_rejects_non_finite_and_complex_angles(angles):
-    # inf leaked math's ValueError (domain error), a complex angle TypeError or a ComplexWarning; a bool was an angle
-    with pytest.raises(ValidationError, match="finite|complex"):
-        direction_from_angles(*angles)
-
-
-@pytest.mark.parametrize("n", [[np.nan, 0, 0], [0, np.nan, 1], [np.inf, 0, 0], [0, 0, -np.inf]])
-def test_direction_rejects_non_finite_entries(n):
-    with pytest.raises(ValidationError, match="non-finite"):
-        MeasurementDirection(n)
-    with pytest.raises(ValidationError, match="non-finite"):
-        refine_minimum(BlochTriple(Z3, Z3, np.diag([0.5, 0.2, 0.1])), n)
 
 
 @pytest.mark.parametrize("n", [[1e300, 1e300, 0], [-1e308, 0, 1e308], [3e-12, 0, 4e-12],
@@ -260,19 +244,6 @@ def test_scalar_and_batch_paths_reject_alike():
     assert len(set(messages)) == 1 and "triple is not a state" in messages[0], messages
 
 
-@pytest.mark.parametrize("dirs", [np.array([0.0, 0.0, 1.0]), np.zeros((4, 2)), np.zeros((2, 3, 1)),
-                                  np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]]),
-                                  np.array([[0.0, 0.0, 1.0], [0.0, -math.inf, 0.0]])])
-@pytest.mark.parametrize("kernel", [conditional_entropy_batch, stationary_residual_batch])
-def test_batch_kernels_reject_what_is_not_a_finite_n_by_3_array(kernel, dirs):
-    # also where y = 0 or T = 0, so that a NaN or inf direction reaches the branches only through 0 * inf
-    for t in (random_triple(np.random.default_rng(4)), BlochTriple(np.array([0.3, 0.0, 0.0]), Z3, Z33),
-              BlochTriple(Z3, np.array([0.0, 0.5, 0.0]), Z33), BlochTriple(Z3, Z3, np.diag([0.0, 0.5, 0.0]))):
-        with pytest.raises(ValidationError, match="directions") as info:
-            kernel(t, dirs)
-        assert info.type is ValidationError
-
-
 def _parent_branches(t, dirs):
     """The branch fields as the batch kernel once formed them: ten separate arrays."""
     tn = dirs @ t.T.T
@@ -341,17 +312,6 @@ def test_stacked_batch_kernels_are_the_six_array_formula_bit_for_bit():
     assert b.w2.tobytes() == fields[3].tobytes() and fields[3].min() < 0
 
 
-@pytest.mark.parametrize("row", [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.6, 0.0, 0.8 + 2e-12]])
-@pytest.mark.parametrize("kernel", [conditional_entropy_batch, stationary_residual_batch, conditional_entropy_direct])
-def test_batch_kernels_reject_rows_off_unit_length(kernel, row):
-    # before the check, [2, 0, 0] blamed the triple, [0, 0, 0] gave a value and [1e200, 0, 0] warned of overflow
-    dirs = np.array([[0.0, 0.0, 1.0], row])
-    for t in (random_triple(np.random.default_rng(4)), BlochTriple(Z3, Z3, Z33)):
-        with pytest.raises(ValidationError, match="unit vectors") as info:
-            kernel(t, dirs)
-        assert info.type is ValidationError
-
-
 def _snapped_start_sets(triples, monkeypatch):
     """The start set _multistart hands to conditional_entropy_batch, one per triple."""
     seen = []
@@ -379,52 +339,6 @@ def test_unit_check_accepts_every_direction_set_of_the_search_unchanged(monkeypa
         assert conditional_entropy_batch(t, dirs).tobytes() == _parent_conditional_entropy_batch(t, dirs).tobytes()
     t = triples[0]
     assert stationary_residual_batch(t, sets[4]).tobytes() == _parent_stationary_residual_batch(t, sets[4]).tobytes()
-
-
-#: a complex 3-vector, as a numpy array and with a Python complex in a list
-_COMPLEX_DIRECTIONS = [np.array([1j, 0.0, 1.0]), [1j, 0.0, 1.0], (0.0, 0.0, 1.0 + 0j)]
-
-
-@pytest.mark.parametrize("n", _COMPLEX_DIRECTIONS)
-@pytest.mark.parametrize("entry", [conditional_entropy, conditional_entropy_direct, refine_minimum, None])
-def test_direction_inputs_reject_complex_entries(entry, n):
-    # numpy's cast to float dropped the imaginary part with a ComplexWarning; float() raised TypeError
-    with pytest.raises(ValidationError, match="complex"):
-        MeasurementDirection(n) if entry is None else entry(random_triple(np.random.default_rng(2)), n)
-
-
-@pytest.mark.parametrize("n", ["abc", np.array(["0", "0", "1"]), np.array([0.0, 0.0, 1.0], dtype=object), object(),
-                               # a bool array gave (1, 0, 0), dates counted days and a void array leaked ValueError
-                               np.array([True, False, False]), np.array([1, 0, 0], dtype="datetime64[D]"),
-                               np.zeros(3, dtype="V8")])
-def test_direction_inputs_reject_strings_and_objects(n):
-    # numpy's cast to float leaked ValueError or TypeError, or parsed the strings
-    t = random_triple(np.random.default_rng(2))
-    for call in (MeasurementDirection, lambda n: joint_probabilities(t, n), lambda n: conditional_entropy(t, n),
-                 lambda n: conditional_entropy_batch(t, [n])):
-        with pytest.raises(ValidationError, match="real numbers") as info:
-            call(n)
-        assert info.type is ValidationError
-
-
-@pytest.mark.parametrize("rho", [np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0]), np.eye(3), np.eye(16),
-                                 # a bool matrix gave [4.], a string one leaked TypeError from isfinite
-                                 np.eye(4, dtype=bool), np.full((4, 4), "x")])
-def test_direct_route_rejects_what_is_not_a_finite_4x4_matrix(rho):
-    # a nan matrix gave [0.], a 3x3 one leaked ValueError from matmul
-    t = random_triple(np.random.default_rng(2))
-    for dirs in ([[0.0, 0.0, 1.0]], [0.0, 0.0, 1.0]):
-        with pytest.raises(ValidationError, match="finite 4x4"):
-            conditional_entropy_direct(t, dirs, rho=rho)
-
-
-@pytest.mark.parametrize("n", _COMPLEX_DIRECTIONS)
-@pytest.mark.parametrize("kernel", [conditional_entropy_batch, stationary_residual_batch, branches_batch,
-                                    conditional_entropy_direct])
-def test_batch_kernels_reject_complex_entries(kernel, n):
-    dirs = [[0.0, 0.0, 1.0], list(n)] if isinstance(n, (list, tuple)) else np.vstack([[0.0, 0.0, 1.0], n])
-    with pytest.raises(ValidationError, match="complex"):
-        kernel(random_triple(np.random.default_rng(2)), dirs)
 
 
 def test_post_measurement_state_simple():
@@ -591,6 +505,29 @@ def test_direct_route_never_uses_the_branch_formula(monkeypatch):
     monkeypatch.setattr(measurement, "branches_batch", forbidden)
     assert np.array_equal(conditional_entropy_direct(t, dirs), expected)
     assert conditional_entropy_direct(t, MeasurementDirection(dirs[0])) == expected[0]
+
+
+def _stacked_direct(rho, dirs):
+    """The direct route with its sandwich as the stacked lift @ rho @ lift."""
+    lift = np.zeros((2 * len(dirs), 2, 2, 2, 2), dtype=complex)
+    lift[:, 0, :, 0] = lift[:, 1, :, 1] = _qubit_matrix(np.concatenate((dirs, -dirs)))
+    sandwich = lift.reshape(-1, 4, 4) @ rho @ lift.reshape(-1, 4, 4)
+    pk = ((sandwich[:, 0, 0] + sandwich[:, 1, 1]) + (sandwich[:, 2, 2] + sandwich[:, 3, 3])).real
+    live = pk > BRANCH_TOL
+    terms = np.zeros(len(pk))
+    rho_a = (sandwich[:, ::2, ::2] + sandwich[:, 1::2, 1::2])[live] / pk[live, None, None]
+    terms[live] = pk[live] * _h_sum(np.clip(np.linalg.eigvalsh(rho_a), 0.0, 1.0).T)
+    return terms[:len(dirs)] + terms[len(dirs):]
+
+
+def test_direct_route_is_the_stacked_sandwich_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [(rho, _unit_rows(rng, 50)) for rho in (random_state(rank=1 + i % 4, rng=rng) for i in range(200))]
+    t, dirs = _dead_branch_case(rng)
+    for rho, dirs in cases + [(matrix_from_triple(t), dirs)]:
+        t = triple_from_matrix(rho)  # without rho=, the route takes matrix_from_triple(t), a few ulp from rho
+        for given, matrix in ((rho, rho), (None, matrix_from_triple(t))):
+            assert conditional_entropy_direct(t, dirs, rho=given).tobytes() == _stacked_direct(matrix, dirs).tobytes()
 
 
 def test_conditional_entropy_antipode_bitwise(rng):

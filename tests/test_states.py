@@ -1,5 +1,4 @@
 import functools
-import inspect
 import math
 import warnings
 from collections import Counter
@@ -17,11 +16,7 @@ from qdiscord import (
     bell_diagonal_state,
     bloch_rotation,
     canonicalize,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
-    kernel_class_min_entropy,
     quantum_discord,
-    shannon_entropy,
     theorem1_bounds,
     marginals,
     matrix_from_triple,
@@ -33,7 +28,6 @@ from qdiscord import (
     validate,
     von_neumann_entropy,
 )
-import qdiscord
 from qdiscord import states
 from qdiscord.entropy import _as_complex, _spectrum_entropy, binary_entropy
 from qdiscord.states import PreparedState, _proper_svd, prepare_state
@@ -140,40 +134,6 @@ def test_validate_rejects_entries_near_the_float_range(entries):
             triple_from_matrix(rho)
 
 
-@pytest.mark.parametrize("rho", ["abcd", np.full((4, 4), "x"), [[object()] * 4] * 4, [[1, 2], [3]],
-                                 # a bool matrix gave a closed-form report and dates counted days; an int past
-                                 # the float range makes an object array
-                                 np.diag([True, False, False, False]), np.eye(4).astype("datetime64[D]"),
-                                 [[10**400] * 4] * 4])
-def test_validate_rejects_what_is_not_a_matrix_of_numbers(rho):
-    # the cast to complex leaked ValueError or TypeError
-    for check in (validate, triple_from_matrix, quantum_discord):
-        with pytest.raises(ValidationError) as info:
-            check(rho)
-        assert info.type is ValidationError
-
-
-@pytest.mark.parametrize("call", [
-    # bool arrays are not numbers, as a bool scalar is not: each gave 0s and 1s
-    lambda: BlochTriple(np.zeros(3), np.zeros(3), np.eye(3, dtype=bool)),
-    lambda: shannon_entropy(np.array([True, False])),
-    lambda: shannon_entropy(np.array([1, 0], dtype="timedelta64[s]")),  # dates counted days
-    lambda: hermitian_eigensystem(np.eye(2, dtype=bool)),
-    lambda: bloch_rotation(np.eye(2, dtype=bool)),
-    # strings and wrong shapes leaked ValueError or TypeError from the complex cast, reshape or matmul
-    lambda: hermitian_eigenvalues(np.full((2, 2), "a")),
-    lambda: bloch_rotation(np.full((2, 2), "a")),
-    lambda: reduced_states("abcd"),
-    lambda: reduced_states(np.eye(3)),
-    lambda: reduced_states([[1, 2], [3]]),
-    lambda: kernel_class_min_entropy(np.zeros(2), np.eye(3)),
-])
-def test_what_is_not_an_array_of_numbers_raises_validation_error(call):
-    with pytest.raises(ValidationError) as info:
-        call()
-    assert info.type is ValidationError
-
-
 def test_the_matrix_rule_casts_numbers_and_passes_complex128_through():
     rho = random_state(rng=np.random.default_rng(5))
     assert _as_complex(rho, "a 4x4 matrix", (4, 4)) is rho
@@ -181,18 +141,6 @@ def test_the_matrix_rule_casts_numbers_and_passes_complex128_through():
                  (rho.real * 8).astype(int), rho.tolist()):
         cast = _as_complex(form, "a 4x4 matrix", (4, 4))
         assert cast.dtype == np.complex128 and np.array_equal(cast, np.asarray(form, dtype=complex))
-
-
-def test_triple_from_matrix_rejects_invalid():
-    with pytest.raises(NotAStateError):
-        triple_from_matrix(np.diag([0.5, 0.6, -0.1, 0.0]))
-
-
-def test_bloch_triple_rejects_long_vectors():
-    with pytest.raises(ValidationError):
-        BlochTriple(np.array([1.1, 0, 0]), _zeros3(), np.zeros((3, 3)))
-    with pytest.raises(ValidationError, match="exceeds 1"):  # its squared norm overflows
-        BlochTriple(_zeros3(), np.array([-1e300, 0.2, 0.7]), np.zeros((3, 3)))
 
 
 def test_marginals():
@@ -259,19 +207,6 @@ def test_apply_local_rotations_preserves_singular_values(rng):
     r = random_rotation(rng)
     out = apply_local_rotations(t, r, r)
     assert np.allclose(np.linalg.svd(out.T, compute_uv=False), [0.5, 0.3, 0.1], atol=1e-12)
-
-
-def test_apply_local_rotations_rejects_non_rotation():
-    t = BlochTriple(_zeros3(), _zeros3(), np.zeros((3, 3)))
-    with pytest.raises(ValidationError):
-        apply_local_rotations(t, np.diag([1.0, 1.0, -1.0]), np.eye(3))  # reflection
-    with pytest.raises(ValidationError):
-        apply_local_rotations(t, 2 * np.eye(3), np.eye(3))
-    # a nan deviation passed the "> 1e-10" tests, and det warned
-    for bad in (np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), np.diag([np.nan, 1.0, 1.0])):
-        for o1, o2 in ((bad, np.eye(3)), (np.eye(3), bad)):
-            with pytest.raises(ValidationError, match="non-finite"):
-                apply_local_rotations(t, o1, o2)
 
 
 def test_canonicalize_already_diagonal():
@@ -366,22 +301,6 @@ def test_random_state_ranks(rng):
         assert int((eig > 1e-9).sum()) == rank
 
 
-def test_random_state_takes_only_an_integer_rank_in_1_to_4(rng):
-    assert np.linalg.matrix_rank(random_state(rank=np.int64(2), rng=rng), tol=1e-9) == 2
-    for rank in (0, 5, 2.5, 2.0, True, "2", np.bool_(True)):
-        with pytest.raises(ValidationError):
-            random_state(rank=rank, rng=rng)
-
-
-def test_random_unitary_takes_only_an_integer_dim_of_at_least_1(rng):
-    # -1 raised ValueError, 2.5 and True TypeError, and 0 gave a 0x0 array
-    u = random_unitary(np.int64(3), rng)
-    assert u.shape == (3, 3) and np.allclose(u @ u.conj().T, np.eye(3))
-    for dim in (0, -1, 2.5, 2.0, True, "2", np.bool_(True), None):
-        with pytest.raises(ValidationError, match="dim"):
-            random_unitary(dim, rng)
-
-
 def test_random_state_rank1_is_pure(rng):
     rho = random_state(rank=1, rng=rng)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
@@ -430,15 +349,6 @@ def test_bloch_rotation_matches_the_trace_loop(rng):
     for _ in range(200):
         u = random_unitary(2, rng)
         assert np.max(np.abs(bloch_rotation(u) - _bloch_rotation_reference(u))) <= 1e-15
-
-
-@pytest.mark.parametrize("field", ["x", "y", "T"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_bloch_triple_rejects_non_finite_entries(field, bad):
-    parts = {"x": np.zeros(3), "y": np.zeros(3), "T": np.zeros((3, 3))}
-    parts[field].flat[0] = bad
-    with pytest.raises(ValidationError, match="non-finite"):
-        BlochTriple(**parts)
 
 
 def test_mutual_information_takes_the_prepared_state(rng):
@@ -624,32 +534,6 @@ def test_trace_deficit_spectrum_is_the_numpy_formula_bit_for_bit(rng):
     assert clamped >= 100
 
 
-@pytest.mark.parametrize("u", [np.full((2, 2), np.nan), np.array([[np.nan, 0], [0, 1]]), np.diag([np.inf, 1.0])])
-def test_bloch_rotation_rejects_non_finite_matrices(u):
-    # a nan deviation from unitarity passed the old "> 1e-10" test and gave a nan rotation
-    with pytest.raises(ValidationError, match="unitary"):
-        bloch_rotation(u)
-
-
-@pytest.mark.parametrize("field", ["x", "y", "T"])
-@pytest.mark.parametrize("complex_form", [np.array, list, lambda v: [np.complex128(e) for e in v]])
-def test_bloch_triple_rejects_complex_entries(field, complex_form):
-    parts = {"x": [0.1, 0.0, 0.0], "y": [0.0, 0.2, 0.0], "T": [0.3, 0.0, 0.0]}
-    parts[field] = complex_form([0.1, 1e-3j, 0.0])
-    if field == "T":
-        parts["T"] = [parts["T"], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]]
-    with pytest.raises(ValidationError, match="complex"):
-        BlochTriple(**parts)
-
-
-@pytest.mark.parametrize("rotation", [np.eye(3) + 0j, [[1, 0, 0], [0, 1, 0], [0, 0, 1j]]])
-def test_apply_local_rotations_rejects_complex_rotations(rotation):
-    t = BlochTriple(_zeros3(), _zeros3(), np.zeros((3, 3)))
-    for o1, o2 in ((rotation, np.eye(3)), (np.eye(3), rotation)):
-        with pytest.raises(ValidationError, match="complex"):
-            apply_local_rotations(t, o1, o2)
-
-
 def test_the_svd_helper_is_canonicalize_bit_for_bit(rng):
     # d and the rows of O1 and O2, which the pipeline reads in place of the canonical form
     x, y = (0.1, -0.0, 0.3), (0.0, -0.2, -0.0)
@@ -695,47 +579,3 @@ def test_each_lazy_field_runs_its_function_once(monkeypatch, rng):
         # each value is the one stored in its instance's __dict__ on first read
         assert all(value is vars(state.triple if cls is BlochTriple else state)[name]
                    for value, (cls, name) in zip(values, fields))
-
-
-_N = (0.0, 0.0, 1.0)
-#: every public callable that takes a record, with valid values for its other arguments
-RECORD_CALLS = {
-    "apply_local_rotations": lambda r: qdiscord.apply_local_rotations(r, np.eye(3), np.eye(3)),
-    "canonicalize": qdiscord.canonicalize,
-    "classify": qdiscord.classify,
-    "conditional_entropy": lambda r: qdiscord.conditional_entropy(r, _N),
-    "conditional_entropy_batch": lambda r: qdiscord.conditional_entropy_batch(r, np.eye(3)),
-    "conditional_entropy_direct": lambda r: qdiscord.conditional_entropy_direct(r, np.eye(3)),
-    "grid_minimize": qdiscord.grid_minimize,
-    "joint_probabilities": lambda r: qdiscord.joint_probabilities(r, _N),
-    "marginals": qdiscord.marginals,
-    "matrix_from_triple": qdiscord.matrix_from_triple,
-    "minimize_conditional_entropy": qdiscord.minimize_conditional_entropy,
-    "outcome_probabilities": lambda r: qdiscord.outcome_probabilities(r, _N),
-    "perp_subspace": qdiscord.perp_subspace,
-    "post_measurement_state": lambda r: qdiscord.post_measurement_state(r, _N, 0),
-    "refine_minimum": lambda r: qdiscord.refine_minimum(r, _N),
-    "sample_bell_diagonal": qdiscord.sample_bell_diagonal,
-    "sample_kernel_class": qdiscord.sample_kernel_class,
-    "stationary_scan": qdiscord.stationary_scan,
-    "stationary_vector": lambda r: qdiscord.stationary_vector(r, _N),
-    "t0_squared": qdiscord.t0_squared,
-}
-
-
-def test_record_table_covers_every_public_callable_that_takes_a_record():
-    records = {"BlochTriple", "CanonicalForm", "np.random.Generator"}
-    public = [getattr(qdiscord, name) for name in dir(qdiscord) if not name.startswith("_")]
-    takers = {f.__name__ for f in public if inspect.isfunction(f)
-              and any(p.annotation in records for p in inspect.signature(f).parameters.values())}
-    assert takers == set(RECORD_CALLS)
-
-
-@pytest.mark.parametrize("bad", [None, "triple", {"x": [0.0, 0.0, 0.0]}, np.eye(4) / 4], ids=type)
-@pytest.mark.parametrize("name", sorted(RECORD_CALLS))
-def test_a_record_argument_of_another_type_raises_attribute_or_type_error(name, bad):
-    # records are not validated: a wrong type fails on its first missing attribute, never with a result
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises((AttributeError, TypeError)):
-            RECORD_CALLS[name](bad)
