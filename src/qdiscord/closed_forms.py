@@ -21,6 +21,9 @@ from .states import BlochTriple, CanonicalForm, matrix_from_triple
 #: class predicates of :func:`classify` and :func:`kernel_class_min_entropy` hold to this tolerance
 CLASS_TOL = 1e-10
 
+#: the zero 3-vector as floats, for the triples that the samplers and builders pass to BlochTriple
+_ZERO = (0.0, 0.0, 0.0)
+
 
 class StateKind(Enum):
     """Solvable family labels, most specific first; GENERIC is the fallback."""
@@ -62,27 +65,27 @@ def classify(c: CanonicalForm) -> ClassTag:
     return ClassTag(StateKind.GENERIC, ())
 
 
-def _bell_diagonal_mus(t1: float, t2: float, t3: float) -> np.ndarray:
-    """The eigenvalues of the Bell-diagonal state.
+def _bell_diagonal_mus(t1: float, t2: float, t3: float) -> tuple[tuple[float, float, float], list[float]]:
+    """(t1, t2, t3) as floats and the eigenvalues of the Bell-diagonal state.
 
     A t that is not a real number raises ValidationError, a point outside the tetrahedron NotAStateError.
     """
-    t1, t2, t3 = map(_real_scalar, (t1, t2, t3), ("t1", "t2", "t3"))
-    mus = np.array([
+    ts = t1, t2, t3 = tuple(map(_real_scalar, (t1, t2, t3), ("t1", "t2", "t3")))
+    mus = [
         (1 + t1 + t2 - t3) / 4,
         (1 - t1 - t2 - t3) / 4,
         (1 + t1 - t2 + t3) / 4,
         (1 - t1 + t2 + t3) / 4,
-    ])
-    if not float(mus.min()) >= -1e-9:
+    ]
+    if not all(mu >= -1e-9 for mu in mus):  # a NaN fails too
         raise NotAStateError(f"(t1,t2,t3)=({t1},{t2},{t3}) lies outside the state tetrahedron")
-    return mus
+    return ts, mus
 
 
 def bell_diagonal_state(t1: float, t2: float, t3: float) -> np.ndarray:
     """Density matrix with x = y = 0 and T = diag(t1, t2, t3); a non-state point raises NotAStateError."""
-    _bell_diagonal_mus(t1, t2, t3)
-    return matrix_from_triple(BlochTriple(np.zeros(3), np.zeros(3), np.diag([t1, t2, t3])))
+    (t1, t2, t3), _ = _bell_diagonal_mus(t1, t2, t3)
+    return matrix_from_triple(BlochTriple(_ZERO, _ZERO, ((t1, 0.0, 0.0), (0.0, t2, 0.0), (0.0, 0.0, t3))))
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def bell_diagonal_discord(t1: float, t2: float, t3: float) -> BellDiagonalDiscor
     measurement axis is the coordinate axis achieving t_max (ties broken by
     smallest index and flagged degenerate).
     """
-    mus = _bell_diagonal_mus(t1, t2, t3)
+    _, mus = _bell_diagonal_mus(t1, t2, t3)
     mags = np.abs([t1, t2, t3])
     t_max = float(mags.max())
     axis = int(mags.argmax())
@@ -159,6 +162,8 @@ class ABState:
         a, b = _real_scalar(self.a, "a"), _real_scalar(self.b, "b")
         if not (-1e-12 <= a <= 1 + 1e-12 and abs(b) <= 1 - a + 1e-12):
             raise ValidationError(f"(a, b) = ({a}, {b}) outside the valid region")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def ab_state(a: float, b: float) -> np.ndarray:
@@ -184,7 +189,8 @@ def ab_q(a: float, b: float) -> float:
     parameter region (the term-by-term form has cancelling divergences at
     |b| = 1 - a and a^2 + b^2 = 1).
     """
-    ABState(a, b)
+    p = ABState(a, b)
+    a, b = p.a, p.b
     s = math.hypot(a, b)
     return (1 + a - _h_terms(a)
             + 0.5 * (-_h_terms(1 - a - b) - _h_terms(1 - a + b)
@@ -227,11 +233,9 @@ def sample_kernel_class(rng: np.random.Generator) -> BlochTriple:
             t1, t2 = sorted(rng.uniform(-0.95, 0.95, size=2), key=abs, reverse=True)
             x3 = float(rng.uniform(-0.95, 0.95))
             if math.hypot(t1 + t2, x3) <= 0.98 and math.hypot(t1 - t2, x3) <= 0.98:
-                return BlochTriple(np.array([0.0, 0.0, x3]), np.zeros(3),
-                                   np.diag([t1, t2, 0.0]))
+                return BlochTriple((0.0, 0.0, x3), _ZERO, ((t1, 0.0, 0.0), (0.0, t2, 0.0), _ZERO))
         else:
             t1 = float(rng.uniform(-0.95, 0.95))
             x2, x3 = rng.uniform(-0.95, 0.95, size=2)
             if t1 * t1 + x2 * x2 + x3 * x3 <= 0.98**2:
-                return BlochTriple(np.array([0.0, x2, x3]), np.zeros(3),
-                                   np.diag([t1, 0.0, 0.0]))
+                return BlochTriple((0.0, x2, x3), _ZERO, ((t1, 0.0, 0.0), _ZERO, _ZERO))

@@ -314,8 +314,9 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     Branches with p_k <= BRANCH_TOL contribute nothing.  ``rho`` may be
     passed to reuse a precomputed matrix for the same triple.
     """
-    single = isinstance(directions, MeasurementDirection) or _as_real(directions, "directions").ndim != 2
-    dirs = np.array([_normalized(directions)]) if single else _unit_rows(directions)
+    dirs = directions.n if isinstance(directions, MeasurementDirection) else _as_real(directions, "directions")
+    single = dirs.ndim != 2
+    dirs = np.array([_normalized(dirs)]) if single else _unit_rows(dirs)
     if rho is None:
         rho = matrix_from_triple(t)
     else:
@@ -324,7 +325,7 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
             raise ValidationError("rho must be a finite 4x4 matrix")
     count = len(dirs)
     # rows 0..N-1 are outcome 0 (Bloch vector n), rows N..2N-1 outcome 1 (-n)
-    proj = _qubit_matrix(np.concatenate((dirs, -dirs)))
+    proj = _qubit_matrix(np.array((dirs, -dirs)).reshape(-1, 3))
     lift = np.zeros((2 * count, 2, 2, 2, 2), dtype=complex)  # I (x) P_k: P_k on both diagonal blocks
     lift[:, 0, :, 0] = lift[:, 1, :, 1] = proj
     lift = lift.reshape(-1, 4, 4)
@@ -333,7 +334,8 @@ def conditional_entropy_direct(t: BlochTriple, directions, *, rho: np.ndarray | 
     pk = (block[:, 0, 0] + block[:, 1, 1]).real  # np.trace's order: (s00 + s11) + (s22 + s33)
     live = pk > BRANCH_TOL
     rho_a = block[live] / pk[live, None, None]
-    eig = np.clip(np.linalg.eigvalsh(rho_a), 0.0, 1.0)
+    eig = np.linalg.eigvalsh(rho_a)
+    np.minimum(np.maximum(eig, 0.0, out=eig), 1.0, out=eig)
     terms = np.zeros(2 * count)
     terms[live] = pk[live] * _h_sum(eig.T)
     total = terms[:count] + terms[count:]

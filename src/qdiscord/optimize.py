@@ -11,6 +11,7 @@ bounds' rank rule decides, skip the search: there the bound is the minimum.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -545,12 +546,21 @@ def bound_comparison_scan(states: Iterable[tuple[float, float, np.ndarray]],
     """Discord versus bounds over a parameterized family.
 
     ``states`` yields ``(param1, param2, rho)`` tuples, each parameter a real number (not
-    a bool, complex or string); rows come back in the same order.  Each row records the
-    computed discord, the discord upper bound, the comparison bound S(rho_B), and
-    whether the bound is saturated within 1e-6.
+    a bool, complex or string); rows come back in the same order.  What is not an iterable,
+    or a row that is not three values, raises :class:`ValidationError` naming the row.
+    Each row records the computed discord, the discord upper bound, the comparison bound
+    S(rho_B), and whether the bound is saturated within 1e-6.
     """
+    try:
+        states = iter(states)
+    except TypeError:
+        raise ValidationError(f"states must be an iterable of rows, got {reprlib.repr(states)}") from None
     rows = []
-    for p1, p2, rho in states:
+    for k, row in enumerate(states):
+        try:
+            p1, p2, rho = row
+        except (TypeError, ValueError):  # not iterable, or not three values
+            raise ValidationError(f"states row {k} is not (param1, param2, rho): {reprlib.repr(row)}") from None
         report = quantum_discord(rho, resolution=resolution, tolerance=tolerance)
         b = report.bounds
         rows.append(ScanRow(_real_scalar(p1, "param1"), _real_scalar(p2, "param2"), report.discord,

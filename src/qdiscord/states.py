@@ -28,8 +28,12 @@ _I4 = np.eye(4, dtype=complex)
 # row-major order, matching the entries of x, y and T
 _PAULI_PRODUCTS = np.array([np.kron(p, _I2) for p in PAULIS] + [np.kron(_I2, p) for p in PAULIS]
                            + [np.kron(p, q) for p in PAULIS for q in PAULIS])
+# row k holds P_k flattened, so coefficients times a block of rows is the sum of c_k P_k, flattened
+_PAULI_ROWS = _PAULI_PRODUCTS.reshape(15, 16)
 # column k holds P_k^t flattened, so rho flattened times column k is tr(rho P_k)
 _PAULI_TRACES = _PAULI_PRODUCTS.transpose(2, 1, 0).reshape(16, 15)
+# row i holds sigma_i flattened, for (I + v.sigma)/2
+_PAULI_VECTORS = PAULIS.reshape(3, 4)
 
 #: acceptance thresholds used by :func:`validate`
 HERMITICITY_TOL = 1e-8
@@ -207,10 +211,11 @@ def triple_from_matrix(rho: np.ndarray) -> BlochTriple:
 
 def matrix_from_triple(t: BlochTriple) -> np.ndarray:
     """Assemble the 4x4 density matrix of a triple (Hermitian, unit trace)."""
+    # one matmul per term: the product a contraction helper makes after its reshapes, without its Python layer
     rho = (_I4
-           + np.tensordot(t.x, _PAULI_PRODUCTS[:3], axes=1)
-           + np.tensordot(t.y, _PAULI_PRODUCTS[3:6], axes=1)
-           + np.tensordot(t.T, _PAULI_PRODUCTS[6:].reshape(3, 3, 4, 4), axes=2))
+           + (t.x @ _PAULI_ROWS[:3]).reshape(4, 4)
+           + (t.y @ _PAULI_ROWS[3:6]).reshape(4, 4)
+           + (t.T.reshape(9) @ _PAULI_ROWS[6:]).reshape(4, 4))
     return rho / 4
 
 
@@ -222,7 +227,7 @@ def reduced_states(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _qubit_matrix(v: np.ndarray) -> np.ndarray:
     """(I + v.sigma)/2 for a (3,) Bloch vector, or stacked for each row of an (N, 3) array."""
-    return (_I2 + np.tensordot(v, PAULIS, axes=1)) / 2
+    return (_I2 + (v @ _PAULI_VECTORS).reshape(*v.shape[:-1], 2, 2)) / 2
 
 
 def marginals(t: BlochTriple) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +391,7 @@ def random_state(rank: int | None = None, rng: np.random.Generator | int | None 
     rank = _count("rank", 4 if rank is None else rank, 4)
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return rho / rho.trace().real
 
 
 def random_unitary(dim: int = 2, rng: np.random.Generator | int | None = None) -> np.ndarray:

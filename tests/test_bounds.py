@@ -6,6 +6,7 @@ import pytest
 from conftest import random_triple
 from qdiscord import (
     BlochTriple,
+    ValidationError,
     ab_discord,
     ab_state,
     bell_diagonal_state,
@@ -197,6 +198,14 @@ def test_scan_bell_diagonal_ray():
     rows = bound_comparison_scan(
         (s, 0.0, bell_diagonal_state(*(s * ray))) for s in np.arange(0.0, 1.0001, 0.05))
     assert all(row.saturated for row in rows)
+
+
+@pytest.mark.parametrize("states, row", [("abc", "row 0"), ([(0.1, 0.2)], "row 0"), ({"x": 1}, "row 0"),
+                                         (None, "iterable"), ([(0.1, 0.2, np.eye(4) / 4, 0.0)], "row 0"),
+                                         ([(0.1, 0.2, np.eye(4) / 4), 5], "row 1")])
+def test_scan_rows_that_are_not_three_values_are_named(states, row):
+    with pytest.raises(ValidationError, match=row):
+        bound_comparison_scan(states)
 
 
 def test_rows_to_csv_schema():

@@ -1,9 +1,13 @@
 import json
+import linecache
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import _numpy_frames
 from qdiscord import (
     ab_discord,
     conditional_entropy,
@@ -13,7 +17,7 @@ from qdiscord import (
     triple_from_matrix,
     validate,
 )
-from qdiscord.cli import main
+from qdiscord.cli import _SUITES, main
 
 
 def _write_matrix_file(path, rho):
@@ -351,6 +355,40 @@ def test_verify_oracle_suite(capsys):
 def test_verify_bounds_suite(capsys):
     assert main(["verify", "--suite", "bounds", "--n", "25"]) == 0
     assert "bounds: PASS" in capsys.readouterr().out
+
+
+#: the closed-form oracles, which keep their own numpy code
+ORACLES = {"bell_diagonal_discord", "kernel_class_min_entropy", "shannon_entropy"}
+#: a line that makes or calls numpy's Generator, whose C code enters numpy's Python layer
+GENERATOR_CALL = re.compile(r"\brng\.|default_rng\(")
+#: numpy's Python-layer entries of one verify suite at --n 4 (seed 0) from the rest of the package: validate's
+#: eigvalsh, the direct route's eigvalsh and its entropy sum, T's SVD, the start set's np.where/ndarray.sum pair
+#: per entropy sum, and in the bounds suite two np.where of the search's plateau spread (one state has two minima)
+SUITE_NUMPY_FRAMES = {
+    "identity": {"eigvalsh": 8, "where": 4, "_sum": 4},
+    "gradient": {"eigvalsh": 4},
+    "oracle": {"eigvalsh": 4, "svd": 4, "where": 8, "_sum": 8},
+    "bounds": {"eigvalsh": 4, "svd": 4, "where": 8 + 2, "_sum": 8},
+}
+
+
+def _oracle_or_generator(caller) -> bool:
+    """A numpy entry under a closed-form oracle, or from a line that makes or calls numpy's Generator."""
+    if GENERATOR_CALL.search(linecache.getline(caller.f_code.co_filename, caller.f_lineno)):
+        return True
+    while caller is not None and caller.f_code.co_name not in ORACLES:
+        caller = caller.f_back
+    return caller is not None
+
+
+@pytest.mark.parametrize("suite", list(_SUITES))
+def test_each_verify_suite_enters_numpy_python_layer_only_for_eigvalsh_svd_and_entropy_sums(capsys, suite):
+    argv = ["verify", "--suite", suite, "--n", "4"]
+    assert main(argv) == 0  # any first-use work happens outside the count
+    _, direct = _numpy_frames(lambda: main(argv), _oracle_or_generator)
+    assert capsys.readouterr().out.count(f"{suite}: PASS") == 2
+    # a bound, not a pin: a numpy release that drops a wrapper passes, a new entry from the package fails
+    assert Counter(direct) <= Counter(SUITE_NUMPY_FRAMES[suite]), direct
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qdiscord import (
+    ABState,
     BlochTriple,
     NotAStateError,
     StateKind,
@@ -174,6 +175,18 @@ def test_ab_state_validates():
         ab_state(0.6, 0.5)
     with pytest.raises(ValidationError):
         ab_state(-0.1, 0.0)
+
+
+def test_ab_parameters_are_kept_and_computed_on_as_floats():
+    s = ABState(np.array(0.1), np.float32(0.25))
+    assert type(s.a) is float and type(s.b) is float
+    assert (s.a, s.b) == (0.1, float(np.float32(0.25)))
+    discord, q = ab_discord(np.array(0.3), 0.2)
+    assert type(discord) is float and type(q) is float
+    assert (discord, q) == ab_discord(0.3, 0.2)
+    # a float32 parameter is widened first, not computed on in float32
+    assert ab_state(np.float32(0.25), 0.1).tobytes() == ab_state(float(np.float32(0.25)), 0.1).tobytes()
+    assert ab_q(np.float32(0.25), 0.1) == ab_q(float(np.float32(0.25)), 0.1)
 
 
 def test_ab_q_against_term_by_term_formula():

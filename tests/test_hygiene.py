@@ -71,10 +71,11 @@ def test_every_private_module_name_is_referenced():
 #: in measurement.py, so that no fused kernel forks the one branch kernel, and
 #: the class tolerance in closed_forms.py, so that the route of quantum_discord
 #: reads the bounds' rank rule and no second class rule; functools' cached_property
-#: has no home, since on Python 3.11 it takes a lock on each first read
+#: has no home, since on Python 3.11 it takes a lock on each first read, and neither
+#: has tensordot, whose Python layer wraps the one product a builder makes
 PRIMITIVE_HOMES = {"log2": {"entropy.py", "optimize.py"}, "np.kron": {"states.py"}, "PAULIS": {"states.py"},
                    "2 * p0": {"measurement.py"}, "CLASS_TOL": {"closed_forms.py"},
-                   "functools import cached_property": set()}
+                   "functools import cached_property": set(), "tensordot": set()}
 
 
 def test_each_primitive_is_defined_in_its_home_module_only():

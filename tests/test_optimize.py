@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import math
-import os
 import pickle
 import sys
 import threading
@@ -11,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import angle_between_axes, random_direction, random_rotation, random_triple
+from conftest import _numpy_frames, angle_between_axes, random_direction, random_rotation, random_triple
 from qdiscord import (
     BlochTriple,
     MeasurementDirection,
@@ -298,32 +297,6 @@ def test_start_directions_are_the_stacked_axes_formula(monkeypatch):
 #: stacking the six rows with np.stack, clipping with np.clip and taking the
 #: not-a-state minimum with ndarray.min made it 16
 START_SET_NUMPY_FRAMES = 4
-
-
-def _numpy_frames(call):
-    """Names of the numpy Python functions entered while ``call()`` runs: all, and those entered from package code.
-
-    The second list leaves out the ``*_dispatcher`` functions that numpy's
-    C layer calls on entry to an overridable function.
-    """
-    numpy_dir = os.path.dirname(np.__file__) + os.sep
-    package_dir = os.path.dirname(optimize.__file__) + os.sep
-    entered, direct = [], []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
-            entered.append(frame.f_code.co_name)
-            if (frame.f_back.f_code.co_filename.startswith(package_dir)
-                    and not frame.f_code.co_name.endswith("_dispatcher")):
-                direct.append(frame.f_code.co_name)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(previous)
-    return entered, direct
 
 
 def test_start_set_evaluation_does_not_grow_numpy_dispatch():

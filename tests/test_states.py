@@ -24,6 +24,8 @@ from qdiscord import (
     random_state,
     random_unitary,
     reduced_states,
+    sample_bell_diagonal,
+    sample_kernel_class,
     triple_from_matrix,
     validate,
     von_neumann_entropy,
@@ -550,6 +552,67 @@ def test_the_svd_helper_is_canonicalize_bit_for_bit(rng):
         assert _hex(d) == _hex(c.diagonal.tolist())
         assert _hex(rows_a) == _hex(c.rotation_a.tolist()) and _hex(rows_b) == _hex(c.rotation_b.tolist())
     assert _proper_svd(triples[1]) == ([0.0] * 3, (np.eye(3).tolist(), np.eye(3).tolist()))  # T = -0 is zero
+
+
+def _parent_matrix_from_triple(t):
+    """The tensordot form of matrix_from_triple that the one product per term replaced: the reference."""
+    p = states._PAULI_PRODUCTS
+    rho = (np.eye(4, dtype=complex) + np.tensordot(t.x, p[:3], axes=1) + np.tensordot(t.y, p[3:6], axes=1)
+           + np.tensordot(t.T, p[6:].reshape(3, 3, 4, 4), axes=2))
+    return rho / 4
+
+
+def _parent_qubit_matrix(v):
+    """The tensordot form of (I + v.sigma)/2: the reference."""
+    return (np.eye(2, dtype=complex) + np.tensordot(v, states.PAULIS, axes=1)) / 2
+
+
+def _parent_bell_diagonal_state(t1, t2, t3):
+    """bell_diagonal_state from np.zeros and np.diag arrays: the reference."""
+    return _parent_matrix_from_triple(BlochTriple(np.zeros(3), np.zeros(3), np.diag([t1, t2, t3])))
+
+
+def _parent_sample_kernel_class(rng):
+    """sample_kernel_class from np.array, np.zeros and np.diag arrays: the reference, with the same draws."""
+    while True:
+        if rng.random() < 0.5:
+            t1, t2 = sorted(rng.uniform(-0.95, 0.95, size=2), key=abs, reverse=True)
+            x3 = float(rng.uniform(-0.95, 0.95))
+            if math.hypot(t1 + t2, x3) <= 0.98 and math.hypot(t1 - t2, x3) <= 0.98:
+                return BlochTriple(np.array([0.0, 0.0, x3]), np.zeros(3), np.diag([t1, t2, 0.0]))
+        else:
+            t1 = float(rng.uniform(-0.95, 0.95))
+            x2, x3 = rng.uniform(-0.95, 0.95, size=2)
+            if t1 * t1 + x2 * x2 + x3 * x3 <= 0.98**2:
+                return BlochTriple(np.array([0.0, x2, x3]), np.zeros(3), np.diag([t1, 0.0, 0.0]))
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_the_one_product_builders_are_the_tensordot_formulas_bit_for_bit(rng):
+    triples = [BlochTriple((0.0, -0.0, 0.3), (-0.0, 0.0, -0.0), np.diag([-0.0, 0.5, 0.0])),  # signed zeros
+               BlochTriple(_zeros3(), _zeros3(), np.zeros((3, 3))),
+               BlochTriple((0.1, -0.0, 0.3), (0.0, -0.2, -0.0), -np.zeros((3, 3)))]  # T = 0
+    for rank in (1, 2, 3, 4):
+        for _ in range(25):
+            t = random_triple(rng, rank)
+            triples += [t, apply_local_rotations(t, random_rotation(rng), random_rotation(rng))]
+    for t in triples:
+        assert _same_bits(matrix_from_triple(t), _parent_matrix_from_triple(t))
+        rows = np.array([t.x, t.y, -t.x, -t.y])
+        for v in (t.x, t.y, rows, rows[:0]):  # (3,), (N, 3) and (0, 3)
+            assert _same_bits(states._qubit_matrix(v), _parent_qubit_matrix(v))
+    # the four vertices of the Bell tetrahedron, a signed-zero point and sampled points
+    points = [(1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, -1.0, -1.0), (-0.0, 0.0, -0.5)]
+    for t1, t2, t3 in points + [sample_bell_diagonal(rng) for _ in range(50)]:
+        assert _same_bits(bell_diagonal_state(t1, t2, t3), _parent_bell_diagonal_state(t1, t2, t3))
+    draws, parent_draws = np.random.default_rng(2028), np.random.default_rng(2028)
+    for _ in range(500):
+        t, ref = sample_kernel_class(draws), _parent_sample_kernel_class(parent_draws)
+        assert all(_same_bits(a, b) for a, b in ((t.x, ref.x), (t.y, ref.y), (t.T, ref.T)))
+        assert _same_bits(matrix_from_triple(t), _parent_matrix_from_triple(ref))
 
 
 def test_each_lazy_field_runs_its_function_once(monkeypatch, rng):
