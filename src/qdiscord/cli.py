@@ -24,6 +24,7 @@ from .closed_forms import (
     sample_bell_diagonal,
     sample_kernel_class,
 )
+from .entropy import _as_real
 from .errors import NotAStateError, ValidationError
 from .measurement import (
     _normalized,
@@ -75,7 +76,7 @@ def load_state(path: str) -> np.ndarray:
         raise UsageError("state file must contain exactly one of the keys 'matrix' or 'triple'")
     try:
         if "matrix" in data:
-            entries = np.asarray(data["matrix"], dtype=float)
+            entries = _as_real(data["matrix"], "'matrix'")  # a bool or a string is not a number
             if entries.shape != (4, 4, 2):
                 raise UsageError(f"'matrix' must be 4x4 of [re, im] pairs, got shape {entries.shape}")
             return entries[..., 0] + 1j * entries[..., 1]

@@ -337,24 +337,23 @@ def _basin_starts(values: np.ndarray, nbrs: np.ndarray) -> list[int]:
     """Lattice indices of one start per plateau of local minima, in ascending value.
 
     Neighbouring minima form one plateau, represented by its lowest point
-    (the lowest index among equals).  Plateaus are found by spreading the
-    smallest index over the graph of minima, which settles within N passes.
+    (the lowest index among equals): taken in ascending (value, index), each
+    minimum no earlier plateau reached starts one, flooded over the minima.
     """
     is_min = values <= np.minimum.reduce(values[nbrs], axis=0) + _PLATEAU_TOL
-    minima = is_min.nonzero()[0]
-    if len(minima) == 1:  # one plateau: nothing to spread
-        return minima.tolist()
-    outside = len(values)  # the label of the other points, which link nothing
-    labels = np.where(is_min, np.arange(outside), outside)
-    for _ in range(outside):
-        spread = np.where(is_min, np.minimum(labels, np.minimum.reduce(labels[nbrs], axis=0)), outside)
-        if np.logical_and.reduce(spread == labels):
-            break
-        labels = spread
-    starts: dict[int, int] = {}  # plateau label -> its first point in ascending (value, index)
-    for i in sorted(minima, key=lambda i: (values[i], i)):
-        starts.setdefault(labels[i], i)
-    return list(starts.values())
+    minima = is_min.nonzero()[0].tolist()
+    if len(minima) == 1:  # one plateau: nothing to flood
+        return minima
+    unreached, starts = dict(zip(minima, nbrs[:, minima].T.tolist())), []  # minimum -> its neighbours
+    for _, i in sorted(zip(values[is_min].tolist(), minima)):
+        if i in unreached:  # the lowest point of a new plateau
+            starts.append(i)
+            front = [i]
+            while front:
+                for k in unreached.pop(front.pop(), ()):
+                    if k in unreached:
+                        front.append(k)
+    return starts
 
 
 def grid_minimize(t: BlochTriple, resolution: float = ORACLE_RESOLUTION) -> tuple[MeasurementDirection, float]:

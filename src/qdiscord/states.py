@@ -337,7 +337,7 @@ def apply_local_rotations(t: BlochTriple, o1: np.ndarray, o2: np.ndarray) -> Blo
 def _proper_svd(t: BlochTriple) -> tuple[list[float], tuple[list[list[float]], list[list[float]]]]:
     """(d, (rows of O1, rows of O2)) of :func:`canonicalize` as floats; zeros and identities at T = 0."""
     if not any(map(any, t._floats[2])):
-        return [0.0, 0.0, 0.0], (np.eye(3).tolist(), np.eye(3).tolist())
+        return [0.0, 0.0, 0.0], ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],) * 2  # no np.eye dispatch
     u, s, vt = np.linalg.svd(t.T)
     d, rows = s.tolist(), (u.T.tolist(), vt.tolist())
     for o in rows:

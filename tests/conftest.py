@@ -9,7 +9,10 @@ import pytest
 
 import qdiscord
 from qdiscord import (
+    BlochTriple,
     MeasurementDirection,
+    ab_q,
+    ab_state,
     bloch_rotation,
     random_state,
     random_unitary,
@@ -40,23 +43,39 @@ def angle_between_axes(u: np.ndarray, v: np.ndarray) -> float:
     return math.acos(min(c, 1.0))
 
 
-def _numpy_frames(call, exempt=lambda caller: False):
-    """Names of the numpy Python functions entered while ``call()`` runs: all, and those entered from package code.
+def _crossover_a(b: float) -> float:
+    """The a at which the ab family's branches cross, a = q(a, b), by bisection."""
+    lo, hi = 1e-4, 1 - abs(b) - 1e-6  # a < q at lo, a > q at hi
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid < ab_q(mid, b) else (lo, mid)
+    return lo
 
-    The second list leaves out the ``*_dispatcher`` functions that numpy's
+
+def _ab_crossover_triples() -> list[BlochTriple]:
+    """ab states on 25 b values at their crossover a = q and 10 offsets from it."""
+    offsets = np.concatenate([[0.0], np.logspace(-5, -2, 5), -np.logspace(-5, -2, 5)])
+    return [triple_from_matrix(ab_state(a, b))
+            for b in np.linspace(-0.95, 0.95, 25)
+            for a in _crossover_a(b) + offsets if 0 < a < 1 - abs(b)]
+
+
+def _numpy_frames(call, exempt=lambda caller: False):
+    """Names of the numpy Python functions entered from package code while ``call()`` runs.
+
+    The list leaves out the ``*_dispatcher`` functions that numpy's
     C layer calls on entry to an overridable function, and every entry
     whose calling package frame ``exempt`` accepts.
     """
     numpy_dir = os.path.dirname(np.__file__) + os.sep
     package_dir = os.path.dirname(qdiscord.__file__) + os.sep
-    entered, direct = [], []
+    direct = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
-            entered.append(frame.f_code.co_name)
-            if (frame.f_back.f_code.co_filename.startswith(package_dir)
-                    and not frame.f_code.co_name.endswith("_dispatcher") and not exempt(frame.f_back)):
-                direct.append(frame.f_code.co_name)
+        if (event == "call" and frame.f_code.co_filename.startswith(numpy_dir)
+                and frame.f_back.f_code.co_filename.startswith(package_dir)
+                and not frame.f_code.co_name.endswith("_dispatcher") and not exempt(frame.f_back)):
+            direct.append(frame.f_code.co_name)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -64,4 +83,4 @@ def _numpy_frames(call, exempt=lambda caller: False):
         call()
     finally:
         sys.setprofile(previous)
-    return entered, direct
+    return direct

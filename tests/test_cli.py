@@ -1,13 +1,9 @@
 import json
-import linecache
 import math
-import re
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import _numpy_frames
 from qdiscord import (
     ab_discord,
     conditional_entropy,
@@ -17,7 +13,7 @@ from qdiscord import (
     triple_from_matrix,
     validate,
 )
-from qdiscord.cli import _SUITES, main
+from qdiscord.cli import main
 
 
 def _write_matrix_file(path, rho):
@@ -182,6 +178,15 @@ def test_compute_non_finite_matrix_exits_3(tmp_path, capsys, value):
     path = _write_matrix_file(tmp_path / "inf.json", rho)
     assert main(["compute", path]) == 3
     assert "non-finite entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [lambda v: v == 1.0, str], ids=["bools", "numeric strings"])
+def test_compute_matrix_file_of_bools_or_strings_exits_2(tmp_path, capsys, entry):
+    # a cast would count true as 1 and parse "1.0", and either file gave a report; a triple file rejects both
+    path, pure = tmp_path / "matrix.json", np.diag([1.0, 0.0, 0.0, 0.0]).tolist()
+    path.write_text(json.dumps({"matrix": [[[entry(v), entry(0.0)] for v in row] for row in pure]}))
+    assert main(["compute", str(path)]) == 2
+    assert "'matrix' must be real numbers, got an array of dtype" in capsys.readouterr().err
 
 
 def test_resolution_default_is_the_library_default():
@@ -355,40 +360,6 @@ def test_verify_oracle_suite(capsys):
 def test_verify_bounds_suite(capsys):
     assert main(["verify", "--suite", "bounds", "--n", "25"]) == 0
     assert "bounds: PASS" in capsys.readouterr().out
-
-
-#: the closed-form oracles, which keep their own numpy code
-ORACLES = {"bell_diagonal_discord", "kernel_class_min_entropy", "shannon_entropy"}
-#: a line that makes or calls numpy's Generator, whose C code enters numpy's Python layer
-GENERATOR_CALL = re.compile(r"\brng\.|default_rng\(")
-#: numpy's Python-layer entries of one verify suite at --n 4 (seed 0) from the rest of the package: validate's
-#: eigvalsh, the direct route's eigvalsh and its entropy sum, T's SVD, the start set's np.where/ndarray.sum pair
-#: per entropy sum, and in the bounds suite two np.where of the search's plateau spread (one state has two minima)
-SUITE_NUMPY_FRAMES = {
-    "identity": {"eigvalsh": 8, "where": 4, "_sum": 4},
-    "gradient": {"eigvalsh": 4},
-    "oracle": {"eigvalsh": 4, "svd": 4, "where": 8, "_sum": 8},
-    "bounds": {"eigvalsh": 4, "svd": 4, "where": 8 + 2, "_sum": 8},
-}
-
-
-def _oracle_or_generator(caller) -> bool:
-    """A numpy entry under a closed-form oracle, or from a line that makes or calls numpy's Generator."""
-    if GENERATOR_CALL.search(linecache.getline(caller.f_code.co_filename, caller.f_lineno)):
-        return True
-    while caller is not None and caller.f_code.co_name not in ORACLES:
-        caller = caller.f_back
-    return caller is not None
-
-
-@pytest.mark.parametrize("suite", list(_SUITES))
-def test_each_verify_suite_enters_numpy_python_layer_only_for_eigvalsh_svd_and_entropy_sums(capsys, suite):
-    argv = ["verify", "--suite", suite, "--n", "4"]
-    assert main(argv) == 0  # any first-use work happens outside the count
-    _, direct = _numpy_frames(lambda: main(argv), _oracle_or_generator)
-    assert capsys.readouterr().out.count(f"{suite}: PASS") == 2
-    # a bound, not a pin: a numpy release that drops a wrapper passes, a new entry from the package fails
-    assert Counter(direct) <= Counter(SUITE_NUMPY_FRAMES[suite]), direct
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

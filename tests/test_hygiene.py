@@ -21,7 +21,7 @@ def _read_names(tree):
 
 def test_no_unused_imports():
     unused = []
-    for path, source in _modules(PACKAGE, ROOT / "scripts").items():
+    for path, source in _modules(PACKAGE, ROOT / "scripts", ROOT / "tests").items():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(source, str(path))

@@ -1,7 +1,5 @@
-import functools
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +30,7 @@ from qdiscord import (
 )
 from qdiscord import states
 from qdiscord.entropy import _as_complex, _spectrum_entropy, binary_entropy
-from qdiscord.states import PreparedState, _proper_svd, prepare_state
+from qdiscord.states import _proper_svd, prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -360,6 +358,13 @@ def test_mutual_information_takes_the_prepared_state(rng):
     assert mutual_information(state) == mutual_information(rho)
     t = triple_from_matrix(rho)
     assert all(np.array_equal(getattr(state.triple, k), getattr(t, k)) for k in ("x", "y", "T"))
+    assert [state.s_a, state.s_b] == [binary_entropy((1 + math.hypot(*v)) / 2) for v in state.triple._floats[:2]]
+    assert state.s_ab == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+    # each lazy field is read on the class as its descriptor and on the instance as the value stored on first read;
+    # tests/test_budget.py counts that its function runs once
+    quantum_discord(state), theorem1_bounds(state)
+    for obj, name in [(state, n) for n in ("s_a", "s_b", "s_ab", "_svd", "_restricted")] + [(state.triple, "_tx")]:
+        assert vars(type(obj))[name] is getattr(type(obj), name) and getattr(obj, name) is vars(obj)[name]
 
 
 def _near_pure_marginal_states(rng):
@@ -470,23 +475,6 @@ def test_the_private_constructor_is_the_public_one_bit_for_bit(rng):
         _assert_same_triple(prepared, BlochTriple(prepared.x, prepared.y, prepared.T))
     zero_t = canonicalize(triples[2]).triple  # T = -0 is zero: the caller's x and y, and a +0.0 diagonal
     assert _hex(zero_t._floats[:2]) == _hex((x, y)) and _hex(zero_t._floats[2]) == [["0x0.0p+0"] * 3] * 3
-
-
-def test_triple_from_matrix_takes_no_entropy(monkeypatch, rng):
-    calls = []
-    for name in ("binary_entropy", "_spectrum_entropy"):
-        original = getattr(states, name)
-        monkeypatch.setattr(states, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-    rho = random_state(rng=rng)
-    triple_from_matrix(rho)
-    assert calls == []
-    state = prepare_state(rho)
-    # taken on first use, once each, with the values of their formulas
-    s = [state.s_a, state.s_b, state.s_ab, state.s_a, state.mutual_information]
-    assert sorted(calls) == ["_spectrum_entropy", "binary_entropy", "binary_entropy"]
-    x, y = state.triple._floats[:2]
-    assert s[0] == binary_entropy((1 + math.hypot(*x)) / 2) and s[1] == binary_entropy((1 + math.hypot(*y)) / 2)
-    assert s[2] == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
 
 
 def _parent_unit_ball(v: np.ndarray) -> np.ndarray:
@@ -615,30 +603,3 @@ def test_the_one_product_builders_are_the_tensordot_formulas_bit_for_bit(rng):
         assert _same_bits(matrix_from_triple(t), _parent_matrix_from_triple(ref))
 
 
-def test_each_lazy_field_runs_its_function_once(monkeypatch, rng):
-    fields = [(PreparedState, name) for name in ("s_a", "s_b", "s_ab", "_svd", "_restricted")] + [(BlochTriple, "_tx")]
-    calls = Counter()
-    for cls, name in fields:
-        lazy = cls.__dict__[name]
-        assert cls.__dict__[name] is getattr(cls, name)  # read on the class, the descriptor itself
-
-        @functools.wraps(lazy.func)
-        def counted(obj, _func=lazy.func, _name=name):
-            calls[_name] += 1
-            return _func(obj)
-
-        monkeypatch.setattr(lazy, "func", counted)
-    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    for rho in (u @ bell_diagonal_state(0.8, 0.3, -0.2) @ u.conj().T, random_state(rng=rng),
-                np.outer(psi, psi.conj()) / np.vdot(psi, psi).real):
-        calls.clear()
-        state = prepare_state(rho)
-        for _ in range(2):
-            quantum_discord(state)
-            theorem1_bounds(state)
-            values = [getattr(state.triple if cls is BlochTriple else state, name) for cls, name in fields]
-        assert calls == dict.fromkeys([name for _, name in fields], 1)
-        # each value is the one stored in its instance's __dict__ on first read
-        assert all(value is vars(state.triple if cls is BlochTriple else state)[name]
-                   for value, (cls, name) in zip(values, fields))
