@@ -54,6 +54,7 @@ from .optimize import (
     grid_minimize,
     minimize_conditional_entropy,
     quantum_discord,
+    quantum_discord_many,
     refine_minimum,
     stationary_scan,
     stationary_vector,

@@ -34,7 +34,7 @@ from .measurement import (
     conditional_entropy_direct,
 )
 from .optimize import DEFAULT_RESOLUTION, DEFAULT_TOLERANCE, _check_resolution, _check_tolerance, quantum_discord
-from .optimize import bound_comparison_scan, stationary_vector
+from .optimize import bound_comparison_scan, quantum_discord_many, stationary_vector
 from .states import BlochTriple, matrix_from_triple, random_state, triple_from_matrix
 
 EXIT_OK = 0
@@ -272,34 +272,34 @@ def _richardson(f) -> float:
 
 def bell_diagonal_oracle_error(n: int, rng: np.random.Generator, search: dict) -> float:
     """Worst |closed form - grid+refine| discord over n sampled Bell-diagonal states."""
-    worst = 0.0
-    for _ in range(n):
-        t1, t2, t3 = sample_bell_diagonal(rng)
-        exact = bell_diagonal_discord(t1, t2, t3).discord
-        numeric = quantum_discord(bell_diagonal_state(t1, t2, t3), fast_path=False, with_bounds=False,
-                                  **search).discord
-        worst = max(worst, abs(exact - numeric))
-    return worst
+    return _oracle_error([sample_bell_diagonal(rng) for _ in range(n)], [], search)
+
+
+def _oracle_error(bell: list, kernel: list, search: dict) -> float:
+    """Worst |closed form - optimizer| over Bell-diagonal parameters (the discord) and kernel-class triples (min S).
+
+    The optimizer takes all the states in one :func:`quantum_discord_many` call, with the fast path off.
+    """
+    rhos = [bell_diagonal_state(*p) for p in bell] + [matrix_from_triple(t) for t in kernel]
+    reports = quantum_discord_many(rhos, fast_path=False, with_bounds=False, **search)
+    errors = [abs(bell_diagonal_discord(*p).discord - r.discord) for p, r in zip(bell, reports)]
+    errors += [abs(kernel_class_min_entropy(t.x, t.T) - r.min_conditional_entropy)
+               for t, r in zip(kernel, reports[len(bell):])]
+    return max([0.0, *errors])
 
 
 def suite_oracle(n: int, rng: np.random.Generator, search: dict) -> tuple[bool, str]:
     """The optimizer against the closed forms: n/2 Bell-diagonal, the rest kernel-class states."""
-    worst = bell_diagonal_oracle_error(n // 2, rng, search)
-    for _ in range(n - n // 2):
-        t = sample_kernel_class(rng)
-        exact = kernel_class_min_entropy(t.x, t.T)
-        numeric = quantum_discord(matrix_from_triple(t), fast_path=False, with_bounds=False, **search)
-        worst = max(worst, abs(exact - numeric.min_conditional_entropy))
+    bell = [sample_bell_diagonal(rng) for _ in range(n // 2)]
+    worst = _oracle_error(bell, [sample_kernel_class(rng) for _ in range(n - n // 2)], search)
     return worst < 1e-6, f"{n} in-class states, max |closed form - optimizer| = {worst:.3e}"
 
 
 def suite_bounds(n: int, rng: np.random.Generator, search: dict) -> tuple[bool, str]:
-    """Discord and classical correlation inside their bounds on n random states."""
+    """Discord and classical correlation inside their bounds on n random states, in one many-state call."""
     violations = 0
     worst = 0.0
-    for _ in range(n):
-        rho = random_state(rng=rng)
-        report = quantum_discord(rho, **search)
+    for report in quantum_discord_many([random_state(rng=rng) for _ in range(n)], **search):
         b = report.bounds
         over = max(report.discord - b.discord_ub, b.classical_lb - report.classical_correlation)
         worst = max(worst, over)

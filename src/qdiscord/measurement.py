@@ -190,11 +190,16 @@ def _unit_rows(dirs) -> np.ndarray:
 
 def branches_batch(t: BlochTriple, dirs) -> Branches:
     """Branch quantities at every row of an (N, 3) array of unit directions, with T n as one matrix product."""
-    dirs = _unit_rows(dirs)
-    x, tn = t.x, dirs @ t.T.T  # x first: a record without one raises AttributeError before the product
+    return _stacked_branches(t.x, t.y, t.T, _unit_rows(dirs))
+
+
+def _stacked_branches(x: np.ndarray, y: np.ndarray, T: np.ndarray, dirs: np.ndarray) -> Branches:
+    """:func:`branches_batch` on checked unit rows, over leading state axes: x (..., 1, 3), y (..., 3), T (..., 3, 3);
+    T n and y . n are a product per state, so each state keeps the bits of a batch of its own."""
+    tn = dirs @ T.swapaxes(-1, -2)
     vp, vm = x + tn, x - tn
     sp, sm = _row_norms(vp), _row_norms(vm)
-    return Branches(*_weights(dirs @ t.y, sp, sm), vp, vm, sp, sm)
+    return Branches(*_weights((dirs @ y[..., None])[..., 0], sp, sm), vp, vm, sp, sm)
 
 
 def _pick(c, a, b):
@@ -203,8 +208,8 @@ def _pick(c, a, b):
 
 
 def _least_of_rows(w2: np.ndarray, w4: np.ndarray) -> float:
-    """The least entry of two (N,) arrays, or 0.0: the least of :func:`_probabilities` on arrays."""
-    return float(np.minimum.reduce(np.minimum(w2, w4), initial=0.0))
+    """The least entry of two arrays of one shape, or 0.0: the least of :func:`_probabilities` on arrays."""
+    return float(np.minimum.reduce(np.minimum(w2, w4), axis=None, initial=0.0))
 
 
 def _probabilities(b: Branches, least=min, select=_pick):
@@ -291,7 +296,18 @@ def conditional_entropy_batch(t: BlochTriple, directions: np.ndarray) -> np.ndar
     Each row must be a real vector within 1e-12 of unit length; any other
     row, shape or entry raises :class:`ValidationError`.
     """
-    rows = np.array(_probabilities(branches_batch(t, directions), _least_of_rows, np.where))
+    return _entropies(branches_batch(t, directions))
+
+
+def _conditional_entropy_stack(triples: list[BlochTriple], dirs: np.ndarray) -> np.ndarray:
+    """:func:`conditional_entropy_batch` of each triple at its own rows of an (S, N, 3) stack, as one (S, N) pass."""
+    x, y, T = (np.array(v) for v in zip(*(t._floats for t in triples)))
+    return _entropies(_stacked_branches(x[:, None], y, T, _unit_rows(dirs.reshape(-1, 3)).reshape(dirs.shape)))
+
+
+def _entropies(b: Branches) -> np.ndarray:
+    """h4(w) - h2(p0) at each direction of array branches, of any shape."""
+    rows = np.array(_probabilities(b, _least_of_rows, np.where))
     w = rows[2:]
     np.minimum(np.maximum(w, 0.0, out=w), 1.0, out=w)
     return _h_sum(w) - _h_sum(rows[:2])

@@ -27,6 +27,7 @@ from .measurement import (
     MeasurementDirection,
     _branch_entropy,
     _canonical_sign,
+    _conditional_entropy_stack,
     _dot,
     _least_of_rows,
     _lowest_eigenpair,
@@ -40,7 +41,7 @@ from .measurement import (
     conditional_entropy,
     conditional_entropy_batch,
 )
-from .states import BlochTriple, PreparedState, _proper_svd, prepare_state
+from .states import BlochTriple, PreparedState, _prepared_many, _proper_svd, prepare_state
 
 # Unused here; kept bound because the benchmark trace (perfbench/spans.py) wraps them.
 from .closed_forms import classify, kernel_class_min_entropy  # noqa: F401
@@ -55,6 +56,8 @@ MIN_RESOLUTION = math.radians(0.5)
 ORACLE_RESOLUTION = math.pi / 180
 DEFAULT_TOLERANCE = 1e-9
 MAX_REFINE_ITERATIONS = 200
+#: rows of :func:`bound_comparison_scan` that go to :func:`quantum_discord_many` at once, so memory stays flat
+SCAN_CHUNK = 256
 
 _ARMIJO = 1e-4
 _COMPASS_MIN_STEP = 1e-9
@@ -457,6 +460,12 @@ def _multistart(t: BlochTriple, axes_b: list, resolution: float, tolerance: floa
                 ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
     """:func:`minimize_conditional_entropy` with checked settings and ``axes_b``, the rows of O2 in T's SVD."""
     lattice, nbrs = _lattice(resolution)
+    dirs = _start_dirs(t, axes_b, lattice)
+    return _refined(t, dirs, conditional_entropy_batch(t, dirs), nbrs, tolerance)
+
+
+def _start_dirs(t: BlochTriple, axes_b: list, lattice: np.ndarray) -> np.ndarray:
+    """The start lattice with the state's own axes, ``axes_b``, y and T^t x, moved onto their nearest points."""
     axes = []
     for a in (*axes_b, t._floats[1], t._tx):  # _row_norms' sum and sqrt, in floats
         norm = math.sqrt(_dot(a, a))
@@ -465,7 +474,13 @@ def _multistart(t: BlochTriple, axes_b: list, resolution: float, tolerance: floa
     dirs = lattice.copy()
     for i, axis in zip(np.abs(lattice @ np.array(axes).T).argmax(axis=0).tolist(), axes):  # the later axis wins a point
         dirs[i] = axis
-    starts = _basin_starts(conditional_entropy_batch(t, dirs), nbrs)
+    return dirs
+
+
+def _refined(t: BlochTriple, dirs: np.ndarray, values: np.ndarray, nbrs: np.ndarray, tolerance: float,
+             ) -> tuple[MeasurementDirection, float, StationaryDiagnostics]:
+    """The lowest refined minimum from the start of each plateau of the start set ``dirs``, of entropies ``values``."""
+    starts = _basin_starts(values, nbrs)
     return min((refine_minimum(t, dirs[i].tolist(), tolerance=tolerance) for i in starts), key=lambda found: found[1])
 
 
@@ -509,14 +524,24 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         With ``discord = mutual_information - classical_correlation`` exact;
         its ``diagnostics`` are taken on first read.
     """
+    resolution, tolerance = _checked_settings(resolution, tolerance, fast_path, with_bounds)
+    state = prepare_state(rho)
+    found = _closed_form_minimum(state) if fast_path else None
+    return _report(state, found or _multistart(state.triple, state._svd[1][1], resolution, tolerance), found is None,
+                   with_bounds)
+
+
+def _checked_settings(resolution, tolerance, fast_path, with_bounds) -> tuple[float, float]:
+    """:func:`quantum_discord`'s settings checked: resolution and tolerance as floats, once the flags are bools."""
     resolution, tolerance = _check_resolution(resolution), _check_tolerance(tolerance)
     if not (isinstance(fast_path, (bool, np.bool_)) and isinstance(with_bounds, (bool, np.bool_))):
         raise ValidationError(f"fast_path and with_bounds must be bools, got {fast_path!r} and {with_bounds!r}")
-    state = prepare_state(rho)
-    found = _closed_form_minimum(state) if fast_path else None
-    method = "grid+refine" if found is None else "closed-form"
-    direction, min_s, diagnostics = found or _multistart(state.triple, state._svd[1][1], resolution, tolerance)
+    return resolution, tolerance
 
+
+def _report(state: PreparedState, found: tuple, searched: bool, with_bounds: bool) -> DiscordReport:
+    """The report of a state from its minimum (direction, min S(A|n), diagnostics) and the route that found it."""
+    direction, min_s, diagnostics = found
     # 0 <= J <= I, which the PSD slack of an accepted matrix can break by rounding
     mutual = state.mutual_information
     classical = min(max(0.0, state.s_a - min_s), mutual)
@@ -528,10 +553,54 @@ def quantum_discord(rho: np.ndarray | PreparedState, *, resolution: float = DEFA
         discord=discord,
         optimal_direction=direction,
         min_conditional_entropy=min_s,
-        method=method,
+        method="grid+refine" if searched else "closed-form",
         diagnostics=diagnostics,
         bounds=bounds,
     )
+
+
+def quantum_discord_many(rhos: Iterable[np.ndarray | PreparedState], *, resolution: float = DEFAULT_RESOLUTION,
+                         tolerance: float = DEFAULT_TOLERANCE, fast_path: bool = True,
+                         with_bounds: bool = True) -> list[DiscordReport]:
+    """``[quantum_discord(rho, ...) for rho in rhos]`` bit for bit, with the work of all the states stacked.
+
+    ``rhos`` is an iterable, read in full first, of 4x4 matrices and
+    :class:`~qdiscord.states.PreparedState` records.  The matrices are
+    validated and decomposed in one stacked pass, and the start sets of all
+    searches evaluated in one more; routes, refinement and reports are
+    quantum_discord's own code.  The call raises what the loop raises first:
+    a stack with an element it rejects is replayed through it.  What is not
+    an iterable raises :class:`ValidationError`.
+    """
+    resolution, tolerance = _checked_settings(resolution, tolerance, fast_path, with_bounds)
+    try:
+        rhos = iter(rhos)
+    except TypeError:
+        raise ValidationError(f"rhos must be an iterable of states, got {reprlib.repr(rhos)}") from None
+    rhos = list(rhos)
+    states = _prepared_many(rhos)
+    if states is not None:
+        try:
+            return _reports(states, resolution, tolerance, fast_path, with_bounds)
+        except ValidationError:  # the loop below raises the first element's error
+            pass
+    return [quantum_discord(rho, resolution=resolution, tolerance=tolerance, fast_path=fast_path,
+                            with_bounds=with_bounds) for rho in rhos]
+
+
+def _reports(states: list[PreparedState], resolution: float, tolerance: float, fast_path: bool,
+             with_bounds: bool) -> list[DiscordReport]:
+    """:func:`quantum_discord_many` on prepared states, the start sets of those that need a search in one pass."""
+    routes = [_closed_form_minimum(state) if fast_path else None for state in states]
+    found = list(routes)
+    search = [k for k, route in enumerate(routes) if route is None]
+    if search:
+        lattice, nbrs = _lattice(resolution)
+        triples = [states[k].triple for k in search]
+        dirs = np.array([_start_dirs(t, states[k]._svd[1][1], lattice) for k, t in zip(search, triples)])
+        for k, t, d, values in zip(search, triples, dirs, _conditional_entropy_stack(triples, dirs)):
+            found[k] = _refined(t, d, values, nbrs, tolerance)
+    return [_report(state, f, route is None, with_bounds) for state, f, route in zip(states, found, routes)]
 
 
 def classical_correlation(rho: np.ndarray, **kwargs) -> float:
@@ -546,21 +615,43 @@ def bound_comparison_scan(states: Iterable[tuple[float, float, np.ndarray]],
 
     ``states`` yields ``(param1, param2, rho)`` tuples, each parameter a real number (not
     a bool, complex or string); rows come back in the same order.  What is not an iterable,
-    or a row that is not three values, raises :class:`ValidationError` naming the row.
-    Each row records the computed discord, the discord upper bound, the comparison bound
-    S(rho_B), and whether the bound is saturated within 1e-6.
+    or a row that is not three values, raises :class:`ValidationError` naming the row, and
+    so do settings out of range, before any row is read.  Each row records the computed
+    discord, the discord upper bound, the comparison bound S(rho_B), and whether the bound
+    is saturated within 1e-6.  The rows go to :func:`quantum_discord_many` in chunks of
+    :data:`SCAN_CHUNK`; a chunk with an error is replayed row by row, so the error raised
+    is the first one a row-by-row scan meets (an iterator that raises part-way raises
+    before the rows of its unfinished chunk are checked).
     """
+    settings = {"resolution": _check_resolution(resolution), "tolerance": _check_tolerance(tolerance)}
     try:
         states = iter(states)
     except TypeError:
         raise ValidationError(f"states must be an iterable of rows, got {reprlib.repr(states)}") from None
-    rows = []
+    rows, chunk = [], []
     for k, row in enumerate(states):
         try:
             p1, p2, rho = row
         except (TypeError, ValueError):  # not iterable, or not three values
+            rows += _scan_rows(chunk, settings)  # the rows before it first
             raise ValidationError(f"states row {k} is not (param1, param2, rho): {reprlib.repr(row)}") from None
-        report = quantum_discord(rho, resolution=resolution, tolerance=tolerance)
+        chunk.append((p1, p2, rho))
+        if len(chunk) == SCAN_CHUNK:
+            rows += _scan_rows(chunk, settings)
+            chunk = []
+    return rows + _scan_rows(chunk, settings)
+
+
+def _scan_rows(chunk: list, settings: dict) -> list[ScanRow]:
+    """The ScanRows of (param1, param2, rho) rows from one stacked call; on an error, row by row as the scan meets
+    them: a row's report, then its parameters."""
+    rhos = [rho for _, _, rho in chunk]
+    try:
+        reports = quantum_discord_many(rhos, **settings)
+    except ValidationError:  # the generator raises the first row's error, in the loop below
+        reports = (quantum_discord(rho, **settings) for rho in rhos)
+    rows = []
+    for (p1, p2, _), report in zip(chunk, reports):
         b = report.bounds
         rows.append(ScanRow(_real_scalar(p1, "param1"), _real_scalar(p2, "param2"), report.discord,
                             b.discord_ub, b.xi_bound, b.saturated))

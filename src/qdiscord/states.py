@@ -177,9 +177,7 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     deviations and a NaN eigenvalue.
     """
     rho = _as_complex(rho, "a 4x4 matrix of numbers", (4, 4))
-    # the largest real or imaginary part; NaN if any is NaN
-    peak = float(np.maximum.reduce(np.abs(np.ascontiguousarray(rho).view(float)), axis=None))
-    if not peak <= _MAX_ENTRY:
+    if not (peak := _peak(rho)) <= _MAX_ENTRY:
         dev = math.inf if math.isfinite(peak) else math.nan
         return StateDiagnostics(dev, dev, math.nan, False)
     herm = rho.conj().T
@@ -190,8 +188,17 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     eigenvalues = np.linalg.eigvalsh(hermitian)
     eigenvalues.setflags(write=False)
     min_eig = float(eigenvalues[0])
-    ok = dev_h <= HERMITICITY_TOL and dev_tr <= TRACE_TOL and min_eig >= -PSD_TOL
-    return StateDiagnostics(dev_h, dev_tr, min_eig, ok, eigenvalues, hermitian)
+    return StateDiagnostics(dev_h, dev_tr, min_eig, _accepted(dev_h, dev_tr, min_eig), eigenvalues, hermitian)
+
+
+def _peak(rho: np.ndarray) -> float:
+    """The largest real or imaginary part of a complex matrix, or of a stack of them; NaN if any is NaN."""
+    return float(np.maximum.reduce(np.abs(np.ascontiguousarray(rho).view(float)), axis=None))
+
+
+def _accepted(dev_h, dev_tr, min_eig):
+    """:func:`validate`'s accept rule on the deviations and the least eigenvalue, alike on floats and on arrays."""
+    return (dev_h <= HERMITICITY_TOL) & (dev_tr <= TRACE_TOL) & (min_eig >= -PSD_TOL)
 
 
 def _unit_ball(v: list[float]) -> list[float]:
@@ -295,12 +302,51 @@ def prepare_state(rho: np.ndarray | PreparedState) -> PreparedState:
         raise NotAStateError(f"not a valid two-qubit state ({diag})")
     trace = float(diag.hermitian_part.trace().real)
     rho = diag.hermitian_part / trace
-    pauli = (rho.reshape(16) @ _PAULI_TRACES).real.tolist()  # tr(rho P_k): x, y, then T row by row
+    return _prepared(rho, _pauli_traces(rho)[0], diag.eigenvalues, trace)
+
+
+def _pauli_traces(rho: np.ndarray) -> list[list[float]]:
+    """tr(rho P_k), x, y and T row by row, of a matrix or each of a stack, by a vector-matrix product per matrix."""
+    return (rho.reshape(-1, 1, 16) @ _PAULI_TRACES).real.reshape(-1, 15).tolist()
+
+
+def _prepared(rho: np.ndarray, pauli: list[float], eigenvalues: np.ndarray, trace: float) -> PreparedState:
+    """The state of an accepted matrix divided by its trace, from its Pauli traces and validate's eigenvalues."""
     # finite, as validate's matrix is; only the norm bound is left to check
     x, y = tuple(_unit_ball(pauli[:3])), tuple(_unit_ball(pauli[3:6]))
     norms = _checked_norm("x", x), _checked_norm("y", y)
     t = BlochTriple._of(x, y, (tuple(pauli[6:9]), tuple(pauli[9:12]), tuple(pauli[12:])))
-    return PreparedState(rho, t, norms, (diag.eigenvalues, trace))
+    return PreparedState(rho, t, norms, (eigenvalues, trace))
+
+
+def _prepared_many(rhos: list) -> list[PreparedState] | None:
+    """:func:`prepare_state` of each element (a record passes through), taking validate's arithmetic, the Pauli
+    traces and T's SVD once for the stack of matrices; None if any element is rejected."""
+    try:
+        stack = np.array([_as_complex(rho, "a 4x4 matrix of numbers", (4, 4)) for rho in rhos
+                          if not isinstance(rho, PreparedState)], dtype=complex).reshape(-1, 4, 4)
+    except ValidationError:
+        return None
+    if len(stack) and not _peak(stack) <= _MAX_ENTRY:
+        return None
+    herm = stack.conj().transpose(0, 2, 1)  # validate's arithmetic, matrix by matrix
+    hermitian = (stack + herm) / 2
+    eigenvalues = np.linalg.eigvalsh(hermitian)
+    eigenvalues.setflags(write=False)
+    dev_h, dev_tr = np.maximum.reduce(np.abs(stack - herm), axis=(1, 2)), abs(stack.trace(axis1=1, axis2=2) - 1.0)
+    if not np.logical_and.reduce(_accepted(dev_h, dev_tr, eigenvalues[:, 0])):
+        return None
+    traces = hermitian.trace(axis1=1, axis2=2).real
+    units = hermitian / traces[:, None, None]
+    try:
+        made = list(map(_prepared, units, _pauli_traces(units), eigenvalues, traces.tolist()))
+    except ValidationError:  # a coherence vector past the norm bound
+        return None
+    u, d, vt = np.linalg.svd(np.array([state.triple.T for state in made]).reshape(-1, 3, 3))
+    for state, found in zip(made, zip(d.tolist(), zip(u.transpose(0, 2, 1).tolist(), vt.tolist()))):
+        state.__dict__["_svd"] = _proper_svd(state.triple, found)
+    made = iter(made)
+    return [rho if isinstance(rho, PreparedState) else next(made) for rho in rhos]
 
 
 def mutual_information(rho: np.ndarray | PreparedState) -> float:
@@ -334,12 +380,15 @@ def apply_local_rotations(t: BlochTriple, o1: np.ndarray, o2: np.ndarray) -> Blo
     return BlochTriple(_rotated(o1, t.x), _rotated(o2, t.y), o1 @ t.T @ o2.T)
 
 
-def _proper_svd(t: BlochTriple) -> tuple[list[float], tuple[list[list[float]], list[list[float]]]]:
-    """(d, (rows of O1, rows of O2)) of :func:`canonicalize` as floats; zeros and identities at T = 0."""
+def _proper_svd(t: BlochTriple, found: tuple | None = None) -> tuple[list[float], tuple[list, list]]:
+    """(d, (rows of O1, rows of O2)) of :func:`canonicalize` as floats; zeros and identities at T = 0.  ``found`` is
+    T's SVD in that form, taken in a stack of T's and repaired here, else it is taken here."""
     if not any(map(any, t._floats[2])):
         return [0.0, 0.0, 0.0], ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],) * 2  # no np.eye dispatch
-    u, s, vt = np.linalg.svd(t.T)
-    d, rows = s.tolist(), (u.T.tolist(), vt.tolist())
+    if found is None:
+        u, s, vt = np.linalg.svd(t.T)
+        found = s.tolist(), (u.T.tolist(), vt.tolist())
+    d, rows = found
     for o in rows:
         (a, b, c), (e, f, g), (h, i, k) = o
         if a * (f * k - g * i) + b * (g * h - e * k) + c * (e * i - f * h) < 0:  # det o by cofactors

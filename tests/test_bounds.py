@@ -6,6 +6,7 @@ import pytest
 from conftest import random_triple
 from qdiscord import (
     BlochTriple,
+    NotAStateError,
     ValidationError,
     ab_discord,
     ab_state,
@@ -26,6 +27,7 @@ from qdiscord import (
     triple_from_matrix,
 )
 from qdiscord.bounds import SATURATION_TOL
+from qdiscord.optimize import SCAN_CHUNK
 from qdiscord.states import prepare_state
 
 Z3 = np.zeros(3)
@@ -206,6 +208,22 @@ def test_scan_bell_diagonal_ray():
 def test_scan_rows_that_are_not_three_values_are_named(states, row):
     with pytest.raises(ValidationError, match=row):
         bound_comparison_scan(states)
+
+
+def test_scan_raises_the_first_error_a_row_by_row_scan_meets():
+    bad, good = np.diag([1.0, 0, 0, -0.5]), (0.1, 0.2, np.eye(4) / 4)
+    with pytest.raises(NotAStateError, match="not a valid two-qubit state"):  # row 0's matrix before row 1's shape
+        bound_comparison_scan([(0.1, 0.2, bad), (0.1,)])
+    with pytest.raises(ValidationError, match="param1"):  # row 0's parameter before row 1's matrix
+        bound_comparison_scan([(1j, 0.2, np.eye(4) / 4), (0.1, 0.2, bad)])
+    with pytest.raises(ValidationError, match=f"row {SCAN_CHUNK + 1} "):  # in the second chunk
+        bound_comparison_scan([good] * (SCAN_CHUNK + 1) + [(0.1,), (0.1, 0.2, bad)])
+
+
+@pytest.mark.parametrize("settings", [{"resolution": math.nan}, {"tolerance": 5.0}])
+def test_scan_checks_its_settings_before_any_row(settings):
+    with pytest.raises(ValidationError, match=next(iter(settings))):
+        bound_comparison_scan([], **settings)
 
 
 def test_rows_to_csv_schema():

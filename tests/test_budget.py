@@ -20,8 +20,8 @@ import pytest
 
 from conftest import _ab_crossover_triples, _numpy_frames, random_direction, random_triple
 from qdiscord import (BlochTriple, bell_diagonal_state, canonicalize, matrix_from_triple, minimize_conditional_entropy,
-                      quantum_discord, random_state, random_unitary, refine_minimum, sample_kernel_class,
-                      stationary_scan, theorem1_bounds, triple_from_matrix)
+                      quantum_discord, quantum_discord_many, random_state, random_unitary, refine_minimum,
+                      sample_kernel_class, stationary_scan, theorem1_bounds, triple_from_matrix)
 from qdiscord import ab_state, bounds, entropy, measurement, optimize, states
 from qdiscord.cli import main
 from qdiscord.states import CanonicalForm, PreparedState, prepare_state
@@ -105,6 +105,7 @@ MIXED = np.eye(4) / 4  # T = 0
 GENERIC = random_state(rank=4, rng=_rng)
 AB = ab_state(0.3, 0.4)  # two plateaus of lattice minima
 RANK_ONE = [random_state(rank=1, rng=_rng) for _ in range(20)]
+STACK = [PURE, BELL, KERNEL, GENERIC, AB]  # the routes of a mixed stack
 
 
 def _discord(*rhos, **settings) -> Callable:
@@ -173,14 +174,30 @@ START_SET = {"where": 2, "_sum": 2}
 CLOSED_NUMPY, SEARCH_NUMPY = {"eigvalsh": 1, "svd": 1}, {"eigvalsh": 1, "svd": 1, **START_SET}
 #: the suites make four states each
 SUITE = {"validate": 4, "eigvalsh 4x4": 4}
-SUITE_STATE = {**SUITE, **dict.fromkeys(("s_a", "s_b", "s_ab", "_svd", "_tx"), 4)}
-SUITE_NUMPY = {"eigvalsh": 4, "svd": 4, "where": 8, "_sum": 8}  # four searches' validate, SVD and start set
+#: a stack: one eigvalsh, one SVD and one start-set pass for all its states, and no validate; per state its
+#: entropies and T^t x, and the SVD of each stored without running _svd
+MANY = {"eigvalsh 4x4": 1, "svd": 1}
+MANY_NUMPY = {"eigvalsh": 1, "svd": 1, **START_SET}
+#: the oracle and bounds suites, whose four states are one stack
+SUITE_STACK = {**MANY, **dict.fromkeys(("s_a", "s_b", "s_ab", "_tx"), 4)}
+
+
+def _many_cells(k: int) -> dict:
+    """The mixed stack repeated k times: each state's cells of its scalar row, but the stacked front and start set."""
+    return {**MANY, **dict.fromkeys(("s_a", "s_b", "s_ab", "_tx", "_restricted_maximum", "_restricted"), 5 * k),
+            "pure": k, "closed-form": 2 * k, "no closed form": 2 * k, "one plateau": k, "several plateaus": k,
+            "refine_minimum": range(2 * k, 6 * k + 1), "branches": range(2 * k, 13 * k + 1),
+            "_point": range(2 * k, 13 * k + 1)}
 
 TABLE = {
     "pure": Row(_discord(PURE), {**FRONT, "pure": 1}, {"eigvalsh": 1}),
     "closed-form: rotated Bell-diagonal, rotated kernel class, tied": Row(_discord(BELL, KERNEL, TIE), CLOSED,
                                                                           CLOSED_NUMPY),
     "closed-form, I/4": Row(_discord(MIXED), {**FRONT, "_svd": 1, "closed-form": 1}, {"eigvalsh": 1}),
+    # the mixed stack at 5 and at 20 states: the same cells per state, the same numpy bound
+    "quantum_discord_many, 5 states": Row(lambda: [partial(quantum_discord_many, STACK)], _many_cells(1), MANY_NUMPY),
+    "quantum_discord_many, 20 states": Row(lambda: [partial(quantum_discord_many, STACK * 4)], _many_cells(4),
+                                           MANY_NUMPY),
     "grid+refine, one plateau": Row(_discord(GENERIC), {**SEARCH, "no closed form": 1}, SEARCH_NUMPY),
     "grid+refine, several plateaus": Row(_discord(AB), {**SEARCH, "no closed form": 1, "one plateau": 0,
                                                         "several plateaus": 1, "refine_minimum": most(5), **points(10)},
@@ -218,14 +235,15 @@ TABLE = {
                                          {"eigvalsh": 8, "where": 4, "_sum": 4}, _oracle_or_generator),
     "verify --suite gradient --n 4": Row(_verify("gradient"), {
         **SUITE, "_diagnostics": 4, "_point": most(4), "branches": most(36)}, {"eigvalsh": 4}, _oracle_or_generator),
-    # kernel_class_min_entropy, an oracle, takes its own norm and SVD
+    # the oracle and bounds suites take their four states as one stack; kernel_class_min_entropy, an oracle,
+    # takes its own norm and SVD
     "verify --suite oracle --n 4": Row(_verify("oracle"), {
-        **SUITE_STATE, "BlochTriple.__post_init__": 4, "svd": 4 + 2, "norm": 2, "one plateau": 4,
-        "refine_minimum": most(4), **points(4)}, SUITE_NUMPY, _oracle_or_generator),
+        **SUITE_STACK, "BlochTriple.__post_init__": 4, "svd": 1 + 2, "norm": 2, "one plateau": 4,
+        "refine_minimum": most(4), **points(4)}, MANY_NUMPY, _oracle_or_generator),
     # one state has two plateaus of start minima, which add no numpy entry
     "verify --suite bounds --n 4": Row(_verify("bounds"), {
-        **SUITE_STATE, "_restricted_maximum": 4, "_restricted": 4, "svd": 4, "no closed form": 4, "one plateau": 3,
-        "several plateaus": 1, "refine_minimum": most(5), **points(20)}, SUITE_NUMPY, _oracle_or_generator),
+        **SUITE_STACK, "_restricted_maximum": 4, "_restricted": 4, "svd": 1, "no closed form": 4, "one plateau": 3,
+        "several plateaus": 1, "refine_minimum": most(5), **points(20)}, MANY_NUMPY, _oracle_or_generator),
 }
 
 

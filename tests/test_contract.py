@@ -7,6 +7,7 @@ value, AttributeError or TypeError for a record) with every message fragment the
 or returns a result that meets the postcondition: a cell of a tag in ACCEPTED must, one in a row's accept may.
 """
 
+import functools
 import inspect
 import math
 import re
@@ -23,6 +24,7 @@ from qdiscord import (ABState, BellDiagonalDiscord, BlochTriple, BoundReport, Ca
                       canonicalize, random_state, triple_from_matrix, validate)
 from qdiscord.measurement import branches_batch
 from qdiscord.optimize import stationary_residual_batch
+from qdiscord.states import prepare_state
 
 NAN, INF = math.nan, math.inf
 Z3, Z33 = np.zeros(3), np.zeros((3, 3))
@@ -32,7 +34,7 @@ Z3, Z33 = np.zeros(3), np.zeros((3, 3))
 KINDS = {"float": "scalar", "float | None": "scalar", "int": "count", "int | None": "count", "bool": "flag",
          "np.random.Generator | int | None": "seed", "BlochTriple": "record", "CanonicalForm": "record",
          "np.random.Generator": "record", "Sequence[ScanRow]": "records",
-         "Iterable[tuple[float, float, np.ndarray]]": "scan rows"}
+         "Iterable[tuple[float, float, np.ndarray]]": "scan rows", "Iterable[np.ndarray | PreparedState]": "stack"}
 #: per tag of a cell that must raise: the exception, whether exactly that class, and a fragment of its message
 TAGS = {"non-finite": (ValidationError, False, None), "out of range": (ValidationError, False, None),
         "not a number": (ValidationError, True, "bool, complex or string"),
@@ -40,6 +42,7 @@ TAGS = {"non-finite": (ValidationError, False, None), "out of range": (Validatio
         "not real numbers": (ValidationError, True, "real numbers, got an array of dtype"),
         "not numbers": (ValidationError, True, "got an array of dtype"), "one row": (ValidationError, True, None),
         "not an integer": (ValidationError, True, "must be an integer"), "not a bool": (ValidationError, True, "bools"),
+        "not an iterable": (ValidationError, True, "must be an iterable"),
         "not a record": ((AttributeError, TypeError), False, None)}
 #: tags of numbers in another form, whose cells must give a result
 ACCEPTED = {"0-d array", "numpy integer", "numpy bool"}
@@ -80,6 +83,16 @@ def _scan_values(valid) -> list:
             for i, kind in enumerate(("scalar", "scalar", "array")) for tag, bad in VALUES[kind](row[i])]
 
 
+def _stack_values(valid) -> list:
+    """Hostile stacks: what is not an iterable, and a ragged, 3x3, NaN or string element after the valid ones."""
+    bad_entry = np.array(valid[-1], dtype=complex)
+    bad_entry[1, 2] = NAN
+    return [("not an iterable", bad) for bad in (5, 1.5, True, object(), None)] + [
+        (tag, [*valid, bad]) for tag, bad in (("shape", [[1.0, 2.0], [3.0]]), ("shape", np.eye(3) / 3),
+                                              ("non-finite", bad_entry), ("non-finite", np.full((4, 4), NAN)),
+                                              ("not numbers", np.full((4, 4), "x")), ("not numbers", "abc"))]
+
+
 VALUES = {
     "scalar": lambda v: [("non-finite", bad) for bad in (NAN, INF, -INF)] + [("0-d array", np.array(v))] + [
         ("not a number", bad) for bad in (complex(v), v + 0.01j, np.complex128(v), np.complex128(v + 0.01j),
@@ -91,7 +104,8 @@ VALUES = {
         -1, 1.5, "x", True, np.True_, NAN, 1j, {}, np.array([1, 2]), np.eye(4) / 4)],
     "flag": lambda v: [("numpy bool", np.bool_(v))] + [("not a bool", bad) for bad in (
         None, 0, 1, 1.0, NAN, "yes", "", 1j, np.array([True, False]), np.array(True))],
-    "array": _array_values, "scan rows": _scan_values, "record": lambda v: [("not a record", r) for r in RECORDS],
+    "array": _array_values, "scan rows": _scan_values, "stack": _stack_values,
+    "record": lambda v: [("not a record", r) for r in RECORDS],
     "records": lambda v: [("not a record", bad) for r in RECORDS for bad in (r, [r])]}
 
 
@@ -152,7 +166,10 @@ VALID = {"t": T, "c": canonicalize(T), "rng": np.random.default_rng(5), "rho": R
          "directions": DIRS, "dirs": DIRS, "k": 0, "rank": 2, "dim": 3, "resolution": COARSE, "tolerance": 1e-9,
          "fast_path": True, "with_bounds": True, "discord": 0.1, "a": 0.1, "b": 0.1, "t1": 0.3, "t2": 0.1, "t3": 0.1,
          "x3": 0.1, "theta": 0.3, "phi": 0.2, "x": (0.1, 0.0, 0.0), "y": (0.0, 0.2, 0.0), "T": np.diag([0.3, 0.3, 0.3]),
-         "p": [0.5, 0.25, 0.25], "states": [(0.1, 0.2, RHO)], "rows": [ScanRow(0.1, 0.2, 0.3, 0.4, 0.5, False)]}
+         "p": [0.5, 0.25, 0.25], "states": [(0.1, 0.2, RHO)], "rows": [ScanRow(0.1, 0.2, 0.3, 0.4, 0.5, False)],
+         # a record, then a pure, a closed-form and a generic matrix
+         "rhos": [prepare_state(random_state(3, 9)), random_state(1, 3), qdiscord.bell_diagonal_state(0.3, 0.2, 0.1),
+                  RHO]}
 #: out-of-range values by parameter name, which a row's ``out`` extends: for a batch, rows off unit length
 #: (one that gave a value, one that blamed the triple and one that overflowed)
 OUT = {"direction": [Z3, (1e-13, 0.0, 0.0)], "n": [Z3, (1e-13, 0.0, 0.0)], "start": [Z3], "k": [-1, 2],
@@ -189,6 +206,26 @@ class Row(NamedTuple):
 
 #: the rows of the callables that take a state, which raise NotAStateError for what is not one
 STATE_OUT = {"rho": NOT_STATES}
+
+
+def _digits(report) -> str:
+    """A report and its diagnostics with every digit that tells two floats apart."""
+    with np.printoptions(floatmode="unique"):
+        return repr(report) + repr(report.diagnostics)
+
+
+@functools.wraps(qdiscord.quantum_discord_many)
+def _many_and_loop(rhos, **settings):
+    """quantum_discord_many's reports, and then the scalar loop's, for the postcondition."""
+    reports = qdiscord.quantum_discord_many(rhos, **settings)
+    return reports, [qdiscord.quantum_discord(rho, **settings) for rho in rhos]
+
+
+def _scalar_error(rho) -> str:
+    """The message of quantum_discord's error on rho, exactly."""
+    with pytest.raises(ValidationError) as err:
+        qdiscord.quantum_discord(rho)
+    return f"^{re.escape(str(err.value))}$"
 ROWS = {
     "ABState": Row(lambda s: isinstance(s, ABState)),
     "BlochTriple": Row(lambda t: isinstance(t, BlochTriple), {"x": [(1.1, 0.0, 0.0)], "y": [(-1e300, 0.2, 0.7)]},
@@ -243,6 +280,12 @@ ROWS = {
     # a pure state, a closed-form one and a generic one: the three routes, each with and without the fast path
     "quantum_discord": Row(_report, STATE_OUT, [{"rho": rho, "fast_path": fast} for rho in (
         random_state(1, 3), qdiscord.bell_diagonal_state(0.3, 0.2, 0.1), RHO) for fast in (True, False)]),
+    # each report the scalar call's, every digit; a stack whose first non-state is element 2 raises its error
+    "quantum_discord_many": Row(
+        lambda r: all(map(_report, r[0])) and list(map(_digits, r[0])) == list(map(_digits, r[1])),
+        {"rhos": [[RHO, RHO, NOT_STATES[0], NOT_STATES[1]]]}, [{"fast_path": fast} for fast in (True, False)],
+        match={("rhos", "out of range"): _scalar_error(NOT_STATES[0])},
+        raises={("rhos", tag): NotAStateError for tag in ("non-finite", "out of range")}, call=_many_and_loop),
     "random_state": Row(lambda m: _state(m) and np.linalg.matrix_rank(m, tol=1e-9) == 2, variants=[{"rng": 7}]),
     "random_unitary": Row(lambda u: u.shape == (3, 3) and _unitary(u), variants=[{"rng": 7}]),
     # any 4x4 matrix of numbers, one with non-finite entries too: both partial traces keep its trace
@@ -271,7 +314,7 @@ KERNEL_ROWS = {"branches_batch": Row(lambda b: all(np.all(np.isfinite(f)) for f 
                                      call=branches_batch),
                "stationary_residual_batch": Row(lambda r: bool(np.all(r >= 0)), variants=TRIPLES,
                                                 call=stationary_residual_batch)}
-TABLE = {**{key: row._replace(call=getattr(qdiscord, key)) for key, row in ROWS.items()}, **KERNEL_ROWS}
+TABLE = {**{key: row._replace(call=row.call or getattr(qdiscord, key)) for key, row in ROWS.items()}, **KERNEL_ROWS}
 
 
 def _variants(key: str) -> list:
@@ -321,7 +364,7 @@ def test_the_table_covers_every_public_callable_and_every_argument():
     # the functions qdiscord exports, and the classes whose constructor validates
     public = {name for name in dir(qdiscord) if not name.startswith("_") and (
         inspect.isfunction(obj := getattr(qdiscord, name)) or "__post_init__" in getattr(obj, "__dict__", {}))}
-    assert public == set(ROWS) and len(ROWS) == 49
+    assert public == set(ROWS) and len(ROWS) == 50
     for key in TABLE:  # a parameter without a VALID entry raises KeyError; **kwargs needs a keyword to pass on
         params = inspect.signature(TABLE[key].call).parameters.values()
         assert all(p.kind is not p.VAR_KEYWORD for p in params) or any(

@@ -14,6 +14,7 @@ from qdiscord import (
     ZeroProbabilityError,
     ab_state,
     apply_local_rotations,
+    bell_diagonal_state,
     binary_entropy,
     conditional_entropy,
     conditional_entropy_batch,
@@ -40,6 +41,7 @@ from qdiscord.measurement import (
     branches_batch,
 )
 from qdiscord.optimize import stationary_residual_batch
+from qdiscord.measurement import _conditional_entropy_stack
 
 Z3 = np.zeros(3)
 Z33 = np.zeros((3, 3))
@@ -593,3 +595,20 @@ def test_scalar_and_batch_branch_kernels_agree(rng):
             for scalar, rows in zip(branches(t, given), batch):
                 worst = max(worst, float(np.max(np.abs(np.asarray(scalar) - rows[i]))))
     assert worst <= 1e-15
+
+
+def test_the_stacked_start_sets_are_each_batch_bit_for_bit():
+    # one pass over a leading state axis gives each state its own batch's bits, and checks every row
+    rng = np.random.default_rng(12)
+    lattice = optimize._lattice(optimize.DEFAULT_RESOLUTION)[0]
+    triples = [triple_from_matrix(random_state(rank=1 + k % 4, rng=rng)) for k in range(64)]
+    triples += [triple_from_matrix(np.eye(4) / 4), triple_from_matrix(bell_diagonal_state(1.0, -0.5, 0.5))]
+    dirs = np.array([_unit_rows(rng, len(lattice)) for _ in triples])
+    for size in (1, 2, 8, len(triples)):
+        for i in range(0, len(triples), size):
+            values = _conditional_entropy_stack(triples[i:i + size], dirs[i:i + size])
+            assert [v.tobytes() for v in values] == [conditional_entropy_batch(t, d).tobytes()
+                                                     for t, d in zip(triples[i:i + size], dirs[i:i + size])]
+    dirs[-1, 5] *= 1 + 1e-9
+    with pytest.raises(ValidationError, match="unit vectors"):
+        _conditional_entropy_stack(triples, dirs)

@@ -27,6 +27,7 @@ from qdiscord import (
     minimize_conditional_entropy,
     mutual_information,
     quantum_discord,
+    quantum_discord_many,
     random_state,
     random_unitary,
     refine_minimum,
@@ -592,6 +593,30 @@ def test_quantum_discord_report_identity(rng):
         assert report.discord >= -1e-7
         assert report.min_conditional_entropy == pytest.approx(
             conditional_entropy(triple_from_matrix(rho), report.optimal_direction), abs=1e-12)
+
+
+def _digits(report) -> str:
+    with np.printoptions(floatmode="unique"):
+        return repr(report) + repr(report.diagnostics)
+
+
+def test_many_states_are_the_scalar_loop_bit_for_bit():
+    # every route in one stack: pure, rotated closed-form, T = 0, A undefined at e0, generic of each rank, ab with
+    # several plateaus and a prepared state; any stack size gives each report the scalar call's bits
+    rng = np.random.default_rng(3131)
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    rhos = [random_state(rank=1 + k % 4, rng=rng) for k in range(16)]
+    rhos += [u @ bell_diagonal_state(*sample_bell_diagonal(rng)) @ u.conj().T for _ in range(4)]
+    rhos += [u @ matrix_from_triple(sample_kernel_class(rng)) @ u.conj().T for _ in range(4)]
+    rhos += [np.eye(4) / 4, bell_diagonal_state(1.0, -0.5, 0.5), ab_state(0.3, 0.4),
+             states.prepare_state(random_state(rng=rng))]
+    for settings in ({}, {"fast_path": False}, {"with_bounds": False, "resolution": math.pi / 12}):
+        expected = [_digits(quantum_discord(rho, **settings)) for rho in rhos]
+        for size in (1, 3, 8, len(rhos)):
+            got = [_digits(report) for i in range(0, len(rhos), size)
+                   for report in quantum_discord_many(iter(rhos[i:i + size]), **settings)]
+            assert got == expected, (settings, size)
+    assert quantum_discord_many([]) == []
 
 
 def test_discord_invariant_under_local_unitaries(rng):

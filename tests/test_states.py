@@ -30,7 +30,7 @@ from qdiscord import (
 )
 from qdiscord import states
 from qdiscord.entropy import _as_complex, _spectrum_entropy, binary_entropy
-from qdiscord.states import _proper_svd, prepare_state
+from qdiscord.states import _prepared_many, _proper_svd, prepare_state
 
 PAULIS = [np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -603,3 +603,24 @@ def test_the_one_product_builders_are_the_tensordot_formulas_bit_for_bit(rng):
         assert _same_bits(matrix_from_triple(t), _parent_matrix_from_triple(ref))
 
 
+def test_a_stack_is_prepared_with_the_bits_of_each_matrix_alone(rng):
+    # validate's arithmetic, the Pauli traces and T's SVD over one stack, against prepare_state one matrix at a time
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    rhos = [random_state(rank=1 + k % 4, rng=rng) for k in range(60)]
+    rhos += [u @ bell_diagonal_state(*sample_bell_diagonal(rng)) @ u.conj().T for _ in range(10)]
+    rhos += [np.eye(4) / 4, bell_diagonal_state(0.5, -0.5, 0.5), (np.eye(4) / 4).tolist(), ab_state(0.3, 0.4)]
+    record = prepare_state(random_state(rng=rng))
+    for stack in (rhos, rhos[:1], [record, *rhos[:3], record]):
+        for state, rho in zip(_prepared_many(stack), stack):
+            alone = prepare_state(rho)
+            assert _hex(state.triple._floats) == _hex(alone.triple._floats) and state._norms == alone._norms
+            (spectrum, trace), (spectrum_alone, trace_alone) = state._spectrum, alone._spectrum
+            assert state.rho.tobytes() == alone.rho.tobytes() and trace.hex() == trace_alone.hex()
+            assert spectrum.tobytes() == spectrum_alone.tobytes() and not spectrum.flags.writeable
+            assert _hex(state._svd) == _hex(alone._svd)
+            assert (state is rho) == (rho is record)  # a record passes through
+    assert _prepared_many([]) == []
+    # a stack with any element prepare_state rejects is not prepared: its caller raises that element's error
+    for bad in (np.diag([0.5, 0.6, -0.1, 0.0]), np.full((4, 4), np.nan), np.full((4, 4), 1e300), np.eye(3), "x",
+                [[1.0, 2.0], [3.0]]):
+        assert _prepared_many([*rhos[:3], bad]) is None
