@@ -270,11 +270,6 @@ def _richardson(f) -> float:
     return (4 * d1 - d2) / 3
 
 
-def bell_diagonal_oracle_error(n: int, rng: np.random.Generator, search: dict) -> float:
-    """Worst |closed form - grid+refine| discord over n sampled Bell-diagonal states."""
-    return _oracle_error([sample_bell_diagonal(rng) for _ in range(n)], [], search)
-
-
 def _oracle_error(bell: list, kernel: list, search: dict) -> float:
     """Worst |closed form - optimizer| over Bell-diagonal parameters (the discord) and kernel-class triples (min S).
 

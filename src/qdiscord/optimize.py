@@ -15,7 +15,7 @@ import reprlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -56,7 +56,7 @@ MIN_RESOLUTION = math.radians(0.5)
 ORACLE_RESOLUTION = math.pi / 180
 DEFAULT_TOLERANCE = 1e-9
 MAX_REFINE_ITERATIONS = 200
-#: rows of :func:`bound_comparison_scan` that go to :func:`quantum_discord_many` at once, so memory stays flat
+#: the most states :func:`quantum_discord_many` stacks in one pass, so its memory stays flat in the number of states
 SCAN_CHUNK = 256
 
 _ARMIJO = 1e-4
@@ -562,30 +562,30 @@ def _report(state: PreparedState, found: tuple, searched: bool, with_bounds: boo
 def quantum_discord_many(rhos: Iterable[np.ndarray | PreparedState], *, resolution: float = DEFAULT_RESOLUTION,
                          tolerance: float = DEFAULT_TOLERANCE, fast_path: bool = True,
                          with_bounds: bool = True) -> list[DiscordReport]:
-    """``[quantum_discord(rho, ...) for rho in rhos]`` bit for bit, with the work of all the states stacked.
+    """``[quantum_discord(rho, ...) for rho in rhos]`` bit for bit, with the work of the states stacked.
 
     ``rhos`` is an iterable, read in full first, of 4x4 matrices and
-    :class:`~qdiscord.states.PreparedState` records.  The matrices are
-    validated and decomposed in one stacked pass, and the start sets of all
-    searches evaluated in one more; routes, refinement and reports are
-    quantum_discord's own code.  The call raises what the loop raises first:
-    a stack with an element it rejects is replayed through it.  What is not
-    an iterable raises :class:`ValidationError`.
+    :class:`~qdiscord.states.PreparedState` records.  Each slice of
+    :data:`SCAN_CHUNK` states is validated and decomposed in one stacked
+    pass, and the start sets of its searches evaluated in one more; routes,
+    refinement and reports are quantum_discord's own code.  The call raises
+    what the loop raises first: the first element it rejects raises its own
+    error.  What is not an iterable raises :class:`ValidationError`.
     """
     resolution, tolerance = _checked_settings(resolution, tolerance, fast_path, with_bounds)
     try:
         rhos = iter(rhos)
     except TypeError:
         raise ValidationError(f"rhos must be an iterable of states, got {reprlib.repr(rhos)}") from None
-    rhos = list(rhos)
-    states = _prepared_many(rhos)
-    if states is not None:
-        try:
-            return _reports(states, resolution, tolerance, fast_path, with_bounds)
-        except ValidationError:  # the loop below raises the first element's error
-            pass
-    return [quantum_discord(rho, resolution=resolution, tolerance=tolerance, fast_path=fast_path,
-                            with_bounds=with_bounds) for rho in rhos]
+    return list(_stacked_reports(list(rhos), resolution, tolerance, fast_path, with_bounds))
+
+
+def _stacked_reports(rhos: list, resolution: float, tolerance: float, fast_path: bool,
+                     with_bounds: bool) -> Iterator[DiscordReport]:
+    """:func:`quantum_discord_many`'s reports in order, :data:`SCAN_CHUNK` states stacked at a time, so that a
+    caller that keeps only part of each report keeps flat memory."""
+    for k in range(0, len(rhos), SCAN_CHUNK):
+        yield from _reports(_prepared_many(rhos[k:k + SCAN_CHUNK]), resolution, tolerance, fast_path, with_bounds)
 
 
 def _reports(states: list[PreparedState], resolution: float, tolerance: float, fast_path: bool,
@@ -618,43 +618,34 @@ def bound_comparison_scan(states: Iterable[tuple[float, float, np.ndarray]],
     or a row that is not three values, raises :class:`ValidationError` naming the row, and
     so do settings out of range, before any row is read.  Each row records the computed
     discord, the discord upper bound, the comparison bound S(rho_B), and whether the bound
-    is saturated within 1e-6.  The rows go to :func:`quantum_discord_many` in chunks of
-    :data:`SCAN_CHUNK`; a chunk with an error is replayed row by row, so the error raised
-    is the first one a row-by-row scan meets (an iterator that raises part-way raises
-    before the rows of its unfinished chunk are checked).
+    is saturated within 1e-6.  The rows are read up to the first that is not three values or
+    has a parameter that is not a real number, and their matrices, that row's included, go
+    through :func:`quantum_discord_many`'s stacked passes; so the error raised is the first one
+    a row-by-row scan meets (an iterator that raises part-way raises before any row is checked).
     """
-    settings = {"resolution": _check_resolution(resolution), "tolerance": _check_tolerance(tolerance)}
+    resolution, tolerance = _check_resolution(resolution), _check_tolerance(tolerance)
     try:
         states = iter(states)
     except TypeError:
         raise ValidationError(f"states must be an iterable of rows, got {reprlib.repr(states)}") from None
-    rows, chunk = [], []
+    params, rhos, error = [], [], None
     for k, row in enumerate(states):
         try:
             p1, p2, rho = row
         except (TypeError, ValueError):  # not iterable, or not three values
-            rows += _scan_rows(chunk, settings)  # the rows before it first
-            raise ValidationError(f"states row {k} is not (param1, param2, rho): {reprlib.repr(row)}") from None
-        chunk.append((p1, p2, rho))
-        if len(chunk) == SCAN_CHUNK:
-            rows += _scan_rows(chunk, settings)
-            chunk = []
-    return rows + _scan_rows(chunk, settings)
-
-
-def _scan_rows(chunk: list, settings: dict) -> list[ScanRow]:
-    """The ScanRows of (param1, param2, rho) rows from one stacked call; on an error, row by row as the scan meets
-    them: a row's report, then its parameters."""
-    rhos = [rho for _, _, rho in chunk]
-    try:
-        reports = quantum_discord_many(rhos, **settings)
-    except ValidationError:  # the generator raises the first row's error, in the loop below
-        reports = (quantum_discord(rho, **settings) for rho in rhos)
-    rows = []
-    for (p1, p2, _), report in zip(chunk, reports):
-        b = report.bounds
-        rows.append(ScanRow(_real_scalar(p1, "param1"), _real_scalar(p2, "param2"), report.discord,
-                            b.discord_ub, b.xi_bound, b.saturated))
+            error = ValidationError(f"states row {k} is not (param1, param2, rho): {reprlib.repr(row)}")
+            break
+        rhos.append(rho)
+        try:
+            params.append((_real_scalar(p1, "param1"), _real_scalar(p2, "param2")))
+        except ValidationError as e:  # raised after the matrices up to this row's own are checked
+            error = e
+            break
+    # the reports lead the zip, so the matrix of a row with a parameter error, the last in rhos, is checked too
+    rows = [ScanRow(p1, p2, r.discord, r.bounds.discord_ub, r.bounds.xi_bound, r.bounds.saturated)
+            for r, (p1, p2) in zip(_stacked_reports(rhos, resolution, tolerance, True, True), params)]
+    if error is not None:
+        raise error
     return rows
 
 

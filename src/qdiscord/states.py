@@ -180,15 +180,21 @@ def validate(rho: np.ndarray) -> StateDiagnostics:
     if not (peak := _peak(rho)) <= _MAX_ENTRY:
         dev = math.inf if math.isfinite(peak) else math.nan
         return StateDiagnostics(dev, dev, math.nan, False)
-    herm = rho.conj().T
-    dev_h = float(np.maximum.reduce(np.abs(rho - herm), axis=None))
-    dev_tr = float(abs(rho.trace() - 1.0))
-    hermitian = (rho + herm) / 2
+    dev_h, dev_tr, hermitian, eigenvalues = _deviations(rho)
+    dev_h, dev_tr, min_eig = float(dev_h), float(dev_tr), float(eigenvalues[0])
+    return StateDiagnostics(dev_h, dev_tr, min_eig, _accepted(dev_h, dev_tr, min_eig), eigenvalues, hermitian)
+
+
+def _deviations(m: np.ndarray) -> tuple:
+    """|M - M^dag|, |tr M - 1|, the read-only Hermitian part (M + M^dag)/2 and its ascending eigenvalues, of a
+    matrix or each of a stack: :func:`validate`'s arithmetic, written once for both."""
+    herm = m.conj().swapaxes(-1, -2)
+    hermitian = (m + herm) / 2
     hermitian.setflags(write=False)
     eigenvalues = np.linalg.eigvalsh(hermitian)
     eigenvalues.setflags(write=False)
-    min_eig = float(eigenvalues[0])
-    return StateDiagnostics(dev_h, dev_tr, min_eig, _accepted(dev_h, dev_tr, min_eig), eigenvalues, hermitian)
+    return (np.maximum.reduce(np.abs(m - herm), axis=(-2, -1)), abs(m.trace(axis1=-2, axis2=-1) - 1.0), hermitian,
+            eigenvalues)
 
 
 def _peak(rho: np.ndarray) -> float:
@@ -319,29 +325,23 @@ def _prepared(rho: np.ndarray, pauli: list[float], eigenvalues: np.ndarray, trac
     return PreparedState(rho, t, norms, (eigenvalues, trace))
 
 
-def _prepared_many(rhos: list) -> list[PreparedState] | None:
+def _prepared_many(rhos: list) -> list[PreparedState]:
     """:func:`prepare_state` of each element (a record passes through), taking validate's arithmetic, the Pauli
-    traces and T's SVD once for the stack of matrices; None if any element is rejected."""
+    traces and T's SVD once for the stack of matrices.  A stack with an element that prepare_state rejects is
+    prepared one element at a time, so the first such element raises its own error."""
     try:
         stack = np.array([_as_complex(rho, "a 4x4 matrix of numbers", (4, 4)) for rho in rhos
                           if not isinstance(rho, PreparedState)], dtype=complex).reshape(-1, 4, 4)
-    except ValidationError:
-        return None
-    if len(stack) and not _peak(stack) <= _MAX_ENTRY:
-        return None
-    herm = stack.conj().transpose(0, 2, 1)  # validate's arithmetic, matrix by matrix
-    hermitian = (stack + herm) / 2
-    eigenvalues = np.linalg.eigvalsh(hermitian)
-    eigenvalues.setflags(write=False)
-    dev_h, dev_tr = np.maximum.reduce(np.abs(stack - herm), axis=(1, 2)), abs(stack.trace(axis1=1, axis2=2) - 1.0)
-    if not np.logical_and.reduce(_accepted(dev_h, dev_tr, eigenvalues[:, 0])):
-        return None
-    traces = hermitian.trace(axis1=1, axis2=2).real
-    units = hermitian / traces[:, None, None]
-    try:
-        made = list(map(_prepared, units, _pauli_traces(units), eigenvalues, traces.tolist()))
-    except ValidationError:  # a coherence vector past the norm bound
-        return None
+        if len(stack) and not _peak(stack) <= _MAX_ENTRY:
+            raise NotAStateError("an entry is not finite or exceeds the entry bound")
+        dev_h, dev_tr, hermitian, eigenvalues = _deviations(stack)
+        if not np.logical_and.reduce(_accepted(dev_h, dev_tr, eigenvalues[:, 0])):
+            raise NotAStateError("a matrix fails the density-matrix checks")
+        traces = hermitian.trace(axis1=1, axis2=2).real
+        units = hermitian / traces[:, None, None]
+        made = list(map(_prepared, units, _pauli_traces(units), eigenvalues, traces.tolist()))  # checks the norms
+    except ValidationError:  # prepare_state raises the first rejected element's own error
+        return list(map(prepare_state, rhos))
     u, d, vt = np.linalg.svd(np.array([state.triple.T for state in made]).reshape(-1, 3, 3))
     for state, found in zip(made, zip(d.tolist(), zip(u.transpose(0, 2, 1).tolist(), vt.tolist()))):
         state.__dict__["_svd"] = _proper_svd(state.triple, found)

@@ -25,6 +25,12 @@ def rng():
     return np.random.default_rng(20260811)
 
 
+def report_digits(report) -> str:
+    """A report and its diagnostics with every digit that tells two floats apart."""
+    with np.printoptions(floatmode="unique"):
+        return repr(report) + repr(report.diagnostics)
+
+
 def random_direction(rng) -> MeasurementDirection:
     return MeasurementDirection(rng.standard_normal(3))
 

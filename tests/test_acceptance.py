@@ -21,12 +21,13 @@ from qdiscord import (
     quantum_discord,
     random_state,
     random_unitary,
+    sample_bell_diagonal,
     sample_kernel_class,
     triple_from_matrix,
     von_neumann_entropy,
 )
+from qdiscord import cli
 from qdiscord.cli import (
-    bell_diagonal_oracle_error,
     suite_bounds,
     suite_gradient,
     suite_identity,
@@ -50,7 +51,7 @@ def test_criterion_1_central_identity():
 
 def test_criterion_2_bell_diagonal_oracle():
     rng = np.random.default_rng(1002)
-    worst = bell_diagonal_oracle_error(200, rng, {})
+    worst = cli._oracle_error([sample_bell_diagonal(rng) for _ in range(200)], [], {})
     bell = quantum_discord(bell_diagonal_state(1, -1, 1), with_bounds=False).discord
     mixed = quantum_discord(np.eye(4) / 4, with_bounds=False).discord
     ok = worst < 1e-6 and abs(bell - 1) <= 1e-9 and abs(mixed) <= 1e-9

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qdiscord import (
     theorem1_bounds,
     triple_from_matrix,
 )
+from qdiscord import optimize
 from qdiscord.bounds import SATURATION_TOL
 from qdiscord.optimize import SCAN_CHUNK
 from qdiscord.states import prepare_state
@@ -216,8 +218,37 @@ def test_scan_raises_the_first_error_a_row_by_row_scan_meets():
         bound_comparison_scan([(0.1, 0.2, bad), (0.1,)])
     with pytest.raises(ValidationError, match="param1"):  # row 0's parameter before row 1's matrix
         bound_comparison_scan([(1j, 0.2, np.eye(4) / 4), (0.1, 0.2, bad)])
-    with pytest.raises(ValidationError, match=f"row {SCAN_CHUNK + 1} "):  # in the second chunk
+    with pytest.raises(ValidationError, match=f"row {SCAN_CHUNK + 1} "):  # after more rows than one stacked pass
         bound_comparison_scan([good] * (SCAN_CHUNK + 1) + [(0.1,), (0.1, 0.2, bad)])
+    with pytest.raises(NotAStateError):  # a row's matrix before its own parameter, also alone in the last pass
+        bound_comparison_scan([good] * SCAN_CHUNK + [(1j, 0.2, bad)])
+
+
+def test_a_row_iterator_that_raises_part_way_raises_before_any_row_is_checked():
+    def rows():
+        yield 0.1, 0.2, np.diag([1.0, 0, 0, -0.5])  # not a state, in what is more than one stacked pass
+        yield from [(0.1, 0.2, np.eye(4) / 4)] * SCAN_CHUNK
+        raise RuntimeError("the row source failed")
+
+    with pytest.raises(RuntimeError, match="the row source failed"):
+        bound_comparison_scan(rows())
+
+
+def test_a_scan_drops_each_report_once_its_row_is_made(monkeypatch):
+    # flat memory: each report is dropped once its row is made, so no more than one pass of them is ever alive
+    alive, most, reports = set(), [0], optimize._reports
+
+    def spy(*args):
+        made = reports(*args)
+        for report in made:
+            alive.add(id(report))
+            weakref.finalize(report, alive.discard, id(report))
+        most[0] = max(most[0], len(alive))
+        return made
+
+    monkeypatch.setattr(optimize, "_reports", spy)
+    rows = bound_comparison_scan([(0.1, 0.2, np.eye(4) / 4)] * (3 * SCAN_CHUNK + 1))
+    assert len(rows) == 3 * SCAN_CHUNK + 1 and most[0] <= SCAN_CHUNK + 1, most
 
 
 @pytest.mark.parametrize("settings", [{"resolution": math.nan}, {"tolerance": 5.0}])

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from conftest import report_digits
 import qdiscord
 from qdiscord import (ABState, BellDiagonalDiscord, BlochTriple, BoundReport, CanonicalForm, ClassTag, DiscordReport,
                       MeasurementDirection, MeasurementProbabilities, NotAStateError, PostMeasurementState, ScanRow,
@@ -208,12 +209,6 @@ class Row(NamedTuple):
 STATE_OUT = {"rho": NOT_STATES}
 
 
-def _digits(report) -> str:
-    """A report and its diagnostics with every digit that tells two floats apart."""
-    with np.printoptions(floatmode="unique"):
-        return repr(report) + repr(report.diagnostics)
-
-
 @functools.wraps(qdiscord.quantum_discord_many)
 def _many_and_loop(rhos, **settings):
     """quantum_discord_many's reports, and then the scalar loop's, for the postcondition."""
@@ -282,7 +277,7 @@ ROWS = {
         random_state(1, 3), qdiscord.bell_diagonal_state(0.3, 0.2, 0.1), RHO) for fast in (True, False)]),
     # each report the scalar call's, every digit; a stack whose first non-state is element 2 raises its error
     "quantum_discord_many": Row(
-        lambda r: all(map(_report, r[0])) and list(map(_digits, r[0])) == list(map(_digits, r[1])),
+        lambda r: all(map(_report, r[0])) and list(map(report_digits, r[0])) == list(map(report_digits, r[1])),
         {"rhos": [[RHO, RHO, NOT_STATES[0], NOT_STATES[1]]]}, [{"fast_path": fast} for fast in (True, False)],
         match={("rhos", "out of range"): _scalar_error(NOT_STATES[0])},
         raises={("rhos", tag): NotAStateError for tag in ("non-finite", "out of range")}, call=_many_and_loop),

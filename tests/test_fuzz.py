@@ -2,9 +2,10 @@
 
 A 4x4 array that :func:`validate` rejects raises :class:`NotAStateError`
 (the CLI's exit 3), and any other yields a report whose invariants hold,
-measured on the triple that :func:`triple_from_matrix` returns; a state
-file makes ``qdiscord compute`` exit 0, 2 or 3, and a range string makes
-``qdiscord scan`` exit 0, 2 or 3, never 1 with a traceback.  A
+measured on the triple that :func:`triple_from_matrix` returns; in a stack,
+:func:`quantum_discord_many` gives the same reports or raises the same error.
+A state file makes ``qdiscord compute`` exit 0, 2 or 3, and a range string
+makes ``qdiscord scan`` exit 0, 2 or 3, never 1 with a traceback.  A
 3-vector becomes a unit measurement direction or raises
 :class:`ValidationError`, without a warning.
 """
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import report_digits
 from qdiscord import (
     MeasurementDirection,
     NotAStateError,
@@ -27,6 +29,7 @@ from qdiscord import (
     cli,
     conditional_entropy,
     quantum_discord,
+    quantum_discord_many,
     random_state,
     random_unitary,
     reduced_states,
@@ -114,6 +117,24 @@ def test_any_array_gives_a_report_or_a_typed_error(rho):
     t, measured = triple_from_matrix(rho), prepare_state(rho).triple
     assert all(np.array_equal(getattr(t, k), getattr(measured, k)) for k in ("x", "y", "T"))
     assert abs(conditional_entropy(t, report.optimal_direction) - report.min_conditional_entropy) <= 1e-10
+
+
+#: two generic states, which take the stacked search, around each fuzzed matrix
+_GOOD = [random_state(rng=np.random.default_rng(seed)) for seed in (17, 18)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(matrices())
+def test_any_array_in_a_stack_gives_the_loops_reports_or_its_error(rho):
+    rhos = [_GOOD[0], rho, _GOOD[1]]
+    try:
+        expected = [report_digits(quantum_discord(r)) for r in rhos]
+    except ValidationError as error:
+        with pytest.raises(ValidationError) as raised:
+            quantum_discord_many(rhos)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        return
+    assert [report_digits(report) for report in quantum_discord_many(rhos)] == expected
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

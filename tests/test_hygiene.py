@@ -88,17 +88,20 @@ def test_each_primitive_is_defined_in_its_home_module_only():
 #: tolerance of [T^t x, y], which both bounds routes (the floats and the LAPACK
 #: oracle) and the search's start axes read; the call of validate, in
 #: prepare_state, and what the two routes from a matrix to its triple (one
-#: matrix, and quantum_discord_many's stack in states._prepared_many) share,
-#: so that they cannot fork: the comparisons against the Hermiticity, trace
-#: and PSD thresholds, one body for a matrix and a stack, the Pauli traces'
-#: product, which takes one matrix as a stack of one, and the cofactor sum of
-#: the determinant repair, which a stack's SVD goes through too; the SVD of one
-#: T, which the bounds' rank-0 case, the start axes and canonicalize read; the
-#: branch weights w = (2 p +- s)/4 and the not-a-state check on them, which
-#: the scalar and the batch kernels share, so that no float/array fork comes
-#: back; and the seed rule of the samplers
+#: matrix, and quantum_discord_many's stack in states._prepared_many) share, so
+#: that they cannot fork: validate's arithmetic in states._deviations, one body
+#: for a matrix and a stack, marked by the eigvalsh of the Hermitian part; the
+#: comparisons against the Hermiticity, trace and PSD thresholds, one body for
+#: a matrix and a stack; the Pauli traces' product, which takes one matrix as a
+#: stack of one; and the cofactor sum of the determinant repair, which a
+#: stack's SVD goes through too; the SVD of one T, which the bounds' rank-0
+#: case, the start axes and canonicalize read; the branch weights
+#: w = (2 p +- s)/4 and the not-a-state check on them, which the scalar and the
+#: batch kernels share, so that no float/array fork comes back; and the seed
+#: rule of the samplers
 SINGLE_DEFINITIONS = {r"\.T\.T @ \w+\.x\b|\w+\.x @ \w+\.T\b": "states.py", r"1e-10 \* max\(": "bounds.py",
-                      r"(?<!def )\bvalidate\(": "states.py", r"[<>]=? HERMITICITY_TOL": "states.py",
+                      r"(?<!def )\bvalidate\(": "states.py", r"eigvalsh\(hermitian\)": "states.py",
+                      r"[<>]=? HERMITICITY_TOL": "states.py",
                       r"[<>]=? TRACE_TOL": "states.py", r"[<>]=? -PSD_TOL": "states.py",
                       r"@ _PAULI_TRACES": "states.py", r"np\.linalg\.svd\(t\.T\)": "states.py",
                       r"\* \(f \* k - g \* i\)": "states.py",

@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import _ab_crossover_triples, angle_between_axes, random_direction, random_rotation, random_triple
+from conftest import (_ab_crossover_triples, angle_between_axes, random_direction, random_rotation, random_triple,
+                      report_digits)
 from qdiscord import (
     BlochTriple,
     MeasurementDirection,
@@ -595,11 +596,6 @@ def test_quantum_discord_report_identity(rng):
             conditional_entropy(triple_from_matrix(rho), report.optimal_direction), abs=1e-12)
 
 
-def _digits(report) -> str:
-    with np.printoptions(floatmode="unique"):
-        return repr(report) + repr(report.diagnostics)
-
-
 def test_many_states_are_the_scalar_loop_bit_for_bit():
     # every route in one stack: pure, rotated closed-form, T = 0, A undefined at e0, generic of each rank, ab with
     # several plateaus and a prepared state; any stack size gives each report the scalar call's bits
@@ -611,12 +607,30 @@ def test_many_states_are_the_scalar_loop_bit_for_bit():
     rhos += [np.eye(4) / 4, bell_diagonal_state(1.0, -0.5, 0.5), ab_state(0.3, 0.4),
              states.prepare_state(random_state(rng=rng))]
     for settings in ({}, {"fast_path": False}, {"with_bounds": False, "resolution": math.pi / 12}):
-        expected = [_digits(quantum_discord(rho, **settings)) for rho in rhos]
+        expected = [report_digits(quantum_discord(rho, **settings)) for rho in rhos]
         for size in (1, 3, 8, len(rhos)):
-            got = [_digits(report) for i in range(0, len(rhos), size)
+            got = [report_digits(report) for i in range(0, len(rhos), size)
                    for report in quantum_discord_many(iter(rhos[i:i + size]), **settings)]
             assert got == expected, (settings, size)
     assert quantum_discord_many([]) == []
+
+
+def test_many_states_are_stacked_at_most_a_chunk_at_a_time(monkeypatch):
+    # SCAN_CHUNK + 1 generic states: no start-set pass holds more than SCAN_CHUNK of them, and the reports keep
+    # the scalar loop's bits across the chunk boundary
+    rng = np.random.default_rng(3232)
+    rhos = [random_state(rng=rng) for _ in range(optimize.SCAN_CHUNK + 1)]
+    settings = {"resolution": math.pi / 12, "with_bounds": False}
+    sizes, stack = [], optimize._conditional_entropy_stack
+
+    def spy(triples, dirs):
+        sizes.append(len(triples))
+        return stack(triples, dirs)
+
+    monkeypatch.setattr(optimize, "_conditional_entropy_stack", spy)
+    got = [report_digits(report) for report in quantum_discord_many(rhos, **settings)]
+    assert max(sizes) <= optimize.SCAN_CHUNK and sum(sizes) == len(rhos), sizes
+    assert got == [report_digits(quantum_discord(rho, **settings)) for rho in rhos]
 
 
 def test_discord_invariant_under_local_unitaries(rng):

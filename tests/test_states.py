@@ -620,7 +620,12 @@ def test_a_stack_is_prepared_with_the_bits_of_each_matrix_alone(rng):
             assert _hex(state._svd) == _hex(alone._svd)
             assert (state is rho) == (rho is record)  # a record passes through
     assert _prepared_many([]) == []
-    # a stack with any element prepare_state rejects is not prepared: its caller raises that element's error
+    # a stack with elements prepare_state rejects raises the first one's error, its type and message exactly
+    later = np.diag([2.0, 0.0, 0.0, -1.0])
     for bad in (np.diag([0.5, 0.6, -0.1, 0.0]), np.full((4, 4), np.nan), np.full((4, 4), 1e300), np.eye(3), "x",
                 [[1.0, 2.0], [3.0]]):
-        assert _prepared_many([*rhos[:3], bad]) is None
+        with pytest.raises(ValidationError) as alone:
+            prepare_state(bad)
+        with pytest.raises(ValidationError) as stacked:
+            _prepared_many([*rhos[:3], record, bad, later])
+        assert type(stacked.value) is type(alone.value) and str(stacked.value) == str(alone.value)
